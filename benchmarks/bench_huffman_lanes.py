@@ -1,9 +1,11 @@
 """Quick-bench: Huffman encode + decode throughput per lane count.
 
 Standalone (no pytest plugins): times the legacy single-stream scalar
-decoder against the vectorized multi-lane kernel, and the reference
+decoder against the vectorized multi-lane kernel, the reference
 bit-plane packer (``pack_codes_ref``) against the word-packed encode
-kernel, on a >= 4 MB float32 field.  Writes ``BENCH_huffman.json`` at
+kernel, and the symbol histogram ``huffman_build`` takes
+(``quantizer.code_histogram``) against the ``np.unique`` sort it
+replaced, on a >= 4 MB float32 field.  Writes ``BENCH_huffman.json`` at
 the repo root (or ``REPRO_BENCH_OUT``).  CI runs this as a smoke check;
 the acceptance bars are a >= 5x decode speedup at K = 16 over the
 single-stream decoder and a >= 2x `huffman_encode` throughput with
@@ -31,7 +33,7 @@ import numpy as np
 
 from repro.core import trace
 from repro.datasets import generate
-from repro.sz import fastdecode, huffman
+from repro.sz import fastdecode, huffman, quantizer
 from repro.sz.bitstream import concat_streams, pack_codes, pack_codes_ref
 from repro.sz.compressor import SZCompressor
 
@@ -95,6 +97,7 @@ def main() -> dict:
         "field_mb": round(field_mb, 3),
         "n_symbols": n,
         "repeats": REPEATS,
+        "histogram_ms": {},
         "tree_build_ms": {},
         "codec_cache": {},
         "encode_mb_per_s": {},
@@ -104,11 +107,30 @@ def main() -> dict:
     }
 
     # ------------------------------------------------------------------
+    # Histogram: the dense count over the 2R quantization states that
+    # huffman_build runs vs the call it replaced, np.unique with an
+    # inverse nothing read (its stable argsort is the cost), on the
+    # frame's real codes (identical symbols and counts are pinned by
+    # tests/sz/test_histogram_diff.py).
+    # ------------------------------------------------------------------
+    symbols, counts = quantizer.code_histogram(flat_codes)
+    secs = _best_seconds(lambda: np.unique(
+        flat_codes, return_inverse=True, return_counts=True
+    ))
+    result["histogram_ms"]["unique_inverse_ref"] = round(secs * 1e3, 3)
+    secs = _best_seconds(lambda: quantizer.code_histogram(flat_codes))
+    result["histogram_ms"]["bincount"] = round(secs * 1e3, 3)
+    result["histogram_ms"]["speedup"] = round(
+        result["histogram_ms"]["unique_inverse_ref"]
+        / max(result["histogram_ms"]["bincount"], 1e-9),
+        2,
+    )
+
+    # ------------------------------------------------------------------
     # Tree build: the retired heapq construction vs the two-queue O(n)
     # build, on the frame's real frequency table (bit-identical output
     # is pinned by tests/sz/test_huffman_diff.py).
     # ------------------------------------------------------------------
-    symbols, counts = np.unique(flat_codes, return_counts=True)
     result["alphabet_size"] = int(symbols.size)
     result["max_code_len"] = int(code.lengths.max())
     secs = _best_seconds(lambda: huffman._huffman_lengths_ref(counts))

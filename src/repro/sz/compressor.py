@@ -278,20 +278,17 @@ class SZCompressor:
 
             with tr.stage("huffman_build") as sp:
                 flat_codes = np.ravel(codes)
-                symbols, inverse, counts = np.unique(
-                    flat_codes, return_inverse=True, return_counts=True
-                )
+                symbols, counts = quantizer.code_histogram(flat_codes)
                 depth_limited = (
                     self.depth_limit is not None
                     and symbols.size <= (1 << self.depth_limit)
                 )
+                code = huffman.build_code(
+                    symbols, counts,
+                    max_len=self.depth_limit if depth_limited else None,
+                )
                 if depth_limited:
-                    code = huffman.build_code(
-                        symbols, counts, max_len=self.depth_limit
-                    )
                     trace.count("huffman.depth_limited_frames")
-                else:
-                    code = huffman.build_code(symbols, counts)
                 sp.annotate(
                     n_symbols=int(symbols.size), depth_limited=depth_limited
                 )
@@ -385,29 +382,15 @@ class SZCompressor:
         )
         return SZFrame(sections=sections, stats=stats)
 
-    def _predict(
-        self, q: np.ndarray
-    ) -> tuple[str, np.ndarray, predictors.RegressionModel | None, int]:
+    def _predict(self, q: np.ndarray) -> predictors.Prediction:
         """Select a predictor (if auto) and compute its residuals."""
-        name = self.predictor
-        if name == "auto":
-            probe_radius = quantizer.choose_radius(
-                predictors.lorenzo_residuals(q), coverage=self.coverage
-            )
-            name = predictors.select_predictor(q, probe_radius, self.block_size)
-        model: predictors.RegressionModel | None = None
-        modal = 0
-        if name == "lorenzo":
-            residuals = predictors.lorenzo_residuals(q)
-        elif name == "mean":
-            modal = predictors.modal_value(q)
-            residuals = predictors.mean_residuals(q, modal)
-        elif name == "regression":
-            model = predictors.regression_fit(q, self.block_size)
-            residuals = q - predictors.regression_predict(model)
-        else:  # pragma: no cover - constructor validates
-            raise ValueError(f"unknown predictor {name!r}")
-        return name, residuals, model, modal
+        if self.predictor != "auto":
+            return predictors.predict(q, self.predictor, self.block_size)
+        lorenzo = predictors.lorenzo_residuals(q)
+        probe_radius = quantizer.choose_radius(lorenzo, coverage=self.coverage)
+        return predictors.select_predictor(
+            q, probe_radius, self.block_size, lorenzo=lorenzo
+        )
 
     def _pack_meta(
         self,

@@ -318,22 +318,6 @@ def _rebalance_lengths(
     return out
 
 
-def _canonical_codewords_ref(lengths: np.ndarray) -> np.ndarray:
-    """Per-symbol canonical assignment loop (the original), kept as the
-    oracle for the vectorized :func:`_canonical_codewords`."""
-    order = np.lexsort((np.arange(len(lengths), dtype=np.int64), lengths))
-    codes = np.zeros(len(lengths), dtype=np.uint64)
-    code = 0
-    prev_len = 0
-    for idx in order:
-        ln = int(lengths[idx])
-        code <<= ln - prev_len
-        codes[idx] = code
-        code += 1
-        prev_len = ln
-    return codes
-
-
 def _canonical_codewords(lengths: np.ndarray) -> np.ndarray:
     """Assign canonical codewords given lengths (symbols already sorted).
 
@@ -341,9 +325,8 @@ def _canonical_codewords(lengths: np.ndarray) -> np.ndarray:
     the symbol's position among equal-length symbols (symbol order) and
     ``first_code[l] = (first_code[l-1] + count[l-1]) << 1`` — a loop of
     at most ``max_len`` scalar steps plus three vectorized passes,
-    replacing the per-symbol Python loop of
-    :func:`_canonical_codewords_ref` (bit-identical by construction,
-    pinned differentially).
+    replacing a per-symbol Python loop (bit-identical by construction;
+    the loop is the oracle in ``tests/sz/test_huffman_diff.py``).
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     n = len(lengths)

@@ -25,11 +25,13 @@ which residuals are unpredictable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core import trace
 from repro.sz import blocks as blk
+from repro.sz import quantizer
 
 __all__ = [
     "PREDICTORS",
@@ -42,6 +44,8 @@ __all__ = [
     "regression_fit",
     "regression_predict",
     "estimate_code_entropy",
+    "Prediction",
+    "predict",
     "select_predictor",
 ]
 
@@ -200,7 +204,7 @@ def estimate_code_entropy(residuals: np.ndarray, radius: int,
     clipped = flat[~unpred]
     if clipped.size == 0:
         return unpredictable_penalty_bits
-    _, counts = np.unique(clipped, return_counts=True)
+    _, counts = quantizer.code_histogram(clipped + radius)
     p = counts / clipped.size
     entropy = float(-(p * np.log2(p)).sum())
     return (1.0 - frac_unpred) * entropy + frac_unpred * unpredictable_penalty_bits
@@ -213,28 +217,49 @@ def estimate_code_entropy(residuals: np.ndarray, radius: int,
 UNPREDICTABLE_COST_BITS = {"lorenzo": 38.0, "mean": 22.0, "regression": 22.0}
 
 
+class Prediction(NamedTuple):
+    """A predictor's residuals plus the side info its frame carries."""
+
+    name: str
+    residuals: np.ndarray
+    model: RegressionModel | None = None
+    modal: int = 0
+
+
+def predict(q: np.ndarray, name: str, block_size: int) -> Prediction:
+    """Residuals of ``q`` under the predictor called ``name``."""
+    if name == "lorenzo":
+        return Prediction(name, lorenzo_residuals(q))
+    if name == "mean":
+        modal = modal_value(q)
+        return Prediction(name, mean_residuals(q, modal), modal=modal)
+    if name == "regression":
+        model = regression_fit(q, block_size)
+        residuals = np.asarray(q, dtype=np.int64) - regression_predict(model)
+        return Prediction(name, residuals, model=model)
+    raise ValueError(f"unknown predictor {name!r}")
+
+
 def select_predictor(q: np.ndarray, radius: int, block_size: int,
-                     candidates: tuple[str, ...] = PREDICTORS) -> str:
+                     candidates: tuple[str, ...] = PREDICTORS,
+                     *, lorenzo: np.ndarray | None = None) -> Prediction:
     """Pick the cheapest predictor by sampled entropy estimate.
 
     Mirrors SZ's "sampling approach to pick the best predictor among
     classical Lorenzo, mean-integrated Lorenzo and linear regression"
     (paper Sec. II-A).  Ties go to the earlier candidate, i.e. Lorenzo.
+    Each candidate runs once over the grid and the winner is returned
+    whole; ``lorenzo`` passes in residuals the caller already has.
     """
-    costs: dict[str, float] = {}
-    for name in candidates:
-        if name == "lorenzo":
-            res = lorenzo_residuals(q)
-        elif name == "mean":
-            res = mean_residuals(q, modal_value(q))
-        elif name == "regression":
-            res = np.asarray(q, dtype=np.int64) - regression_predict(
-                regression_fit(q, block_size)
-            )
+    def scored(name: str) -> tuple[float, Prediction]:
+        if name == "lorenzo" and lorenzo is not None:
+            cand = Prediction(name, lorenzo)
         else:
-            raise ValueError(f"unknown predictor {name!r}")
-        costs[name] = estimate_code_entropy(
-            res, radius,
+            cand = predict(q, name, block_size)
+        return estimate_code_entropy(
+            cand.residuals, radius,
             unpredictable_penalty_bits=UNPREDICTABLE_COST_BITS[name],
-        )
-    return min(costs, key=costs.__getitem__)
+        ), cand
+
+    # min() over a lazy map holds only the best candidate so far.
+    return min(map(scored, candidates), key=lambda pair: pair[0])[1]

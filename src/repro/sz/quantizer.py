@@ -31,6 +31,7 @@ __all__ = [
     "grid_quantize_verified",
     "grid_reconstruct",
     "codes_from_residuals",
+    "code_histogram",
     "residuals_from_codes",
     "choose_radius",
     "MAX_RADIUS",
@@ -245,6 +246,14 @@ def codes_from_residuals(residuals: np.ndarray, radius: int) -> tuple[np.ndarray
     unpredictable = np.abs(r) >= radius
     codes = np.where(unpredictable, np.int64(0), r + np.int64(radius))
     return codes, unpredictable
+
+
+def code_histogram(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_counts=True)`` without the sort: codes
+    lie in ``[0, 2R)``, so count them densely (SZ-1.4's frequency array)."""
+    hist = np.bincount(np.ravel(codes))
+    symbols = np.flatnonzero(hist)
+    return symbols, hist[symbols]
 
 
 def residuals_from_codes(codes: np.ndarray, radius: int,

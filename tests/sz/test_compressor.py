@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sz import SZCompressor
+from repro.core import trace
+from repro.datasets import generate
+from repro.sz import SZCompressor, predictors
 from repro.sz.compressor import SECTION_ORDER
 from repro.sz.quantizer import ErrorBound
 
@@ -205,6 +207,32 @@ class TestCompressionBehaviour:
     def test_auto_selects_reasonably(self, smooth_field):
         frame = SZCompressor(1e-4, predictor="auto").compress(smooth_field)
         assert frame.stats.predictor in ("lorenzo", "mean", "regression")
+
+
+#: The full-grid pass each candidate predictor makes once.
+_FULL_PASS = {"lorenzo": "lorenzo_residuals", "mean": "modal_value",
+              "regression": "regression_fit"}
+
+
+@pytest.mark.parametrize("predictor", ["auto", *predictors.PREDICTORS])
+def test_each_candidate_predicts_once(monkeypatch, predictor):
+    """One compress runs each candidate over the full grid at most once:
+    the probe radius reuses Lorenzo's residuals and the winner's
+    residuals, model or modal value are quantized without a recompute.
+    ``auto`` still scores all three candidates on their samples."""
+    seen = dict.fromkeys(_FULL_PASS.values(), 0)
+    for fn in seen:
+        def spy(*args, _real=getattr(predictors, fn), _fn=fn, **kw):
+            seen[_fn] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(predictors, fn, spy)
+    data = np.asarray(generate("q2", size="tiny"))
+    before = trace.counters_snapshot().get("predict.sample_points", 0)
+    SZCompressor(1e-4, predictor=predictor).compress(data)
+    after = trace.counters_snapshot().get("predict.sample_points", 0)
+    assert seen == {fn: int(predictor in ("auto", name))
+                    for name, fn in _FULL_PASS.items()}
+    assert after - before == (3 * data.size if predictor == "auto" else 0)
 
 
 @given(

@@ -24,7 +24,6 @@ from repro.sz.huffman import (
     DEPTH_LIMIT_BITS,
     MAX_CODE_LEN,
     _canonical_codewords,
-    _canonical_codewords_ref,
     _huffman_lengths,
     _huffman_lengths_ref,
     _rebalance_lengths,
@@ -39,6 +38,22 @@ freq_tables = st.lists(
 tied_freq_tables = st.lists(
     st.integers(min_value=1, max_value=4), min_size=2, max_size=200
 )
+
+
+def _canonical_codewords_ref(lengths: np.ndarray) -> np.ndarray:
+    """Per-symbol canonical assignment loop (the original), kept as the
+    oracle for the vectorized :func:`_canonical_codewords`."""
+    order = np.lexsort((np.arange(len(lengths), dtype=np.int64), lengths))
+    codes = np.zeros(len(lengths), dtype=np.uint64)
+    code = 0
+    prev_len = 0
+    for idx in order:
+        ln = int(lengths[idx])
+        code <<= ln - prev_len
+        codes[idx] = code
+        code += 1
+        prev_len = ln
+    return codes
 
 
 def _kraft(lengths: np.ndarray) -> float:

@@ -123,12 +123,12 @@ class TestSelection:
     def test_smooth_gradient_prefers_structure(self):
         i, j = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
         q = (2 * i + 3 * j).astype(np.int64)
-        choice = predictors.select_predictor(q, 256, 8)
+        choice = predictors.select_predictor(q, 256, 8).name
         assert choice in ("lorenzo", "regression")
 
     def test_constant_data_any_predictor_ok(self):
         q = np.full((16, 16), 7, dtype=np.int64)
-        assert predictors.select_predictor(q, 256, 8) in predictors.PREDICTORS
+        assert predictors.select_predictor(q, 256, 8).name in predictors.PREDICTORS
 
     def test_clustered_prefers_mean(self):
         rng = np.random.default_rng(4)
@@ -137,7 +137,7 @@ class TestSelection:
         q = np.full(4096, 100, dtype=np.int64)
         idx = rng.choice(4096, size=400, replace=False)
         q[idx] += rng.integers(-5, 5, size=400)
-        choice = predictors.select_predictor(q, 64, 8)
+        choice = predictors.select_predictor(q, 64, 8).name
         assert choice == "mean"
 
     def test_unknown_candidate_rejected(self):

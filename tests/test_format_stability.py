@@ -18,6 +18,7 @@ bit-exactly.
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ import pytest
 from repro.core.pipeline import SecureCompressor
 from repro.datasets import generate
 from repro.sz import SZCompressor
+from repro.sz.compressor import SECTION_ORDER
 
 KEY = bytes(range(16))
 
@@ -48,6 +50,8 @@ GOLDEN = {
     "v3:meta": "3a45d6e5c3b5a5cb82cb244daf030c063259a5b7ca76d8a5270197b7f8475aa4",
     "v3:tree": "1be46aa4a75c5c07510b621264d2c7dfedb1b4b63f9337676730c84c6fd33402",
     "v3:codes": "9ff07a6197a887e878962acf82742d47b8fbeb3e9374e42a5afb36b96aa5967a",
+    "auto:mean": "8548f430b2836bc2292ac2066f89938659db8d2fb448c0a8fc5f533a357ff7fc",
+    "auto:regression": "314e8126577d471bdf4e20bc17416a4b1075ae32460aa8bf16e2dc32eb1ba72c",
     "lz7h": "a1a2509ea3581a49186f7697ad4ecd2ee8f6f5edd700ce571d64065177415234",
     "secb_v2": "decf63e6ac38933918d07f55259f3f39b01a300f078bdcb8ccc2ff284add7ffb",
 }
@@ -94,6 +98,25 @@ def test_v3_frame_section_digests_stable(reference_data):
         assert digest == GOLDEN[f"v3:{name}"], (
             f"v3 frame section {name!r} bytes changed — see module docstring"
         )
+
+
+@pytest.mark.parametrize("dataset,eb,winner", [
+    ("nyx", 1e-4, "mean"),
+    ("wf48", 1e-6, "regression"),
+])
+def test_auto_frame_digest_stable_per_winner(dataset, eb, winner):
+    """Pin whole ``auto`` frames whose selected predictor is not
+    Lorenzo, so the mean and regression paths of the selector (modal
+    value, coefficients, verbatim side channel) are byte-locked too."""
+    frame = SZCompressor(eb).compress(np.asarray(generate(dataset, size="tiny")))
+    assert frame.stats.predictor == winner
+    h = hashlib.sha256()
+    for name in SECTION_ORDER:
+        section = frame.sections[name]
+        h.update(struct.pack("<Q", len(section)) + section)
+    assert h.hexdigest() == GOLDEN[f"auto:{winner}"], (
+        f"auto frame with a {winner} winner changed — see module docstring"
+    )
 
 
 def test_old_golden_container_still_decodes(reference_data):
