@@ -19,10 +19,10 @@ from repro.bench.harness import (
     model_aes_mb_s,
 )
 from repro.bench.tables import format_grid
+from repro.core import trace
 from repro.core.schemes import get_scheme
-from repro.core.timing import StageTimes
 from repro.crypto.aes import AES128
-from repro.sz.compressor import SZCompressor
+from repro.sz.compressor import SZCompressor, SZFrame
 from repro.sz.lossless import DEFAULT_LEVEL
 
 from conftest import BENCH_REPEATS, BENCH_SIZE, TABLE_DATASETS, emit
@@ -38,31 +38,28 @@ def _paired_decompress_overhead(data, scheme_name, eb, repeats):
     sz = SZCompressor(eb)
     frame = sz.compress(np.asarray(data))
     protected = scheme.protect(
-        dict(frame.sections), cipher, iv, "cbc", DEFAULT_LEVEL, StageTimes()
+        dict(frame.sections), cipher, iv, "cbc", DEFAULT_LEVEL
     )
-    plain = base.protect(
-        dict(frame.sections), None, iv, "cbc", DEFAULT_LEVEL, StageTimes()
-    )
+    plain = base.protect(dict(frame.sections), None, iv, "cbc", DEFAULT_LEVEL)
     ratios = []
     for _ in range(repeats):
-        t_s = StageTimes()
-        sections = scheme.unprotect(protected, cipher, iv, "cbc", t_s)
-        decode: dict[str, float] = {}
-        from repro.sz.compressor import SZFrame
+        scheme_tr = trace.Tracer()
+        sections = scheme.unprotect(protected, cipher, iv, "cbc", scheme_tr)
+        sz.decompress(SZFrame(sections=sections, stats=frame.stats))
+        base_tr = trace.Tracer()
+        base_sections = base.unprotect(plain, None, iv, "cbc", base_tr)
+        decode_tr = trace.Tracer()
         sz.decompress(
-            SZFrame(sections=sections, stats=frame.stats), decode
+            SZFrame(sections=base_sections, stats=frame.stats), decode_tr
         )
-        t_b = StageTimes()
-        base_sections = base.unprotect(plain, None, iv, "cbc", t_b)
-        decode_b: dict[str, float] = {}
-        sz.decompress(
-            SZFrame(sections=base_sections, stats=frame.stats), decode_b
-        )
-        shared = sum(decode_b.values())  # decode work is identical
-        measured_dec = t_s.seconds.get("decrypt", 0.0)
+        # decode work is identical
+        shared = sum(trace.stage_seconds(decode_tr).values())
+        t_s = trace.stage_seconds(scheme_tr)
+        t_b = trace.stage_seconds(base_tr)
+        measured_dec = t_s.get("decrypt", 0.0)
         modeled_dec = measured_dec * dec_rate / model_aes_mb_s()
-        t_scheme = shared + t_s.seconds.get("lossless", 0.0) + modeled_dec
-        t_base = shared + t_b.seconds.get("lossless", 0.0)
+        t_scheme = shared + t_s.get("lossless", 0.0) + modeled_dec
+        t_base = shared + t_b.get("lossless", 0.0)
         ratios.append(100.0 * t_scheme / t_base)
     return float(np.median(ratios))
 

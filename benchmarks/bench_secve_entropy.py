@@ -16,7 +16,6 @@ from repro.bench.harness import KEY, dataset_cache
 from repro.bench.tables import format_grid
 from repro.core.container import pack_sections
 from repro.core.schemes import SCHEMES
-from repro.core.timing import StageTimes
 from repro.crypto.aes import AES128
 from repro.security.entropy import shannon_entropy
 from repro.sz import SZCompressor

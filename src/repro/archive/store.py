@@ -180,12 +180,7 @@ class ArchiveStore:
             raise ValueError(f"unknown cipher mode {cipher_mode!r}")
         if key is not None and len(key) != 16:
             raise ValueError("key must be 16 bytes (AES-128)")
-        if cipher_mode == "ctr" and random_state is not None:
-            raise ValueError(
-                "cipher_mode='ctr' with a seeded random_state derives "
-                "predictable nonces; CTR nonces must come from OS "
-                "entropy (drop random_state or use 'cbc')"
-            )
+        crypto_rng.refuse_seeded_ctr(cipher_mode, random_state)
         self._path = os.fspath(path)
         self._key = key
         self._cipher_mode = cipher_mode

@@ -18,7 +18,6 @@ import numpy as np
 from repro.core import trace
 from repro.core.metrics import bandwidth_mb_s, compression_ratio
 from repro.core.pipeline import SecureCompressor
-from repro.core.timing import StageTimes
 from repro.datasets import generate
 from repro.sz.compressor import CompressionStats
 
@@ -125,8 +124,9 @@ class SchemeMeasurement:
     encrypted_bytes: int
     t_compress: float
     t_decompress: float
-    compress_times: StageTimes
-    decompress_times: StageTimes
+    #: Mean ``{stage: seconds}`` per run (:func:`trace.stage_seconds`).
+    compress_times: dict[str, float]
+    decompress_times: dict[str, float]
     sz_stats: CompressionStats
 
     @property
@@ -148,13 +148,13 @@ class SchemeMeasurement:
 
     def modeled_encrypt_seconds(self) -> float:
         """The encrypt stage's time under the reference AES rate."""
-        measured = self.compress_times.seconds.get("encrypt", 0.0)
+        measured = self.compress_times.get("encrypt", 0.0)
         enc_rate, _ = aes_calibration()
         return measured * enc_rate / model_aes_mb_s()
 
     def modeled_decrypt_seconds(self) -> float:
         """The decrypt stage's time under the reference AES rate."""
-        measured = self.decompress_times.seconds.get("decrypt", 0.0)
+        measured = self.decompress_times.get("decrypt", 0.0)
         _, dec_rate = aes_calibration()
         return measured * dec_rate / model_aes_mb_s()
 
@@ -167,13 +167,13 @@ class SchemeMeasurement:
         dominate and invert every overhead shape (see
         :data:`MODEL_AES_SZ_RATIO`).
         """
-        measured_enc = self.compress_times.seconds.get("encrypt", 0.0)
+        measured_enc = self.compress_times.get("encrypt", 0.0)
         return self.t_compress - measured_enc + self.modeled_encrypt_seconds()
 
     @property
     def t_decompress_modeled(self) -> float:
         """Decompression time with AES rescaled to the reference rate."""
-        measured_dec = self.decompress_times.seconds.get("decrypt", 0.0)
+        measured_dec = self.decompress_times.get("decrypt", 0.0)
         return (
             self.t_decompress - measured_dec + self.modeled_decrypt_seconds()
         )
@@ -203,7 +203,9 @@ def measure_scheme(
     """Measure one (data, scheme, eb) cell, averaged over ``repeats``.
 
     Wall times are averaged; sizes and stats come from the final run
-    (they are deterministic given the seeded IV generator).
+    (they are deterministic given the seeded IV generator).  Stage
+    times are read from one tracer per direction, built outside the
+    timed window.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
@@ -222,22 +224,20 @@ def measure_scheme(
     t_comp = 0.0
     t_decomp = 0.0
     result = None
-    comp_times = StageTimes()
-    decomp_times = StageTimes()
+    comp_tr = trace.Tracer()
+    decomp_tr = trace.Tracer()
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = sc.compress(np.asarray(data))
+        result = sc.compress(np.asarray(data), tracer=comp_tr)
         t_comp += time.perf_counter() - t0
         t0 = time.perf_counter()
-        _, dtimes = sc.decompress_with_times(result.container)
+        sc.decompress(result.container, tracer=decomp_tr)
         t_decomp += time.perf_counter() - t0
-        comp_times.merge(result.times)
-        decomp_times.merge(dtimes)
     scale = 1.0 / repeats
-    comp_times = StageTimes({k: v * scale for k, v in comp_times.seconds.items()})
-    decomp_times = StageTimes(
-        {k: v * scale for k, v in decomp_times.seconds.items()}
-    )
+
+    def per_run(tr: trace.Tracer) -> dict[str, float]:
+        return {k: v * scale for k, v in trace.stage_seconds(tr).items()}
+
     return SchemeMeasurement(
         scheme=scheme,
         eb=eb,
@@ -246,8 +246,8 @@ def measure_scheme(
         encrypted_bytes=result.encrypted_bytes,
         t_compress=t_comp * scale,
         t_decompress=t_decomp * scale,
-        compress_times=comp_times,
-        decompress_times=decomp_times,
+        compress_times=per_run(comp_tr),
+        decompress_times=per_run(decomp_tr),
         sz_stats=result.sz_stats,
     )
 
@@ -303,16 +303,18 @@ def measure_overhead_paired(
     differing encrypt/lossless stages are compared — which is exactly
     the paper's claim structure ("all overhead is derived from the
     subsequent encryption process").  The encrypt stage is rescaled to
-    :data:`MODEL_AES_MB_S` like every other modeled timing.
+    :data:`MODEL_AES_MB_S` like every other modeled timing.  The SZ
+    time is the sum of the ``sz.compress`` stage leaves, not the span
+    itself (which also covers the glue between stages).
 
     Returns the median over ``repeats`` of ``100 * t_scheme / t_base``.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
     from repro.core.schemes import get_scheme
-    from repro.core.timing import StageTimes
     from repro.crypto.aes import AES128
     from repro.crypto.rng import generate_iv, generate_nonce
+    from repro.sz.compressor import SZCompressor
     from repro.sz.lossless import DEFAULT_LEVEL
 
     rng = np.random.default_rng(seed)
@@ -320,33 +322,30 @@ def measure_overhead_paired(
     cipher = AES128(key) if scheme_obj.requires_key else None
     base = get_scheme("none")
     enc_rate, _ = aes_calibration()
-    sz = None
     ratios = []
     for _ in range(repeats):
-        from repro.sz.compressor import SZCompressor
-
-        sz = SZCompressor(eb)
-        frame = sz.compress(np.asarray(data))
-        sz_seconds = sum(frame.stats.stage_seconds.values())
+        sz_tr = trace.Tracer()
+        frame = SZCompressor(eb).compress(np.asarray(data), tracer=sz_tr)
+        sz_seconds = sum(trace.stage_seconds(sz_tr).values())
         iv = (
             generate_nonce(rng) if cipher_mode == "ctr" else generate_iv(rng)
         )
-        t_scheme = StageTimes()
+        scheme_tr = trace.Tracer()
         scheme_obj.protect(
-            frame.sections, cipher, iv, cipher_mode, DEFAULT_LEVEL, t_scheme
+            frame.sections, cipher, iv, cipher_mode, DEFAULT_LEVEL, scheme_tr
         )
-        t_base = StageTimes()
+        base_tr = trace.Tracer()
         base.protect(
-            frame.sections, None, iv, cipher_mode, DEFAULT_LEVEL, t_base
+            frame.sections, None, iv, cipher_mode, DEFAULT_LEVEL, base_tr
         )
-        measured_enc = t_scheme.seconds.get("encrypt", 0.0)
+        t_scheme = trace.stage_seconds(scheme_tr)
+        t_base = trace.stage_seconds(base_tr)
+        measured_enc = t_scheme.get("encrypt", 0.0)
         modeled_enc = measured_enc * enc_rate / model_aes_mb_s()
         scheme_total = (
-            sz_seconds
-            + t_scheme.seconds.get("lossless", 0.0)
-            + modeled_enc
+            sz_seconds + t_scheme.get("lossless", 0.0) + modeled_enc
         )
-        base_total = sz_seconds + t_base.seconds.get("lossless", 0.0)
+        base_total = sz_seconds + t_base.get("lossless", 0.0)
         ratios.append(100.0 * scheme_total / base_total)
     return float(np.median(ratios))
 

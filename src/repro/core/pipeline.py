@@ -2,8 +2,8 @@
 
 Couples the SZ-1.4 substrate, an AES-128 cipher, and one of the four
 schemes into a single compress/decompress object, producing
-self-describing SECZ containers and the per-stage timing / size
-statistics every experiment in the paper reads.
+self-describing SECZ containers and the size statistics every
+experiment in the paper reads (stage times come from ``tracer=``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.core import container as cont
 from repro.core import integrity
 from repro.core import trace
 from repro.core.schemes import Scheme, get_scheme
-from repro.core.timing import StageTimes
 from repro.crypto import pipelined
 from repro.crypto import rng as crypto_rng
 from repro.crypto.aes import AES128
@@ -37,10 +36,7 @@ class CompressResult:
         The complete SECZ byte stream (what you store or transmit).
     sz_stats:
         The inner compressor's statistics (predictable fraction,
-        section sizes, SZ stage times — Figs. 2–4).
-    times:
-        Combined stage times for SZ + scheme (encrypt/lossless) —
-        Fig. 7 and Tables III–V.
+        section sizes — Figs. 2–4).
     encrypted_bytes:
         How many plaintext bytes went through AES (Sec. V-D's
         encryption-effort comparison).
@@ -50,7 +46,6 @@ class CompressResult:
 
     container: bytes
     sz_stats: CompressionStats
-    times: StageTimes
     encrypted_bytes: int
     scheme: str
 
@@ -201,13 +196,12 @@ class SecureCompressor:
         """Compress ``data`` and apply the scheme's protection.
 
         Pass a :class:`repro.core.trace.Tracer` to record a full span
-        tree (see docs/OBSERVABILITY.md); the flat ``times`` in the
-        result is populated either way.
+        tree (see docs/OBSERVABILITY.md); its leaves are the stage
+        times of Fig. 7 and Tables III–V (:func:`trace.stage_seconds`).
         """
-        tr = trace.tracer_for(tracer)
-        times = StageTimes()
+        tr = tracer or trace.NULL_TRACER
         with tr.span(
-            "compress", bytes_in=data.nbytes, mirror=times.seconds,
+            "compress", bytes_in=data.nbytes,
             scheme=self._scheme.name, cipher_mode=self.cipher_mode,
         ) as root:
             # The IV/nonce is drawn *before* the SZ stages: in CTR mode
@@ -229,11 +223,10 @@ class SecureCompressor:
                     cipher = pipelined.PrefetchingAES(cipher, prefetcher)
             try:
                 frame = self._sz.compress(data, tracer=tr)
-                times.merge(frame.stats.stage_seconds)
                 with tr.span("protect") as psp:
                     out_sections = self._scheme.protect(
                         frame.sections, cipher, iv, self.cipher_mode,
-                        self.zlib_level, tr if tr.enabled else times,
+                        self.zlib_level, tr,
                     )
                     psp.bytes_out = sum(
                         len(v) for v in out_sections.values()
@@ -241,16 +234,11 @@ class SecureCompressor:
             finally:
                 if prefetcher is not None:
                     prefetcher.cancel()
-            if (
-                tr.enabled
-                and prefetcher is not None
-                and prefetcher.stats is not None
-            ):
-                root.attrs["keystream_overlap_ms"] = round(
-                    prefetcher.stats["overlap_ms"], 3
-                )
-                root.attrs["keystream_wait_ms"] = round(
-                    prefetcher.stats["wait_ms"], 3
+            stats = prefetcher.stats if prefetcher is not None else None
+            if stats is not None:
+                root.annotate(
+                    keystream_overlap_ms=round(stats["overlap_ms"], 3),
+                    keystream_wait_ms=round(stats["wait_ms"], 3),
                 )
             blob = cont.pack_container(
                 self._scheme.scheme_id, self.cipher_mode, iv, out_sections
@@ -261,7 +249,6 @@ class SecureCompressor:
         return CompressResult(
             container=blob,
             sz_stats=frame.stats,
-            times=times,
             encrypted_bytes=self._scheme.encrypted_bytes(frame.sections),
             scheme=self._scheme.name,
         )
@@ -269,24 +256,15 @@ class SecureCompressor:
     def decompress(
         self, blob: bytes, *, tracer: trace.Tracer | None = None
     ) -> np.ndarray:
-        """Decompress a SECZ container back to the bounded field."""
-        data, _ = self.decompress_with_times(blob, tracer=tracer)
-        return data
-
-    def decompress_with_times(
-        self, blob: bytes, *, tracer: trace.Tracer | None = None
-    ) -> tuple[np.ndarray, StageTimes]:
-        """Like :meth:`decompress`, also returning stage times.
+        """Decompress a SECZ container back to the bounded field.
 
         Authenticated containers (``SECA`` magic) are verified before
         any parsing; verification failure raises
         :class:`~repro.core.integrity.AuthenticationError`.
         """
-        tr = trace.tracer_for(tracer)
-        times = StageTimes()
+        tr = tracer or trace.NULL_TRACER
         with tr.span(
-            "decompress", bytes_in=len(blob), mirror=times.seconds,
-            scheme=self._scheme.name,
+            "decompress", bytes_in=len(blob), scheme=self._scheme.name,
         ) as root:
             if blob[: len(integrity.MAGIC)] == integrity.MAGIC:
                 if self._master_key is None:
@@ -309,16 +287,14 @@ class SecureCompressor:
             with tr.span("unprotect"):
                 frame_sections = scheme.unprotect(
                     parsed.sections, self._cipher, parsed.iv,
-                    parsed.cipher_mode, tr if tr.enabled else times,
+                    parsed.cipher_mode, tr,
                 )
             frame = SZFrame(
                 sections=frame_sections, stats=_placeholder_stats()
             )
-            decode_times: dict[str, float] = {}
-            data = self._sz.decompress(frame, decode_times, tracer=tr)
-            times.merge(decode_times)
+            data = self._sz.decompress(frame, tracer=tr)
             root.bytes_out = data.nbytes
-        return data, times
+        return data
 
 
 def _placeholder_stats() -> CompressionStats:

@@ -16,7 +16,6 @@ import numpy as np
 from repro.core import container as cont
 from repro.core import integrity
 from repro.core.schemes import get_scheme
-from repro.core.timing import StageTimes
 from repro.crypto import rng as crypto_rng
 from repro.crypto.aes import AES128
 from repro.sz.lossless import DEFAULT_LEVEL
@@ -33,22 +32,23 @@ def protect_sections(
     zlib_level: int = DEFAULT_LEVEL,
     authenticate: bool = False,
     random_state: np.random.Generator | None = None,
-    times: StageTimes | None = None,
 ) -> bytes:
-    """Apply ``scheme`` to codec sections and return a SECZ container."""
+    """Apply ``scheme`` to codec sections and return a SECZ container.
+
+    ``random_state`` seeds CBC IVs for reproducible experiments; CTR
+    refuses it (see :func:`repro.crypto.rng.refuse_seeded_ctr`).
+    """
     scheme_obj = get_scheme(scheme)
     if (scheme_obj.requires_key or authenticate) and key is None:
         raise ValueError(f"scheme {scheme!r} (or authentication) requires a key")
+    crypto_rng.refuse_seeded_ctr(cipher_mode, random_state)
     cipher = AES128(key) if key is not None else None
     iv = (
         crypto_rng.generate_nonce(random_state)
         if cipher_mode == "ctr"
         else crypto_rng.generate_iv(random_state)
     )
-    out = scheme_obj.protect(
-        sections, cipher, iv, cipher_mode, zlib_level,
-        times if times is not None else StageTimes(),
-    )
+    out = scheme_obj.protect(sections, cipher, iv, cipher_mode, zlib_level)
     blob = cont.pack_container(scheme_obj.scheme_id, cipher_mode, iv, out)
     if authenticate:
         blob = integrity.authenticate(blob, key)
@@ -60,7 +60,6 @@ def unprotect_container(
     *,
     key: bytes | None = None,
     expected_scheme: str | None = None,
-    times: StageTimes | None = None,
 ) -> dict[str, bytes]:
     """Reverse :func:`protect_sections` back to codec sections.
 
@@ -83,6 +82,5 @@ def unprotect_container(
         raise ValueError(f"scheme {scheme_obj.name!r} requires a key")
     cipher = AES128(key) if key is not None else None
     return scheme_obj.unprotect(
-        parsed.sections, cipher, parsed.iv, parsed.cipher_mode,
-        times if times is not None else StageTimes(),
+        parsed.sections, cipher, parsed.iv, parsed.cipher_mode
     )

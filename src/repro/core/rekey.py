@@ -19,7 +19,6 @@ import numpy as np
 from repro.core import container as cont
 from repro.core import integrity
 from repro.core.schemes import get_scheme
-from repro.core.timing import StageTimes
 from repro.crypto import rng as crypto_rng
 from repro.crypto.aes import AES128
 
@@ -37,7 +36,8 @@ def rotate_key(
 
     Works for every scheme (``none`` containers pass through, modulo
     re-authentication).  Raises ``ValueError`` on a wrong ``old_key``
-    or corrupt container.
+    or corrupt container, and on a seeded ``random_state`` for a CTR
+    container (see :func:`repro.crypto.rng.refuse_seeded_ctr`).
     """
     was_authenticated = blob[: len(integrity.MAGIC)] == integrity.MAGIC
     if was_authenticated:
@@ -46,11 +46,11 @@ def rotate_key(
     scheme = get_scheme(parsed.scheme_id)
 
     if scheme.requires_key:
+        crypto_rng.refuse_seeded_ctr(parsed.cipher_mode, random_state)
         old_cipher = AES128(old_key)
         new_cipher = AES128(new_key)
         sections = scheme.unprotect(
-            parsed.sections, old_cipher, parsed.iv, parsed.cipher_mode,
-            StageTimes(),
+            parsed.sections, old_cipher, parsed.iv, parsed.cipher_mode
         )
         iv = (
             crypto_rng.generate_nonce(random_state)
@@ -58,8 +58,7 @@ def rotate_key(
             else crypto_rng.generate_iv(random_state)
         )
         out_sections = scheme.protect(
-            sections, new_cipher, iv, parsed.cipher_mode,
-            6, StageTimes(),
+            sections, new_cipher, iv, parsed.cipher_mode, 6
         )
         out = cont.pack_container(
             scheme.scheme_id, parsed.cipher_mode, iv, out_sections

@@ -25,7 +25,6 @@ import abc
 
 from repro.core import container as cont
 from repro.core import trace
-from repro.core.timing import StageTimes
 from repro.crypto.aes import AES128
 from repro.sz import lossless
 from repro.sz.compressor import SECTION_ORDER
@@ -52,13 +51,12 @@ class Scheme(abc.ABC):
         iv: bytes,
         mode: str,
         level: int,
-        times: "StageTimes | trace.Tracer | dict | None",
+        tracer: trace.Tracer | None = None,
     ) -> dict[str, bytes]:
         """Transform frame sections into container sections.
 
-        ``times`` accepts a :class:`~repro.core.timing.StageTimes`, a
-        :class:`~repro.core.trace.Tracer`, a plain ``{stage: seconds}``
-        dict, or ``None`` — see :func:`repro.core.trace.tracer_for`.
+        ``tracer`` records one stage span per ``lossless`` /
+        ``encrypt`` pass.
         """
 
     @abc.abstractmethod
@@ -68,7 +66,7 @@ class Scheme(abc.ABC):
         cipher: AES128 | None,
         iv: bytes,
         mode: str,
-        times: "StageTimes | trace.Tracer | dict | None",
+        tracer: trace.Tracer | None = None,
     ) -> dict[str, bytes]:
         """Invert :meth:`protect` back to frame sections."""
 
@@ -130,18 +128,18 @@ class NoEncryption(Scheme):
     scheme_id = 0
     requires_key = False
 
-    def protect(self, frame_sections, cipher, iv, mode, level, times):
-        tr = trace.tracer_for(times)
+    def protect(self, frame_sections, cipher, iv, mode, level, tracer=None):
+        tr = tracer or trace.NULL_TRACER
         blob = self._frame_blob(frame_sections)
-        with tr.stage("lossless", bytes_in=len(blob)) as sp:
+        with tr.span("lossless", bytes_in=len(blob)) as sp:
             z = lossless.compress(blob, level)
             sp.bytes_out = len(z)
         return {"zblob": z}
 
-    def unprotect(self, sections, cipher, iv, mode, times):
-        tr = trace.tracer_for(times)
+    def unprotect(self, sections, cipher, iv, mode, tracer=None):
+        tr = tracer or trace.NULL_TRACER
         z = self._take(sections, "zblob")
-        with tr.stage("lossless", bytes_in=len(z)) as sp:
+        with tr.span("lossless", bytes_in=len(z)) as sp:
             blob = lossless.decompress(z)
             sp.bytes_out = len(blob)
         return cont.unpack_sections(blob)
@@ -158,26 +156,26 @@ class CmprEncr(Scheme):
     name = "cmpr_encr"
     scheme_id = 1
 
-    def protect(self, frame_sections, cipher, iv, mode, level, times):
-        tr = trace.tracer_for(times)
+    def protect(self, frame_sections, cipher, iv, mode, level, tracer=None):
+        tr = tracer or trace.NULL_TRACER
         cipher = self._check_cipher(cipher)
         blob = self._frame_blob(frame_sections)
-        with tr.stage("lossless", bytes_in=len(blob)) as sp:
+        with tr.span("lossless", bytes_in=len(blob)) as sp:
             z = lossless.compress(blob, level)
             sp.bytes_out = len(z)
-        with tr.stage("encrypt", bytes_in=len(z), mode=mode) as sp:
+        with tr.span("encrypt", bytes_in=len(z), mode=mode) as sp:
             ct = cipher.encrypt(z, mode=mode, iv=iv).ciphertext
             sp.bytes_out = len(ct)
         return {"cipher": ct}
 
-    def unprotect(self, sections, cipher, iv, mode, times):
-        tr = trace.tracer_for(times)
+    def unprotect(self, sections, cipher, iv, mode, tracer=None):
+        tr = tracer or trace.NULL_TRACER
         cipher = self._check_cipher(cipher)
         ct = self._take(sections, "cipher")
-        with tr.stage("decrypt", bytes_in=len(ct), mode=mode) as sp:
+        with tr.span("decrypt", bytes_in=len(ct), mode=mode) as sp:
             z = cipher.decrypt(ct, iv, mode=mode)
             sp.bytes_out = len(z)
-        with tr.stage("lossless", bytes_in=len(z)) as sp:
+        with tr.span("lossless", bytes_in=len(z)) as sp:
             blob = lossless.decompress(z)
             sp.bytes_out = len(blob)
         return cont.unpack_sections(blob)
@@ -214,33 +212,33 @@ class EncrQuant(Scheme):
     _ENCRYPTED = ("meta", "tree", "codes")
     _PLAIN = ("unpred", "coeffs", "exact", "aux")
 
-    def protect(self, frame_sections, cipher, iv, mode, level, times):
-        tr = trace.tracer_for(times)
+    def protect(self, frame_sections, cipher, iv, mode, level, tracer=None):
+        tr = tracer or trace.NULL_TRACER
         cipher = self._check_cipher(cipher)
         quant_blob = cont.pack_sections(
             {k: frame_sections[k] for k in self._ENCRYPTED}
         )
-        with tr.stage("encrypt", bytes_in=len(quant_blob), mode=mode) as sp:
+        with tr.span("encrypt", bytes_in=len(quant_blob), mode=mode) as sp:
             ct = cipher.encrypt(quant_blob, mode=mode, iv=iv).ciphertext
             sp.bytes_out = len(ct)
         outer = {"cipher": ct}
         outer.update({k: frame_sections[k] for k in self._PLAIN})
         packed = cont.pack_sections(outer)
-        with tr.stage("lossless", bytes_in=len(packed)) as sp:
+        with tr.span("lossless", bytes_in=len(packed)) as sp:
             z = lossless.compress(packed, level)
             sp.bytes_out = len(z)
         return {"zblob": z}
 
-    def unprotect(self, sections, cipher, iv, mode, times):
-        tr = trace.tracer_for(times)
+    def unprotect(self, sections, cipher, iv, mode, tracer=None):
+        tr = tracer or trace.NULL_TRACER
         cipher = self._check_cipher(cipher)
         z = self._take(sections, "zblob")
-        with tr.stage("lossless", bytes_in=len(z)) as sp:
+        with tr.span("lossless", bytes_in=len(z)) as sp:
             blob = lossless.decompress(z)
             sp.bytes_out = len(blob)
         outer = cont.unpack_sections(blob)
         ct = self._take(outer, "cipher")
-        with tr.stage("decrypt", bytes_in=len(ct), mode=mode) as sp:
+        with tr.span("decrypt", bytes_in=len(ct), mode=mode) as sp:
             quant_blob = cipher.decrypt(ct, iv, mode=mode)
             sp.bytes_out = len(quant_blob)
         frame_sections = cont.unpack_sections(quant_blob)
@@ -278,7 +276,7 @@ class EncrHuffman(Scheme):
 
     _PLAIN = ("meta", "codes", "unpred", "coeffs", "exact", "aux")
 
-    def protect(self, frame_sections, cipher, iv, mode, level, times):
+    def protect(self, frame_sections, cipher, iv, mode, level, tracer=None):
         cipher = self._check_cipher(cipher)
         # Deflate the tree *before* encrypting it: ciphertext is
         # incompressible, so encrypting the raw serialization would
@@ -287,35 +285,35 @@ class EncrHuffman(Scheme):
         # fraction either way; at this repo's scaled-down sizes the
         # pre-compression is what preserves the paper's ">99 % of the
         # original CR" observation (see DESIGN.md §5).
-        tr = trace.tracer_for(times)
-        with tr.stage("lossless",
-                      bytes_in=len(frame_sections["tree"])) as sp:
+        tr = tracer or trace.NULL_TRACER
+        with tr.span("lossless",
+                     bytes_in=len(frame_sections["tree"])) as sp:
             tree_z = lossless.compress(frame_sections["tree"], level)
             sp.bytes_out = len(tree_z)
-        with tr.stage("encrypt", bytes_in=len(tree_z), mode=mode) as sp:
+        with tr.span("encrypt", bytes_in=len(tree_z), mode=mode) as sp:
             ct = cipher.encrypt(tree_z, mode=mode, iv=iv).ciphertext
             sp.bytes_out = len(ct)
         outer = {"cipher": ct}
         outer.update({k: frame_sections[k] for k in self._PLAIN})
         packed = cont.pack_sections(outer)
-        with tr.stage("lossless", bytes_in=len(packed)) as sp:
+        with tr.span("lossless", bytes_in=len(packed)) as sp:
             z = lossless.compress(packed, level)
             sp.bytes_out = len(z)
         return {"zblob": z}
 
-    def unprotect(self, sections, cipher, iv, mode, times):
-        tr = trace.tracer_for(times)
+    def unprotect(self, sections, cipher, iv, mode, tracer=None):
+        tr = tracer or trace.NULL_TRACER
         cipher = self._check_cipher(cipher)
         z = self._take(sections, "zblob")
-        with tr.stage("lossless", bytes_in=len(z)) as sp:
+        with tr.span("lossless", bytes_in=len(z)) as sp:
             blob = lossless.decompress(z)
             sp.bytes_out = len(blob)
         outer = cont.unpack_sections(blob)
         ct = self._take(outer, "cipher")
-        with tr.stage("decrypt", bytes_in=len(ct), mode=mode) as sp:
+        with tr.span("decrypt", bytes_in=len(ct), mode=mode) as sp:
             tree_z = cipher.decrypt(ct, iv, mode=mode)
             sp.bytes_out = len(tree_z)
-        with tr.stage("lossless", bytes_in=len(tree_z)) as sp:
+        with tr.span("lossless", bytes_in=len(tree_z)) as sp:
             tree = lossless.decompress(tree_z)
             sp.bytes_out = len(tree)
         frame_sections = {k: self._take(outer, k) for k in self._PLAIN}
@@ -350,11 +348,11 @@ class EncrHuffmanRaw(EncrHuffman):
     name = "encr_huffman_raw"
     scheme_id = 4
 
-    def protect(self, frame_sections, cipher, iv, mode, level, times):
-        tr = trace.tracer_for(times)
+    def protect(self, frame_sections, cipher, iv, mode, level, tracer=None):
+        tr = tracer or trace.NULL_TRACER
         cipher = self._check_cipher(cipher)
-        with tr.stage("encrypt", bytes_in=len(frame_sections["tree"]),
-                      mode=mode) as sp:
+        with tr.span("encrypt", bytes_in=len(frame_sections["tree"]),
+                     mode=mode) as sp:
             ct = cipher.encrypt(
                 frame_sections["tree"], mode=mode, iv=iv
             ).ciphertext
@@ -362,21 +360,21 @@ class EncrHuffmanRaw(EncrHuffman):
         outer = {"cipher": ct}
         outer.update({k: frame_sections[k] for k in self._PLAIN})
         packed = cont.pack_sections(outer)
-        with tr.stage("lossless", bytes_in=len(packed)) as sp:
+        with tr.span("lossless", bytes_in=len(packed)) as sp:
             z = lossless.compress(packed, level)
             sp.bytes_out = len(z)
         return {"zblob": z}
 
-    def unprotect(self, sections, cipher, iv, mode, times):
-        tr = trace.tracer_for(times)
+    def unprotect(self, sections, cipher, iv, mode, tracer=None):
+        tr = tracer or trace.NULL_TRACER
         cipher = self._check_cipher(cipher)
         z = self._take(sections, "zblob")
-        with tr.stage("lossless", bytes_in=len(z)) as sp:
+        with tr.span("lossless", bytes_in=len(z)) as sp:
             blob = lossless.decompress(z)
             sp.bytes_out = len(blob)
         outer = cont.unpack_sections(blob)
         ct = self._take(outer, "cipher")
-        with tr.stage("decrypt", bytes_in=len(ct), mode=mode) as sp:
+        with tr.span("decrypt", bytes_in=len(ct), mode=mode) as sp:
             tree = cipher.decrypt(ct, iv, mode=mode)
             sp.bytes_out = len(tree)
         frame_sections = {k: self._take(outer, k) for k in self._PLAIN}

@@ -4,20 +4,16 @@ accounting and process-wide counters.
 The paper's whole evaluation is an observability exercise — Fig. 7 is
 a per-stage time breakdown, Tables III–V are stage-time ratios, and
 Sec. V-D argues from *byte volumes* (how much each scheme feeds to
-AES).  The flat ``StageTimes`` seconds map served the tables but could
-not answer the questions this repo now generates: where does the lane
-decoder's ~8x win come from, how many bytes enter and leave each
-stage, how often does the decoder cache hit?  This module is the
-first-class answer:
+AES).  The span tree is the one place a stage time lives:
 
 * :class:`Span` — one timed operation: name, wall seconds, bytes in /
   bytes out, ``key=value`` attributes, child spans.
 * :class:`Tracer` — records a span tree (thread-safe: each thread
   keeps its own open-span stack, finished roots are appended under a
-  lock) and mirrors *stage* spans into the flat ``{stage: seconds}``
-  maps the Fig. 7 / Tables III–V benchmarks keep reading.  Disabled
-  tracers skip all span bookkeeping, so the default (untraced) path
-  pays only the stage timing it always paid.
+  lock).  Disabled tracers (:data:`NULL_TRACER`, the default for every
+  untraced call) record nothing and read no clock.
+* :func:`stage_seconds` — the ``{stage: seconds}`` map the Fig. 7 /
+  Tables III–V benchmarks read: the stages are the tree's leaves.
 * process-wide **counters** (:func:`count` / :func:`counters_snapshot`)
   for the quantities that do not belong to any single span: decoder
   LRU hits/misses, lanes and segments decoded, AES blocks processed,
@@ -37,13 +33,15 @@ Examples
 --------
 >>> tr = Tracer()
 >>> with tr.span("compress", bytes_in=4096) as root:
-...     with tr.stage("quantize"):
+...     with tr.span("quantize"):
 ...         pass
 ...     root.bytes_out = 512
 >>> doc = validate(tr.export())
 >>> doc["schema"]
 'repro-trace/1'
 >>> [child["name"] for child in doc["roots"][0]["children"]]
+['quantize']
+>>> list(stage_seconds(doc))
 ['quantize']
 """
 
@@ -59,7 +57,7 @@ __all__ = [
     "Span",
     "Tracer",
     "NULL_TRACER",
-    "tracer_for",
+    "stage_seconds",
     "span_from_dict",
     "chrome_trace",
     "format_tree",
@@ -248,90 +246,32 @@ class _NoopContext:
 _NOOP_CONTEXT = _NoopContext()
 
 
-class _MirrorScope:
-    """Disabled structural span that still scopes a mirror dict."""
-
-    __slots__ = ("_tracer", "_mirror")
-
-    def __init__(self, tracer: "Tracer", mirror: dict) -> None:
-        self._tracer = tracer
-        self._mirror = mirror
-
-    def __enter__(self):
-        self._tracer._mirror_stack().append(self._mirror)
-        return _NULL_SPAN
-
-    def __exit__(self, *exc):
-        self._tracer._mirror_stack().pop()
-        return False
-
-
-class _MirrorStage:
-    """Disabled stage span: times the block, accumulates into the
-    active mirror dict, builds no Span objects."""
-
-    __slots__ = ("_tracer", "_name", "_t0")
-
-    def __init__(self, tracer: "Tracer", name: str) -> None:
-        self._tracer = tracer
-        self._name = name
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return _NULL_SPAN
-
-    def __exit__(self, *exc):
-        dt = time.perf_counter() - self._t0
-        mirror = self._tracer._active_mirror()
-        if mirror is not None:
-            mirror[self._name] = mirror.get(self._name, 0.0) + dt
-        return False
-
-
 class _ActiveSpan:
     """Context manager recording one enabled span."""
 
-    __slots__ = ("_tracer", "span", "_mirror", "_is_stage", "_t0")
+    __slots__ = ("_tracer", "span", "_t0")
 
-    def __init__(
-        self,
-        tracer: "Tracer",
-        span: Span,
-        mirror: dict | None,
-        is_stage: bool,
-    ) -> None:
+    def __init__(self, tracer: "Tracer", span: Span) -> None:
         self._tracer = tracer
         self.span = span
-        self._mirror = mirror
-        self._is_stage = is_stage
 
     def __enter__(self) -> Span:
         tracer = self._tracer
         tracer._span_stack().append(self.span)
-        if self._mirror is not None:
-            tracer._mirror_stack().append(self._mirror)
         self._t0 = time.perf_counter()
         self.span.start = self._t0 - tracer._epoch
         return self.span
 
     def __exit__(self, *exc):
-        dt = time.perf_counter() - self._t0
+        self.span.seconds = time.perf_counter() - self._t0
         tracer = self._tracer
-        span = self.span
-        span.seconds = dt
         stack = tracer._span_stack()
         stack.pop()
-        if self._mirror is not None:
-            tracer._mirror_stack().pop()
-        if self._is_stage:
-            mirror = tracer._active_mirror()
-            if mirror is not None:
-                mirror[span.name] = mirror.get(span.name, 0.0) + dt
         if stack:
-            stack[-1].children.append(span)
+            stack[-1].children.append(self.span)
         else:
             with tracer._lock:
-                tracer.roots.append(span)
+                tracer.roots.append(self.span)
         return False
 
 
@@ -341,19 +281,13 @@ class _ActiveSpan:
 
 
 class Tracer:
-    """Records a tree of :class:`Span` objects (when enabled) and
-    mirrors *stage* durations into flat ``{stage: seconds}`` dicts.
+    """Records a tree of :class:`Span` objects.
 
     Parameters
     ----------
     enabled:
-        When False, :meth:`span` / :meth:`stage` skip all span
-        bookkeeping; stages still time themselves into the active
-        mirror, which is how the legacy ``StageTimes`` contract keeps
-        working at (near) its original cost.
-    mirror:
-        Optional base mirror dict used when no span has scoped one.
-        :func:`tracer_for` uses this to adapt a plain ``StageTimes``.
+        When False, :meth:`span` returns a shared no-op context: no
+        span bookkeeping and no clock reads.
 
     Thread safety: every thread has its own open-span stack (spans
     opened on one thread nest under that thread's spans only), and
@@ -361,16 +295,13 @@ class Tracer:
     worker threads may record into one shared tracer concurrently.
     """
 
-    def __init__(self, enabled: bool = True, mirror: dict | None = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._base_mirror = mirror
         self._epoch = time.perf_counter()
         self._tls = threading.local()
         self._lock = threading.Lock()
         self.roots: list[Span] = []
         self._counters0 = counters_snapshot() if enabled else {}
-
-    # -- per-thread state ----------------------------------------------
 
     def _span_stack(self) -> list[Span]:
         stack = getattr(self._tls, "spans", None)
@@ -378,45 +309,15 @@ class Tracer:
             stack = self._tls.spans = []
         return stack
 
-    def _mirror_stack(self) -> list[dict]:
-        stack = getattr(self._tls, "mirrors", None)
-        if stack is None:
-            stack = self._tls.mirrors = []
-        return stack
-
-    def _active_mirror(self) -> dict | None:
-        stack = getattr(self._tls, "mirrors", None)
-        if stack:
-            return stack[-1]
-        return self._base_mirror
-
-    # -- recording ------------------------------------------------------
-
-    def span(self, name: str, *, bytes_in: int | None = None,
-             mirror: dict | None = None, **attrs):
-        """Open a *structural* span (returns a context manager yielding
-        the :class:`Span`).
-
-        ``mirror``, when given, scopes a ``{stage: seconds}`` dict:
-        every :meth:`stage` recorded while this span is open (and no
-        inner mirror shadows it) accumulates there.
-        """
+    def span(self, name: str, *, bytes_in: int | None = None, **attrs):
+        """Open a span (returns a context manager yielding the
+        :class:`Span`).  Spans without children are the pipeline's
+        stages (``quantize``, ``encrypt``, ``lossless``, ...) — see
+        :func:`stage_seconds`."""
         if not self.enabled:
-            if mirror is not None:
-                return _MirrorScope(self, mirror)
             return _NOOP_CONTEXT
         span = Span(name=name, bytes_in=bytes_in, attrs=dict(attrs))
-        return _ActiveSpan(self, span, mirror, is_stage=False)
-
-    def stage(self, name: str, *, bytes_in: int | None = None, **attrs):
-        """Open a *stage* span: like :meth:`span`, but its duration also
-        accumulates into the active mirror under ``name`` — the exact
-        keys ``StageTimes`` always carried (``quantize``, ``encrypt``,
-        ``lossless``, ...)."""
-        if not self.enabled:
-            return _MirrorStage(self, name)
-        span = Span(name=name, bytes_in=bytes_in, attrs=dict(attrs))
-        return _ActiveSpan(self, span, None, is_stage=True)
+        return _ActiveSpan(self, span)
 
     def attach(self, span: Span | dict) -> None:
         """Graft an externally recorded span tree into the current
@@ -457,29 +358,30 @@ class Tracer:
 NULL_TRACER = Tracer(enabled=False)
 
 
-def tracer_for(obj) -> Tracer:
-    """Adapt ``obj`` to a :class:`Tracer` (the compatibility shim).
+def stage_seconds(doc: "dict | Tracer") -> dict[str, float]:
+    """Seconds per stage: every leaf span's ``seconds``, summed by name.
 
-    * ``None`` → the shared disabled tracer;
-    * a :class:`Tracer` → itself;
-    * a ``StageTimes`` (anything with a dict ``.seconds``) → a disabled
-      tracer mirroring stage durations into that dict, so every caller
-      that used to pass ``StageTimes`` keeps working unchanged;
-    * a plain dict → a disabled tracer mirroring into it.
+    The stages are the leaves of the span tree, so a stage that runs
+    twice (``encr_huffman`` deflates the tree, then the stream) adds
+    up, and structural spans (``compress``, ``protect``, ...) never
+    appear.  This is the map Fig. 7 and Tables III–V read.
     """
-    if obj is None:
-        return NULL_TRACER
-    if isinstance(obj, Tracer):
-        return obj
-    seconds = getattr(obj, "seconds", None)
-    if isinstance(seconds, dict):
-        return Tracer(enabled=False, mirror=seconds)
-    if isinstance(obj, dict):
-        return Tracer(enabled=False, mirror=obj)
-    raise TypeError(
-        f"cannot adapt {type(obj).__name__!r} to a Tracer: expected None, "
-        "a Tracer, a StageTimes, or a dict"
-    )
+    if isinstance(doc, Tracer):
+        doc = doc.export()
+    validate(doc)
+    seconds: dict[str, float] = {}
+
+    def walk(span: dict) -> None:
+        if not span["children"]:
+            seconds[span["name"]] = (
+                seconds.get(span["name"], 0.0) + span["seconds"]
+            )
+        for child in span["children"]:
+            walk(child)
+
+    for root in doc["roots"]:
+        walk(root)
+    return seconds
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-__all__ = ["generate_iv", "generate_nonce"]
+__all__ = ["generate_iv", "generate_nonce", "refuse_seeded_ctr"]
 
 
 def generate_iv(rng: np.random.Generator | None = None) -> bytes:
@@ -33,3 +33,21 @@ def generate_nonce(rng: np.random.Generator | None = None) -> bytes:
     if rng is None:
         return os.urandom(8)
     return rng.integers(0, 256, size=8, dtype=np.uint8).tobytes()
+
+
+def refuse_seeded_ctr(
+    cipher_mode: str, rng: np.random.Generator | None
+) -> None:
+    """Raise ``ValueError`` for CTR nonces drawn from a seeded generator.
+
+    Two generators with the same seed (or two runs of one program)
+    draw the same nonces, so different plaintexts end up under one
+    (key, nonce) pair and CTR leaks their XOR.  Seeded CBC stays
+    allowed: the reproduction tables need deterministic IVs.
+    """
+    if cipher_mode == "ctr" and rng is not None:
+        raise ValueError(
+            "cipher_mode='ctr' with a seeded random_state derives "
+            "predictable nonces; CTR nonces must come from OS "
+            "entropy (drop random_state or use 'cbc')"
+        )

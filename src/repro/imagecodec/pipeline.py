@@ -15,7 +15,6 @@ import numpy as np
 from repro.core import container as cont
 from repro.core import integrity
 from repro.core.schemes import Scheme, get_scheme
-from repro.core.timing import StageTimes
 from repro.crypto import rng as crypto_rng
 from repro.crypto.aes import AES128
 from repro.imagecodec.codec import ImageCodec, ImageStats
@@ -26,11 +25,10 @@ __all__ = ["SecureImageCompressor", "ImageCompressResult"]
 
 @dataclass(frozen=True)
 class ImageCompressResult:
-    """Container plus the codec's statistics and stage times."""
+    """Container plus the codec's statistics."""
 
     container: bytes
     stats: ImageStats
-    times: StageTimes
     encrypted_bytes: int
     scheme: str
 
@@ -43,7 +41,9 @@ class SecureImageCompressor:
     """Compress-and-protect grayscale images.
 
     Parameters mirror :class:`~repro.core.pipeline.SecureCompressor`,
-    with ``quality`` replacing the error bound.
+    with ``quality`` replacing the error bound.  A seeded
+    ``random_state`` is refused in CTR mode (there is no
+    ``allow_nonce_reuse`` escape hatch here).
 
     Examples
     --------
@@ -71,6 +71,7 @@ class SecureImageCompressor:
         self._scheme: Scheme = get_scheme(scheme)
         if cipher_mode not in cont.CIPHER_MODES:
             raise ValueError(f"unknown cipher mode {cipher_mode!r}")
+        crypto_rng.refuse_seeded_ctr(cipher_mode, random_state)
         self.cipher_mode = cipher_mode
         if self._scheme.requires_key or authenticate:
             if key is None:
@@ -101,13 +102,10 @@ class SecureImageCompressor:
 
     def compress(self, image: np.ndarray) -> ImageCompressResult:
         """Encode ``image`` and apply the scheme's protection."""
-        times = StageTimes()
-        with times.stage("encode"):
-            sections, stats = self._codec.encode(image)
+        sections, stats = self._codec.encode(image)
         iv = self._fresh_iv()
         out_sections = self._scheme.protect(
-            sections, self._cipher, iv, self.cipher_mode, self.zlib_level,
-            times,
+            sections, self._cipher, iv, self.cipher_mode, self.zlib_level
         )
         blob = cont.pack_container(
             self._scheme.scheme_id, self.cipher_mode, iv, out_sections
@@ -117,7 +115,6 @@ class SecureImageCompressor:
         return ImageCompressResult(
             container=blob,
             stats=stats,
-            times=times,
             encrypted_bytes=self._scheme.encrypted_bytes(sections),
             scheme=self._scheme.name,
         )
@@ -142,7 +139,6 @@ class SecureImageCompressor:
                 f"compressor is configured for {self._scheme.name!r}"
             )
         sections = scheme.unprotect(
-            parsed.sections, self._cipher, parsed.iv, parsed.cipher_mode,
-            StageTimes(),
+            parsed.sections, self._cipher, parsed.iv, parsed.cipher_mode
         )
         return self._codec.decode(sections)

@@ -197,7 +197,7 @@ class ChunkedSecureCompressor:
         into private tracers, the graft happens here) and folds
         worker-process counters into this process's totals.
         """
-        tr = trace.tracer_for(tracer)
+        tr = tracer or trace.NULL_TRACER
         data = np.ascontiguousarray(data)
         slabs = self._slabs(data)
         jobs = [
@@ -258,7 +258,7 @@ class ChunkedSecureCompressor:
         self, blob: bytes, *, tracer: trace.Tracer | None = None
     ) -> np.ndarray:
         """Invert :meth:`compress`, reassembling the slabs in order."""
-        tr = trace.tracer_for(tracer)
+        tr = tracer or trace.NULL_TRACER
         if len(blob) < _HEADER.size:
             raise ValueError("multi-chunk blob shorter than its header")
         magic, n_chunks = _HEADER.unpack_from(blob)

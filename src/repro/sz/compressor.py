@@ -19,15 +19,15 @@ and then hand everything to :mod:`repro.sz.lossless`/the container.
 Plain SZ (no encryption) is ``scheme="none"`` in
 :class:`repro.core.pipeline.SecureCompressor`.
 
-Every stage records its wall time into ``CompressionStats.stage_seconds``
-— the same numbers drive the paper's Fig. 7 time breakdown and the
-Tables III–V overhead studies.
+Every stage is a span on the ``tracer`` (a leaf of the
+``sz.compress`` / ``sz.decompress`` tree) — the same spans drive the
+paper's Fig. 7 time breakdown and the Tables III–V overhead studies.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class CompressionStats:
     radius: int
     unpredictable_count: int
     section_bytes: dict[str, int]
-    stage_seconds: dict[str, float] = field(default_factory=dict)
     #: Points stored verbatim because no grid value meets the bound in
     #: the output dtype (nonzero only when eb is below the data's ulp).
     exact_count: int = 0
@@ -240,9 +239,8 @@ class SZCompressor:
     ) -> SZFrame:
         """Run predict → quantize → Huffman and return the frame.
 
-        ``tracer``, when given, records a ``sz.compress`` span tree;
-        stage times land in ``CompressionStats.stage_seconds`` either
-        way.
+        ``tracer``, when given, records a ``sz.compress`` span tree
+        with one leaf per stage.
         """
         data = np.ascontiguousarray(data)
         if data.dtype not in _DTYPE_CODES:
@@ -251,13 +249,11 @@ class SZCompressor:
             raise ValueError(f"expected 1-4 dimensional data, got ndim={data.ndim}")
         if data.size == 0:
             raise ValueError("cannot compress an empty array")
-        stage_seconds: dict[str, float] = {}
         out_dtype = data.dtype
-        tr = trace.tracer_for(tracer)
+        tr = tracer or trace.NULL_TRACER
 
-        with tr.span("sz.compress", bytes_in=data.nbytes,
-                     mirror=stage_seconds) as sz_span:
-            with tr.stage("quantize", bytes_in=data.nbytes):
+        with tr.span("sz.compress", bytes_in=data.nbytes) as sz_span:
+            with tr.span("quantize", bytes_in=data.nbytes):
                 eb = self.error_bound.resolve(data)
                 if self.error_bound.mode == "pw_rel":
                     work, aux_bytes = _pwrel_forward(data)
@@ -266,7 +262,7 @@ class SZCompressor:
                 q, exact_idx = quantizer.grid_quantize_verified(work, eb)
             data = work
 
-            with tr.stage("predict") as sp:
+            with tr.span("predict") as sp:
                 predictor_name, residuals, model, modal = self._predict(q)
                 radius = quantizer.choose_radius(
                     residuals, coverage=self.coverage
@@ -276,7 +272,7 @@ class SZCompressor:
                 )
                 sp.annotate(predictor=predictor_name, radius=radius)
 
-            with tr.stage("huffman_build") as sp:
+            with tr.span("huffman_build") as sp:
                 flat_codes = np.ravel(codes)
                 symbols, counts = quantizer.code_histogram(flat_codes)
                 depth_limited = (
@@ -293,7 +289,7 @@ class SZCompressor:
                     n_symbols=int(symbols.size), depth_limited=depth_limited
                 )
 
-            with tr.stage("huffman_encode") as sp:
+            with tr.span("huffman_encode") as sp:
                 total_bits = int(
                     (counts * code.lengths.astype(np.int64)).sum()
                 )
@@ -327,7 +323,7 @@ class SZCompressor:
                                 anchor_stride=stride)
                 sp.bytes_out = len(codes_bytes)
 
-            with tr.stage("side_channels") as sp:
+            with tr.span("side_channels") as sp:
                 # Channel format per predictor: the Lorenzo chain is
                 # inverted by cumulative sums, which need a residual at
                 # *every* point, so Lorenzo stores the out-of-range
@@ -377,7 +373,6 @@ class SZCompressor:
             radius=radius,
             unpredictable_count=int(unpred_mask.sum()),
             section_bytes={k: len(v) for k, v in sections.items()},
-            stage_seconds=stage_seconds,
             exact_count=int(exact_idx.size),
         )
         return SZFrame(sections=sections, stats=stats)
@@ -478,26 +473,21 @@ class SZCompressor:
         }
 
     def decompress(self, frame: SZFrame,
-                   stage_seconds: dict[str, float] | None = None,
                    tracer: trace.Tracer | None = None) -> np.ndarray:
         """Invert :meth:`compress`; returns the error-bounded field.
 
-        ``stage_seconds``, when given, receives per-stage wall times
-        (``huffman_decode`` and ``reconstruct``) for the bandwidth and
-        breakdown experiments.  ``tracer`` additionally records a
-        ``sz.decompress`` span tree.
+        ``tracer``, when given, records a ``sz.decompress`` span tree
+        (stages ``huffman_decode`` and ``reconstruct``).
         """
-        times = stage_seconds if stage_seconds is not None else {}
-        tr = trace.tracer_for(tracer)
+        tr = tracer or trace.NULL_TRACER
         info = self.parse_meta(frame.sections["meta"])
         shape = info["shape"]
         n_elements = int(np.prod(shape))
 
-        with tr.span("sz.decompress", mirror=times,
-                     frame_version=info["version"],
+        with tr.span("sz.decompress", frame_version=info["version"],
                      predictor=info["predictor"]) as dz_span:
-            with tr.stage("huffman_decode",
-                          bytes_in=len(frame.sections["codes"])) as sp:
+            with tr.span("huffman_decode",
+                         bytes_in=len(frame.sections["codes"])) as sp:
                 if info["version"] >= 3:
                     code, lane_table = huffman.deserialize_lane_tree(
                         frame.sections["tree"], n_elements
@@ -522,7 +512,7 @@ class SZCompressor:
                     flat_codes = huffman.decode(packed, code, n_elements)
                     sp.annotate(lanes=1)
 
-            with tr.stage("reconstruct"):
+            with tr.span("reconstruct"):
                 work_dtype = (np.dtype(np.float64) if info["pw_rel"]
                               else info["dtype"])
                 name = info["predictor"]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import trace
 from repro.core.pipeline import SecureCompressor
 
 
@@ -42,13 +43,15 @@ class TestRoundTrips:
         b = sc.compress(smooth_field).container
         assert a != b  # the IV (and thus tree ciphertext) must differ
 
-    def test_decompress_with_times(self, smooth_field, key):
+    def test_decompress_stage_seconds(self, smooth_field, key):
         sc = SecureCompressor("cmpr_encr", 1e-3, key=key)
         result = sc.compress(smooth_field)
-        out, times = sc.decompress_with_times(result.container)
+        tr = trace.Tracer()
+        out = sc.decompress(result.container, tracer=tr)
         assert _max_err(out, smooth_field) <= 1e-3
-        assert "decrypt" in times.seconds
-        assert "huffman_decode" in times.seconds
+        times = trace.stage_seconds(tr)
+        assert "decrypt" in times
+        assert "huffman_decode" in times
 
     @pytest.mark.parametrize("scheme", ["cmpr_encr", "encr_quant",
                                         "encr_huffman", "encr_huffman_raw"])
@@ -127,12 +130,14 @@ class TestResultStats:
         assert result.sz_stats.n_elements == smooth_field.size
 
     def test_times_include_scheme_stages(self, smooth_field, key):
-        result = SecureCompressor("encr_quant", 1e-4, key=key).compress(
-            smooth_field
+        tr = trace.Tracer()
+        SecureCompressor("encr_quant", 1e-4, key=key).compress(
+            smooth_field, tracer=tr
         )
-        assert "encrypt" in result.times.seconds
-        assert "lossless" in result.times.seconds
-        assert "predict" in result.times.seconds
+        times = trace.stage_seconds(tr)
+        assert "encrypt" in times
+        assert "lossless" in times
+        assert "predict" in times
 
 
 class TestValidation:

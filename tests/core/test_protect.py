@@ -54,6 +54,14 @@ class TestProtectHelpers:
                              random_state=np.random.default_rng(9))
         assert a == b
 
+    def test_seeded_ctr_refused(self, sections, key):
+        # A seeded generator replays its nonces: two calls seeded alike
+        # would encrypt different sections under one (key, nonce).
+        with pytest.raises(ValueError, match="nonce"):
+            protect_sections(sections, "encr_huffman", key=key,
+                             cipher_mode="ctr",
+                             random_state=np.random.default_rng(9))
+
     def test_ctr_mode(self, sections, key):
         blob = protect_sections(sections, "cmpr_encr", key=key,
                                 cipher_mode="ctr")

@@ -40,6 +40,22 @@ class TestRotateKey:
         with pytest.raises(ValueError):
             rotate_key(blob, bytes(16), NEW_KEY)
 
+    def test_seeded_ctr_refused(self, smooth_field, key):
+        writer = SecureCompressor("encr_huffman", 1e-3, key=key,
+                                  cipher_mode="ctr")
+        blob = writer.compress(smooth_field).container
+        with pytest.raises(ValueError, match="nonce"):
+            rotate_key(blob, key, NEW_KEY,
+                       random_state=np.random.default_rng(5))
+
+    def test_seeded_cbc_rotation_deterministic(self, smooth_field, key):
+        writer = SecureCompressor("encr_huffman", 1e-3, key=key)
+        blob = writer.compress(smooth_field).container
+        a, b = (rotate_key(blob, key, NEW_KEY,
+                           random_state=np.random.default_rng(5))
+                for _ in range(2))
+        assert a == b
+
     def test_none_scheme_passthrough(self, smooth_field):
         writer = SecureCompressor("none", 1e-3)
         blob = writer.compress(smooth_field).container

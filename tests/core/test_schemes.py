@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import trace
 from repro.core.schemes import SCHEMES, get_scheme
-from repro.core.timing import StageTimes
 from repro.crypto.aes import AES128
 from repro.sz import SZCompressor
 from repro.sz.compressor import SECTION_ORDER
@@ -19,10 +19,10 @@ def frame(smooth_field):
 
 def _roundtrip(scheme_name, frame, cipher):
     scheme = get_scheme(scheme_name)
-    times = StageTimes()
-    out = scheme.protect(frame.sections, cipher, IV, "cbc", 6, times)
-    back = scheme.unprotect(out, cipher, IV, "cbc", StageTimes())
-    return out, back, times
+    tr = trace.Tracer()
+    out = scheme.protect(frame.sections, cipher, IV, "cbc", 6, tr)
+    back = scheme.unprotect(out, cipher, IV, "cbc")
+    return out, back, trace.stage_seconds(tr)
 
 
 class TestRegistry:
@@ -60,7 +60,7 @@ class TestRoundTrips:
     def test_requires_cipher(self, name, frame):
         scheme = get_scheme(name)
         with pytest.raises(ValueError, match="key"):
-            scheme.protect(frame.sections, None, IV, "cbc", 6, StageTimes())
+            scheme.protect(frame.sections, None, IV, "cbc", 6)
 
     def test_none_works_without_cipher(self, frame):
         _, back, _ = _roundtrip("none", frame, None)
@@ -69,11 +69,10 @@ class TestRoundTrips:
     @pytest.mark.parametrize("name", ["cmpr_encr", "encr_quant", "encr_huffman"])
     def test_wrong_key_fails(self, name, frame, key):
         scheme = get_scheme(name)
-        out = scheme.protect(frame.sections, AES128(key), IV, "cbc", 6,
-                             StageTimes())
+        out = scheme.protect(frame.sections, AES128(key), IV, "cbc", 6)
         wrong = AES128(bytes(16))
         with pytest.raises(ValueError):
-            restored = scheme.unprotect(out, wrong, IV, "cbc", StageTimes())
+            restored = scheme.unprotect(out, wrong, IV, "cbc")
             # If padding happens to validate, the section table must not.
             if restored == {k: frame.sections[k] for k in SECTION_ORDER}:
                 raise AssertionError("wrong key decrypted successfully?!")
@@ -83,9 +82,8 @@ class TestRoundTrips:
         scheme = get_scheme(name)
         cipher = AES128(key) if scheme.requires_key else None
         nonce = b"12345678"
-        out = scheme.protect(frame.sections, cipher, nonce, "ctr", 6,
-                             StageTimes())
-        back = scheme.unprotect(out, cipher, nonce, "ctr", StageTimes())
+        out = scheme.protect(frame.sections, cipher, nonce, "ctr", 6)
+        back = scheme.unprotect(out, cipher, nonce, "ctr")
         assert back == {k: frame.sections[k] for k in SECTION_ORDER}
 
 
@@ -114,8 +112,8 @@ class TestEncryptionPlacement:
         cipher = AES128(key)
         for name in ("cmpr_encr", "encr_quant", "encr_huffman"):
             _, _, times = _roundtrip(name, frame, cipher)
-            assert "encrypt" in times.seconds
-            assert "lossless" in times.seconds
+            assert "encrypt" in times
+            assert "lossless" in times
 
     def test_cmpr_encr_output_is_ciphertext_only(self, frame, key):
         out, _, _ = _roundtrip("cmpr_encr", frame, AES128(key))
@@ -126,8 +124,7 @@ class TestEncryptionPlacement:
         for name in ("none", "encr_quant", "encr_huffman"):
             cipher = AES128(bytes(16)) if name != "none" else None
             scheme = get_scheme(name)
-            out = scheme.protect(frame.sections, cipher, IV, "cbc", 6,
-                                 StageTimes())
+            out = scheme.protect(frame.sections, cipher, IV, "cbc", 6)
             assert set(out) == {"zblob"}
             zlib.decompress(out["zblob"])  # must be a valid stream
 
@@ -146,7 +143,7 @@ class TestCompressionImpact:
             scheme = get_scheme(name)
             out = scheme.protect(
                 frame.sections, cipher if name != "none" else None, IV,
-                "cbc", 6, StageTimes(),
+                "cbc", 6,
             )
             sizes[name] = sum(len(v) for v in out.values())
         assert sizes["encr_quant"] > sizes["none"]

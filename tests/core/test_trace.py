@@ -1,6 +1,6 @@
-"""The trace layer: span trees, the StageTimes shim, counters,
-exporters, schema validation, parallel accumulation, and the
-near-zero-cost guarantee for disabled tracing."""
+"""The trace layer: span trees, stage seconds, counters, exporters,
+schema validation, parallel accumulation, and the near-zero-cost
+guarantee for disabled tracing."""
 
 import json
 import threading
@@ -11,7 +11,6 @@ import pytest
 
 from repro.core import trace
 from repro.core.pipeline import SecureCompressor
-from repro.core.timing import StageTimes
 from repro.core.trace import (
     NULL_TRACER,
     SCHEMA,
@@ -20,7 +19,7 @@ from repro.core.trace import (
     chrome_trace,
     format_tree,
     span_from_dict,
-    tracer_for,
+    stage_seconds,
     validate,
 )
 from repro.parallel.chunked import ChunkedSecureCompressor
@@ -55,9 +54,9 @@ class TestSpanTree:
     def test_sibling_spans_and_durations(self):
         tr = Tracer()
         with tr.span("root"):
-            with tr.stage("a"):
+            with tr.span("a"):
                 time.sleep(0.002)
-            with tr.stage("b"):
+            with tr.span("b"):
                 pass
         root = tr.roots[0]
         assert [c.name for c in root.children] == ["a", "b"]
@@ -86,83 +85,63 @@ class TestSpanTree:
 
 
 # ----------------------------------------------------------------------
-# StageTimes compatibility shim
+# Stage seconds: the leaves of the span tree
 # ----------------------------------------------------------------------
 
+#: The pipeline's stage spans (docs/OBSERVABILITY.md).
+STAGES = {
+    "quantize", "predict", "huffman_build", "huffman_encode",
+    "huffman_decode", "side_channels", "encrypt", "decrypt", "lossless",
+    "reconstruct",
+}
 
-class TestStageTimesShim:
-    def test_tracer_for_stagetimes_mirrors_stages(self):
-        st = StageTimes()
-        tr = tracer_for(st)
-        assert not tr.enabled
-        with tr.stage("encrypt"):
-            pass
-        with tr.stage("encrypt"):
-            pass
-        assert set(st.seconds) == {"encrypt"}
-        assert st.seconds["encrypt"] > 0.0
 
-    def test_tracer_for_dict_and_none_and_identity(self):
-        d = {}
-        tr = tracer_for(d)
-        with tr.stage("lossless"):
-            pass
-        assert "lossless" in d
-        assert tracer_for(None) is NULL_TRACER
-        t = Tracer()
-        assert tracer_for(t) is t
-        with pytest.raises(TypeError):
-            tracer_for(42)
-
-    def test_enabled_tracer_mirrors_stage_into_scoped_dict(self):
-        mirror = {}
+class TestStageSeconds:
+    def test_repeated_leaves_sum(self, field):
+        # encr_huffman deflates twice on compress: the tree, then the
+        # stream.  Both leaves count.
+        sc = SecureCompressor("encr_huffman", 1e-3, key=KEY)
         tr = Tracer()
-        with tr.span("root", mirror=mirror):
-            with tr.stage("quantize"):
-                pass
-        assert set(mirror) == {"quantize"}
-        # Structural spans never land in the mirror.
-        assert "root" not in mirror
+        sc.compress(field, tracer=tr)
+        doc = tr.export()
+        protect = doc["roots"][0]["children"][1]
+        assert protect["name"] == "protect"
+        lossless = [c["seconds"] for c in protect["children"]
+                    if c["name"] == "lossless"]
+        assert len(lossless) == 2
+        assert stage_seconds(doc)["lossless"] == sum(lossless)
 
-    def test_inner_mirror_shadows_outer(self):
-        outer, inner = {}, {}
+    def test_structural_spans_never_appear(self, field):
+        sc = SecureCompressor("encr_huffman", 1e-3, key=KEY)
         tr = Tracer()
-        with tr.span("a", mirror=outer):
-            with tr.span("b", mirror=inner):
-                with tr.stage("predict"):
-                    pass
-            with tr.stage("encrypt"):
-                pass
-        assert set(inner) == {"predict"}
-        assert set(outer) == {"encrypt"}
+        r = sc.compress(field, tracer=tr)
+        sc.decompress(r.container, tracer=tr)
+        seconds = stage_seconds(tr)
+        assert set(seconds) == STAGES
+        structural = {s.name for root in tr.roots for s in root.walk()
+                      if s.children}
+        assert structural == {"compress", "sz.compress", "protect",
+                              "decompress", "unprotect", "sz.decompress"}
 
-    def test_disabled_tracer_same_keys_as_enabled(self, field):
-        """The flat stage map must not depend on whether tracing is on."""
-        sc = SecureCompressor("encr_huffman", 1e-3, key=KEY,
-                              random_state=np.random.default_rng(0))
-        plain = sc.compress(field)
-        sc2 = SecureCompressor("encr_huffman", 1e-3, key=KEY,
-                               random_state=np.random.default_rng(0))
-        traced = sc2.compress(field, tracer=Tracer())
-        assert set(plain.times.seconds) == set(traced.times.seconds)
-        _, t_plain = sc.decompress_with_times(plain.container)
-        _, t_traced = sc2.decompress_with_times(
-            traced.container, tracer=Tracer()
-        )
-        assert set(t_plain.seconds) == set(t_traced.seconds)
+    def test_tracer_and_export_agree(self, field):
+        sc = SecureCompressor("cmpr_encr", 1e-3, key=KEY)
+        tr = Tracer()
+        r = sc.compress(field, tracer=tr)
+        sc.decompress(r.container, tracer=tr)
+        assert stage_seconds(tr) == stage_seconds(tr.export())
 
-    def test_scheme_protect_accepts_stagetimes_directly(self, field):
-        """The bench harness path: StageTimes straight into protect."""
+    def test_scheme_protect_takes_a_tracer(self, field):
+        """The bench harness path: a tracer straight into protect."""
         from repro.core.schemes import get_scheme
         from repro.crypto.aes import AES128
         from repro.sz.compressor import SZCompressor
 
         frame = SZCompressor(1e-3).compress(field)
-        st = StageTimes()
+        tr = Tracer()
         get_scheme("encr_huffman").protect(
-            frame.sections, AES128(KEY), bytes(16), "cbc", 6, st
+            frame.sections, AES128(KEY), bytes(16), "cbc", 6, tr
         )
-        assert {"lossless", "encrypt"} <= set(st.seconds)
+        assert set(stage_seconds(tr)) == {"lossless", "encrypt"}
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +376,7 @@ class TestParallelTrace:
 
         def worker(i):
             with tr.span(f"thread-{i}"):
-                with tr.stage("work"):
+                with tr.span("work"):
                     pass
 
         threads = [threading.Thread(target=worker, args=(i,))
@@ -418,6 +397,17 @@ class TestParallelTrace:
 # ----------------------------------------------------------------------
 
 
+class _CountingClock:
+    """Stands in for the ``time`` module inside :mod:`repro.core.trace`."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    def perf_counter(self) -> float:
+        self.reads += 1
+        return time.perf_counter()
+
+
 class TestDisabledOverhead:
     def test_disabled_span_returns_shared_noop(self):
         tr = Tracer(enabled=False)
@@ -434,11 +424,11 @@ class TestDisabledOverhead:
         """Acceptance bound: disabled tracing must cost < 2% of the
         bench_fig6_bandwidth measurement path (one traceable compress +
         decompress).  Measured structurally: per-call cost of the
-        disabled span/stage machinery times the actual number of spans
+        disabled span machinery times the actual number of spans
         the pipeline opens, compared against the pipeline's wall time —
         which avoids comparing two noisy end-to-end runs."""
         sc = SecureCompressor("encr_huffman", 1e-4, key=KEY)
-        # Count the spans/stages one compress+decompress opens.
+        # Count the spans one compress+decompress opens.
         tr = Tracer()
         result = sc.compress(field, tracer=tr)
         sc.decompress(result.container, tracer=tr)
@@ -452,13 +442,12 @@ class TestDisabledOverhead:
             sc.decompress(r.container)
             best = min(best, time.perf_counter() - t0)
 
-        # Per-call cost of the disabled machinery, averaged over many
-        # iterations of the worst (mirrored-stage) variant.
-        disabled = tracer_for(StageTimes())
+        # Per-call cost of the disabled span, averaged over many
+        # iterations of the costliest call shape (byte flow + attrs).
         reps = 20_000
         t0 = time.perf_counter()
         for _ in range(reps):
-            with disabled.stage("encrypt"):
+            with NULL_TRACER.span("encrypt", bytes_in=4096, mode="cbc"):
                 pass
         per_span = (time.perf_counter() - t0) / reps
 
@@ -467,3 +456,15 @@ class TestDisabledOverhead:
             f"disabled tracing costs {overhead * 1e6:.1f} us for "
             f"{n_spans} spans vs {best * 1e3:.2f} ms pipeline time"
         )
+
+    @pytest.mark.parametrize("mode", ["cbc", "ctr"])
+    def test_untraced_round_trip_reads_no_clock(self, field, mode,
+                                                monkeypatch):
+        """Untraced calls go through NULL_TRACER, which reads no clock."""
+        sc = SecureCompressor("encr_huffman", 1e-3, key=KEY,
+                              cipher_mode=mode)
+        clock = _CountingClock()
+        monkeypatch.setattr(trace, "time", clock)
+        out = sc.decompress(sc.compress(field).container)
+        assert np.max(np.abs(out - field)) <= 1e-3
+        assert clock.reads == 0

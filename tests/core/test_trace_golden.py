@@ -160,6 +160,21 @@ def test_fixtures_are_valid_trace_documents():
         trace.validate(doc)
 
 
+def test_fixture_leaves_are_the_stages():
+    # trace.stage_seconds reads the leaves as the stage map of Fig. 7
+    # and Tables III-V, so no structural span may ever be a leaf.
+    stages = {"quantize", "predict", "huffman_build", "huffman_encode",
+              "huffman_decode", "side_channels", "encrypt", "decrypt",
+              "lossless", "reconstruct"}
+    seen = set()
+    for variant in VARIANTS:
+        doc = json.loads((FIXTURE_DIR / f"{variant}.trace.json").read_text())
+        leaves = set(trace.stage_seconds(doc))
+        assert leaves <= stages, (variant, leaves - stages)
+        seen |= leaves
+    assert seen == stages
+
+
 def test_no_stray_fixtures():
     # Every fixture corresponds to a registered variant, so a renamed
     # scheme cannot leave a stale golden behind unnoticed.

@@ -74,6 +74,12 @@ class TestSchemesOnImages:
         out = sic.decompress(sic.compress(image).container)
         assert np.array_equal(out, _reference_decode(image))
 
+    def test_seeded_ctr_refused(self, key):
+        with pytest.raises(ValueError, match="nonce"):
+            SecureImageCompressor("encr_huffman", 75, key=key,
+                                  cipher_mode="ctr",
+                                  random_state=np.random.default_rng(3))
+
 
 class TestEncrQuantImpactOnImages:
     def test_cr_collapse_transfers_to_images(self, key):

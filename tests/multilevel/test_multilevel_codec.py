@@ -146,6 +146,14 @@ class TestSecurePipeline:
         with pytest.raises(ValueError):
             smc.decompress(bytes(tampered))
 
+    def test_seeded_ctr_refused(self, smooth_field, key):
+        smc = SecureMultilevelCompressor(
+            "encr_huffman", 1e-3, key=key, cipher_mode="ctr",
+            random_state=np.random.default_rng(1),
+        )
+        with pytest.raises(ValueError, match="nonce"):
+            smc.compress(smooth_field)
+
     def test_encr_quant_collapse_transfers(self, key):
         """The paper's Encr-Quant caveat holds for the third codec."""
         data = generate("q2", size="tiny")
