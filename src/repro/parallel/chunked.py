@@ -123,8 +123,8 @@ class ChunkedSecureCompressor:
         thread-level parallelism compose freely.
     depth_limit:
         Optional per-slab Huffman code-depth cap (forwarded to each
-        slab's :class:`SecureCompressor`); flagged frames decode on
-        the miss-free kernel.
+        slab's :class:`SecureCompressor`); flagged frames decode
+        without sub-table lookups.
     """
 
     def __init__(

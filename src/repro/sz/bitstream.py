@@ -310,9 +310,9 @@ def sliding_window_u64(data: bytes, pad_bytes: int = 0) -> np.ndarray:
     bytes read as zero), so the ``w`` bits starting at absolute bit
     position ``p`` are ``(out[p >> 3] >> (64 - w - (p & 7))) &
     ((1 << w) - 1)`` for any ``w + (p & 7) <= 64``.  The wide window
-    lets the miss-free lane kernel pull several consecutive codewords
-    out of one gather: 57 usable bits cover three 16-bit (or four
-    12-bit) table lookups.
+    lets the lane kernel pull several consecutive codewords out of one
+    gather: 57 usable bits cover three 16-bit (or two 21-bit) table
+    lookups.
 
     Physically the return value is a **byte-strided view** over one
     zero-padded copy of ``data`` — window ``i`` overlaps windows
@@ -326,8 +326,7 @@ def sliding_window_u64(data: bytes, pad_bytes: int = 0) -> np.ndarray:
     it, don't compute on it in place.  Dtype is big-endian ``i8``
     (same bit pattern as u64) because NumPy refuses mixed ``uint64 >>
     int64`` shifts downstream; the arithmetic sign-fill is harmless
-    since every caller masks the shifted value and shift counts are
-    always >= 1 on the miss-free path.
+    since every caller masks the shifted value.
 
     ``pad_bytes`` extends the view with zero-filled windows past the
     end of ``data``, as in :func:`sliding_window_u32`.

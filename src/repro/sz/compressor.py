@@ -54,7 +54,8 @@ _META = struct.Struct("<4sBBBBBBIdqQQ")
 #: Grid stage ran on log2|x|; the aux section carries signs/zeros.
 _FLAG_PW_REL = 0x01
 #: Every Huffman code length fits ``huffman.DEPTH_LIMIT_BITS`` bits
-#: (opt-in depth-limited canonical code; miss-free decode tables).
+#: (opt-in depth-limited canonical code; every lookup resolves in the
+#: lane decode table's root).
 _FLAG_DEPTH_LIMITED = 0x02
 _KNOWN_FLAGS = _FLAG_PW_REL | _FLAG_DEPTH_LIMITED
 _META_MAGIC = b"SZfr"
@@ -164,9 +165,9 @@ class SZCompressor:
     depth_limit:
         Optional Huffman depth limit in ``1..huffman.DEPTH_LIMIT_BITS``
         (e.g. ``16``).  Frames built with it carry the depth-limit
-        flag and promise every code length fits the limit, so the
-        decode kernel's primary table covers every codeword and the
-        miss path never runs.  Lengths come from package-merge, so
+        flag and promise every code length fits the limit, so every
+        lane-kernel lookup resolves in the decode table's root and no
+        sub-table link is taken.  Lengths come from package-merge, so
         they are optimal under the cap; the rate loss versus
         unrestricted Huffman is a few percent on deep-alphabet data
         (≈4 % measured at 16 bits) and zero when the cap does not

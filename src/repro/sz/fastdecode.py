@@ -5,37 +5,39 @@ The v3 ``codes`` section is K independent, byte-aligned bitstreams
 (bit offsets of every ``anchor_stride``-th codeword boundary) carried
 in the encrypted tree section.  Lanes and anchors together cut the
 stream into many independent *segments*, and this module decodes all
-segments simultaneously with NumPy gathers:
+segments simultaneously with NumPy gathers, in one kernel for every
+code depth and segment layout:
 
-* one u32 gather per segment pulls the next ``TABLE_BITS`` window out
-  of a sliding byte-window matrix (:func:`~repro.sz.bitstream.sliding_window_u32`);
-* one gather each into the flat ``tab_sym`` / ``tab_len`` tables turns
-  every window into a symbol and a bit advance;
-* a scatter writes each segment's symbol into its contiguous slice of
-  the output, and the per-segment bit cursors advance in place.
+* one 64-bit gather per segment pulls the next 64 stream bits out of a
+  lazy byte-strided window (:func:`~repro.sz.bitstream.sliding_window_u64`),
+  which holds ``k = 57 // max_len`` consecutive codewords after any
+  in-byte phase (3 x 16-bit or 2 x 21-bit lookups);
+* each lookup is one gather into the decoder's packed two-level table
+  (:meth:`repro.sz.huffman._Decoder.lane_table`): codes of up to 16
+  bits resolve in the root, and the few segments whose root entry is a
+  sub-table link take one more gather on the next ``max_len - 16``
+  bits.  No window can miss, so there is no search fallback;
+* symbols are staged in a small cache-resident block and stored into
+  a ``(segments, max_q)`` matrix :data:`_STAGE_COLUMNS` columns at a
+  time, touching each output row once per block rather than once per
+  symbol.
 
-Codes longer than ``TABLE_BITS`` miss the primary table (length 0) and
-resolve with one ``searchsorted`` into the left-justified canonical
-codeword array over the affected segments only — canonical codewords
-are strictly increasing when left-justified, so the matching codeword
-is the largest one not exceeding the next ``max_len`` window bits.
+Segments are sorted by quota so the set still holding symbols at any
+iteration is a prefix; a segment that ends mid-group simply stops
+being sliced in.  A layout with short segments (the last one of each
+lane, or lanes shorter than the stride) is put back in stream order
+and trimmed to each quota once, at the end.
 
-When every code length fits :data:`repro.sz.huffman.DEPTH_LIMIT_BITS`
-bits (always true for depth-limited frames, opportunistically true for
-shallow codes), the kernel instead uses a *full-coverage* table as wide
-as the longest codeword: no window can miss, the ``searchsorted`` path
-vanishes, and a 64-bit sliding window yields several consecutive
-symbols per gather (3 x 16-bit or 4 x 12-bit lookups fit the 57 usable
-bits), so the per-symbol NumPy op count drops roughly threefold.
-
-The loop runs ``anchor_stride`` iterations regardless of input size,
-so throughput scales with the segment count; the encoder targets
+The loop runs ``anchor_stride / k`` iterations regardless of input
+size, so throughput scales with the segment count; the encoder targets
 roughly ``sqrt(n)`` segments (see :func:`repro.sz.huffman.choose_lane_params`),
 which keeps each NumPy op wide enough to amortize interpreter
 overhead.  Decoding is exact, not speculative: anchors are true
 codeword boundaries recorded at encode time, and the final cursor of
 every segment is checked against the next segment's start, so any
-corruption that slips a cursor off the codeword lattice is rejected.
+corruption that slips a cursor off the codeword lattice — including a
+window that lands in a Kraft hole and freezes its cursor — is
+rejected.
 """
 
 from __future__ import annotations
@@ -44,21 +46,21 @@ import numpy as np
 
 from repro.core import trace
 from repro.sz import huffman
-from repro.sz.bitstream import (
-    lane_byte_lengths,
-    sliding_window_u32,
-    sliding_window_u64,
-)
+from repro.sz.bitstream import lane_byte_lengths, sliding_window_u64
 from repro.sz.huffman import HuffmanCode, LaneTable
 
 __all__ = ["decode_lanes"]
 
+#: Output columns staged per store (rounded down to whole k-symbol
+#: groups): 128 bytes of each segment row per store.
+_STAGE_COLUMNS = 32
+
 
 def _segment_layout(
     table: LaneTable, n_values: int, n_code_bytes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten the lane table into per-segment start/end/quota/output
-    arrays (validating byte-offset consistency along the way)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten the lane table into per-segment start/end/quota arrays
+    in stream order (validating byte-offset consistency along the way)."""
     byte_lens = lane_byte_lengths(table.lane_bits)
     if int(byte_lens.sum()) != n_code_bytes:
         raise ValueError(
@@ -66,9 +68,8 @@ def _segment_layout(
         )
     byte_off = np.concatenate([[0], np.cumsum(byte_lens)])
     sizes = huffman.lane_sizes(n_values, table.n_lanes)
-    out_off = np.concatenate([[0], np.cumsum(sizes)])
     stride = table.anchor_stride
-    starts, ends, quotas, obases = [], [], [], []
+    starts, ends, quotas = [], [], []
     for l in range(table.n_lanes):
         abs0 = int(byte_off[l]) * 8
         a = table.anchors[l]
@@ -86,13 +87,7 @@ def _segment_layout(
         starts.append(seg_start)
         ends.append(seg_end)
         quotas.append(quota)
-        obases.append(out_off[l] + np.arange(n_seg, dtype=np.int64) * stride)
-    return (
-        np.concatenate(starts),
-        np.concatenate(ends),
-        np.concatenate(quotas),
-        np.concatenate(obases),
-    )
+    return np.concatenate(starts), np.concatenate(ends), np.concatenate(quotas)
 
 
 def decode_lanes(
@@ -121,8 +116,9 @@ def decode_lanes(
     if n_values == 0:
         return np.empty(0, dtype=np.int64)
     dec = huffman.decoder_for(code)
+    tab, root_bits = dec.lane_table()
 
-    cur, seg_end, quota, obase = _segment_layout(table, n_values, len(codes))
+    start, seg_end, quota = _segment_layout(table, n_values, len(codes))
     trace.count_many({
         "fastdecode.lanes": table.n_lanes,
         "fastdecode.segments": int(quota.size),
@@ -130,182 +126,88 @@ def decode_lanes(
     # Sort segments by quota descending: the active set at iteration t
     # is then always a prefix, so the loop works on views, not masks.
     order = np.argsort(-quota, kind="stable")
-    cur = cur[order].copy()
-    seg_end = seg_end[order]
-    quota = quota[order]
-    obase = obase[order]
-    max_q = int(quota[0])
+    cur = start[order]
+    ascending = quota[order[::-1]]
+    max_q = int(ascending[-1])
     # active[t] = segments still holding symbols at iteration t.
-    ascending = quota[::-1]
     active = quota.size - np.searchsorted(
         ascending, np.arange(max_q, dtype=np.int64), side="right"
     )
-
-    wide = dec.wide_tables()
-    if wide is not None:
-        out = _decode_missfree(
-            codes, wide, cur, quota, obase, active, max_q, n_values
-        )
-    else:
-        out = np.empty(n_values, dtype=np.int64)
-        _decode_with_misses(codes, dec, cur, obase, active, out, max_q)
-    if not np.array_equal(cur, seg_end):
+    out = _decode_staged(codes, tab, root_bits, dec.max_len, cur, active, max_q)
+    if not np.array_equal(cur, seg_end[order]):
         raise ValueError(
             "corrupt huffman lane stream: segment did not end on its "
             "anchor boundary"
         )
-    if wide is not None:
-        # The miss-free kernel returns packed (rank << 5 | length)
-        # entries; resolve ranks to symbol values in one gather now
-        # that the boundary check has proven every slot was written.
-        out = wide[1][out >> 5]
-    return out
+    if int(ascending[0]) != max_q:
+        # Short segments: back to stream order, each row trimmed to its
+        # quota (segments tile the output contiguously in stream order).
+        stream = np.empty_like(out)
+        stream[order] = out
+        out = stream[np.arange(max_q, dtype=np.int64) < quota[:, None]]
+    # The kernel stores packed (rank << 5 | length) entries; resolve
+    # ranks to symbol values in one gather now that the boundary check
+    # has proven every slot was written.
+    return dec.code.symbols[out.reshape(-1) >> 5]
 
 
-def _decode_with_misses(
+def _decode_staged(
     codes: bytes,
-    dec,
+    tab: np.ndarray,
+    root_bits: int,
+    max_len: int,
     cur: np.ndarray,
-    obase: np.ndarray,
-    active: np.ndarray,
-    out: np.ndarray,
-    max_q: int,
-) -> None:
-    """One-symbol-per-gather loop with the ``searchsorted`` long-code
-    fallback (codes deeper than ``DEPTH_LIMIT_BITS``)."""
-    tab_sym, tab_len, lj_codes, lj_syms, lj_lens = dec.kernel_tables()
-    t_bits = dec.t_bits
-    shift_base = 32 - t_bits
-    t_mask = (1 << t_bits) - 1
-    max_len = dec.max_len
-    has_long = max_len > t_bits
-
-    # A corrupt stream can walk a cursor past its segment (we only
-    # validate boundaries after the loop), so pad the window matrix to
-    # cover the worst-case overrun of max_q iterations x max_len bits.
-    win = sliding_window_u32(codes, pad_bytes=3 * max_q + 4)
-    for t in range(max_q):
-        a = int(active[t])
-        c = cur[:a]
-        bi = c >> 3
-        sh = c & 7
-        w = (win[bi] >> (shift_base - sh)) & t_mask
-        ln = tab_len[w]
-        sym = tab_sym[w]
-        if has_long and not ln.all():
-            _resolve_long(
-                win, bi, sh, ln, sym, max_len, lj_codes, lj_syms, lj_lens
-            )
-        out[obase[:a] + t] = sym
-        c += ln
-
-
-def _decode_missfree(
-    codes: bytes,
-    wide: tuple[np.ndarray, np.ndarray, int],
-    cur: np.ndarray,
-    quota: np.ndarray,
-    obase: np.ndarray,
     active: np.ndarray,
     max_q: int,
-    n_values: int,
 ) -> np.ndarray:
-    """Multi-symbol kernel over a full-coverage table (no miss path).
+    """Decode every segment into row ``i`` of a ``(segments, max_q)``
+    matrix of packed table entries, advancing ``cur`` in place.
 
-    One 64-bit gather holds ``k = 57 // t_bits`` consecutive table
-    windows for each segment: after the first lookup the next window
-    starts ``len`` bits further into the *same* gathered word, so
-    symbols 2..k cost only a shift plus one packed-table gather each.
-    Returns the raw packed ``(rank << 5 | length)`` entries — the
-    caller resolves ranks to symbol values in one pass after its
-    boundary check.  Invalid windows on a corrupt stream hit a Kraft
-    hole (length 0), freeze the cursor, and are caught by that same
-    check, exactly like the miss-path kernel.
-
-    When every segment holds exactly ``max_q`` symbols and the output
-    slices line up (``n_values = n_segments * max_q``, the common case
-    for power-of-two fields), the output is a ``(segments, max_q)``
-    matrix that iteration ``t`` writes column ``t`` of.  Staging each
-    group's ``k`` columns and storing them with a single sliced
-    assignment touches every output cache line once per *group* rather
-    than once per *symbol* — the scatter was the kernel's dominant
-    cost, so the uniform path decodes substantially faster.
+    One 64-bit gather holds ``k = 57 // max_len`` consecutive windows
+    for each segment: after the first lookup the next window starts
+    ``len`` bits further into the *same* gathered word, so symbols
+    2..k cost only a shift plus one packed-table gather each.  Output
+    rows lie ``max_q`` entries apart (a page at the usual stride), so a
+    store costs per row touched: columns are staged in a small block
+    and stored :data:`_STAGE_COLUMNS` at a time.  Slots past a
+    segment's quota are left unwritten.
     """
-    tab, _, t_bits = wide
-    k = max(1, (64 - 7) // t_bits)
-    t_mask = np.int64((1 << t_bits) - 1)
+    sub_bits = max_len - root_bits
+    k = (64 - 7) // max_len
+    block = k * max(1, _STAGE_COLUMNS // k)
+    root_mask = np.int64((1 << root_bits) - 1)
+    sub_mask = np.int64((1 << sub_bits) - 1)
     len_mask = np.int32(31)
-    hi = np.int64(64 - t_bits)
+    hi = np.int64(64 - root_bits)
     # Pad for the worst-case overrun of a corrupt cursor: max_q
-    # lookups of t_bits each, plus slack for the in-byte phase.
-    win = sliding_window_u64(codes, pad_bytes=((t_bits * max_q + 7) >> 3) + 8)
-    n_seg = quota.size
-    if n_seg * max_q == n_values and int(quota[-1]) == max_q and np.array_equal(
-        obase, np.arange(n_seg, dtype=np.int64) * max_q
-    ):
-        out = np.empty((n_seg, max_q), dtype=np.int32)
-        for t0 in range(0, max_q, k):
+    # lookups of max_len bits each, plus slack for the in-byte phase.
+    win = sliding_window_u64(codes, pad_bytes=((max_len * max_q + 7) >> 3) + 8)
+    out = np.empty((cur.size, max_q), dtype=np.int32)
+    for b0 in range(0, max_q, block):
+        b1 = min(b0 + block, max_q)
+        stage = np.empty((int(active[b0]), b1 - b0), dtype=np.int32)
+        for t0 in range(b0, b1, k):
+            a0 = int(active[t0])
+            c = cur[:a0]
             # The gather materializes the lazy byte-strided windows;
             # astype folds in the big-endian -> native conversion.
-            base = win[cur >> 3].astype(np.int64)
-            # Track the right-shift that exposes the next window rather
-            # than the bits consumed: one fewer subtraction per symbol,
-            # and the group's advance falls out as shift0 - shift.
-            shift = hi - (cur & np.int64(7))
+            base = win[c >> 3].astype(np.int64)
+            # Track the right-shift that exposes the next root window
+            # rather than the bits consumed: one fewer subtraction per
+            # symbol, and the group's advance is shift0 - shift.
+            shift = hi - (c & np.int64(7))
             shift0 = shift.copy()
-            k_eff = min(k, max_q - t0)
-            stage = np.empty((n_seg, k_eff), dtype=np.int32)
-            for j in range(k_eff):
-                p = tab[(base >> shift) & t_mask]
-                stage[:, j] = p
-                shift -= p & len_mask
-            out[:, t0:t0 + k_eff] = stage
-            cur += shift0 - shift
-        return out.reshape(-1)
-    out = np.empty(n_values, dtype=np.int64)
-    slot = obase.copy()
-    for t0 in range(0, max_q, k):
-        a0 = int(active[t0])
-        c = cur[:a0]
-        base = win[c >> 3].astype(np.int64)
-        shift = hi - (c & np.int64(7))
-        shift0 = shift.copy()
-        for t in range(t0, min(t0 + k, max_q)):
-            a = int(active[t])
-            p = tab[(base[:a] >> shift[:a]) & t_mask]
-            out[slot[:a]] = p
-            slot[:a] += 1
-            shift[:a] -= p & len_mask
-        cur[:a0] += shift0 - shift
+            for t in range(t0, min(t0 + k, b1)):
+                a = int(active[t])
+                b, sh = (base, shift) if a == a0 else (base[:a], shift[:a])
+                p = tab[(b >> sh) & root_mask]
+                if sub_bits:
+                    link = np.flatnonzero(p < 0)
+                    if link.size:
+                        sub = (b[link] >> (sh[link] - sub_bits)) & sub_mask
+                        p[link] = tab[sub - p[link]]
+                stage[:a, t - b0] = p
+                sh -= p & len_mask
+            c += shift0 - shift
+        out[: stage.shape[0], b0:b1] = stage
     return out
-
-
-def _resolve_long(
-    win: np.ndarray,
-    bi: np.ndarray,
-    sh: np.ndarray,
-    ln: np.ndarray,
-    sym: np.ndarray,
-    max_len: int,
-    lj_codes: np.ndarray,
-    lj_syms: np.ndarray,
-    lj_lens: np.ndarray,
-) -> None:
-    """Resolve primary-table misses (codes longer than ``TABLE_BITS``)
-    for the flagged segments, in place.
-
-    Canonical codewords left-justified to ``max_len`` are strictly
-    increasing, so the codeword at a bit position is the largest
-    left-justified value not exceeding the next ``max_len`` bits —
-    one ``searchsorted`` resolves every miss at once.  A window below
-    the smallest codeword cannot happen on a valid stream and is
-    rejected here; any other corruption advances the cursor off the
-    codeword lattice and trips the segment-boundary check instead.
-    """
-    zi = np.nonzero(ln == 0)[0]
-    wide = (win[bi[zi]] >> (32 - max_len - sh[zi])) & ((1 << max_len) - 1)
-    pos = np.searchsorted(lj_codes, wide, side="right") - 1
-    if (pos < 0).any():
-        raise ValueError("corrupt huffman bitstream: no codeword matches")
-    sym[zi] = lj_syms[pos]
-    ln[zi] = lj_lens[pos]

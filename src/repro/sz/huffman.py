@@ -28,11 +28,14 @@ Implementation notes
   residual histograms SZ produces.  Callers may opt into a tighter
   *depth limit* (``build_code(..., max_len=...)``, at most
   :data:`DEPTH_LIMIT_BITS`): lengths then come from package-merge —
-  optimal under the cap — and every codeword fits a fixed-width
-  decode table, so the lane kernel's miss path vanishes.
-* Decoding uses a flat ``2^TABLE_BITS``-entry table: one lookup per
+  optimal under the cap — and every codeword resolves in the lane
+  table's root, so the lane kernel never follows a sub-table link.
+* The scalar decoder (v2 single-stream frames, and the lane kernel's
+  test oracle) uses a flat ``2^TABLE_BITS``-entry table: one lookup per
   symbol for all codes up to :data:`TABLE_BITS` bits (the common case);
-  longer codes resolve through a canonical first-code search.
+  longer codes resolve through a canonical first-code search.  The
+  lane kernel (:mod:`repro.sz.fastdecode`, v3 frames) uses one packed
+  two-level table (:meth:`_Decoder.lane_table`) that no code misses.
 * Everything derived from one code table — decoder tables, the dense
   encode LUT — hangs off a :class:`CanonicalCodec`, cached process-wide
   by table digest (:func:`codec_for`), so lanes, repeated
@@ -84,11 +87,11 @@ __all__ = [
 MAX_CODE_LEN = 24
 #: Primary decode-table width in bits.
 TABLE_BITS = 12
-#: Widest opt-in depth limit: a ``max_len`` at or below this lets the
-#: lane decode kernel run a full-coverage ``2^max_len`` table (at most
-#: 64 Ki entries, ~1 MB once, amortized by the codec cache) with no
-#: long-code miss path.  Frames carrying the depth-limit flag promise
-#: every code length fits this bound.
+#: Widest opt-in depth limit, and the lane decode table's root width:
+#: codes of at most this many bits resolve in the root (at most 64 Ki
+#: int32 entries, 256 KB); longer codes take one sub-table gather.
+#: Frames carrying the depth-limit flag promise every code length fits
+#: this bound.
 DEPTH_LIMIT_BITS = 16
 #: Hard cap on the interleaved lane count (wire-format sanity bound).
 MAX_LANES = 4096
@@ -364,8 +367,8 @@ def build_code(
     max_len:
         Optional depth limit in ``1..DEPTH_LIMIT_BITS``.  When given,
         every code length is rebalanced to at most ``max_len`` bits
-        (:func:`_rebalance_lengths`), which lets the decode kernel use
-        a full-coverage table with no miss path; raises ``ValueError``
+        (:func:`_rebalance_lengths`), so every lane-kernel lookup
+        resolves in the decode table's root; raises ``ValueError``
         if the alphabet cannot fit (``n_symbols > 2**max_len``).  The
         default ``None`` keeps the historical :data:`MAX_CODE_LEN` cap
         and is bit-identical to prior releases.
@@ -708,14 +711,15 @@ def deserialize_lane_tree(data: bytes, n_values: int) -> tuple[HuffmanCode, Lane
     off += varint_len
     if deltas.size and deltas.min() < 1:
         raise ValueError("lane anchor deltas must be positive")
-    anchors: list[np.ndarray] = []
-    pos = 0
-    for l in range(n_lanes):
-        a = np.cumsum(deltas[pos : pos + int(counts[l])]).astype(np.int64)
-        pos += int(counts[l])
-        if a.size and int(a[-1]) >= int(lane_bits[l]):
-            raise ValueError("lane anchor beyond the lane bitstream")
-        anchors.append(a)
+    anchors = [
+        np.cumsum(d, dtype=np.int64)
+        for d in np.split(deltas, np.cumsum(counts)[:-1])
+    ]
+    # Every anchor must lie inside its lane; a running sum that wrapped
+    # past int64 shows up as a non-positive anchor.
+    flat = np.concatenate(anchors)
+    if ((flat < 1) | (flat >= np.repeat(lane_bits, counts))).any():
+        raise ValueError("lane anchor beyond the lane bitstream")
     code = deserialize_tree(data[off:])
     table = LaneTable(
         n_lanes=n_lanes,
@@ -795,71 +799,76 @@ class _Decoder:
                         int(where.size),
                     )
 
-    def kernel_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Lookup tables shaped for the vectorized lane kernel.
+    def lane_table(self) -> tuple[np.ndarray, int]:
+        """Packed two-level table ``(tab, root_bits)`` for the lane kernel.
 
-        Returns ``(tab_sym, tab_len64, lj_codes, lj_symbols, lj_lengths)``
-        where ``tab_len64`` is the primary length table widened to int64
-        (so per-iteration cursor updates stay cast-free) and the three
-        ``lj_*`` arrays hold the *whole* code left-justified to
-        ``max_len`` bits and sorted ascending.  Canonical codewords are
-        strictly increasing when left-justified, so a primary-table
-        miss resolves with a single ``searchsorted`` (largest
-        left-justified codeword <= the next ``max_len`` window bits)
-        instead of a per-length scan.
+        Every int32 entry is ``(symbol_rank << 5) | code_length``, so a
+        single gather turns a window into a symbol and a bit advance;
+        ranks resolve to symbol values in one gather after decoding.
+
+        ``tab[:2^r]`` is the root, indexed by the next ``r = min(max_len,
+        DEPTH_LIMIT_BITS)`` stream bits.  A code of at most ``r`` bits
+        fills its run of root entries directly, so codes of up to 16
+        bits never leave the root.  A root prefix that starts a longer
+        code holds a negative link ``-start``: the kernel then reads the
+        next ``s = max_len - r`` bits and gathers ``tab[start + bits]``.
+        In canonical order the long codes all sit above the short ones,
+        so the sub-tables are exactly the slice of the would-be
+        ``2^max_len`` full table those codes cover, stored contiguously
+        after the root.  Kraft holes stay 0 at both levels: a corrupt
+        cursor freezes there (length 0) and trips the kernel's
+        segment-boundary check.
+
+        The table never exceeds ``2^r + 2^max_len`` entries, no worse
+        than a one-level table at ``max_len``.  It is filled one code
+        length at a time: codes of one length are consecutive canonical
+        codewords, so each length is one broadcast into a contiguous
+        slice and the build allocates no table-sized temporaries.  Built
+        once per code, amortized by the process-wide codec cache.
         """
         try:
-            return self._kernel_tables
+            return self._lane_table
         except AttributeError:
             pass
-        lengths = self.code.lengths.astype(np.int64)
-        lj = self.code.codewords.astype(np.int64) << (self.max_len - lengths)
-        order = np.argsort(lj, kind="stable")
-        self._kernel_tables = (
-            self.tab_sym,
-            self.tab_len.astype(np.int64),
-            lj[order],
-            self.code.symbols[order],
-            lengths[order],
-        )
-        return self._kernel_tables
-
-    def wide_tables(self) -> tuple[np.ndarray, np.ndarray, int] | None:
-        """Full-coverage packed table ``(tab, symbols, t_bits)`` at
-        width ``max_len``, or ``None`` when the code is too deep.
-
-        When every code length fits :data:`DEPTH_LIMIT_BITS` bits the
-        primary table can simply be as wide as the longest codeword —
-        then *every* window lookup resolves a symbol and the lane
-        kernel's ``searchsorted`` miss path never runs.  Depth-limited
-        frames guarantee this by construction; shallow unlimited codes
-        get the same fast path opportunistically.
-
-        Each int32 entry packs ``(symbol_rank << 5) | code_length`` so
-        the kernel needs a *single* gather per window (Kraft holes stay
-        0, freezing corrupt cursors); ranks resolve to symbol values
-        with one full-array gather after decoding.  The table is at
-        most ``2^DEPTH_LIMIT_BITS`` int32 entries (256 KB — half the
-        footprint of separate symbol/length tables, so the random
-        gathers stay cache-resident), built once per code and amortized
-        by the process-wide codec cache.
-        """
-        if self.max_len > DEPTH_LIMIT_BITS:
-            return None
-        try:
-            return self._wide_tables
-        except AttributeError:
-            pass
-        lengths = self.code.lengths.astype(np.int64)
-        n = lengths.size
-        packed = (np.arange(n, dtype=np.int64) << 5) | lengths
-        tab, _ = _primary_table(
-            packed, lengths, self.code.codewords, self.max_len
-        )
-        self._wide_tables = (
-            tab.astype(np.int32), self.code.symbols, self.max_len
-        )
-        return self._wide_tables
+        lengths = self.code.lengths
+        max_len = self.max_len
+        root_bits = min(max_len, DEPTH_LIMIT_BITS)
+        sub_bits = max_len - root_bits
+        counts = np.bincount(lengths, minlength=max_len + 1)
+        # Ranks in canonical (length, symbol) order.
+        ranks = np.argsort(lengths, kind="stable").astype(np.int32)
+        first = [0] * (max_len + 1)  # first canonical codeword per length
+        for ln in range(1, max_len + 1):
+            first[ln] = (first[ln - 1] + int(counts[ln - 1])) << 1
+        # Full-table span [lo, hi) of the codes longer than root_bits,
+        # and the count of root prefixes it touches (ceil division).
+        lo = (first[root_bits] + int(counts[root_bits])) << sub_bits
+        hi = first[max_len] + int(counts[max_len])
+        n_links = -((lo - hi) >> sub_bits)
+        root_size = 1 << root_bits
+        tab = np.zeros(root_size + (n_links << sub_bits), dtype=np.int32)
+        if n_links:
+            tab[lo >> sub_bits : (lo >> sub_bits) + n_links] = -(
+                root_size + (np.arange(n_links, dtype=np.int32) << sub_bits)
+            )
+        pos = 0
+        for ln in range(1, max_len + 1):
+            n = int(counts[ln])
+            if not n:
+                continue
+            entries = (ranks[pos : pos + n] << 5) | np.int32(ln)
+            pos += n
+            if ln <= root_bits:
+                span = root_bits - ln
+                start = first[ln] << span
+            else:
+                span = max_len - ln
+                start = root_size + (first[ln] << span) - lo
+            tab[start : start + (n << span)].reshape(n, 1 << span)[:] = (
+                entries[:, None]
+            )
+        self._lane_table = (tab, root_bits)
+        return self._lane_table
 
     def _build_fast_table(self) -> None:
         """Multi-symbol lookup: for every t_bits window, the run of
@@ -1090,9 +1099,11 @@ class CanonicalCodec:
 
 
 #: Process-wide codec cache.  Keyed by table digest; bounded LRU.  The
-#: derived state per entry is a few MB at worst (wide decode tables),
-#: so a generous bound still keeps the cache small while letting
-#: daemon-style workloads with many distinct error bounds all hit.
+#: derived state per entry is about 1 MB for real frames (nyx: a 256 KB
+#: lane-table root plus ~0.4 MB of sub-tables), so a generous bound
+#: still keeps the cache small while letting daemon-style workloads
+#: with many distinct error bounds all hit.  A deliberately deep tree
+#: can force a lane table of up to ``2^16 + 2^24`` int32 entries.
 _CODEC_CACHE_SIZE = 64
 _codec_cache: OrderedDict[bytes, CanonicalCodec] = OrderedDict()
 _codec_cache_lock = threading.Lock()

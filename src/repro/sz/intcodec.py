@@ -78,7 +78,10 @@ def varint_decode(data: bytes, count: int) -> np.ndarray:
             shift += 7
             if shift > 63:
                 raise ValueError("varint overflows 64 bits")
-        values[i] = acc
+        try:
+            values[i] = acc
+        except OverflowError:  # tenth byte carried more than bit 63
+            raise ValueError("varint overflows 64 bits") from None
     return zigzag_decode(values)
 
 

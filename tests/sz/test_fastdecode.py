@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.sz import fastdecode, huffman
+from repro.sz import fastdecode, huffman, intcodec
 from repro.sz.bitstream import concat_streams, sliding_window_u32
 from repro.sz.compressor import SZCompressor
 
@@ -58,15 +58,16 @@ class TestLaneRoundTrip:
         assert np.array_equal(out, values)
 
     def test_long_codes_beyond_table_bits(self):
-        # A huge, nearly-uniform alphabet forces codes past TABLE_BITS,
-        # exercising the vectorized canonical-search fallback.
+        # A huge, nearly-uniform alphabet forces codes past
+        # DEPTH_LIMIT_BITS, so the kernel resolves them through the
+        # lane table's sub-tables.
         rng = np.random.default_rng(3)
         rare = rng.integers(0, 30_000, 60_000)
         common = np.zeros(90_000, dtype=np.int64)
         values = np.concatenate([rare, common]).astype(np.int64)
         rng.shuffle(values)
         code, _, _ = _encode(values, 16, 512)
-        assert int(code.lengths.max()) > huffman.TABLE_BITS
+        assert int(code.lengths.max()) > huffman.DEPTH_LIMIT_BITS
         out = _roundtrip(values, 16, 512)
         assert np.array_equal(out, values)
 
@@ -133,6 +134,45 @@ class TestLaneTableSerialization:
         blob = huffman.serialize_lane_tree(code, bad)
         with pytest.raises(ValueError, match="anchor"):
             huffman.deserialize_lane_tree(blob, values.size)
+
+    @staticmethod
+    def _lane_blob(code, table, deltas):
+        """A tree section whose varint region holds exactly ``deltas``
+        (header ``varint_len`` patched to match)."""
+        varints = intcodec.varint_encode(np.asarray(deltas, dtype=np.int64))
+        return (
+            struct.pack("<4sHII", b"HLT1", table.n_lanes,
+                        table.anchor_stride, len(varints))
+            + table.lane_bits.astype("<i8").tobytes()
+            + varints
+            + huffman.serialize_tree(code)
+        )
+
+    def test_varint_region_one_anchor_short_rejected(self, skewed_values):
+        values = skewed_values[:5000]
+        code, enc, _ = _encode(values, 4, 256)
+        deltas = np.concatenate(
+            [np.diff(a, prepend=np.int64(0)) for a in enc.table.anchors]
+        )
+        blob = self._lane_blob(code, enc.table, deltas[:-1])
+        with pytest.raises(ValueError):
+            huffman.deserialize_lane_tree(blob, values.size)
+
+    @pytest.mark.parametrize(
+        "deltas",
+        [[(1 << 63) - 1, (1 << 63) - 1, 2, 2], [1, (1 << 63) - 1, 2, 2]],
+        ids=["huge-then-wrap", "wrap-negative"],
+    )
+    def test_wrapped_anchor_sum_rejected(self, skewed_values, deltas):
+        # Positive deltas whose running sum wraps int64 leave a last
+        # anchor inside the lane; the wrapped anchors must not reach
+        # the kernel as out-of-range segment starts.
+        values = skewed_values[: 4 * 64 + 1]
+        code, enc, codes = _encode(values, 1, 64)
+        blob = self._lane_blob(code, enc.table, deltas)
+        with pytest.raises(ValueError, match="anchor"):
+            table = huffman.deserialize_lane_tree(blob, values.size)[1]
+            fastdecode.decode_lanes(codes, code, table, values.size)
 
 
 class TestKernelCorruptionRejection:

@@ -107,8 +107,8 @@ class TestEncodeDecode:
         assert np.array_equal(huffman.decode(packed, code, values.size), values)
 
     def test_long_codes_beyond_table_bits(self):
-        # Force codeword lengths above TABLE_BITS so the long-code
-        # fallback path decodes too.
+        # Force codeword lengths above TABLE_BITS so the scalar
+        # decoder's canonical long-code scan decodes too.
         n = 1 << 14  # enough leaves to exceed 12-bit codes
         freqs = np.ones(n, dtype=np.int64)
         freqs[0] = 10_000_000

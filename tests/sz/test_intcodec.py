@@ -47,6 +47,12 @@ class TestVarint:
         with pytest.raises(ValueError, match="truncated"):
             intcodec.varint_decode(data[:-1], 1)
 
+    def test_tenth_byte_past_bit_63_rejected(self):
+        # Ten bytes is the longest legal varint, but only bit 0 of the
+        # tenth byte fits in 64 bits.
+        with pytest.raises(ValueError, match="overflows"):
+            intcodec.varint_decode(b"\xff" * 9 + b"\x7f", 1)
+
     def test_overlong_varint_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
             intcodec.varint_decode(b"\xff" * 11, 1)

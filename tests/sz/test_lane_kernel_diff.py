@@ -1,0 +1,243 @@
+"""Differential tests: the lane kernel against the scalar decoder.
+
+``fastdecode.decode_lanes`` decodes every v3 frame through one
+two-level packed table (``_Decoder.lane_table``) and one staged-output
+loop.  The scalar ``huffman.decode`` — the v2 single-stream decoder,
+with its own 12-bit table and canonical long-code scan — is the
+oracle: each lane of a v3 encoding is a self-contained stream it can
+read, so the kernel's output must equal the scalar decode of every
+lane, concatenated.  Codes are drawn at the depths where the table's
+shape changes (one level up to 16 bits; root plus 1- to 8-bit
+sub-tables above) and at shallow depths that pack up to 9 symbols per
+gather, in uniform and ragged segment layouts; incomplete codes check
+that both table levels keep their Kraft holes fail-closed.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sz import fastdecode, huffman
+from repro.sz.bitstream import concat_streams
+from repro.sz.huffman import DEPTH_LIMIT_BITS, LaneTable
+
+DEPTHS = (6, 12, 16, 17, 19, 20, 21, 24)
+
+
+def _code_from_lengths(lengths, seed: int = 0) -> huffman.HuffmanCode:
+    """Canonical code over sparse symbols with exactly these lengths."""
+    lengths = np.asarray(lengths, dtype=np.uint8)
+    rng = np.random.default_rng(seed)
+    symbols = np.cumsum(rng.integers(1, 5, lengths.size)) - 40
+    return huffman.codec_from_table(
+        symbols.astype(np.int64), rng.permutation(lengths)
+    ).code
+
+
+@st.composite
+def codes_of_depth(draw, max_len: int):
+    """A valid code whose longest codeword is exactly ``max_len`` bits.
+
+    Starts from the complete chain ``1, 2, ..., max_len, max_len`` and
+    splits drawn leaves one level deeper (Kraft stays 1), then may drop
+    leaves to leave holes — never the last ``max_len`` leaf, so the
+    depth holds.
+    """
+    lengths = list(range(1, max_len + 1)) + [max_len]
+    for pick in draw(st.lists(st.integers(0, 1 << 20), max_size=60)):
+        i = pick % (len(lengths) - 1)
+        if lengths[i] < max_len:
+            lengths[i : i + 1] = [lengths[i] + 1] * 2
+    for pick in draw(st.lists(st.integers(0, 1 << 20), max_size=3)):
+        if len(lengths) > 2:
+            del lengths[pick % (len(lengths) - 1)]
+    return _code_from_lengths(lengths, draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def layouts(draw):
+    """``(n_values, n_lanes, stride)``: uniform segment grids, ragged
+    tails, and lanes shorter than the stride."""
+    n_lanes = draw(st.integers(1, 6))
+    stride = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        return n_lanes * stride * draw(st.integers(1, 6)), n_lanes, stride
+    return draw(st.integers(n_lanes, 700)), n_lanes, stride
+
+
+def _values(code: huffman.HuffmanCode, n: int, seed: int) -> np.ndarray:
+    """Mostly uniform over the alphabet, so long codes (and sub-table
+    lookups) are common, with one symbol made frequent."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(code.n_symbols))
+    p[rng.integers(code.n_symbols)] += 1.0
+    return rng.choice(code.symbols, size=n, p=p / p.sum())
+
+
+def _kernel_and_scalar(code, values, n_lanes, stride):
+    enc = huffman.encode_lanes(values, code, n_lanes, stride)
+    kernel = fastdecode.decode_lanes(
+        concat_streams(list(enc.lanes)), code, enc.table, values.size
+    )
+    sizes = huffman.lane_sizes(values.size, n_lanes)
+    scalar = np.concatenate([
+        huffman.decode(lane, code, int(size))
+        for lane, size in zip(enc.lanes, sizes)
+    ])
+    return kernel, scalar
+
+
+class TestKernelMatchesScalar:
+    @pytest.mark.parametrize("max_len", DEPTHS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_codes_and_layouts(self, max_len, data):
+        code = data.draw(codes_of_depth(max_len))
+        assert int(code.lengths.max()) == max_len
+        n, n_lanes, stride = data.draw(layouts())
+        values = _values(code, n, data.draw(st.integers(0, 2**32 - 1)))
+        kernel, scalar = _kernel_and_scalar(code, values, n_lanes, stride)
+        np.testing.assert_array_equal(kernel, scalar)
+        np.testing.assert_array_equal(kernel, values)
+
+    @pytest.mark.parametrize("max_len", DEPTHS)
+    @pytest.mark.parametrize(
+        "n, n_lanes, stride",
+        [
+            (4 * 3 * 64, 4, 64),     # uniform grid
+            (4 * 3 * 64 + 5, 4, 64),  # ragged last segments
+            (3 * 7, 3, 64),           # every lane shorter than the stride
+            (2 * 13 + 1, 2, 13),      # quotas ending mid-group (k = 2, 3)
+            (1, 1, 1),
+        ],
+    )
+    def test_fixed_layouts(self, max_len, n, n_lanes, stride):
+        code = _code_from_lengths(
+            list(range(1, max_len + 1)) + [max_len], seed=max_len
+        )
+        values = _values(code, n, seed=n)
+        kernel, scalar = _kernel_and_scalar(code, values, n_lanes, stride)
+        np.testing.assert_array_equal(kernel, scalar)
+        np.testing.assert_array_equal(kernel, values)
+
+
+class TestTableShape:
+    @pytest.mark.parametrize("max_len", DEPTHS)
+    def test_root_width_and_size_bound(self, max_len):
+        code = _code_from_lengths(list(range(1, max_len + 1)) + [max_len])
+        tab, root_bits = huffman._Decoder(code).lane_table()
+        assert tab.dtype == np.int32
+        assert root_bits == min(max_len, DEPTH_LIMIT_BITS)
+        assert tab.size <= (1 << root_bits) + (1 << max_len)
+        # Links live in the root only; sub-table entries are leaves.
+        assert (tab[: 1 << root_bits] < 0).sum() == (max_len > root_bits)
+        assert (tab[1 << root_bits :] >= 0).all()
+
+    def test_hostile_tree_build_is_bounded(self):
+        # One 1-bit symbol, then 2^15 root prefixes' worth of lengths
+        # 17..24,24: every prefix of the lower half links to a full
+        # 256-entry sub-table, a 34 MB table from a 590 KB tree.
+        lengths = np.concatenate([
+            [1], np.tile(np.r_[np.arange(17, 25), 24], 1 << 15)
+        ]).astype(np.uint8)
+        code = huffman.HuffmanCode(
+            symbols=np.arange(lengths.size, dtype=np.int64),
+            lengths=lengths,
+            codewords=huffman._canonical_codewords(lengths),
+        )
+        assert code.n_symbols == 294_913
+        tracemalloc.start()
+        try:
+            tab, root_bits = huffman._Decoder(code).lane_table()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tab.size <= (1 << root_bits) + (1 << 24)
+        assert tab.size == (1 << 16) + (1 << 23)
+        assert peak <= 2 * tab.nbytes
+        # And the table decodes: a lane stream over every length.
+        rng = np.random.default_rng(0)
+        values = rng.choice(code.symbols, size=3000)
+        try:
+            kernel, scalar = _kernel_and_scalar(code, values, 3, 64)
+        finally:
+            huffman.codec_cache_clear()  # drop the cached 34 MB table
+        np.testing.assert_array_equal(kernel, scalar)
+
+
+class TestKraftHoles:
+    # Lengths 1..15 leave the last two 16-bit root prefixes free; one
+    # 20-bit code takes the first slot under 0xFFFE.  So prefix 0xFFFF
+    # is a root hole and 0xFFFE + any nonzero 4 bits a sub-table hole.
+    LENGTHS = list(range(1, 16)) + [20]
+
+    def _corrupt(self, prefix: bytes):
+        code = _code_from_lengths(self.LENGTHS, seed=5)
+        values = _values(code, 600, seed=5)
+        enc = huffman.encode_lanes(values, code, 2, 64)
+        codes = bytearray(concat_streams(list(enc.lanes)))
+        codes[: len(prefix)] = prefix
+        return bytes(codes), code, enc, values
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [b"\xff\xff\xff", b"\xff\xfe\x10"],
+        ids=["root-hole", "sub-table-hole"],
+    )
+    def test_hole_fails_closed(self, prefix):
+        codes, code, enc, values = self._corrupt(prefix)
+        with pytest.raises(ValueError):
+            fastdecode.decode_lanes(codes, code, enc.table, values.size)
+        lane0 = huffman.PackedBits(
+            data=codes[: len(enc.lanes[0].data)],
+            n_bits=enc.lanes[0].n_bits,
+        )
+        with pytest.raises(ValueError):
+            huffman.decode(lane0, code, values.size // 2)
+
+    def test_holes_are_zero_at_both_levels(self):
+        code = _code_from_lengths(self.LENGTHS, seed=5)
+        tab, root_bits = huffman._Decoder(code).lane_table()
+        assert tab[0xFFFF] == 0
+        link = -int(tab[0xFFFE])
+        assert link >= 1 << root_bits
+        assert tab[link] != 0 and (tab[link + 1 : link + 16] == 0).all()
+
+    @pytest.mark.parametrize("max_len", (17, 21, 24))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_flipped_streams_raise_only_valueerror(self, max_len, data):
+        code = data.draw(codes_of_depth(max_len))
+        n, n_lanes, stride = data.draw(layouts())
+        values = _values(code, n, data.draw(st.integers(0, 2**32 - 1)))
+        enc = huffman.encode_lanes(values, code, n_lanes, stride)
+        codes = bytearray(concat_streams(list(enc.lanes)))
+        if not codes:
+            return
+        for pick in data.draw(st.lists(st.integers(0, 1 << 30), min_size=1,
+                                       max_size=4)):
+            codes[pick % len(codes)] ^= 1 << (pick >> 20) % 8
+        try:
+            out = fastdecode.decode_lanes(bytes(codes), code, enc.table, n)
+        except ValueError:
+            return
+        assert out.shape == (n,) and out.dtype == np.int64
+        assert np.isin(out, code.symbols).all()
+
+
+def test_segment_layout_rejects_inconsistent_table():
+    code = _code_from_lengths([1, 2, 3, 3])
+    values = _values(code, 100, seed=1)
+    enc = huffman.encode_lanes(values, code, 2, 8)
+    codes = concat_streams(list(enc.lanes))
+    short = LaneTable(
+        n_lanes=2,
+        anchor_stride=8,
+        lane_bits=enc.table.lane_bits,
+        anchors=(enc.table.anchors[0][:-1], enc.table.anchors[1]),
+    )
+    with pytest.raises(ValueError, match="anchor count"):
+        fastdecode.decode_lanes(codes, code, short, values.size)
