@@ -23,7 +23,6 @@ from repro.core import trace
 from repro.core.schemes import get_scheme
 from repro.crypto.aes import AES128
 from repro.sz.compressor import SZCompressor, SZFrame
-from repro.sz.lossless import DEFAULT_LEVEL
 
 from conftest import BENCH_REPEATS, BENCH_SIZE, TABLE_DATASETS, emit
 
@@ -37,10 +36,8 @@ def _paired_decompress_overhead(data, scheme_name, eb, repeats):
     _, dec_rate = aes_calibration()
     sz = SZCompressor(eb)
     frame = sz.compress(np.asarray(data))
-    protected = scheme.protect(
-        dict(frame.sections), cipher, iv, "cbc", DEFAULT_LEVEL
-    )
-    plain = base.protect(dict(frame.sections), None, iv, "cbc", DEFAULT_LEVEL)
+    protected = scheme.protect(dict(frame.sections), cipher, iv, "cbc")
+    plain = base.protect(dict(frame.sections), None, iv, "cbc")
     ratios = []
     for _ in range(repeats):
         scheme_tr = trace.Tracer()

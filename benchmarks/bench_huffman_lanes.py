@@ -257,48 +257,6 @@ def main() -> dict:
         2,
     )
 
-    # ------------------------------------------------------------------
-    # Depth-limited codes: cap code depth at DEPTH_LIMIT_BITS so every
-    # lookup resolves in the lane table's root (3 symbols per 64-bit
-    # gather instead of 57 // max_len) and no sub-table link is ever
-    # taken; measure that decode edge and the rate cost alongside.
-    # ------------------------------------------------------------------
-    if symbols.size <= (1 << huffman.DEPTH_LIMIT_BITS):
-        dl_code = huffman.build_code(
-            symbols, counts, max_len=huffman.DEPTH_LIMIT_BITS
-        )
-        result["max_code_len_limited"] = int(dl_code.lengths.max())
-        _, stride = huffman.choose_lane_params(n, packed.n_bits)
-        enc = huffman.encode_lanes(flat_codes, dl_code, 16, stride)
-        dl_bytes = concat_streams(list(enc.lanes))
-        dl_table = enc.table
-        assert np.array_equal(
-            fastdecode.decode_lanes(dl_bytes, dl_code, dl_table, n),
-            flat_codes,
-        )
-        result["limited_rate_overhead_pct"] = round(
-            (enc.n_bits / packed.n_bits - 1) * 100, 3
-        )
-        secs = _best_seconds(
-            lambda: huffman.encode_lanes(flat_codes, dl_code, 16, stride)
-        )
-        result["encode_mb_per_s"]["lanes_16_limited"] = round(
-            field_mb / secs, 2
-        )
-        secs = _median_cpu_seconds(
-            lambda: fastdecode.decode_lanes(dl_bytes, dl_code, dl_table, n)
-        )
-        result["decode_mb_per_s"]["lanes_16_limited"] = round(
-            field_mb / secs, 2
-        )
-        result["decode_mb_per_s"]["limited_over_unlimited"] = round(
-            result["decode_mb_per_s"]["lanes_16_limited"]
-            / result["decode_mb_per_s"]["lanes_16"],
-            2,
-        )
-        result["decode_msym_per_s"]["lanes_16_limited"] = round(
-            n / secs / 1e6, 2
-        )
     with open(os.path.abspath(OUT_PATH), "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")

@@ -322,15 +322,10 @@ class ArchiveStore:
 
     # -- sealing ------------------------------------------------------
 
-    def _fresh_iv(self) -> bytes:
-        if self._cipher_mode == "ctr":
-            return crypto_rng.generate_nonce(self._rng)
-        return crypto_rng.generate_iv(self._rng)
-
     def _seal(self, chunk: bytes, codec: int) -> tuple[_Blob, bytes]:
         payload = _encode(chunk, codec)
         if self._key is not None:
-            iv = self._fresh_iv()
+            iv = crypto_rng.fresh_iv(self._cipher_mode, self._rng)
             enc = _ENC_BY_MODE[self._cipher_mode]
             payload = AES128(self._key).encrypt(
                 payload, mode=self._cipher_mode, iv=iv

@@ -20,7 +20,6 @@ from repro.crypto import pipelined
 from repro.crypto import rng as crypto_rng
 from repro.crypto.aes import AES128
 from repro.sz.compressor import CompressionStats, SZCompressor, SZFrame
-from repro.sz.lossless import DEFAULT_LEVEL
 from repro.sz.quantizer import ErrorBound
 
 __all__ = ["SecureCompressor", "CompressResult"]
@@ -74,14 +73,8 @@ class SecureCompressor:
         encryption runs on the batched engine and the keystream is
         precomputed concurrently with compression (see
         :mod:`repro.crypto.pipelined`).
-    predictor, block_size, coverage, encode_workers, depth_limit:
-        Forwarded to :class:`~repro.sz.compressor.SZCompressor`
-        (``encode_workers`` packs v3 Huffman lanes on a thread pool
-        with byte-identical output for any worker count;
-        ``depth_limit`` opts into length-limited canonical codes so
-        decode never leaves the fast table).
-    zlib_level:
-        Lossless-stage effort (0-9).
+    predictor:
+        Forwarded to :class:`~repro.sz.compressor.SZCompressor`.
     authenticate:
         Wrap the container with an encrypt-then-MAC HMAC-SHA256 tag
         (see :mod:`repro.core.integrity`).  Tampering — including the
@@ -124,11 +117,6 @@ class SecureCompressor:
         key: bytes | None = None,
         cipher_mode: str = "cbc",
         predictor: str = "auto",
-        block_size: int = 8,
-        coverage: float = 0.995,
-        encode_workers: int = 1,
-        depth_limit: int | None = None,
-        zlib_level: int = DEFAULT_LEVEL,
         authenticate: bool = False,
         random_state: np.random.Generator | None = None,
         allow_nonce_reuse: bool = False,
@@ -162,15 +150,7 @@ class SecureCompressor:
             self._cipher = AES128(key) if key is not None else None
         self.authenticate = authenticate
         self._master_key = key
-        self._sz = SZCompressor(
-            error_bound,
-            predictor=predictor,
-            block_size=block_size,
-            coverage=coverage,
-            encode_workers=encode_workers,
-            depth_limit=depth_limit,
-        )
-        self.zlib_level = zlib_level
+        self._sz = SZCompressor(error_bound, predictor=predictor)
         self._random_state = random_state
 
     @property
@@ -182,11 +162,6 @@ class SecureCompressor:
     def sz(self) -> SZCompressor:
         """The underlying SZ compressor (read-mostly)."""
         return self._sz
-
-    def _fresh_iv(self) -> bytes:
-        if self.cipher_mode == "ctr":
-            return crypto_rng.generate_nonce(self._random_state)
-        return crypto_rng.generate_iv(self._random_state)
 
     # ------------------------------------------------------------------
 
@@ -207,7 +182,7 @@ class SecureCompressor:
             # The IV/nonce is drawn *before* the SZ stages: in CTR mode
             # the keystream depends only on (key, nonce, counter), so a
             # background thread can generate it while compression runs.
-            iv = self._fresh_iv()
+            iv = crypto_rng.fresh_iv(self.cipher_mode, self._random_state)
             cipher = self._cipher
             prefetcher = None
             if (
@@ -225,8 +200,7 @@ class SecureCompressor:
                 frame = self._sz.compress(data, tracer=tr)
                 with tr.span("protect") as psp:
                     out_sections = self._scheme.protect(
-                        frame.sections, cipher, iv, self.cipher_mode,
-                        self.zlib_level, tr,
+                        frame.sections, cipher, iv, self.cipher_mode, tr
                     )
                     psp.bytes_out = sum(
                         len(v) for v in out_sections.values()

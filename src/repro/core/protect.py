@@ -18,7 +18,6 @@ from repro.core import integrity
 from repro.core.schemes import get_scheme
 from repro.crypto import rng as crypto_rng
 from repro.crypto.aes import AES128
-from repro.sz.lossless import DEFAULT_LEVEL
 
 __all__ = ["protect_sections", "unprotect_container"]
 
@@ -29,7 +28,6 @@ def protect_sections(
     *,
     key: bytes | None = None,
     cipher_mode: str = "cbc",
-    zlib_level: int = DEFAULT_LEVEL,
     authenticate: bool = False,
     random_state: np.random.Generator | None = None,
 ) -> bytes:
@@ -43,12 +41,8 @@ def protect_sections(
         raise ValueError(f"scheme {scheme!r} (or authentication) requires a key")
     crypto_rng.refuse_seeded_ctr(cipher_mode, random_state)
     cipher = AES128(key) if key is not None else None
-    iv = (
-        crypto_rng.generate_nonce(random_state)
-        if cipher_mode == "ctr"
-        else crypto_rng.generate_iv(random_state)
-    )
-    out = scheme_obj.protect(sections, cipher, iv, cipher_mode, zlib_level)
+    iv = crypto_rng.fresh_iv(cipher_mode, random_state)
+    out = scheme_obj.protect(sections, cipher, iv, cipher_mode)
     blob = cont.pack_container(scheme_obj.scheme_id, cipher_mode, iv, out)
     if authenticate:
         blob = integrity.authenticate(blob, key)

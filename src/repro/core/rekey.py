@@ -52,13 +52,9 @@ def rotate_key(
         sections = scheme.unprotect(
             parsed.sections, old_cipher, parsed.iv, parsed.cipher_mode
         )
-        iv = (
-            crypto_rng.generate_nonce(random_state)
-            if parsed.cipher_mode == "ctr"
-            else crypto_rng.generate_iv(random_state)
-        )
+        iv = crypto_rng.fresh_iv(parsed.cipher_mode, random_state)
         out_sections = scheme.protect(
-            sections, new_cipher, iv, parsed.cipher_mode, 6
+            sections, new_cipher, iv, parsed.cipher_mode
         )
         out = cont.pack_container(
             scheme.scheme_id, parsed.cipher_mode, iv, out_sections

@@ -50,7 +50,6 @@ class Scheme(abc.ABC):
         cipher: AES128 | None,
         iv: bytes,
         mode: str,
-        level: int,
         tracer: trace.Tracer | None = None,
     ) -> dict[str, bytes]:
         """Transform frame sections into container sections.
@@ -128,11 +127,11 @@ class NoEncryption(Scheme):
     scheme_id = 0
     requires_key = False
 
-    def protect(self, frame_sections, cipher, iv, mode, level, tracer=None):
+    def protect(self, frame_sections, cipher, iv, mode, tracer=None):
         tr = tracer or trace.NULL_TRACER
         blob = self._frame_blob(frame_sections)
         with tr.span("lossless", bytes_in=len(blob)) as sp:
-            z = lossless.compress(blob, level)
+            z = lossless.compress(blob)
             sp.bytes_out = len(z)
         return {"zblob": z}
 
@@ -156,12 +155,12 @@ class CmprEncr(Scheme):
     name = "cmpr_encr"
     scheme_id = 1
 
-    def protect(self, frame_sections, cipher, iv, mode, level, tracer=None):
+    def protect(self, frame_sections, cipher, iv, mode, tracer=None):
         tr = tracer or trace.NULL_TRACER
         cipher = self._check_cipher(cipher)
         blob = self._frame_blob(frame_sections)
         with tr.span("lossless", bytes_in=len(blob)) as sp:
-            z = lossless.compress(blob, level)
+            z = lossless.compress(blob)
             sp.bytes_out = len(z)
         with tr.span("encrypt", bytes_in=len(z), mode=mode) as sp:
             ct = cipher.encrypt(z, mode=mode, iv=iv).ciphertext
@@ -212,7 +211,7 @@ class EncrQuant(Scheme):
     _ENCRYPTED = ("meta", "tree", "codes")
     _PLAIN = ("unpred", "coeffs", "exact", "aux")
 
-    def protect(self, frame_sections, cipher, iv, mode, level, tracer=None):
+    def protect(self, frame_sections, cipher, iv, mode, tracer=None):
         tr = tracer or trace.NULL_TRACER
         cipher = self._check_cipher(cipher)
         quant_blob = cont.pack_sections(
@@ -225,7 +224,7 @@ class EncrQuant(Scheme):
         outer.update({k: frame_sections[k] for k in self._PLAIN})
         packed = cont.pack_sections(outer)
         with tr.span("lossless", bytes_in=len(packed)) as sp:
-            z = lossless.compress(packed, level)
+            z = lossless.compress(packed)
             sp.bytes_out = len(z)
         return {"zblob": z}
 
@@ -276,7 +275,7 @@ class EncrHuffman(Scheme):
 
     _PLAIN = ("meta", "codes", "unpred", "coeffs", "exact", "aux")
 
-    def protect(self, frame_sections, cipher, iv, mode, level, tracer=None):
+    def protect(self, frame_sections, cipher, iv, mode, tracer=None):
         cipher = self._check_cipher(cipher)
         # Deflate the tree *before* encrypting it: ciphertext is
         # incompressible, so encrypting the raw serialization would
@@ -288,7 +287,7 @@ class EncrHuffman(Scheme):
         tr = tracer or trace.NULL_TRACER
         with tr.span("lossless",
                      bytes_in=len(frame_sections["tree"])) as sp:
-            tree_z = lossless.compress(frame_sections["tree"], level)
+            tree_z = lossless.compress(frame_sections["tree"])
             sp.bytes_out = len(tree_z)
         with tr.span("encrypt", bytes_in=len(tree_z), mode=mode) as sp:
             ct = cipher.encrypt(tree_z, mode=mode, iv=iv).ciphertext
@@ -297,7 +296,7 @@ class EncrHuffman(Scheme):
         outer.update({k: frame_sections[k] for k in self._PLAIN})
         packed = cont.pack_sections(outer)
         with tr.span("lossless", bytes_in=len(packed)) as sp:
-            z = lossless.compress(packed, level)
+            z = lossless.compress(packed)
             sp.bytes_out = len(z)
         return {"zblob": z}
 
@@ -348,7 +347,7 @@ class EncrHuffmanRaw(EncrHuffman):
     name = "encr_huffman_raw"
     scheme_id = 4
 
-    def protect(self, frame_sections, cipher, iv, mode, level, tracer=None):
+    def protect(self, frame_sections, cipher, iv, mode, tracer=None):
         tr = tracer or trace.NULL_TRACER
         cipher = self._check_cipher(cipher)
         with tr.span("encrypt", bytes_in=len(frame_sections["tree"]),
@@ -361,7 +360,7 @@ class EncrHuffmanRaw(EncrHuffman):
         outer.update({k: frame_sections[k] for k in self._PLAIN})
         packed = cont.pack_sections(outer)
         with tr.span("lossless", bytes_in=len(packed)) as sp:
-            z = lossless.compress(packed, level)
+            z = lossless.compress(packed)
             sp.bytes_out = len(z)
         return {"zblob": z}
 

@@ -80,7 +80,6 @@ KNOWN_COUNTERS = (
     "fastdecode.segments",         # independent decode segments (lanes + anchors)
     "huffman.codec_cache_hits",    # codec cache served a cached canonical codec
     "huffman.codec_cache_misses",  # canonical codec had to be built
-    "huffman.depth_limited_frames",  # frames emitted with the depth-limit flag
     "huffman.encode_lanes",        # Huffman lanes encoded (v2 counts as 1)
     "huffman.packed_words",        # uint64 words written by the pack kernel
     "predict.sample_points",       # points sampled per predictor-selection estimate

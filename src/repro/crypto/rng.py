@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-__all__ = ["generate_iv", "generate_nonce", "refuse_seeded_ctr"]
+__all__ = ["generate_iv", "generate_nonce", "fresh_iv", "refuse_seeded_ctr"]
 
 
 def generate_iv(rng: np.random.Generator | None = None) -> bytes:
@@ -33,6 +33,16 @@ def generate_nonce(rng: np.random.Generator | None = None) -> bytes:
     if rng is None:
         return os.urandom(8)
     return rng.integers(0, 256, size=8, dtype=np.uint8).tobytes()
+
+
+def fresh_iv(
+    cipher_mode: str, rng: np.random.Generator | None = None
+) -> bytes:
+    """Return a fresh IV for ``cipher_mode``: an 8-byte nonce for
+    ``"ctr"``, a 16-byte IV otherwise."""
+    if cipher_mode == "ctr":
+        return generate_nonce(rng)
+    return generate_iv(rng)
 
 
 def refuse_seeded_ctr(

@@ -18,7 +18,6 @@ from repro.core.schemes import Scheme, get_scheme
 from repro.crypto import rng as crypto_rng
 from repro.crypto.aes import AES128
 from repro.imagecodec.codec import ImageCodec, ImageStats
-from repro.sz.lossless import DEFAULT_LEVEL
 
 __all__ = ["SecureImageCompressor", "ImageCompressResult"]
 
@@ -64,7 +63,6 @@ class SecureImageCompressor:
         *,
         key: bytes | None = None,
         cipher_mode: str = "cbc",
-        zlib_level: int = DEFAULT_LEVEL,
         authenticate: bool = False,
         random_state: np.random.Generator | None = None,
     ) -> None:
@@ -82,7 +80,6 @@ class SecureImageCompressor:
         self.authenticate = authenticate
         self._master_key = key
         self._codec = ImageCodec(quality)
-        self.zlib_level = zlib_level
         self._random_state = random_state
 
     @property
@@ -95,17 +92,12 @@ class SecureImageCompressor:
         """The inner JPEG-like codec."""
         return self._codec
 
-    def _fresh_iv(self) -> bytes:
-        if self.cipher_mode == "ctr":
-            return crypto_rng.generate_nonce(self._random_state)
-        return crypto_rng.generate_iv(self._random_state)
-
     def compress(self, image: np.ndarray) -> ImageCompressResult:
         """Encode ``image`` and apply the scheme's protection."""
         sections, stats = self._codec.encode(image)
-        iv = self._fresh_iv()
+        iv = crypto_rng.fresh_iv(self.cipher_mode, self._random_state)
         out_sections = self._scheme.protect(
-            sections, self._cipher, iv, self.cipher_mode, self.zlib_level
+            sections, self._cipher, iv, self.cipher_mode
         )
         blob = cont.pack_container(
             self._scheme.scheme_id, self.cipher_mode, iv, out_sections

@@ -1,12 +1,11 @@
 """Span-name registry: traced span names must be documented.
 
 Every span name opened under ``src/repro/{core,sz,crypto,parallel}``
-(via ``tracer.span(...)``, ``tracer.stage(...)`` or a literal
-``trace.Span(name=...)``) must appear in the docs/OBSERVABILITY.md
-span-name registry, and every name pinned by the golden trace fixtures
-under ``tests/data/traces/`` must be documented too.  A renamed span
-otherwise silently breaks ``secz trace`` readers and the Fig. 7 /
-Tables III-V stage keys.
+(via ``tracer.span(...)`` or a literal ``trace.Span(name=...)``) must
+appear in the docs/OBSERVABILITY.md span-name registry, and every name
+pinned by the golden trace fixtures under ``tests/data/traces/`` must
+be documented too.  A renamed span otherwise silently breaks ``secz
+trace`` readers and the Fig. 7 / Tables III-V stage keys.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ def _span_names(tree: ast.AST):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in ("span", "stage"):
+        if isinstance(func, ast.Attribute) and func.attr == "span":
             if node.args and isinstance(node.args[0], ast.Constant) \
                     and isinstance(node.args[0].value, str):
                 yield node.args[0].value, node.lineno

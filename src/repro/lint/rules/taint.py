@@ -9,7 +9,7 @@ not reach
 
 * exception messages (``raise X(f"bad key {key!r}")``),
 * ``print``/``logging`` calls,
-* trace span attributes and counters (``tracer.stage(..., key=key)``,
+* trace span attributes and counters (``tracer.span(..., key=key)``,
   ``span.annotate``),
 * ``repr``/``str`` conversions that feed any of the above,
 * file/socket writes outside the sanctioned seal paths.
@@ -70,7 +70,7 @@ DEFAULT_TAINT: dict = {
     # Span/annotation calls: secret *keyword* values leak into trace
     # exports (the repo convention passes attrs as **kwargs).
     "span_sinks": [
-        "*.stage", "*.span", "*.annotate", "*.count", "*.count_many",
+        "*.span", "*.annotate", "*.count", "*.count_many",
     ],
     # Write-method tails flagged outside the allowed paths.
     "write_sinks": ["write", "write_bytes", "write_text", "sendall"],

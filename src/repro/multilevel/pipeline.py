@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import integrity
 from repro.core.protect import protect_sections, unprotect_container
 from repro.multilevel.codec import MultilevelCodec, MultilevelStats
 
@@ -62,6 +63,10 @@ class SecureMultilevelCompressor:
 
     def decompress(self, blob: bytes) -> np.ndarray:
         """Invert :meth:`compress` within the codec's error bound."""
+        if self._authenticate and blob[: len(integrity.MAGIC)] != integrity.MAGIC:
+            raise integrity.AuthenticationError(
+                "expected an authenticated (SECA) container"
+            )
         sections = unprotect_container(
             blob, key=self._key, expected_scheme=self.scheme
         )

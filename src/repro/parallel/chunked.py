@@ -47,11 +47,7 @@ class _Config:
     error_bound: float
     key: bytes | None
     cipher_mode: str
-    predictor: str
-    zlib_level: int
     authenticate: bool = False
-    encode_workers: int = 1
-    depth_limit: int | None = None
     allow_nonce_reuse: bool = False
 
     def build(self, seed: int | None = None) -> SecureCompressor:
@@ -61,11 +57,7 @@ class _Config:
             error_bound=self.error_bound,
             key=self.key,
             cipher_mode=self.cipher_mode,
-            predictor=self.predictor,
-            zlib_level=self.zlib_level,
             authenticate=self.authenticate,
-            encode_workers=self.encode_workers,
-            depth_limit=self.depth_limit,
             random_state=rng,
             allow_nonce_reuse=self.allow_nonce_reuse,
         )
@@ -100,7 +92,7 @@ class ChunkedSecureCompressor:
 
     Parameters
     ----------
-    scheme, error_bound, key, cipher_mode, predictor, zlib_level:
+    scheme, error_bound, key, cipher_mode, authenticate:
         Same meaning as :class:`repro.core.SecureCompressor`.
     n_chunks:
         Number of axis-0 slabs (must not exceed the axis length).
@@ -116,15 +108,6 @@ class ChunkedSecureCompressor:
         Explicit opt-in for seeded CTR runs (reproducible experiments
         on non-sensitive data only); forwarded to every slab's
         :class:`SecureCompressor`.  See DESIGN.md.
-    encode_workers:
-        Per-worker thread-pool width for packing v3 Huffman lanes
-        (forwarded to each slab's :class:`SecureCompressor`).  The
-        output bytes are identical for any value, so process- and
-        thread-level parallelism compose freely.
-    depth_limit:
-        Optional per-slab Huffman code-depth cap (forwarded to each
-        slab's :class:`SecureCompressor`); flagged frames decode
-        without sub-table lookups.
     """
 
     def __init__(
@@ -134,14 +117,10 @@ class ChunkedSecureCompressor:
         *,
         key: bytes | None = None,
         cipher_mode: str = "cbc",
-        predictor: str = "auto",
-        zlib_level: int = 6,
         authenticate: bool = False,
         n_chunks: int = 4,
         n_workers: int = 4,
         base_seed: int | None = None,
-        encode_workers: int = 1,
-        depth_limit: int | None = None,
         allow_nonce_reuse: bool = False,
     ) -> None:
         if n_chunks < 1:
@@ -167,11 +146,7 @@ class ChunkedSecureCompressor:
             error_bound=float(error_bound),
             key=key,
             cipher_mode=cipher_mode,
-            predictor=predictor,
-            zlib_level=zlib_level,
             authenticate=authenticate,
-            encode_workers=encode_workers,
-            depth_limit=depth_limit,
             allow_nonce_reuse=allow_nonce_reuse,
         )
         self.n_chunks = n_chunks

@@ -86,8 +86,6 @@ class CompressorPool:
         error_bound: float = 1e-3,
         key: bytes | None = None,
         cipher_mode: str = "cbc",
-        encode_workers: int = 1,
-        depth_limit: int | None = None,
         seed: int | None = None,
         allow_nonce_reuse: bool = False,
         chunk_axis_min: int = 0,
@@ -97,8 +95,6 @@ class CompressorPool:
         self.error_bound = float(error_bound)
         self.key = key
         self.cipher_mode = cipher_mode
-        self.encode_workers = encode_workers
-        self.depth_limit = depth_limit
         self.seed = seed
         self.allow_nonce_reuse = allow_nonce_reuse
         self.chunk_axis_min = int(chunk_axis_min)
@@ -123,8 +119,6 @@ class CompressorPool:
             error_bound=eb,
             key=self.key,
             cipher_mode=self.cipher_mode,
-            encode_workers=self.encode_workers,
-            depth_limit=self.depth_limit,
             random_state=self._seed_rng if self.seed is not None else None,
             allow_nonce_reuse=self.allow_nonce_reuse,
         )
@@ -206,8 +200,6 @@ class CompressorPool:
             error_bound=item.eb,
             key=self.key,
             cipher_mode=self.cipher_mode,
-            encode_workers=self.encode_workers,
-            depth_limit=self.depth_limit,
             n_chunks=min(self.n_chunks, item.field.shape[0]),
             n_workers=1,
             allow_nonce_reuse=self.allow_nonce_reuse,

@@ -76,8 +76,6 @@ class ServiceConfig:
     batch_limit: int = 8
     job_timeout: float | None = None
     max_payload: int = 64 * 1024 * 1024
-    encode_workers: int = 1
-    depth_limit: int | None = None
     seed: int | None = None
     allow_nonce_reuse: bool = False
     chunk_axis_min: int = 0
@@ -111,8 +109,6 @@ class CompressionService:
             error_bound=config.error_bound,
             key=config.key,
             cipher_mode=config.cipher_mode,
-            encode_workers=config.encode_workers,
-            depth_limit=config.depth_limit,
             seed=config.seed,
             allow_nonce_reuse=config.allow_nonce_reuse,
             chunk_axis_min=config.chunk_axis_min,

@@ -53,9 +53,9 @@ _DTYPE_FROM_CODE = {v: k for k, v in _DTYPE_CODES.items()}
 _META = struct.Struct("<4sBBBBBBIdqQQ")
 #: Grid stage ran on log2|x|; the aux section carries signs/zeros.
 _FLAG_PW_REL = 0x01
-#: Every Huffman code length fits ``huffman.DEPTH_LIMIT_BITS`` bits
-#: (opt-in depth-limited canonical code; every lookup resolves in the
-#: lane decode table's root).
+#: Every Huffman code length fits ``huffman.DEPTH_LIMIT_BITS`` bits, so
+#: every lookup resolves in the lane decode table's root.  No current
+#: writer sets it; readers accept it and enforce the promise.
 _FLAG_DEPTH_LIMITED = 0x02
 _KNOWN_FLAGS = _FLAG_PW_REL | _FLAG_DEPTH_LIMITED
 _META_MAGIC = b"SZfr"
@@ -155,26 +155,6 @@ class SZCompressor:
         ~512 coded bytes, keeping the table at ~0.3 % of the codes
         section).  Smaller strides widen the decode kernel's vectors
         but grow the anchor table.
-    encode_workers:
-        Thread-pool width for packing v3 Huffman lanes.  Lanes are
-        independent bitstreams, so packing them concurrently changes
-        wall time only — the emitted frame is bit-identical for any
-        worker count.  ``1`` (the default) packs serially; the knob
-        composes with the process-level parallelism of
-        :class:`repro.parallel.chunked.ChunkedCompressor`.
-    depth_limit:
-        Optional Huffman depth limit in ``1..huffman.DEPTH_LIMIT_BITS``
-        (e.g. ``16``).  Frames built with it carry the depth-limit
-        flag and promise every code length fits the limit, so every
-        lane-kernel lookup resolves in the decode table's root and no
-        sub-table link is taken.  Lengths come from package-merge, so
-        they are optimal under the cap; the rate loss versus
-        unrestricted Huffman is a few percent on deep-alphabet data
-        (≈4 % measured at 16 bits) and zero when the cap does not
-        bind.  When the alphabet is too
-        large for the limit (``n_symbols > 2**depth_limit``) the frame
-        silently falls back to the default unlimited layout.  ``None``
-        (the default) keeps frames byte-identical to prior releases.
 
     Examples
     --------
@@ -196,8 +176,6 @@ class SZCompressor:
         coverage: float = 0.995,
         huffman_lanes: int | str = "auto",
         anchor_stride: int | str = "auto",
-        encode_workers: int = 1,
-        depth_limit: int | None = None,
     ) -> None:
         if isinstance(error_bound, (int, float)):
             error_bound = ErrorBound(value=float(error_bound), mode="abs")
@@ -215,14 +193,6 @@ class SZCompressor:
         if anchor_stride != "auto" and int(anchor_stride) < 1:
             raise ValueError("anchor_stride must be 'auto' or positive")
         self.anchor_stride = anchor_stride
-        if encode_workers < 1:
-            raise ValueError("encode_workers must be positive")
-        self.encode_workers = encode_workers
-        if depth_limit is not None and not 1 <= depth_limit <= huffman.DEPTH_LIMIT_BITS:
-            raise ValueError(
-                f"depth_limit must be None or 1..{huffman.DEPTH_LIMIT_BITS}"
-            )
-        self.depth_limit = depth_limit
 
     def _lane_params(self, n_values: int, total_bits: int) -> tuple[int, int]:
         """Resolve the (possibly ``"auto"``) lane count and stride."""
@@ -276,19 +246,8 @@ class SZCompressor:
             with tr.span("huffman_build") as sp:
                 flat_codes = np.ravel(codes)
                 symbols, counts = quantizer.code_histogram(flat_codes)
-                depth_limited = (
-                    self.depth_limit is not None
-                    and symbols.size <= (1 << self.depth_limit)
-                )
-                code = huffman.build_code(
-                    symbols, counts,
-                    max_len=self.depth_limit if depth_limited else None,
-                )
-                if depth_limited:
-                    trace.count("huffman.depth_limited_frames")
-                sp.annotate(
-                    n_symbols=int(symbols.size), depth_limited=depth_limited
-                )
+                code = huffman.build_code(symbols, counts)
+                sp.annotate(n_symbols=int(symbols.size))
 
             with tr.span("huffman_encode") as sp:
                 total_bits = int(
@@ -312,10 +271,7 @@ class SZCompressor:
                     n_lanes, stride = self._lane_params(
                         flat_codes.size, total_bits
                     )
-                    enc = huffman.encode_lanes(
-                        flat_codes, code, n_lanes, stride,
-                        max_workers=self.encode_workers,
-                    )
+                    enc = huffman.encode_lanes(flat_codes, code, n_lanes, stride)
                     tree_bytes = huffman.serialize_lane_tree(code, enc.table)
                     codes_bytes = concat_streams(list(enc.lanes))
                     n_code_bits = enc.n_bits
@@ -356,7 +312,7 @@ class SZCompressor:
 
         meta = self._pack_meta(
             data, out_dtype, eb, predictor_name, radius, modal, n_code_bits,
-            int(unpred_mask.sum()), frame_version, depth_limited,
+            int(unpred_mask.sum()), frame_version,
         )
         sections = {
             "meta": meta,
@@ -399,11 +355,8 @@ class SZCompressor:
         n_code_bits: int,
         n_unpred: int,
         version: int = _META_VERSION,
-        depth_limited: bool = False,
     ) -> bytes:
-        flags = (_FLAG_PW_REL if self.error_bound.mode == "pw_rel" else 0) | (
-            _FLAG_DEPTH_LIMITED if depth_limited else 0
-        )
+        flags = _FLAG_PW_REL if self.error_bound.mode == "pw_rel" else 0
         head = _META.pack(
             _META_MAGIC,
             version,

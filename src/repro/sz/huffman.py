@@ -25,11 +25,7 @@ Implementation notes
   fix-up (the zlib approach).  This keeps the decoder's primary lookup
   table small and bounds the encoder's bit-scatter passes; the rate
   loss versus unrestricted Huffman is negligible for the skewed
-  residual histograms SZ produces.  Callers may opt into a tighter
-  *depth limit* (``build_code(..., max_len=...)``, at most
-  :data:`DEPTH_LIMIT_BITS`): lengths then come from package-merge —
-  optimal under the cap — and every codeword resolves in the lane
-  table's root, so the lane kernel never follows a sub-table link.
+  residual histograms SZ produces.
 * The scalar decoder (v2 single-stream frames, and the lane kernel's
   test oracle) uses a flat ``2^TABLE_BITS``-entry table: one lookup per
   symbol for all codes up to :data:`TABLE_BITS` bits (the common case);
@@ -49,7 +45,6 @@ import hashlib
 import heapq
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -87,10 +82,10 @@ __all__ = [
 MAX_CODE_LEN = 24
 #: Primary decode-table width in bits.
 TABLE_BITS = 12
-#: Widest opt-in depth limit, and the lane decode table's root width:
-#: codes of at most this many bits resolve in the root (at most 64 Ki
-#: int32 entries, 256 KB); longer codes take one sub-table gather.
-#: Frames carrying the depth-limit flag promise every code length fits
+#: The lane decode table's root width: codes of at most this many bits
+#: resolve in the root (at most 64 Ki int32 entries, 256 KB); longer
+#: codes take one sub-table gather.  Frames carrying the depth-limit
+#: flag (no current writer sets it) promise every code length fits
 #: this bound.
 DEPTH_LIMIT_BITS = 16
 #: Hard cap on the interleaved lane count (wire-format sanity bound).
@@ -252,75 +247,6 @@ def _limit_lengths(lengths: np.ndarray, freqs: np.ndarray, max_len: int) -> np.n
     return lengths
 
 
-def _rebalance_lengths(
-    lengths: np.ndarray, freqs: np.ndarray, max_len: int
-) -> np.ndarray:
-    """Optimal length-limited code lengths via package-merge.
-
-    Larmore–Hirschberg package-merge in the counting representation:
-    level ``max_len`` holds the frequency-sorted leaves; every
-    shallower level merges the leaves with the pairwise *packages* of
-    the level below, and taking the cheapest ``2n - 2`` items of level
-    1 yields the minimum-redundancy code with no length above
-    ``max_len``.  A leaf's code length is the number of levels whose
-    taken prefix contains it, and because merging preserves sort
-    order, each level only needs *how many* of its items were taken —
-    the leaves among them are always the smallest-frequency prefix.
-    Lengths are then reassigned shortest-to-most-frequent (ties by
-    symbol order, so the result is deterministic).  ``lengths`` (the
-    unconstrained optimum) is consulted only for the fast path: when
-    it already satisfies the cap it is returned unchanged, keeping the
-    shallow-table case free.  Only used for the opt-in depth-limited
-    path; the default :data:`MAX_CODE_LEN` cap keeps the original
-    :func:`_limit_lengths` for bit-identity with historical frames.
-    """
-    n = len(lengths)
-    if n > (1 << max_len):
-        raise ValueError(
-            f"alphabet of {n} symbols cannot satisfy a "
-            f"{max_len}-bit depth limit"
-        )
-    if int(lengths.max()) <= max_len:
-        return np.minimum(lengths, max_len)
-    leaf_order = np.argsort(freqs, kind="stable")
-    leaves = freqs[leaf_order].astype(np.int64)
-    # Build levels deepest-first.  Each level keeps the merged item
-    # weights plus a flag array marking which items are packages; ties
-    # put leaves first (any tie-break is optimal, this one is simply
-    # deterministic).
-    weights = leaves
-    flags: list[np.ndarray] = [np.zeros(n, dtype=bool)]
-    for _ in range(max_len - 1):
-        m = weights.size >> 1
-        pkg = weights[: 2 * m].reshape(m, 2).sum(axis=1)
-        merged = np.concatenate([leaves, pkg])
-        is_pkg = np.zeros(merged.size, dtype=bool)
-        is_pkg[n:] = True
-        order = np.lexsort((is_pkg, merged))
-        weights = merged[order]
-        flags.append(is_pkg[order])
-    # Walk back down: take the cheapest 2n - 2 items at level 1; every
-    # package among a level's taken prefix expands to two items of the
-    # level below.  The leaves in the prefix are the t - c smallest,
-    # each one level deeper.
-    out_sorted = np.zeros(n, dtype=np.int64)
-    take = 2 * n - 2
-    for is_pkg in reversed(flags):
-        if take <= 0:  # pragma: no cover - cannot happen for n >= 2
-            break
-        n_pkg = int(is_pkg[:take].sum())
-        out_sorted[: take - n_pkg] += 1
-        take = 2 * n_pkg
-    # Reassign: most frequent symbols get the shortest lengths.
-    counts = np.bincount(out_sorted, minlength=max_len + 1).astype(np.int64)
-    order = np.lexsort((np.arange(n, dtype=np.int64), -freqs))
-    out = np.empty(n, dtype=np.int64)
-    out[order] = np.repeat(
-        np.arange(max_len + 1, dtype=np.int64), counts
-    )
-    return out
-
-
 def _canonical_codewords(lengths: np.ndarray) -> np.ndarray:
     """Assign canonical codewords given lengths (symbols already sorted).
 
@@ -350,12 +276,7 @@ def _canonical_codewords(lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
-def build_code(
-    symbols: np.ndarray,
-    frequencies: np.ndarray,
-    *,
-    max_len: int | None = None,
-) -> HuffmanCode:
+def build_code(symbols: np.ndarray, frequencies: np.ndarray) -> HuffmanCode:
     """Build a length-limited canonical Huffman code.
 
     Parameters
@@ -364,21 +285,9 @@ def build_code(
         Distinct symbol values (will be sorted internally).
     frequencies:
         Positive occurrence counts aligned with ``symbols``.
-    max_len:
-        Optional depth limit in ``1..DEPTH_LIMIT_BITS``.  When given,
-        every code length is rebalanced to at most ``max_len`` bits
-        (:func:`_rebalance_lengths`), so every lane-kernel lookup
-        resolves in the decode table's root; raises ``ValueError``
-        if the alphabet cannot fit (``n_symbols > 2**max_len``).  The
-        default ``None`` keeps the historical :data:`MAX_CODE_LEN` cap
-        and is bit-identical to prior releases.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
     frequencies = np.asarray(frequencies, dtype=np.int64)
-    if max_len is not None and not 1 <= max_len <= DEPTH_LIMIT_BITS:
-        raise ValueError(
-            f"max_len must be in 1..{DEPTH_LIMIT_BITS} (got {max_len})"
-        )
     if symbols.size == 0:
         return HuffmanCode(
             symbols=symbols,
@@ -396,11 +305,9 @@ def build_code(
     frequencies = frequencies[order]
     if np.unique(symbols).size != symbols.size:
         raise ValueError("symbols must be distinct")
-    lengths = _huffman_lengths(frequencies)
-    if max_len is None:
-        lengths = _limit_lengths(lengths, frequencies, MAX_CODE_LEN)
-    else:
-        lengths = _rebalance_lengths(lengths, frequencies, max_len)
+    lengths = _limit_lengths(
+        _huffman_lengths(frequencies), frequencies, MAX_CODE_LEN
+    )
     codewords = _canonical_codewords(lengths)
     return HuffmanCode(
         symbols=symbols,
@@ -555,51 +462,17 @@ def choose_lane_params(n_values: int, total_bits: int | None = None) -> tuple[in
     return n_lanes, stride
 
 
-def _encode_one_lane(
-    codewords: np.ndarray, lane_lens: np.ndarray, anchor_stride: int
-) -> tuple[PackedBits, int, np.ndarray]:
-    """Pack one lane slice: ``(stream, bit length, anchor offsets)``.
-
-    Lanes are fully independent (each is a self-contained bitstream
-    under the shared code), so this helper is the unit of work for the
-    optional thread-pool encode path.
-    """
-    packed = pack_codes(codewords, lane_lens)
-    n = lane_lens.size
-    n_bits = int(lane_lens.sum()) if n else 0
-    # Bit offset where codeword anchor_stride, 2*anchor_stride, ...
-    # begins: the boundary *after* the preceding codeword.  Only every
-    # anchor_stride-th prefix sum is needed, so sum stride-sized blocks
-    # and cumsum those instead of materializing the full prefix array.
-    n_anchors = max(0, -(-n // anchor_stride) - 1)
-    if n_anchors:
-        blocks = lane_lens[: n_anchors * anchor_stride].reshape(
-            n_anchors, anchor_stride
-        )
-        anchors = np.cumsum(blocks.sum(axis=1, dtype=np.int64))
-    else:
-        anchors = np.empty(0, dtype=np.int64)
-    return packed, n_bits, anchors
-
-
 def encode_lanes(
     values: np.ndarray,
     code: HuffmanCode,
     n_lanes: int,
     anchor_stride: int,
-    *,
-    max_workers: int = 1,
 ) -> LaneEncoding:
     """Huffman-encode ``values`` as ``n_lanes`` independent bitstreams.
 
     Every lane is a self-contained stream under the shared canonical
     code, padded to a byte boundary so the concatenated ``codes``
-    section keeps lanes byte-aligned.  With ``max_workers > 1`` the
-    lane slices pack on a thread pool (the word-pack kernel is NumPy
-    work that releases the GIL); the output is bit-identical to the
-    serial path regardless, so the knob never touches the wire format
-    and composes freely with the process-parallel
-    :mod:`repro.parallel.chunked` layer.
+    section keeps lanes byte-aligned.
     """
     values = np.ravel(np.asarray(values, dtype=np.int64))
     if not 1 <= n_lanes <= MAX_LANES:
@@ -608,8 +481,6 @@ def encode_lanes(
         raise ValueError("more lanes than values")
     if anchor_stride < 1:
         raise ValueError("anchor_stride must be positive")
-    if max_workers < 1:
-        raise ValueError("max_workers must be positive")
     if values.size == 0:
         table = LaneTable(
             n_lanes=1,
@@ -621,33 +492,27 @@ def encode_lanes(
     codewords, lengths = codec_for(code).lookup(values)
 
     bounds = np.concatenate([[0], np.cumsum(lane_sizes(values.size, n_lanes))])
-    slices = [
-        (codewords[lo:hi], lengths[lo:hi])
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    if max_workers > 1 and n_lanes > 1:
-        with ThreadPoolExecutor(max_workers=min(max_workers, n_lanes)) as pool:
-            results = list(
-                pool.map(
-                    lambda s: _encode_one_lane(s[0], s[1], anchor_stride),
-                    slices,
-                )
-            )
-    else:
-        results = [
-            _encode_one_lane(cw, ln, anchor_stride) for cw, ln in slices
-        ]
+    lanes, anchors = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        lane_lens = lengths[lo:hi]
+        lanes.append(pack_codes(codewords[lo:hi], lane_lens))
+        # Bit offset where codeword anchor_stride, 2*anchor_stride, ...
+        # begins: the boundary *after* the preceding codeword.  Only every
+        # anchor_stride-th prefix sum is needed, so sum stride-sized blocks
+        # and cumsum those instead of materializing the full prefix array.
+        n_anchors = max(0, -(-lane_lens.size // anchor_stride) - 1)
+        blocks = lane_lens[: n_anchors * anchor_stride].reshape(
+            n_anchors, anchor_stride
+        )
+        anchors.append(np.cumsum(blocks.sum(axis=1, dtype=np.int64)))
     trace.count("huffman.encode_lanes", n_lanes)
-    lanes = tuple(packed for packed, _, _ in results)
-    lane_bits = np.array([bits for _, bits, _ in results], dtype=np.int64)
-    anchors = tuple(a for _, _, a in results)
     table = LaneTable(
         n_lanes=n_lanes,
         anchor_stride=anchor_stride,
-        lane_bits=lane_bits,
-        anchors=anchors,
+        lane_bits=np.array([lane.n_bits for lane in lanes], dtype=np.int64),
+        anchors=tuple(anchors),
     )
-    return LaneEncoding(lanes=lanes, table=table)
+    return LaneEncoding(lanes=tuple(lanes), table=table)
 
 
 def _anchor_counts(n_values: int, n_lanes: int, stride: int) -> np.ndarray:

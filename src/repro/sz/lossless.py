@@ -19,11 +19,9 @@ __all__ = ["compress", "decompress", "DEFAULT_LEVEL"]
 DEFAULT_LEVEL = 6
 
 
-def compress(data: bytes, level: int = DEFAULT_LEVEL) -> bytes:
-    """zlib-compress ``data`` (level 0..9)."""
-    if not 0 <= level <= 9:
-        raise ValueError(f"zlib level must be 0..9, got {level}")
-    out = zlib.compress(data, level)
+def compress(data: bytes) -> bytes:
+    """zlib-compress ``data`` at :data:`DEFAULT_LEVEL`."""
+    out = zlib.compress(data, DEFAULT_LEVEL)
     trace.count_many({
         "zlib.deflate_in_bytes": len(data),
         "zlib.deflate_out_bytes": len(out),

@@ -20,7 +20,7 @@ def frame(smooth_field):
 def _roundtrip(scheme_name, frame, cipher):
     scheme = get_scheme(scheme_name)
     tr = trace.Tracer()
-    out = scheme.protect(frame.sections, cipher, IV, "cbc", 6, tr)
+    out = scheme.protect(frame.sections, cipher, IV, "cbc", tr)
     back = scheme.unprotect(out, cipher, IV, "cbc")
     return out, back, trace.stage_seconds(tr)
 
@@ -60,7 +60,7 @@ class TestRoundTrips:
     def test_requires_cipher(self, name, frame):
         scheme = get_scheme(name)
         with pytest.raises(ValueError, match="key"):
-            scheme.protect(frame.sections, None, IV, "cbc", 6)
+            scheme.protect(frame.sections, None, IV, "cbc")
 
     def test_none_works_without_cipher(self, frame):
         _, back, _ = _roundtrip("none", frame, None)
@@ -69,7 +69,7 @@ class TestRoundTrips:
     @pytest.mark.parametrize("name", ["cmpr_encr", "encr_quant", "encr_huffman"])
     def test_wrong_key_fails(self, name, frame, key):
         scheme = get_scheme(name)
-        out = scheme.protect(frame.sections, AES128(key), IV, "cbc", 6)
+        out = scheme.protect(frame.sections, AES128(key), IV, "cbc")
         wrong = AES128(bytes(16))
         with pytest.raises(ValueError):
             restored = scheme.unprotect(out, wrong, IV, "cbc")
@@ -82,7 +82,7 @@ class TestRoundTrips:
         scheme = get_scheme(name)
         cipher = AES128(key) if scheme.requires_key else None
         nonce = b"12345678"
-        out = scheme.protect(frame.sections, cipher, nonce, "ctr", 6)
+        out = scheme.protect(frame.sections, cipher, nonce, "ctr")
         back = scheme.unprotect(out, cipher, nonce, "ctr")
         assert back == {k: frame.sections[k] for k in SECTION_ORDER}
 
@@ -124,7 +124,7 @@ class TestEncryptionPlacement:
         for name in ("none", "encr_quant", "encr_huffman"):
             cipher = AES128(bytes(16)) if name != "none" else None
             scheme = get_scheme(name)
-            out = scheme.protect(frame.sections, cipher, IV, "cbc", 6)
+            out = scheme.protect(frame.sections, cipher, IV, "cbc")
             assert set(out) == {"zblob"}
             zlib.decompress(out["zblob"])  # must be a valid stream
 
@@ -142,8 +142,7 @@ class TestCompressionImpact:
         for name in ("none", "cmpr_encr", "encr_quant", "encr_huffman"):
             scheme = get_scheme(name)
             out = scheme.protect(
-                frame.sections, cipher if name != "none" else None, IV,
-                "cbc", 6,
+                frame.sections, cipher if name != "none" else None, IV, "cbc"
             )
             sizes[name] = sum(len(v) for v in out.values())
         assert sizes["encr_quant"] > sizes["none"]

@@ -139,7 +139,7 @@ class TestStageSeconds:
         frame = SZCompressor(1e-3).compress(field)
         tr = Tracer()
         get_scheme("encr_huffman").protect(
-            frame.sections, AES128(KEY), bytes(16), "cbc", 6, tr
+            frame.sections, AES128(KEY), bytes(16), "cbc", tr
         )
         assert set(stage_seconds(tr)) == {"lossless", "encrypt"}
 

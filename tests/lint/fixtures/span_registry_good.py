@@ -3,5 +3,5 @@
 
 def run(tr, data):
     with tr.span("compress", bytes_in=data.nbytes):
-        with tr.stage("quantize"):
+        with tr.span("quantize"):
             pass

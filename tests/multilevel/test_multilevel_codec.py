@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import integrity
 from repro.datasets import generate
 from repro.multilevel import MultilevelCodec, SecureMultilevelCompressor
 
@@ -145,6 +146,17 @@ class TestSecurePipeline:
         tampered[10] ^= 1
         with pytest.raises(ValueError):
             smc.decompress(bytes(tampered))
+
+    def test_mac_stripped_container_refused(self, smooth_field, key):
+        # Dropping the SECA header and tag leaves a plain SECZ container
+        # that would otherwise decode (and could be edited at will).
+        smc = SecureMultilevelCompressor("encr_huffman", 1e-3, key=key,
+                                         authenticate=True)
+        blob = smc.compress(smooth_field)
+        stripped = blob[len(integrity.MAGIC) + integrity.TAG_BYTES:]
+        with pytest.raises(integrity.AuthenticationError,
+                           match="authenticated"):
+            smc.decompress(stripped)
 
     def test_seeded_ctr_refused(self, smooth_field, key):
         smc = SecureMultilevelCompressor(

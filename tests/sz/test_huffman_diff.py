@@ -1,4 +1,4 @@
-"""Differential tests: two-queue tree build and length-limited codes.
+"""Differential tests: two-queue tree build and the depth-limit flag.
 
 ``_huffman_lengths_ref`` is the original heapq construction kept as an
 oracle; ``_huffman_lengths`` is the O(n) two-queue build that replaced
@@ -6,10 +6,9 @@ it on the hot path.  Because the tie-break rule is reproduced exactly,
 the two must agree *bit-for-bit* on every frequency table — the code
 lengths feed canonical codeword assignment, which feeds the frozen
 v2/v3 wire format, so any divergence would silently change frame
-bytes.  Length-limited codes (``build_code(..., max_len=)``) are new
-wire behaviour and are checked against first principles instead:
-Kraft, depth bound, prefix-freeness and bit-exact round-trips through
-the reference packer.
+bytes.  No writer sets the meta ``DEPTH_LIMITED`` flag, but readers
+accept it and enforce its promise, so flagged frames are built here
+by setting the bit on default frames.
 """
 
 import numpy as np
@@ -18,15 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sz import huffman
-from repro.sz.bitstream import PackedBits, pack_codes_ref
-from repro.sz.compressor import SZCompressor
+from repro.sz.compressor import SZCompressor, SZFrame
 from repro.sz.huffman import (
     DEPTH_LIMIT_BITS,
     MAX_CODE_LEN,
     _canonical_codewords,
     _huffman_lengths,
     _huffman_lengths_ref,
-    _rebalance_lengths,
     build_code,
 )
 
@@ -58,20 +55,6 @@ def _canonical_codewords_ref(lengths: np.ndarray) -> np.ndarray:
 
 def _kraft(lengths: np.ndarray) -> float:
     return float(np.sum(2.0 ** -lengths.astype(np.float64)))
-
-
-def _assert_prefix_free(code: huffman.HuffmanCode) -> None:
-    width = int(code.lengths.max())
-    lj = code.codewords.astype(np.uint64) << (
-        np.uint64(width) - code.lengths.astype(np.uint64)
-    )
-    order = np.argsort(lj)
-    lj, ln = lj[order], code.lengths.astype(np.uint64)[order]
-    # Left-justified canonical codewords are strictly increasing and
-    # no codeword may fall inside the span of the previous one.
-    assert (np.diff(lj.astype(np.int64)) > 0).all()
-    spans = lj + (np.uint64(1) << (np.uint64(width) - ln))
-    assert (lj[1:] >= spans[:-1]).all()
 
 
 class TestTwoQueueVsHeap:
@@ -128,57 +111,10 @@ class TestCanonicalCodewords:
         )
 
 
-class TestLengthLimited:
-    @given(freq_tables, st.integers(min_value=6, max_value=DEPTH_LIMIT_BITS))
-    @settings(max_examples=100, deadline=None)
-    def test_kraft_and_depth_bound(self, freqs, max_len):
-        f = np.asarray(freqs, dtype=np.int64)
-        if len(freqs) > (1 << max_len):  # pragma: no cover - size cap
-            return
-        lengths = _rebalance_lengths(_huffman_lengths(f), f, max_len)
-        assert int(lengths.max()) <= max_len
-        assert (lengths >= 1).all()
-        assert _kraft(lengths) <= 1.0 + 1e-12
-
-    @given(freq_tables, st.integers(min_value=6, max_value=DEPTH_LIMIT_BITS))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_lengths(self, freqs, max_len):
-        # A strictly rarer symbol never gets a shorter code than a
-        # commoner one (within tie groups anything goes).
-        f = np.asarray(freqs, dtype=np.int64)
-        if len(freqs) > (1 << max_len):  # pragma: no cover - size cap
-            return
-        symbols = np.arange(len(freqs), dtype=np.int64)
-        code = build_code(symbols, f, max_len=max_len)
-        order = np.argsort(-f, kind="stable")
-        fs = f[order]
-        ls = code.lengths.astype(np.int64)[order]
-        for k in np.nonzero(np.diff(fs) < 0)[0] + 1:
-            assert ls[:k].max() <= ls[k:].min()
-
-    def test_already_shallow_table_unchanged(self):
-        f = np.array([8, 4, 2, 1, 1], dtype=np.int64)
-        base = _huffman_lengths(f)
-        np.testing.assert_array_equal(
-            _rebalance_lengths(base, f, DEPTH_LIMIT_BITS), base
-        )
-
-    def test_infeasible_alphabet_raises(self):
-        n = (1 << 6) + 1
-        f = np.ones(n, dtype=np.int64)
-        with pytest.raises(ValueError, match="alphabet"):
-            _rebalance_lengths(_huffman_lengths(f), f, 6)
-
-    def test_build_code_rejects_bad_max_len(self):
-        symbols = np.arange(4, dtype=np.int64)
-        f = np.array([4, 3, 2, 1], dtype=np.int64)
-        for bad in (0, -1, DEPTH_LIMIT_BITS + 1):
-            with pytest.raises(ValueError):
-                build_code(symbols, f, max_len=bad)
-
-    def test_default_max_len_is_unlimited_path(self):
-        # build_code() without max_len must keep emitting the exact
-        # historical lengths (MAX_CODE_LEN cap) — frozen wire format.
+class TestLengthCap:
+    def test_build_code_is_the_historical_cap_path(self):
+        # build_code() must keep emitting the exact historical lengths
+        # (MAX_CODE_LEN cap) — frozen wire format.
         rng = np.random.default_rng(3)
         f = rng.zipf(1.2, 5000).astype(np.int64)
         symbols = np.arange(f.size, dtype=np.int64)
@@ -186,26 +122,6 @@ class TestLengthLimited:
         np.testing.assert_array_equal(
             code.lengths.astype(np.int64),
             huffman._limit_lengths(_huffman_lengths(f), f, MAX_CODE_LEN),
-        )
-
-    @given(st.integers(min_value=0, max_value=2**31), st.integers(8, 16))
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip_bit_exact(self, seed, max_len):
-        rng = np.random.default_rng(seed)
-        n_sym = int(rng.integers(2, min(300, 1 << max_len)))
-        symbols = np.unique(rng.integers(-1000, 1000, size=n_sym))
-        f = rng.zipf(1.5, symbols.size).astype(np.int64)
-        code = build_code(symbols, f, max_len=max_len)
-        _assert_prefix_free(code)
-        values = rng.choice(symbols, size=2000, p=f / f.sum())
-        packed = huffman.encode(values, code)
-        # The reference packer pins the bytes; the fast decoder must
-        # read them back exactly.
-        idx = np.searchsorted(code.symbols, values)
-        ref = pack_codes_ref(code.codewords[idx], code.lengths[idx].astype(np.int64))
-        assert packed.data == ref.data and packed.n_bits == ref.n_bits
-        np.testing.assert_array_equal(
-            huffman.decode(packed, code, values.size), values
         )
 
 
@@ -261,13 +177,26 @@ class TestDepthLimitedFrames:
         ).astype(np.float32)
 
     def test_flag_set_and_round_trip(self):
+        # Setting DEPTH_LIMITED (meta flags byte, offset 7) on a default
+        # frame whose codes fit the bound changes nothing else: the
+        # reader accepts it and decodes exactly as the unflagged frame,
+        # on the v2 single-stream path and the v3 lane path alike.
         data = self._field()
-        sc = SZCompressor(1e-3, depth_limit=12)
-        frame = sc.compress(data)
-        info = SZCompressor.parse_meta(frame.sections["meta"])
-        assert info["depth_limited"] is True
-        out = sc.decompress(frame)
-        np.testing.assert_allclose(out, data, atol=1e-3)
+        for sc, version in ((SZCompressor(1e-3), 2),
+                            (SZCompressor(1e-3, huffman_lanes=4), 3)):
+            frame = sc.compress(data)
+            meta = bytearray(frame.sections["meta"])
+            meta[7] |= 0x02
+            flagged = SZFrame(
+                sections={**frame.sections, "meta": bytes(meta)},
+                stats=frame.stats,
+            )
+            info = SZCompressor.parse_meta(flagged.sections["meta"])
+            assert info["depth_limited"] is True
+            assert info["version"] == version
+            expected = sc.decompress(frame)
+            np.testing.assert_array_equal(sc.decompress(flagged), expected)
+            np.testing.assert_allclose(expected, data, atol=1e-3)
 
     def test_default_frames_unflagged_and_identical(self):
         data = self._field(seed=5)
@@ -276,24 +205,6 @@ class TestDepthLimitedFrames:
         assert info["depth_limited"] is False
         again = SZCompressor(1e-3).compress(data)
         assert plain.sections == again.sections
-
-    def test_alphabet_too_large_falls_back_silently(self):
-        # depth_limit=1 admits at most 2 symbols; any real field has
-        # more, so the encoder must emit a normal unflagged frame.
-        data = self._field(seed=6)
-        sc = SZCompressor(1e-3, depth_limit=1)
-        frame = sc.compress(data)
-        info = SZCompressor.parse_meta(frame.sections["meta"])
-        assert info["depth_limited"] is False
-        np.testing.assert_allclose(
-            sc.decompress(frame), data, atol=1e-3
-        )
-
-    def test_constructor_validates_depth_limit(self):
-        with pytest.raises(ValueError, match="depth_limit"):
-            SZCompressor(1e-3, depth_limit=0)
-        with pytest.raises(ValueError, match="depth_limit"):
-            SZCompressor(1e-3, depth_limit=DEPTH_LIMIT_BITS + 1)
 
     def test_unknown_meta_flag_rejected(self):
         frame = SZCompressor(1e-3).compress(self._field(seed=7))
@@ -315,16 +226,3 @@ class TestDepthLimitedFrames:
         with pytest.raises(ValueError, match="depth-limited"):
             _check_depth_flag({"depth_limited": True}, deep)
         _check_depth_flag({"depth_limited": False}, deep)
-
-    def test_depth_limited_counter(self):
-        from repro.core import trace
-
-        data = self._field(seed=9)
-        before = trace.counters_snapshot().get(
-            "huffman.depth_limited_frames", 0
-        )
-        SZCompressor(1e-3, depth_limit=12).compress(data)
-        after = trace.counters_snapshot().get(
-            "huffman.depth_limited_frames", 0
-        )
-        assert after == before + 1
