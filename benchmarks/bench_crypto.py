@@ -3,11 +3,14 @@
 Standalone (no pytest plugins): times the scalar-chained CBC path
 against the batched CTR path end-to-end on the encryption-heavy
 Cmpr-Encr scheme over a fig6-size field, the raw keystream generator
-monolithic vs segmented, and the keystream prefetcher's
-compression/encryption overlap.  Writes ``BENCH_crypto.json`` at the
-repo root (or ``REPRO_BENCH_OUT``).  CI runs this as a smoke check at
-tiny dims; the acceptance bar — CTR compress+encrypt >= 2x CBC — only
-applies to full-size runs (``REPRO_BENCH_DIMS`` unset).
+monolithic vs segmented, whole-call CBC decryption, and the keystream
+prefetcher's compression/encryption overlap.  Writes
+``BENCH_crypto.json`` at the repo root (or ``REPRO_BENCH_OUT``) under
+the ledger's ``repro-bench/1`` provenance header.  CI runs it once at
+full size, where the acceptance bar — CTR compress+encrypt >= 2x CBC,
+a ratio of two timings on the same runner — applies, and once as a
+smoke check at tiny dims (``REPRO_BENCH_DIMS`` set), where it is
+waived.
 
 Correctness is asserted at every size: segmented keystream must be
 bit-identical to monolithic, prefetched CTR containers must be
@@ -29,6 +32,8 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 import time
 
 import numpy as np
@@ -36,6 +41,7 @@ import numpy as np
 from repro.core import trace
 from repro.core.pipeline import SecureCompressor
 from repro.crypto import modes
+from repro.crypto.block import encrypt_block
 from repro.crypto.keyschedule import expand_key
 from repro.datasets import generate
 
@@ -64,6 +70,44 @@ def _best_seconds(fn, repeats: int = REPEATS) -> float:
     return best
 
 
+def _git_rev() -> str:
+    """HEAD's commit, suffixed ``-dirty`` when the tree has edits."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=10,
+        )
+    except OSError:
+        return "unknown"
+    return out.stdout.strip() or "unknown"
+
+
+def _header(field: np.ndarray) -> dict:
+    """The ledger's ``repro-bench/1`` provenance header."""
+    return {
+        "schema": "repro-bench/1",
+        "bench": "crypto",
+        "timing": "measured",
+        "git_rev": _git_rev(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "dims": list(field.shape),
+    }
+
+
+def _padded_ciphertext(ek, iv: bytes, n_bytes: int) -> bytes:
+    """Pseudo-random ciphertext blocks whose last block decrypts to
+    valid one-byte PKCS#7 padding, so ``cbc_decrypt`` accepts it
+    without an ``n_bytes`` scalar CBC encrypt first."""
+    raw = np.random.default_rng(0).integers(
+        0, 256, n_bytes - 16, dtype=np.uint8).tobytes()
+    prev = raw[-16:] if raw else iv
+    last = bytes(a ^ b for a, b in zip(bytes(15) + b"\x01", prev))
+    return raw + encrypt_block(last, ek)
+
+
 def main() -> dict:
     # fig6-size: the full "small" registry preset, as used by the
     # bandwidth figure at REPRO_BENCH_SIZE=small.
@@ -72,12 +116,14 @@ def main() -> dict:
     )
     field_mb = field.nbytes / 1e6
     result: dict = {
+        "header": _header(field),
         "dataset": DATASET,
         "field_mb": round(field_mb, 3),
         "error_bound": EB,
         "repeats": REPEATS,
         "full_size": FULL_SIZE,
         "keystream_mb_per_s": {},
+        "decrypt_mb_per_s": {},
         "end_to_end_s": {},
         "stage_encrypt_s": {},
         "prefetch": {},
@@ -104,6 +150,16 @@ def main() -> dict:
     secs = _best_seconds(lambda: modes.ctr_keystream(ek, nonce, n_bytes))
     result["keystream_mb_per_s"]["segmented"] = round(ks_mb / secs, 2)
     result["keystream_segment_blocks"] = modes.CTR_SEGMENT_BLOCKS
+
+    # ------------------------------------------------------------------
+    # Whole-call CBC decrypt over a ciphertext of the keystream's size:
+    # the windowed batched engine, the chain XOR and the unpad.
+    # ------------------------------------------------------------------
+    iv = bytes(range(16, 32))
+    n_ct = max(32, n_bytes // 16 * 16)
+    ct = _padded_ciphertext(ek, iv, n_ct)
+    secs = _best_seconds(lambda: modes.cbc_decrypt(ct, ek, iv))
+    result["decrypt_mb_per_s"]["cbc"] = round(n_ct / 1e6 / secs, 2)
 
     # ------------------------------------------------------------------
     # End-to-end compress+encrypt: Cmpr-Encr encrypts its whole

@@ -9,23 +9,27 @@ test vectors in ``tests/crypto``.
 Layout
 ------
 ``sbox``
-    GF(2^8) arithmetic, the S-box and its inverse, and the
-    multiplication tables used by MixColumns (all *derived*, not
-    transcribed, so the construction is auditable).
+    GF(2^8) arithmetic, the S-box and its inverse, the multiplication
+    tables and T-tables (all *derived*, not transcribed, so the
+    construction is auditable), and the paired 16-bit tables of the
+    batched engine.
 ``keyschedule``
-    FIPS-197 key expansion for AES-128.
+    FIPS-197 key expansion for AES-128, plus the InvMixColumns'd round
+    keys of the equivalent inverse cipher (FIPS-197 §5.3.5).
 ``block``
     Scalar single-block cipher (T-table encryption path plus a
-    plain state-matrix implementation of both directions).
+    plain state-matrix implementation of both directions); the oracle
+    the batched engine is tested against.
 ``batch``
-    NumPy-vectorized ECB engine that processes an ``(n, 16)`` array of
-    blocks per round — the HPC path used by CBC-decrypt and CTR, where
-    blocks are independent.
+    NumPy-vectorized ECB engine on ``(4, n) uint32`` column words: each
+    round is two gathers from paired 16-bit T-tables over the whole
+    batch — the HPC path used by CBC-decrypt and CTR, where blocks are
+    independent.  Neither engine is constant-time.
 ``modes``
     CBC and CTR modes with PKCS#7 padding.  CBC encryption is
     inherently sequential (each block chains on the previous
-    ciphertext), CBC decryption and CTR are batched; the CTR keystream
-    is generated in bounded segments of ``CTR_SEGMENT_BLOCKS`` blocks.
+    ciphertext), CBC decryption and CTR are batched; both run the
+    engine over bounded windows of ``CTR_SEGMENT_BLOCKS`` blocks.
 ``pipelined``
     CTR keystream prefetching: generates keystream segments on a
     background thread *while compression runs* (the stream depends only

@@ -6,16 +6,17 @@ consume it without re-deriving anything:
 
 * ``words``      — 44 ints, the raw FIPS-197 ``w[i]`` array,
 * ``round_keys`` — 11 × 16 ``bytes`` objects (scalar path),
-* ``as_array``   — an ``(11, 16) uint8`` ndarray (batched path).
+* ``dec_words``  — 44 ints, the FIPS-197 §5.3.5 ``dw[i]`` array of the
+  equivalent inverse cipher (batched decryption).
+
+No field appears in ``repr``: words 0-3 *are* the cipher key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.crypto.sbox import RCON, SBOX
+from repro.crypto.sbox import IMC0, IMC1, IMC2, IMC3, RCON, SBOX
 
 __all__ = ["ExpandedKey", "expand_key"]
 
@@ -37,12 +38,18 @@ def _rot_word(w: int) -> int:
     return ((w << 8) | (w >> 24)) & 0xFFFFFFFF
 
 
+def _inv_mix_word(w: int) -> int:
+    """InvMixColumns (FIPS-197 §5.3.3) of one column word."""
+    return IMC0[w >> 24] ^ IMC1[(w >> 16) & 0xFF] ^ IMC2[(w >> 8) & 0xFF] ^ IMC3[w & 0xFF]
+
+
 @dataclass(frozen=True)
 class ExpandedKey:
     """An AES-128 key schedule in all the layouts the engines need."""
 
-    words: tuple[int, ...]
+    words: tuple[int, ...] = field(repr=False)
     round_keys: tuple[bytes, ...] = field(repr=False, default=())
+    dec_words: tuple[int, ...] = field(repr=False, default=())
 
     def __post_init__(self) -> None:
         if len(self.words) != WORDS:
@@ -55,12 +62,13 @@ class ExpandedKey:
                 )
                 rks.append(chunk)
             object.__setattr__(self, "round_keys", tuple(rks))
-
-    def as_array(self) -> np.ndarray:
-        """Round keys as an ``(11, 16) uint8`` array for the batch engine."""
-        return np.frombuffer(b"".join(self.round_keys), dtype=np.uint8).reshape(
-            ROUNDS + 1, KEY_BYTES
-        )
+        if not self.dec_words:
+            # dw = w for the first and last round keys; rounds 1-9 get
+            # InvMixColumns so the inverse rounds keep the T-table shape.
+            inner = tuple(_inv_mix_word(w) for w in self.words[4 : WORDS - 4])
+            object.__setattr__(
+                self, "dec_words", self.words[:4] + inner + self.words[WORDS - 4 :]
+            )
 
     def round_words(self, r: int) -> tuple[int, int, int, int]:
         """The four 32-bit words of round key ``r`` (T-table path)."""

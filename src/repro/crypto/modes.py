@@ -8,7 +8,8 @@ The paper's Algorithm 1 is textbook CBC:
   it is inherently sequential and runs on the scalar T-table cipher.
 * **CBC decryption** applies the block cipher to every ciphertext block
   *independently* (the chaining is only an XOR afterwards), so it runs
-  on the batched engine:  P_i = D_k(C_i) xor C_{i-1}.
+  on the batched engine, in ``CTR_SEGMENT_BLOCKS``-block windows:
+  P_i = D_k(C_i) xor C_{i-1}.
 * **CTR** is embarrassingly parallel in both directions and is the
   recommended throughput mode: the keystream depends only on
   ``(key, nonce, counter)``, so it is generated in bounded **segments**
@@ -43,10 +44,11 @@ __all__ = [
     "ctr_xcrypt",
 ]
 
-#: Blocks per batched keystream call (8192 blocks = 128 KiB).  Bounds
-#: peak temporary allocation of the batched engine (which materializes
-#: the full (n, 16) state per round) and sets the granularity at which
-#: the prefetcher can overlap keystream generation with compression.
+#: Blocks per batched engine call (8192 blocks = 128 KiB), for the CTR
+#: keystream and the CBC decrypt windows alike.  Bounds the engine's
+#: temporaries (a few (4, n) uint32 arrays per call), keeps its working
+#: set in cache, and sets the granularity at which the prefetcher can
+#: overlap keystream generation with compression.
 CTR_SEGMENT_BLOCKS = 8192
 
 #: The counter field is 64 bits; ``initial + n_blocks`` past this wraps
@@ -108,20 +110,30 @@ def cbc_encrypt(plaintext: bytes, key: ExpandedKey, iv: bytes) -> bytes:
 
 
 def cbc_decrypt(ciphertext: bytes, key: ExpandedKey, iv: bytes) -> bytes:
-    """AES-128-CBC decrypt (batched) and strip PKCS#7 padding."""
+    """AES-128-CBC decrypt (batched) and strip PKCS#7 padding.
+
+    The engine runs over ``CTR_SEGMENT_BLOCKS``-block windows, so its
+    temporaries stay bounded whatever the ciphertext length; the chain
+    XOR reads C_{i-1} straight from the ciphertext, so windowing never
+    changes bytes.
+    """
     if len(iv) != BLOCK_BYTES:
         raise ValueError(f"IV must be 16 bytes, got {len(iv)}")
     if not ciphertext or len(ciphertext) % BLOCK_BYTES != 0:
         raise ValueError("ciphertext must be a positive multiple of 16 bytes")
     blocks = batch.to_blocks(ciphertext)
-    trace.count("aes.blocks_decrypted", len(ciphertext) // BLOCK_BYTES)
-    decrypted = batch.decrypt_blocks(blocks, key)
+    n_blocks = blocks.shape[0]
+    trace.count("aes.blocks_decrypted", n_blocks)
+    plain = np.empty_like(blocks)
+    for start in range(0, n_blocks, CTR_SEGMENT_BLOCKS):
+        stop = min(start + CTR_SEGMENT_BLOCKS, n_blocks)
+        plain[start:stop] = batch.decrypt_blocks(blocks[start:stop], key)
     # P_i = D(C_i) xor C_{i-1}; block 0 XORs the IV.
-    chain = np.empty_like(blocks)
-    chain[0] = np.frombuffer(iv, dtype=np.uint8)
-    chain[1:] = blocks[:-1]
-    plain = np.bitwise_xor(decrypted, chain)
-    return pkcs7_unpad(batch.from_blocks(plain))
+    plain[0] ^= np.frombuffer(iv, dtype=np.uint8)
+    plain[1:] ^= blocks[:-1]
+    padded = batch.from_blocks(plain)
+    del plain  # unpad copies once more; peak stays ~2x the ciphertext
+    return pkcs7_unpad(padded)
 
 
 def _check_counter_range(initial: int, n_blocks: int) -> None:

@@ -10,9 +10,10 @@ GF(2^8) followed by the affine transform — so that the whole cipher is
 auditable from this file alone.  ``tests/crypto/test_sbox.py`` checks
 the derived tables against the published spot values.
 
-Everything is exposed both as Python tuples (fast scalar indexing for
-the single-block path) and as ``numpy.uint8`` arrays (fancy-indexing
-lookups for the batched path).
+The S-boxes, GF multiplication tables, T-tables and InvMixColumns
+tables are Python tuples (fast scalar indexing for the single-block
+path and the key schedule); the batched path reads the paired 16-bit
+NumPy tables built from them at the end of this file.
 """
 
 from __future__ import annotations
@@ -99,13 +100,9 @@ def _build_sbox() -> tuple[tuple[int, ...], tuple[int, ...]]:
 #: Forward and inverse S-boxes as tuples (scalar path).
 SBOX, INV_SBOX = _build_sbox()
 
-#: S-boxes as uint8 arrays (batched path).
-SBOX_NP = np.array(SBOX, dtype=np.uint8)
-INV_SBOX_NP = np.array(INV_SBOX, dtype=np.uint8)
 
-
-def _mul_table(c: int) -> np.ndarray:
-    return np.array([gf_mul(c, x) for x in range(256)], dtype=np.uint8)
+def _mul_table(c: int) -> tuple[int, ...]:
+    return tuple(gf_mul(c, x) for x in range(256))
 
 
 #: GF multiplication tables used by MixColumns / InvMixColumns.
@@ -116,8 +113,14 @@ MUL11 = _mul_table(11)
 MUL13 = _mul_table(13)
 MUL14 = _mul_table(14)
 
+
 #: Round constants for the key schedule: rcon[i] = x^i in GF(2^8).
 RCON = tuple(gf_pow(2, i) for i in range(10))
+
+
+def _rot8(w: int) -> int:
+    """Rotate a 32-bit word right by one byte."""
+    return (w >> 8) | ((w & 0xFF) << 24)
 
 
 def _build_t_tables() -> tuple[tuple[int, ...], ...]:
@@ -131,20 +134,40 @@ def _build_t_tables() -> tuple[tuple[int, ...], ...]:
     t0 = []
     for x in range(256):
         s = SBOX[x]
-        word = (int(MUL2[s]) << 24) | (s << 16) | (s << 8) | int(MUL3[s])
+        word = (MUL2[s] << 24) | (s << 16) | (s << 8) | MUL3[s]
         t0.append(word)
     t0 = tuple(t0)
-
-    def rot8(w: int) -> int:
-        return ((w >> 8) | ((w & 0xFF) << 24)) & 0xFFFFFFFF
-
-    t1 = tuple(rot8(w) for w in t0)
-    t2 = tuple(rot8(w) for w in t1)
-    t3 = tuple(rot8(w) for w in t2)
+    t1 = tuple(_rot8(w) for w in t0)
+    t2 = tuple(_rot8(w) for w in t1)
+    t3 = tuple(_rot8(w) for w in t2)
     return t0, t1, t2, t3
 
 
 T0, T1, T2, T3 = _build_t_tables()
+
+
+def _build_inv_mix_tables() -> tuple[tuple[int, ...], ...]:
+    """InvMixColumns as four 32-bit word tables.
+
+    IMC0[b] packs the InvMixColumns column produced by byte ``b`` in
+    row 0: (14·b, 9·b, 13·b, 11·b) big-endian; IMC1..IMC3 are its byte
+    rotations, so InvMixColumns of column word (b0, b1, b2, b3) is
+    ``IMC0[b0] ^ IMC1[b1] ^ IMC2[b2] ^ IMC3[b3]``.
+    """
+    m0 = tuple(
+        (MUL14[b] << 24) | (MUL9[b] << 16) | (MUL13[b] << 8) | MUL11[b]
+        for b in range(256)
+    )
+    m1 = tuple(_rot8(w) for w in m0)
+    m2 = tuple(_rot8(w) for w in m1)
+    m3 = tuple(_rot8(w) for w in m2)
+    return m0, m1, m2, m3
+
+
+#: InvMixColumns word tables: the decryption round keys of the key
+#: schedule and the inverse T-tables of the batched engine derive from
+#: them.
+IMC0, IMC1, IMC2, IMC3 = _build_inv_mix_tables()
 
 #: ShiftRows as a flat-index permutation: ``out[i] = state[SHIFT_ROWS[i]]``
 #: for the FIPS column-major byte layout (state[r][c] == flat[r + 4c]).
@@ -152,5 +175,35 @@ SHIFT_ROWS = tuple((i % 4) + 4 * (((i // 4) + (i % 4)) % 4) for i in range(16))
 #: Inverse permutation for InvShiftRows.
 INV_SHIFT_ROWS = tuple(SHIFT_ROWS.index(i) for i in range(16))
 
-SHIFT_ROWS_NP = np.array(SHIFT_ROWS, dtype=np.intp)
-INV_SHIFT_ROWS_NP = np.array(INV_SHIFT_ROWS, dtype=np.intp)
+
+def _pair_table(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Fuse two byte tables: ``out[a << 8 | b] == hi[a] ^ lo[b]``."""
+    return (hi[:, None] ^ lo[None, :]).reshape(-1)
+
+
+def _build_pair_tables() -> tuple[np.ndarray, ...]:
+    """Build the batched engine's paired 16-bit tables (uint32 each).
+
+    ``T01``/``T23`` fuse the encryption T-tables pairwise; ``INV_T01``/
+    ``INV_T23`` do the same for the inverse T-tables of the FIPS-197
+    §5.3.5 equivalent inverse cipher, ``ITr[x] == IMCr[S⁻¹[x]]``.
+    ``SBOX_PAIRS[a << 8 | b] == S[a] << 8 | S[b]`` (and its inverse)
+    serve the last round, which has no (Inv)MixColumns.
+    """
+    inv = np.array(INV_SBOX, dtype=np.intp)
+    t = np.array((T0, T1, T2, T3), dtype=np.uint32)
+    it = np.array((IMC0, IMC1, IMC2, IMC3), dtype=np.uint32)[:, inv]
+    s = np.array(SBOX, dtype=np.uint32)
+    inv_s = inv.astype(np.uint32)
+    return (
+        _pair_table(t[0], t[1]),
+        _pair_table(t[2], t[3]),
+        _pair_table(it[0], it[1]),
+        _pair_table(it[2], it[3]),
+        _pair_table(s << 8, s),
+        _pair_table(inv_s << 8, inv_s),
+    )
+
+
+#: Paired tables of the batched engine, 65,536 uint32 (256 KiB) each.
+T01, T23, INV_T01, INV_T23, SBOX_PAIRS, INV_SBOX_PAIRS = _build_pair_tables()

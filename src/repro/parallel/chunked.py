@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class _Config:
 
     scheme: str
     error_bound: float
-    key: bytes | None
+    key: bytes | None = field(repr=False)
     cipher_mode: str
     authenticate: bool = False
     allow_nonce_reuse: bool = False

@@ -32,7 +32,7 @@ import os
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class ServiceConfig:
 
     scheme: str = "encr_huffman"
     error_bound: float = 1e-3
-    key: bytes | None = None
+    key: bytes | None = field(default=None, repr=False)
     cipher_mode: str = "cbc"
     workers: int = 2
     queue_limit: int = 256

@@ -57,8 +57,10 @@ def test_batch_scalar_agreement(key, seed, n):
     raw = np.random.default_rng(seed).integers(0, 256, size=(n, 16),
                                                dtype=np.uint8)
     enc = batch.encrypt_blocks(raw, ek)
-    i = seed % n
-    assert enc[i].tobytes() == encrypt_block(raw[i].tobytes(), ek)
+    dec = batch.decrypt_blocks(raw, ek)
+    for i in range(n):
+        assert enc[i].tobytes() == encrypt_block(raw[i].tobytes(), ek)
+        assert dec[i].tobytes() == decrypt_block(raw[i].tobytes(), ek)
     assert np.array_equal(batch.decrypt_blocks(enc, ek), raw)
 
 

@@ -1,11 +1,13 @@
 """Key expansion against FIPS-197 Appendix A.1."""
 
-import numpy as np
 import pytest
 
 from repro.crypto.keyschedule import ExpandedKey, expand_key
+from repro.crypto.sbox import gf_mul
 
 FIPS_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+#: The InvMixColumns matrix of FIPS-197 §5.3.3, row by row.
+INV_MIX_MATRIX = ((14, 11, 13, 9), (9, 14, 11, 13), (13, 9, 14, 11), (11, 13, 9, 14))
 
 
 class TestExpandKey:
@@ -41,11 +43,21 @@ class TestExpandKey:
         assert ek.round_words(0) == tuple(ek.words[:4])
         assert ek.round_words(10) == tuple(ek.words[40:44])
 
-    def test_as_array(self):
-        arr = expand_key(FIPS_KEY).as_array()
-        assert arr.shape == (11, 16)
-        assert arr.dtype == np.uint8
-        assert bytes(arr[0]) == FIPS_KEY
+    def test_dec_words_are_inv_mix_columns_of_round_keys(self):
+        # FIPS-197 5.3.5: dw equals w for round keys 0 and 10 and
+        # InvMixColumns(w) for rounds 1-9, computed here from gf_mul.
+        ek = expand_key(FIPS_KEY)
+        assert len(ek.dec_words) == 44
+        for i, (w, dw) in enumerate(zip(ek.words, ek.dec_words)):
+            expected = w
+            if 4 <= i < 40:
+                b = w.to_bytes(4, "big")
+                expected = int.from_bytes(bytes(
+                    gf_mul(m[0], b[0]) ^ gf_mul(m[1], b[1])
+                    ^ gf_mul(m[2], b[2]) ^ gf_mul(m[3], b[3])
+                    for m in INV_MIX_MATRIX
+                ), "big")
+            assert dw == expected, i
 
     def test_rejects_bad_key_length(self):
         with pytest.raises(ValueError, match="16-byte"):

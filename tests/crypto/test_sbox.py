@@ -6,6 +6,20 @@ import pytest
 from repro.crypto import sbox
 
 
+def _inv_t(row: int, x: int) -> int:
+    """Inverse T-table IT<row>[x] from first principles: the
+    InvMixColumns column (14, 9, 13, 11) of INV_SBOX[x], rotated right
+    one byte per row."""
+    s = sbox.INV_SBOX[x]
+    w = (
+        (sbox.gf_mul(14, s) << 24) | (sbox.gf_mul(9, s) << 16)
+        | (sbox.gf_mul(13, s) << 8) | sbox.gf_mul(11, s)
+    )
+    for _ in range(row):
+        w = (w >> 8) | ((w & 0xFF) << 24)
+    return w
+
+
 class TestGFArithmetic:
     def test_mul_identity(self):
         for a in (0, 1, 0x53, 0xFF):
@@ -70,12 +84,6 @@ class TestSbox:
             assert sbox.SBOX[x] != x
             assert sbox.SBOX[x] != x ^ 0xFF
 
-    def test_numpy_tables_match(self):
-        assert np.array_equal(sbox.SBOX_NP, np.array(sbox.SBOX, dtype=np.uint8))
-        assert np.array_equal(
-            sbox.INV_SBOX_NP, np.array(sbox.INV_SBOX, dtype=np.uint8)
-        )
-
 
 class TestDerivedTables:
     def test_mul_tables(self):
@@ -102,6 +110,23 @@ class TestDerivedTables:
             (sbox.gf_mul(2, s) << 24) | (s << 16) | (s << 8) | sbox.gf_mul(3, s)
         )
         assert sbox.T0[0x42] == expected
+
+    @pytest.mark.parametrize("a,b", [(0, 0), (0x42, 0x17), (0xFF, 0x01), (0x80, 0xFE)])
+    def test_paired_tables(self, a, b):
+        # The batched engine's 16-bit tables fuse two byte lookups.
+        i = a << 8 | b
+        assert sbox.T01[i] == sbox.T0[a] ^ sbox.T1[b]
+        assert sbox.T23[i] == sbox.T2[a] ^ sbox.T3[b]
+        assert sbox.INV_T01[i] == _inv_t(0, a) ^ _inv_t(1, b)
+        assert sbox.INV_T23[i] == _inv_t(2, a) ^ _inv_t(3, b)
+        assert sbox.SBOX_PAIRS[i] == sbox.SBOX[a] << 8 | sbox.SBOX[b]
+        assert sbox.INV_SBOX_PAIRS[i] == sbox.INV_SBOX[a] << 8 | sbox.INV_SBOX[b]
+
+    def test_paired_table_layout(self):
+        for table in (sbox.T01, sbox.T23, sbox.INV_T01, sbox.INV_T23,
+                      sbox.SBOX_PAIRS, sbox.INV_SBOX_PAIRS):
+            assert table.shape == (1 << 16,)
+            assert table.dtype == np.uint32
 
     def test_shift_rows_permutation(self):
         assert sorted(sbox.SHIFT_ROWS) == list(range(16))
