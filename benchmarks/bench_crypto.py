@@ -4,18 +4,18 @@ Standalone (no pytest plugins): times the scalar-chained CBC path
 against the batched CTR path end-to-end on the encryption-heavy
 Cmpr-Encr scheme over a fig6-size field, the raw keystream generator
 monolithic vs segmented, whole-call CBC decryption, and the keystream
-prefetcher's compression/encryption overlap.  Writes
-``BENCH_crypto.json`` at the repo root (or ``REPRO_BENCH_OUT``) under
-the ledger's ``repro-bench/1`` provenance header.  CI runs it once at
-full size, where the acceptance bar — CTR compress+encrypt >= 2x CBC,
-a ratio of two timings on the same runner — applies, and once as a
-smoke check at tiny dims (``REPRO_BENCH_DIMS`` set), where it is
-waived.
+blocks one CTR compress makes against those its ciphertext uses.
+Writes ``BENCH_crypto.json`` at the repo root (or ``REPRO_BENCH_OUT``)
+under the ledger's ``repro-bench/1`` provenance header
+(:mod:`provenance`).  CI runs it once at full size, where the
+acceptance bar — CTR compress+encrypt >= 2x CBC, a ratio of two
+timings on the same runner — applies, and once as a smoke check at
+tiny dims (``REPRO_BENCH_DIMS`` set), where it is waived.
 
 Correctness is asserted at every size: segmented keystream must be
-bit-identical to monolithic, prefetched CTR containers must be
-bit-identical to serial ones, and seeded CBC containers must not drift
-between runs.
+bit-identical to monolithic, a CTR compress must make exactly the
+``ceil(n / 16)`` keystream blocks its ``n``-byte encrypt span needs,
+and seeded CBC containers must not drift between runs.
 
 Usage::
 
@@ -31,12 +31,12 @@ override).
 from __future__ import annotations
 
 import json
+import math
 import os
-import platform
-import subprocess
 import time
 
 import numpy as np
+from provenance import header
 
 from repro.core import trace
 from repro.core.pipeline import SecureCompressor
@@ -70,33 +70,6 @@ def _best_seconds(fn, repeats: int = REPEATS) -> float:
     return best
 
 
-def _git_rev() -> str:
-    """HEAD's commit, suffixed ``-dirty`` when the tree has edits."""
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True, text=True, timeout=10,
-        )
-    except OSError:
-        return "unknown"
-    return out.stdout.strip() or "unknown"
-
-
-def _header(field: np.ndarray) -> dict:
-    """The ledger's ``repro-bench/1`` provenance header."""
-    return {
-        "schema": "repro-bench/1",
-        "bench": "crypto",
-        "timing": "measured",
-        "git_rev": _git_rev(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "nproc": os.cpu_count(),
-        "dims": list(field.shape),
-    }
-
-
 def _padded_ciphertext(ek, iv: bytes, n_bytes: int) -> bytes:
     """Pseudo-random ciphertext blocks whose last block decrypts to
     valid one-byte PKCS#7 padding, so ``cbc_decrypt`` accepts it
@@ -116,7 +89,7 @@ def main() -> dict:
     )
     field_mb = field.nbytes / 1e6
     result: dict = {
-        "header": _header(field),
+        "header": header("crypto", field.shape),
         "dataset": DATASET,
         "field_mb": round(field_mb, 3),
         "error_bound": EB,
@@ -126,7 +99,6 @@ def main() -> dict:
         "decrypt_mb_per_s": {},
         "end_to_end_s": {},
         "stage_encrypt_s": {},
-        "prefetch": {},
     }
 
     # ------------------------------------------------------------------
@@ -164,7 +136,7 @@ def main() -> dict:
     # ------------------------------------------------------------------
     # End-to-end compress+encrypt: Cmpr-Encr encrypts its whole
     # compressed stream, so this is where CBC's sequential chaining
-    # hurts and where the CTR prefetcher's overlap pays.
+    # hurts and where CTR's batched engine pays.
     # ------------------------------------------------------------------
     for mode in ("cbc", "ctr"):
         sc = SecureCompressor("cmpr_encr", EB, key=KEY, cipher_mode=mode)
@@ -190,41 +162,25 @@ def main() -> dict:
         )
 
     # ------------------------------------------------------------------
-    # Prefetch overlap: a traced CTR compress exposes how much keystream
-    # generation hid under the SZ stages, and prefetch on/off must be
-    # bit-identical under the same seeded nonce.
+    # Exact-size keystream: one traced CTR compress makes exactly the
+    # ceil(n / 16) blocks its encrypt span takes in, and no more.
     # ------------------------------------------------------------------
     tr = trace.Tracer()
-    sc = SecureCompressor("cmpr_encr", EB, key=KEY, cipher_mode="ctr")
-    before = trace.counters_snapshot()
-    sc.compress(field, tracer=tr)
-    after = trace.counters_snapshot()
-    root = tr.export()["roots"][0]
-    result["prefetch"]["overlap_ms"] = round(
-        root["attrs"].get("keystream_overlap_ms", 0.0), 3
+    SecureCompressor("cmpr_encr", EB, key=KEY, cipher_mode="ctr").compress(
+        field, tracer=tr
     )
-    result["prefetch"]["wait_ms"] = round(
-        root["attrs"].get("keystream_wait_ms", 0.0), 3
+    doc = tr.export()
+    stack, used = list(doc["roots"]), 0
+    while stack:
+        span = stack.pop()
+        if span["name"] == "encrypt":
+            used += math.ceil(span["bytes_in"] / 16)
+        stack.extend(span["children"])
+    made = doc["counters"].get("aes.blocks_keystream", 0)
+    assert used > 0 and made == used, (
+        f"keystream size drift: {made} blocks made for {used} used"
     )
-    for counter in ("aes.blocks_keystream", "aes.keystream_segments",
-                    "aes.keystream_prefetch_ms"):
-        result["prefetch"][counter] = int(
-            after.get(counter, 0) - before.get(counter, 0)
-        )
-    assert result["prefetch"]["aes.keystream_segments"] >= 1
-
-    def _seeded(prefetch: bool) -> bytes:
-        return SecureCompressor(
-            "cmpr_encr", EB, key=KEY, cipher_mode="ctr",
-            random_state=np.random.default_rng(11),
-            allow_nonce_reuse=True,  # bench-only reproducibility
-            keystream_prefetch=prefetch,
-        ).compress(field).container
-
-    assert _seeded(True) == _seeded(False), (
-        "prefetch drift: pipelined keystream changed the CTR container"
-    )
-    result["prefetch"]["bit_identical_to_serial"] = True
+    result["keystream_blocks"] = {"made": made, "used": used}
 
     # ------------------------------------------------------------------
     # CBC frame drift: Algorithm-1 fidelity means seeded CBC containers

@@ -9,7 +9,8 @@ replaced, on a >= 4 MB float32 field.  Writes ``BENCH_huffman.json`` at
 the repo root (or ``REPRO_BENCH_OUT``).  CI runs this as a smoke check;
 the acceptance bars are a >= 5x decode speedup at K = 16 over the
 single-stream decoder and a >= 2x `huffman_encode` throughput with
-~8x lower peak allocation over the reference packer.
+~8x lower peak allocation over the reference packer.  The file opens
+with the ``repro-bench/1`` provenance header (:mod:`provenance`).
 
 Decode columns are the median of ``time.process_time`` over the runs
 (CPU seconds: on a shared host, wall-clock best-of moved ~45% between
@@ -35,6 +36,7 @@ import time
 import tracemalloc
 
 import numpy as np
+from provenance import header
 
 from repro.core import trace
 from repro.datasets import generate
@@ -108,6 +110,7 @@ def main() -> dict:
         )
 
     result: dict = {
+        "header": header("huffman", field.shape),
         "dataset": DATASET,
         "field_mb": round(field_mb, 3),
         "n_symbols": n,

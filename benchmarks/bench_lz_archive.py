@@ -5,11 +5,13 @@ level 6 on three archive-shaped corpora (repetitive text log, periodic
 checkpoint shard, incompressible noise), then smoke-tests the SECB v2
 archive life cycle — mixed corpus in, duplicated shard stored once,
 ``verify --deep`` clean, ``gc`` compacts after a remove.  Writes
-``BENCH_lz.json`` at the repo root (or ``REPRO_BENCH_OUT``).  CI runs
-this as a smoke check; the acceptance bars are a round-trip-exact
-codec, an LZ7H compression ratio >= 0.5x of zlib's on every corpus
-(>= 1.0x on the long-range periodic one, where the 64 KiB window is
-the point), and an archive dedup ratio >= 1.5 on the mixed corpus.
+``BENCH_lz.json`` at the repo root (or ``REPRO_BENCH_OUT``) under the
+``repro-bench/1`` provenance header (:mod:`provenance`; its ``dims``
+are the archived field's).  CI runs this as a smoke check; the
+acceptance bars are a round-trip-exact codec, an LZ7H compression
+ratio >= 0.5x of zlib's on every corpus (>= 1.0x on the long-range
+periodic one, where the 64 KiB window is the point), and an archive
+dedup ratio >= 1.5 on the mixed corpus.
 
 Usage::
 
@@ -29,6 +31,7 @@ import time
 import zlib
 
 import numpy as np
+from provenance import header
 
 from repro.archive import ArchiveStore
 from repro.sz import lz77
@@ -40,6 +43,7 @@ OUT_PATH = os.environ.get(
     os.path.join(os.path.dirname(__file__), "..", "BENCH_lz.json"),
 )
 KEY = bytes(range(16))
+FIELD_DIMS = (64, 64)
 
 
 def _best_seconds(fn, repeats: int = REPEATS) -> float:
@@ -70,7 +74,12 @@ def _corpora() -> dict:
 
 
 def main() -> dict:
-    result: dict = {"repeats": REPEATS, "scale": SCALE, "codec": {}}
+    result: dict = {
+        "header": header("lz", FIELD_DIMS),
+        "repeats": REPEATS,
+        "scale": SCALE,
+        "codec": {},
+    }
 
     for name, data in _corpora().items():
         mb = len(data) / 1e6
@@ -108,7 +117,7 @@ def main() -> dict:
     # ------------------------------------------------------------------
     corpora = _corpora()
     field = np.cumsum(
-        np.random.default_rng(3).standard_normal((64, 64)), axis=1
+        np.random.default_rng(3).standard_normal(FIELD_DIMS), axis=1
     ).astype(np.float32)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bench.secb")

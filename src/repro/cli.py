@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--cipher-mode", "--mode", dest="mode",
                      choices=("cbc", "ctr"), default="cbc",
                      help="cbc = paper-fidelity default, ctr = recommended "
-                          "throughput mode (batched keystream, pipelined "
-                          "with compression)")
+                          "throughput mode (batched keystream, sized to "
+                          "the ciphertext)")
     p_c.add_argument("--key-hex", help="16-byte AES key as 32 hex chars")
     p_c.add_argument("--passphrase", help="derive the key from a passphrase")
     p_c.add_argument("--seed", type=int, default=None,

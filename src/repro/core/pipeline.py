@@ -16,9 +16,8 @@ from repro.core import container as cont
 from repro.core import integrity
 from repro.core import trace
 from repro.core.schemes import Scheme, get_scheme
-from repro.crypto import pipelined
 from repro.crypto import rng as crypto_rng
-from repro.crypto.aes import AES128
+from repro.crypto.aes import AES128, OneShotCTR
 from repro.sz.compressor import CompressionStats, SZCompressor, SZFrame
 from repro.sz.quantizer import ErrorBound
 
@@ -70,9 +69,8 @@ class SecureCompressor:
         ``"cbc"`` (the paper's Algorithm-1 choice and the fidelity
         default — emitted frames match the reproduction tables byte
         for byte) or ``"ctr"`` — the recommended **throughput** mode:
-        encryption runs on the batched engine and the keystream is
-        precomputed concurrently with compression (see
-        :mod:`repro.crypto.pipelined`).
+        encryption runs on the batched engine, over exactly the
+        keystream blocks the ciphertext needs.
     predictor:
         Forwarded to :class:`~repro.sz.compressor.SZCompressor`.
     authenticate:
@@ -92,10 +90,6 @@ class SecureCompressor:
         on non-sensitive data only — see DESIGN.md).  CBC is unaffected
         (a repeated CBC IV leaks only equal-prefix information, and the
         paper's reproduction tables require seeded CBC runs).
-    keystream_prefetch:
-        In CTR mode, precompute the keystream on a background thread
-        while the SZ stages run (on by default; output bytes are
-        identical either way — the flag exists for measurement).
 
     Examples
     --------
@@ -120,7 +114,6 @@ class SecureCompressor:
         authenticate: bool = False,
         random_state: np.random.Generator | None = None,
         allow_nonce_reuse: bool = False,
-        keystream_prefetch: bool = True,
     ) -> None:
         self._scheme: Scheme = get_scheme(scheme)
         if cipher_mode not in cont.CIPHER_MODES:
@@ -140,7 +133,6 @@ class SecureCompressor:
             )
         self.cipher_mode = cipher_mode
         self.allow_nonce_reuse = allow_nonce_reuse
-        self.keystream_prefetch = keystream_prefetch
         if self._scheme.requires_key or authenticate:
             if key is None:
                 need = "authentication" if authenticate else f"scheme {scheme!r}"
@@ -179,41 +171,18 @@ class SecureCompressor:
             "compress", bytes_in=data.nbytes,
             scheme=self._scheme.name, cipher_mode=self.cipher_mode,
         ) as root:
-            # The IV/nonce is drawn *before* the SZ stages: in CTR mode
-            # the keystream depends only on (key, nonce, counter), so a
-            # background thread can generate it while compression runs.
             iv = crypto_rng.fresh_iv(self.cipher_mode, self._random_state)
             cipher = self._cipher
-            prefetcher = None
-            if (
-                self.cipher_mode == "ctr"
-                and cipher is not None
-                and self.keystream_prefetch
-            ):
-                hint = self._scheme.keystream_hint(int(data.nbytes))
-                if hint > 0:
-                    prefetcher = pipelined.KeystreamPrefetcher(
-                        cipher.schedule, iv, hint
-                    ).start()
-                    cipher = pipelined.PrefetchingAES(cipher, prefetcher)
-            try:
-                frame = self._sz.compress(data, tracer=tr)
-                with tr.span("protect") as psp:
-                    out_sections = self._scheme.protect(
-                        frame.sections, cipher, iv, self.cipher_mode, tr
-                    )
-                    psp.bytes_out = sum(
-                        len(v) for v in out_sections.values()
-                    )
-            finally:
-                if prefetcher is not None:
-                    prefetcher.cancel()
-            stats = prefetcher.stats if prefetcher is not None else None
-            if stats is not None:
-                root.annotate(
-                    keystream_overlap_ms=round(stats["overlap_ms"], 3),
-                    keystream_wait_ms=round(stats["wait_ms"], 3),
+            if self.cipher_mode == "ctr" and cipher is not None:
+                # One (key, nonce) pair per plaintext: a second CTR
+                # encryption under ``iv`` raises (DESIGN.md §5).
+                cipher = OneShotCTR(cipher, iv)
+            frame = self._sz.compress(data, tracer=tr)
+            with tr.span("protect") as psp:
+                out_sections = self._scheme.protect(
+                    frame.sections, cipher, iv, self.cipher_mode, tr
                 )
+                psp.bytes_out = sum(len(v) for v in out_sections.values())
             blob = cont.pack_container(
                 self._scheme.scheme_id, self.cipher_mode, iv, out_sections
             )

@@ -79,18 +79,6 @@ class Scheme(abc.ABC):
         """
         return 0
 
-    def keystream_hint(self, n_raw_bytes: int) -> int:
-        """Expected CTR ciphertext size for an ``n_raw_bytes`` input.
-
-        Drives the keystream prefetcher
-        (:mod:`repro.crypto.pipelined`): a background thread generates
-        up to this many keystream bytes while the SZ stages run.  Pure
-        performance knob — an under-estimate costs a synchronous
-        top-up at encrypt time, an over-estimate costs wasted AES
-        batches; 0 disables prefetch (nothing to encrypt).
-        """
-        return 0
-
     # -- shared helpers -------------------------------------------------
 
     @staticmethod
@@ -183,11 +171,6 @@ class CmprEncr(Scheme):
         # Pre-zlib upper bound; see the docstring on the base class.
         return sum(len(frame_sections[k]) for k in SECTION_ORDER)
 
-    def keystream_hint(self, n_raw_bytes):
-        # The zlib output is what gets encrypted; the raw field size
-        # upper-bounds it for everything but incompressible noise.
-        return n_raw_bytes
-
 
 class EncrQuant(Scheme):
     """Encrypt the quantization array before the lossless pass
@@ -248,11 +231,6 @@ class EncrQuant(Scheme):
 
     def encrypted_bytes(self, frame_sections):
         return sum(len(frame_sections[k]) for k in self._ENCRYPTED)
-
-    def keystream_hint(self, n_raw_bytes):
-        # meta + tree + codes: the code array dominates and is bounded
-        # by the element count; the raw size is a safe upper bound.
-        return n_raw_bytes
 
 
 class EncrHuffman(Scheme):
@@ -324,13 +302,6 @@ class EncrHuffman(Scheme):
         # size as the conservative upper bound (matches Fig. 4's
         # "size of the Huffman tree" accounting).
         return len(frame_sections["tree"])
-
-    def keystream_hint(self, n_raw_bytes):
-        # Only the (deflated) tree section is encrypted — a few KiB
-        # regardless of field size.  64 KiB covers the worst lane/
-        # anchor tables; larger trees fall back to a synchronous
-        # top-up.
-        return min(n_raw_bytes, 1 << 16)
 
 
 class EncrHuffmanRaw(EncrHuffman):

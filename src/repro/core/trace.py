@@ -88,7 +88,6 @@ KNOWN_COUNTERS = (
     "aes.blocks_decrypted",        # 16-byte blocks through CBC decryption
     "aes.blocks_keystream",        # 16-byte CTR keystream blocks generated
     "aes.keystream_segments",      # bounded batched CTR keystream calls
-    "aes.keystream_prefetch_ms",   # wall ms the CTR prefetch thread spent generating keystream (rounded up)
     "lz.literals",                 # literal tokens emitted by the LZ77 matcher
     "lz.matches",                  # match tokens emitted by the LZ77 matcher
     "lz.match_bytes",              # bytes covered by LZ77 match tokens

@@ -30,19 +30,15 @@ Layout
     inherently sequential (each block chains on the previous
     ciphertext), CBC decryption and CTR are batched; both run the
     engine over bounded windows of ``CTR_SEGMENT_BLOCKS`` blocks.
-``pipelined``
-    CTR keystream prefetching: generates keystream segments on a
-    background thread *while compression runs* (the stream depends only
-    on key/nonce/counter, not the plaintext) — the throughput fast
-    path used by ``SecureCompressor(cipher_mode="ctr")``.
 ``rng``
     IV generation (OS entropy, or deterministic for reproducible runs).
 ``aes``
     The :class:`~repro.crypto.aes.AES128` façade the rest of the
-    library uses.
+    library uses, and :class:`~repro.crypto.aes.OneShotCTR`, the view
+    that lets one compress's CTR nonce encrypt exactly once.
 """
 
-from repro.crypto.aes import AES128, EncryptionResult
+from repro.crypto.aes import AES128, EncryptionResult, OneShotCTR
 from repro.crypto.modes import (
     CTR_SEGMENT_BLOCKS,
     cbc_decrypt,
@@ -52,15 +48,13 @@ from repro.crypto.modes import (
     pkcs7_pad,
     pkcs7_unpad,
 )
-from repro.crypto.pipelined import KeystreamPrefetcher, PrefetchingAES
 from repro.crypto.rng import generate_iv
 
 __all__ = [
     "AES128",
     "CTR_SEGMENT_BLOCKS",
     "EncryptionResult",
-    "KeystreamPrefetcher",
-    "PrefetchingAES",
+    "OneShotCTR",
     "cbc_encrypt",
     "cbc_decrypt",
     "ctr_keystream",

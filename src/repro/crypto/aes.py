@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.crypto import modes, rng
 from repro.crypto.keyschedule import ExpandedKey, expand_key
 
-__all__ = ["AES128", "EncryptionResult", "derive_key"]
+__all__ = ["AES128", "EncryptionResult", "OneShotCTR", "derive_key"]
 
 
 def derive_key(passphrase: str | bytes, *, salt: bytes = b"repro.secz") -> bytes:
@@ -102,3 +102,31 @@ class AES128:
         if mode == "ctr":
             return self.decrypt_ctr(ciphertext, iv)
         raise ValueError(f"unknown cipher mode {mode!r}")
+
+
+class OneShotCTR:
+    """A view of an :class:`AES128` that lets ``nonce`` encrypt once.
+
+    :meth:`~repro.core.pipeline.SecureCompressor.compress` hands this
+    to the scheme layer in CTR mode, which makes the nonce rule (*one*
+    (key, nonce) pair per plaintext — DESIGN.md §5) executable: a
+    second CTR encryption under ``nonce`` raises instead of silently
+    reusing keystream.  Other nonces and CBC delegate.  ``encrypt`` —
+    the one call ``protect`` makes — is all it exposes, so there is no
+    way around the guard.
+    """
+
+    def __init__(self, inner: AES128, nonce: bytes) -> None:
+        self._inner = inner
+        self._nonce = bytes(nonce)
+        self._used = False
+
+    def encrypt(self, plaintext: bytes, *, mode: str = "cbc", iv: bytes | None = None) -> EncryptionResult:
+        if mode == "ctr" and iv == self._nonce:
+            if self._used:
+                raise RuntimeError(
+                    "CTR keystream for this nonce was already consumed; "
+                    "a (key, nonce) pair must never encrypt two plaintexts"
+                )
+            self._used = True
+        return self._inner.encrypt(plaintext, mode=mode, iv=iv)

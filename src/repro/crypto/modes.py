@@ -14,9 +14,9 @@ The paper's Algorithm 1 is textbook CBC:
   recommended throughput mode: the keystream depends only on
   ``(key, nonce, counter)``, so it is generated in bounded **segments**
   on the batched engine (peak temporary allocation stays at
-  ``CTR_SEGMENT_BLOCKS`` blocks regardless of stream length) and can be
-  precomputed before the plaintext exists — see
-  :mod:`repro.crypto.pipelined`.
+  ``CTR_SEGMENT_BLOCKS`` blocks regardless of stream length).  Each
+  call makes exactly ``ceil(n / 16)`` blocks for its ``n``-byte input,
+  at the moment it encrypts or decrypts.
 
 Counter layout: each CTR input block is ``nonce (8 bytes) || counter
 (8-byte big-endian)``, counting up from 0.  A segment starting at block
@@ -46,9 +46,8 @@ __all__ = [
 
 #: Blocks per batched engine call (8192 blocks = 128 KiB), for the CTR
 #: keystream and the CBC decrypt windows alike.  Bounds the engine's
-#: temporaries (a few (4, n) uint32 arrays per call), keeps its working
-#: set in cache, and sets the granularity at which the prefetcher can
-#: overlap keystream generation with compression.
+#: temporaries (a few (4, n) uint32 arrays per call) and keeps its
+#: working set in cache.
 CTR_SEGMENT_BLOCKS = 8192
 
 #: The counter field is 64 bits; ``initial + n_blocks`` past this wraps
@@ -223,7 +222,12 @@ def ctr_keystream(
 def ctr_xcrypt(
     data: bytes, key: ExpandedKey, nonce: bytes, initial: int = 0
 ) -> bytes:
-    """CTR encrypt/decrypt (the operation is its own inverse)."""
+    """CTR encrypt/decrypt (the operation is its own inverse).
+
+    The XOR lands in the keystream buffer itself, so the peak stays at
+    the keystream plus the returned bytes: about twice the input.
+    """
     buf = np.frombuffer(data, dtype=np.uint8)
     ks = ctr_keystream(key, nonce, buf.size, initial)
-    return np.bitwise_xor(buf, ks).tobytes()
+    np.bitwise_xor(buf, ks, out=ks)
+    return ks.tobytes()

@@ -1,9 +1,9 @@
 """Lock-discipline rule: guarded module state stays guarded.
 
-The codebase now has real concurrency — the CTR keystream prefetcher,
-service workers, and the process-wide codec cache all touch shared
-state from multiple threads — and "every access holds the right lock"
-was a reviewed-by-hand invariant until this rule.  Two checks:
+The codebase now has real concurrency — service workers and the
+process-wide codec cache touch shared state from multiple threads —
+and "every access holds the right lock" was a reviewed-by-hand
+invariant until this rule.  Two checks:
 
 1. **Declared state is dominated by its lock.**  The registry
    (``RepoContext.lock_registry``) maps a module relpath to

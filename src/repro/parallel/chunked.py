@@ -10,9 +10,7 @@ Implementation notes
 * Every slab is an independent SECZ container with a fresh IV/nonce —
   CBC IV reuse across ranks would leak equal-prefix information, CTR
   nonce reuse would leak the slabs' XOR outright.  In CTR mode each
-  worker additionally runs its own keystream prefetcher
-  (:mod:`repro.crypto.pipelined`), so per-slab keystream generation
-  overlaps that slab's SZ stages instead of serializing after them.
+  slab makes exactly the keystream its own ciphertext needs.
 * Seeded runs (``base_seed``) derive slab nonces deterministically from
   ``base_seed + slab_index``; in CTR mode that is a keystream-reuse
   hazard across *runs* (same seed + same key → same nonces), so the

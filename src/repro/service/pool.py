@@ -8,10 +8,9 @@ daemon amortizes all three.  The pool pre-builds one
 per thread and reused for every job — and every compression runs in
 the one process whose ``huffman.codec_for`` cache stays warm, so
 statistically similar fields reuse each other's canonical Huffman
-codecs instead of rebuilding them.  In CTR mode each job's keystream
-prefetcher is started by the compressor itself before the SZ stages
-run (:mod:`repro.crypto.pipelined`), exactly as in one-shot calls, but
-against an already-expanded schedule.
+codecs instead of rebuilding them.  A CTR job makes its keystream
+when its scheme encrypts, exactly as a one-shot call does, against the
+already-expanded schedule; no job starts a thread.
 
 :meth:`CompressorPool.compress_many` is the batcher: a worker hands it
 every compatible job it managed to drain from the queue and the batch
@@ -52,20 +51,13 @@ class BatchItem:
 
 
 class BatchResult:
-    """One job's compression output plus its observability summary."""
+    """One job's compression output."""
 
-    __slots__ = ("job_id", "container", "seconds", "overlap_ms", "wait_ms",
-                 "codec_reused")
+    __slots__ = ("job_id", "container")
 
-    def __init__(self, job_id: bytes, container: bytes, seconds: float,
-                 overlap_ms: float, wait_ms: float,
-                 codec_reused: bool) -> None:
+    def __init__(self, job_id: bytes, container: bytes) -> None:
         self.job_id = job_id
         self.container = container
-        self.seconds = seconds
-        self.overlap_ms = overlap_ms
-        self.wait_ms = wait_ms
-        self.codec_reused = codec_reused
 
 
 class CompressorPool:
@@ -102,10 +94,8 @@ class CompressorPool:
         self._tls = threading.local()
         self._shared: dict[tuple[str, float], SecureCompressor] = {}
         self._stats_lock = threading.Lock()
-        #: Aggregates STAT reads: jobs compressed, keystream overlap.
+        #: Jobs compressed, for STAT.
         self.jobs_compressed = 0
-        self.keystream_overlap_ms = 0.0
-        self.keystream_wait_ms = 0.0
         if seed is not None:
             # One shared seeded compressor per config: the IV stream is
             # a sequence, so it must not fork across threads.
@@ -148,9 +138,7 @@ class CompressorPool:
         """Compress a drained batch back to back on warm state.
 
         All items must share one ``(scheme, eb)`` — the worker groups
-        before calling.  Runs on an executor thread; every field is
-        traced so the service can export per-request spans and
-        keystream overlap through STAT.
+        before calling.  Runs on an executor thread.
         """
         if not items:
             return []
@@ -160,41 +148,24 @@ class CompressorPool:
             hits_before = trace.counters_snapshot().get(
                 "huffman.codec_cache_hits", 0
             )
-            tr = trace.Tracer()
-            with tr.span("service.job", bytes_in=item.field.nbytes,
-                         job_id=item.job_id.hex()):
-                if (
-                    self.chunk_axis_min > 0
-                    and item.field.ndim >= 2
-                    and item.field.shape[0] >= self.chunk_axis_min
-                ):
-                    container = self._compress_chunked(item, tr)
-                else:
-                    container = sc.compress(item.field, tracer=tr).container
-            doc = tr.export()
-            root = doc["roots"][0]
-            overlap, wait = _keystream_attrs(root)
-            reused = trace.counters_snapshot().get(
+            if (
+                self.chunk_axis_min > 0
+                and item.field.ndim >= 2
+                and item.field.shape[0] >= self.chunk_axis_min
+            ):
+                container = self._compress_chunked(item)
+            else:
+                container = sc.compress(item.field).container
+            if trace.counters_snapshot().get(
                 "huffman.codec_cache_hits", 0
-            ) > hits_before
-            if reused:
+            ) > hits_before:
                 trace.count("service.batch_reuse_hits")
             with self._stats_lock:
                 self.jobs_compressed += 1
-                self.keystream_overlap_ms += overlap
-                self.keystream_wait_ms += wait
-            results.append(BatchResult(
-                job_id=item.job_id,
-                container=container,
-                seconds=root["seconds"],
-                overlap_ms=overlap,
-                wait_ms=wait,
-                codec_reused=reused,
-            ))
+            results.append(BatchResult(item.job_id, container))
         return results
 
-    def _compress_chunked(self, item: BatchItem,
-                          tr: trace.Tracer) -> bytes:
+    def _compress_chunked(self, item: BatchItem) -> bytes:
         chunked = ChunkedSecureCompressor(
             scheme=item.scheme,
             error_bound=item.eb,
@@ -204,17 +175,21 @@ class CompressorPool:
             n_workers=1,
             allow_nonce_reuse=self.allow_nonce_reuse,
         )
-        return chunked.compress(item.field, tracer=tr)
+        return chunked.compress(item.field)
 
     # -- observability -------------------------------------------------
 
     def stats(self) -> dict:
-        """Aggregate pool statistics for the STAT verb."""
+        """Aggregate pool statistics for the STAT verb.
+
+        No job waits on background keystream, so both ``keystream_*``
+        keys are always 0.0; they stay for ``secp-stat/1`` readers.
+        """
         with self._stats_lock:
             return {
                 "jobs_compressed": self.jobs_compressed,
-                "keystream_overlap_ms": round(self.keystream_overlap_ms, 3),
-                "keystream_wait_ms": round(self.keystream_wait_ms, 3),
+                "keystream_overlap_ms": 0.0,
+                "keystream_wait_ms": 0.0,
             }
 
     @staticmethod
@@ -231,16 +206,3 @@ class CompressorPool:
             "hit_rate": round(hits / total, 4) if total else 0.0,
         })
         return stats
-
-
-def _keystream_attrs(root: dict) -> tuple[float, float]:
-    """Pull keystream overlap/wait off the compress span, searching the
-    ``service.job`` subtree (chunked slabs keep per-slab attrs)."""
-    overlap = wait = 0.0
-    stack = [root]
-    while stack:
-        span = stack.pop()
-        overlap += float(span["attrs"].get("keystream_overlap_ms", 0.0))
-        wait += float(span["attrs"].get("keystream_wait_ms", 0.0))
-        stack.extend(span["children"])
-    return overlap, wait

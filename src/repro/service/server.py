@@ -17,8 +17,8 @@ Lifecycle guarantees (tested by ``tests/service/test_shutdown.py``):
   terminal state, leave queued jobs persisted as ``queued``, and exit.
 * A client disconnect cancels its non-detached jobs while they are
   cancellable; the cooperative running→cancelled edge discards the
-  result at completion, and the compressor's own ``finally`` always
-  joins the CTR keystream prefetcher — no thread outlives its job.
+  result at completion.  A job starts no thread of its own (CTR
+  keystream is made when the scheme encrypts), so none outlives it.
 * ``workers=0`` is ingest-only mode: accept, persist and answer
   STATUS/STAT, but never start a job (useful for tests and staged
   restarts).
@@ -554,7 +554,7 @@ class CompressionService:
 
     def stats(self) -> dict:
         """The STAT document (docs/SERVICE.md §7): queue, counters,
-        codec cache, keystream overlap."""
+        codec cache, pool."""
         now = trace.counters_snapshot()
         delta = {
             name: now[name] - self._counters0.get(name, 0)

@@ -1,14 +1,36 @@
 """The SecureCompressor façade."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.core import trace
+from repro.core import schemes, trace
 from repro.core.pipeline import SecureCompressor
+
+KEYED_SCHEMES = sorted(n for n, s in schemes.SCHEMES.items() if s.requires_key)
 
 
 def _max_err(a, b):
     return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+
+
+class _EncryptsTwice(schemes.Scheme):
+    """A scheme that breaks the nonce rule: two sections, one nonce."""
+
+    name = "encrypts_twice"
+    scheme_id = 250
+
+    def protect(self, frame_sections, cipher, iv, mode, tracer=None):
+        return {
+            name: cipher.encrypt(
+                frame_sections[name], mode=mode, iv=iv
+            ).ciphertext
+            for name in ("tree", "codes")
+        }
+
+    def unprotect(self, sections, cipher, iv, mode, tracer=None):
+        raise NotImplementedError
 
 
 class TestRoundTrips:
@@ -60,20 +82,6 @@ class TestRoundTrips:
         out = sc.decompress(sc.compress(smooth_field).container)
         assert _max_err(out, smooth_field) <= 1e-4
 
-    def test_ctr_prefetch_bytes_identical(self, smooth_field, key):
-        # The pipelined keystream is a pure overlap optimization: with
-        # the same nonce the container must match the serial path bit
-        # for bit.
-        kwargs = dict(key=key, cipher_mode="ctr", allow_nonce_reuse=True)
-        a = SecureCompressor(
-            "cmpr_encr", 1e-3, random_state=np.random.default_rng(7), **kwargs
-        ).compress(smooth_field).container
-        b = SecureCompressor(
-            "cmpr_encr", 1e-3, random_state=np.random.default_rng(7),
-            keystream_prefetch=False, **kwargs
-        ).compress(smooth_field).container
-        assert a == b
-
     def test_empty_field_rejected_in_both_modes(self, key):
         # The SZ substrate refuses empty arrays by contract; both cipher
         # modes must surface that refusal before touching the cipher
@@ -112,6 +120,41 @@ class TestCtrNonceReuseGuard:
         sc = SecureCompressor("encr_huffman", 1e-3, key=key, cipher_mode="ctr")
         out = sc.decompress(sc.compress(smooth_field).container)
         assert _max_err(out, smooth_field) <= 1e-3
+
+    def test_second_encrypt_under_compress_nonce_raises(
+        self, monkeypatch, smooth_field, key
+    ):
+        # The executable nonce rule: in CTR mode a scheme gets a
+        # one-shot view of the cipher, so a second encryption under
+        # the compress's nonce fails and no container comes back.
+        monkeypatch.setitem(schemes.SCHEMES, "encrypts_twice",
+                            _EncryptsTwice())
+        sc = SecureCompressor("encrypts_twice", 1e-3, key=key,
+                              cipher_mode="ctr")
+        with pytest.raises(RuntimeError, match="already consumed"):
+            sc.compress(smooth_field)
+
+
+class TestCtrKeystreamSize:
+    @pytest.mark.parametrize("scheme", KEYED_SCHEMES)
+    def test_keystream_blocks_equal_ciphertext_blocks(
+        self, scheme, smooth_field, key
+    ):
+        # One CTR compress makes exactly ceil(n / 16) keystream blocks
+        # for the n bytes its encrypt span takes in — no more.
+        tr = trace.Tracer()
+        SecureCompressor(scheme, 1e-4, key=key, cipher_mode="ctr").compress(
+            smooth_field, tracer=tr
+        )
+        doc = tr.export()
+        stack, used = list(doc["roots"]), 0
+        while stack:
+            span = stack.pop()
+            if span["name"] == "encrypt":
+                used += math.ceil(span["bytes_in"] / 16)
+            stack.extend(span["children"])
+        assert used > 0
+        assert doc["counters"]["aes.blocks_keystream"] == used
 
 
 class TestResultStats:

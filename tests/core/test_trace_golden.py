@@ -4,9 +4,7 @@
 scheme's compress + decompress traces must produce — the span tree
 shape (names, nesting, attr keys) and the set of counters touched.
 Variants are scheme names, optionally suffixed ``@ctr`` for the CTR
-fast path (which adds the ``aes.keystream_*`` counters and the
-``keystream_overlap_ms``/``keystream_wait_ms`` attrs on the compress
-span).
+fast path (which adds the ``aes.keystream_*`` counters).
 Timings and byte counts are runtime-dependent and deliberately not
 compared; what these fixtures catch is an accidental reshuffle of the
 pipeline stages or a counter silently vanishing from a code path.
@@ -39,8 +37,8 @@ KEY = bytes(range(16))
 ARCHIVE_SCHEMES = ("cmpr_encr", "encr_huffman", "encr_quant")
 
 #: Golden variants: every scheme under the default CBC mode, plus the
-#: CTR fast path on the scheme that exercises keystream prefetch most,
-#: plus one archive life-cycle run per supported field scheme.
+#: CTR fast path on the scheme that encrypts the most keystream, plus
+#: one archive life-cycle run per supported field scheme.
 VARIANTS = (
     sorted(SCHEMES)
     + ["cmpr_encr@ctr"]

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.crypto.aes import AES128, derive_key
+from repro.crypto.aes import AES128, OneShotCTR, derive_key
+
+NONCE = b"one-shot"
 
 
 class TestAes128:
@@ -54,6 +56,58 @@ class TestAes128:
         cipher = AES128(key)
         enc = cipher.encrypt_cbc(bytes(100), iv=bytes(16))
         assert len(enc.ciphertext) == 112  # 100 -> next 16 multiple
+
+
+class TestOneShotCTR:
+    """The executable nonce rule: the view ``compress`` hands a scheme
+    in CTR mode lets the compress's nonce encrypt exactly once."""
+
+    def _wrapped(self, key):
+        cipher = AES128(key)
+        return OneShotCTR(cipher, NONCE), cipher
+
+    def test_ctr_matches_plain_cipher(self, key):
+        wrapped, cipher = self._wrapped(key)
+        pt = bytes(range(256)) * 5
+        got = wrapped.encrypt(pt, mode="ctr", iv=NONCE)
+        assert got.ciphertext == cipher.encrypt_ctr(pt, NONCE).ciphertext
+        assert got.mode == "ctr" and got.iv == NONCE
+
+    def test_second_ctr_encrypt_same_nonce_raises(self, key):
+        # No scheme can encrypt two sections under one (key, nonce).
+        wrapped, _ = self._wrapped(key)
+        wrapped.encrypt(b"first section", mode="ctr", iv=NONCE)
+        with pytest.raises(RuntimeError, match="already consumed"):
+            wrapped.encrypt(b"second section", mode="ctr", iv=NONCE)
+
+    def test_encrypt_is_one_shot(self, key):
+        # A short first encryption spends the nonce whole: no later call,
+        # of any length, gets the rest of its keystream.
+        wrapped, _ = self._wrapped(key)
+        wrapped.encrypt(b"x", mode="ctr", iv=NONCE)
+        for later in (b"", b"y" * 1000):
+            with pytest.raises(RuntimeError, match="already consumed"):
+                wrapped.encrypt(later, mode="ctr", iv=NONCE)
+
+    def test_other_nonce_falls_through(self, key):
+        wrapped, cipher = self._wrapped(key)
+        wrapped.encrypt(b"first section", mode="ctr", iv=NONCE)
+        other = b"other-nc"
+        for _ in range(2):
+            got = wrapped.encrypt(b"payload", mode="ctr", iv=other)
+            assert got.ciphertext == cipher.encrypt_ctr(
+                b"payload", other).ciphertext
+
+    def test_cbc_delegates(self, key):
+        wrapped, cipher = self._wrapped(key)
+        iv = bytes(range(16))
+        for _ in range(2):
+            got = wrapped.encrypt(b"payload", mode="cbc", iv=iv)
+            assert got.ciphertext == cipher.encrypt_cbc(b"payload", iv).ciphertext
+
+    def test_zero_length_ctr(self, key):
+        wrapped, _ = self._wrapped(key)
+        assert wrapped.encrypt(b"", mode="ctr", iv=NONCE).ciphertext == b""
 
 
 class TestDeriveKey:

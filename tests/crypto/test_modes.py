@@ -166,6 +166,24 @@ class TestCbcWindows:
         assert peak <= 4 * len(ct), peak / len(ct)
 
 
+class TestCtrXcryptMemory:
+    """ctr_xcrypt XORs into its own keystream buffer."""
+
+    def test_peak_memory_bounded(self):
+        # The keystream plus the returned bytes is 2x the input; a
+        # separate XOR result array on top of them peaked at 3x.
+        data = np.random.default_rng(24).integers(
+            0, 256, 4 << 20, dtype=np.uint8).tobytes()
+        tracemalloc.start()
+        try:
+            ct = modes.ctr_xcrypt(data, EK, b"memcheck")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(data), peak / len(data)
+        assert modes.ctr_xcrypt(ct, EK, b"memcheck") == data
+
+
 class TestCtr:
     def test_involution(self):
         nonce = b"\x01" * 8

@@ -156,27 +156,39 @@ class TestDisconnectSemantics:
 
 
 class TestThreadHygiene:
-    def test_no_leaked_prefetcher_threads(self, tmp_path):
-        """CTR jobs spin up keystream prefetcher threads; a disconnect
-        mid-flight and a full shutdown must leave none behind."""
-        def prefetchers():
-            return [t for t in threading.enumerate()
-                    if t.name.startswith("ctr-keystream-prefetch")]
-
+    def test_no_leaked_prefetcher_threads(self, monkeypatch, tmp_path):
+        """A CTR job starts no thread and leaves none behind, even when
+        its client disconnects mid-flight; shutdown then stops every
+        thread the daemon started."""
+        before_serve = set(threading.enumerate())
         sock = str(tmp_path / "secz.sock")
         config = ServiceConfig(key=KEY, workers=1, cipher_mode="ctr",
                                scheme="cmpr_encr")
         with serve_in_background(config, str(tmp_path / "jobs.sqlite"),
                                  socket_path=sock):
+            # A first job starts the daemon's one executor thread.
+            with ServiceClient(sock) as warm:
+                warm.wait(warm.submit(small_field(1)))
+            before_job = set(threading.enumerate())
+            started = []
+            thread_start = threading.Thread.start
+
+            def recording_start(thread):
+                started.append(thread.name)
+                thread_start(thread)
+
+            monkeypatch.setattr(threading.Thread, "start", recording_start)
             client = ServiceClient(sock)
             job_id = client.submit(small_field(), detached=True)
             # Disconnect while the job may still be running.
             client.close()
             with ServiceClient(sock) as client2:
                 client2.wait(job_id)
-        wait_for(lambda: not prefetchers(), timeout=10,
-                 message="prefetcher threads to exit")
-        assert prefetchers() == []
+            monkeypatch.undo()
+            assert started == []
+            assert set(threading.enumerate()) <= before_job
+        wait_for(lambda: set(threading.enumerate()) <= before_serve,
+                 timeout=10, message="daemon threads to exit")
 
     def test_serve_loop_thread_exits(self, tmp_path):
         sock = str(tmp_path / "secz.sock")
