@@ -1,4 +1,5 @@
-"""Vectorized multi-lane Huffman decoding (frame format v3).
+"""Vectorized Huffman decoding: multi-lane v3 frames and long single
+streams.
 
 The v3 ``codes`` section is K independent, byte-aligned bitstreams
 ("lanes") under one shared canonical code, plus sub-lane *anchors*
@@ -38,6 +39,14 @@ every segment is checked against the next segment's start, so any
 corruption that slips a cursor off the codeword lattice — including a
 window that lands in a Kraft hole and freezes its cursor — is
 rejected.
+
+A single stream (a v2 frame, or any other :func:`repro.sz.huffman.decode`
+caller) carries no anchors, so :func:`decode_stream` guesses them:
+segment starts every ~64 symbols' worth of bits, decoded by the same
+kernel and corrected by self-synchronization until every segment
+starts where its predecessor ended.  ``huffman.decode`` routes a
+stream here from :data:`repro.sz.huffman.SELF_SYNC_MIN_VALUES` symbols
+up; below that the scalar loop's lower fixed cost wins.
 """
 
 from __future__ import annotations
@@ -46,14 +55,29 @@ import numpy as np
 
 from repro.core import trace
 from repro.sz import huffman
-from repro.sz.bitstream import lane_byte_lengths, sliding_window_u64
+from repro.sz.bitstream import (
+    PackedBits,
+    lane_byte_lengths,
+    sliding_window_u64,
+)
 from repro.sz.huffman import HuffmanCode, LaneTable
 
-__all__ = ["decode_lanes"]
+__all__ = ["decode_lanes", "decode_stream"]
 
 #: Output columns staged per store (rounded down to whole k-symbol
 #: groups): 128 bytes of each segment row per store.
 _STAGE_COLUMNS = 32
+#: Symbols per guessed segment of a single stream: wide vectors, and
+#: short enough for the re-decode rounds to stay cheap.
+_SYNC_SEGMENT_SYMBOLS = 64
+#: Symbols per segment and kernel call while finding where each
+#: segment crosses its target; a segment short of it continues.
+_SYNC_QUOTA = 80
+#: Re-decode rounds before the unsettled rest of a single stream falls
+#: back to the scalar loop.  A code whose lengths are all equal never
+#: resynchronizes from a misaligned guess, so it would settle one
+#: segment per round.
+_SYNC_ROUNDS = 8
 
 
 def _segment_layout(
@@ -149,6 +173,147 @@ def decode_lanes(
     # ranks to symbol values in one gather now that the boundary check
     # has proven every slot was written.
     return dec.code.symbols[out.reshape(-1) >> 5]
+
+
+def decode_stream(
+    packed: PackedBits, code: HuffmanCode, n_values: int
+) -> np.ndarray:
+    """Decode ``n_values`` symbols from one single-stream (v2)
+    bitstream through the lane kernel, by self-synchronization.
+
+    The stream is cut at guessed bit offsets, one per
+    :data:`_SYNC_SEGMENT_SYMBOLS` symbols' worth of bits; segment ``i``
+    owns the codewords that start in ``[guess[i], guess[i + 1])``.  A
+    round decodes every listed segment from its start until the cursor
+    passes the next guess, recording where it crossed (the first
+    codeword boundary at or past the guess), how many symbols it made
+    and what they were.  Each segment must start where its predecessor
+    crossed; the segments whose start moved are decoded again, until
+    none moves.  Huffman codes resynchronize within a few codewords
+    (Klein & Wiseman, *The Computer Journal* 2003), so a segment
+    entered off the codeword lattice usually rejoins the true chain
+    before it ends, and its successor then stays put.  Segment 0
+    starts at bit 0, so every round settles at least one more segment;
+    past :data:`_SYNC_ROUNDS`, the scalar loop decodes the unsettled
+    rest in stream order from the last settled boundary.
+
+    Same contract as the scalar loop: exactly ``n_values`` symbols,
+    the last ending exactly at ``packed.n_bits``, or ``ValueError``.
+    A Kraft hole on the true chain raises; one met only from a guessed
+    start does not.
+    """
+    dec = huffman.decoder_for(code)
+    n_bits = packed.n_bits
+    if not n_values <= n_bits <= dec.max_len * n_values:
+        raise ValueError(
+            f"{n_bits} bits cannot hold {n_values} codewords of this code"
+        )
+    codes = packed.data
+    tab, root_bits = dec.lane_table()
+    # At least _SYNC_SEGMENT_SYMBOLS bits per segment, more than any
+    # codeword, so a start never lies past its own segment's end.
+    n_seg = max(1, min(-(-n_values // _SYNC_SEGMENT_SYMBOLS),
+                       n_bits // _SYNC_SEGMENT_SYMBOLS))
+    guess = np.arange(n_seg + 1, dtype=np.int64) * n_bits // n_seg
+    start = guess[:-1].copy()
+    count = np.zeros(n_seg, dtype=np.int64)
+    end = np.zeros(n_seg, dtype=np.int64)
+    rows = np.zeros((n_seg, 0), dtype=np.int32)
+    todo = np.arange(n_seg, dtype=np.int64)
+    for _ in range(_SYNC_ROUNDS):
+        count[todo], end[todo], got = _run_past(
+            codes, tab, root_bits, dec.max_len, start[todo], guess[todo + 1]
+        )
+        if got.shape[1] > rows.shape[1]:
+            rows = np.pad(rows, ((0, 0), (0, got.shape[1] - rows.shape[1])))
+        rows[todo, : got.shape[1]] = got
+        follows = np.ones(n_seg, dtype=bool)
+        follows[1:] = start[1:] == end[:-1]
+        settled = follows & (end >= 0)
+        if settled.all():
+            if int(count.sum()) != n_values or int(end[-1]) != n_bits:
+                raise ValueError(
+                    "huffman bitstream does not hold n_values symbols "
+                    "ending at n_bits"
+                )
+            return _symbols(dec, rows, count)
+        first = int(np.argmin(settled))
+        if follows[first]:
+            raise ValueError("corrupt huffman bitstream: Kraft hole")
+        # Move every segment whose predecessor crossed elsewhere; one
+        # behind a frozen cursor waits for that cursor to move first.
+        todo = np.flatnonzero(~follows[1:] & (end[:-1] >= 0)) + 1
+        start[todo] = end[todo - 1]
+    head = int(count[:first].sum())
+    if head > n_values:
+        raise ValueError("huffman bitstream holds more than n_values symbols")
+    tail = dec.decode(packed, n_values - head, start=int(start[first]))
+    return np.concatenate([_symbols(dec, rows[:first], count[:first]), tail])
+
+
+def _symbols(
+    dec: huffman._Decoder, rows: np.ndarray, count: np.ndarray
+) -> np.ndarray:
+    """The first ``count[i]`` packed entries of every row, in order,
+    resolved to symbol values."""
+    keep = np.arange(rows.shape[1], dtype=np.int64) < count[:, None]
+    return dec.code.symbols[rows[keep] >> 5]
+
+
+def _run_past(
+    codes: bytes,
+    tab: np.ndarray,
+    root_bits: int,
+    max_len: int,
+    start: np.ndarray,
+    target: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode each segment from ``start`` until its cursor reaches
+    ``target``: :data:`_SYNC_QUOTA` symbols per segment in the first
+    kernel call, a quarter of that in each later one.
+
+    Returns ``(count, end, rows)``: the symbols decoded, the codeword
+    boundary where the cursor reached the target (``-1`` where it froze
+    in a Kraft hole first) and the packed table entries, one row per
+    segment, valid up to ``count``.  Every symbol takes at least one
+    bit, so no row is wider than about its segment's span in bits:
+    ``rows`` holds at most about two entries per stream bit, however
+    unevenly a hostile stream spreads its symbols.
+    """
+    n = start.size
+    count = np.zeros(n, dtype=np.int64)
+    end = np.full(n, -1, dtype=np.int64)
+    cur = start.copy()
+    live = np.arange(n, dtype=np.int64)
+    quota = _SYNC_QUOTA
+    chunks = []
+    while live.size:
+        base = cur[live]
+        c = base.copy()
+        got = _decode_staged(
+            codes, tab, root_bits, max_len, c, np.full(quota, live.size), quota
+        )
+        if live.size < n:
+            chunk = np.zeros((n, quota), dtype=np.int32)
+            chunk[live] = got
+            chunks.append(chunk)
+        else:
+            chunks.append(got)
+        bits = got & np.int32(31)
+        # Bits consumed after each symbol: the first symbol to reach
+        # the target is the segment's last.
+        used = np.cumsum(bits, axis=1, dtype=np.int32)
+        short = (used < (target[live] - base)[:, None]).sum(axis=1)
+        done = short < quota
+        count[live[done]] += short[done] + 1
+        end[live[done]] = base[done] + used[np.flatnonzero(done), short[done]]
+        # A length-0 entry last means the cursor froze in a Kraft hole.
+        going = ~done & (bits[:, -1] != 0)
+        count[live[going]] += quota
+        cur[live[going]] = c[going]
+        live = live[going]
+        quota = _SYNC_QUOTA // 4
+    return count, end, np.hstack(chunks)
 
 
 def _decode_staged(

@@ -26,12 +26,18 @@ Implementation notes
   table small and bounds the encoder's bit-scatter passes; the rate
   loss versus unrestricted Huffman is negligible for the skewed
   residual histograms SZ produces.
-* The scalar decoder (v2 single-stream frames, and the lane kernel's
-  test oracle) uses a flat ``2^TABLE_BITS``-entry table: one lookup per
-  symbol for all codes up to :data:`TABLE_BITS` bits (the common case);
-  longer codes resolve through a canonical first-code search.  The
-  lane kernel (:mod:`repro.sz.fastdecode`, v3 frames) uses one packed
-  two-level table (:meth:`_Decoder.lane_table`) that no code misses.
+* :func:`decode` reads every single stream (v2 frames, LZ7H, the image
+  and multilevel codecs).  From :data:`SELF_SYNC_MIN_VALUES` symbols up
+  it sends the stream through the lane kernel by self-synchronization
+  (:func:`repro.sz.fastdecode.decode_stream`); shorter streams, such as
+  LZ7H's token and distance streams, stay on the scalar loop
+  (:meth:`_Decoder.decode`), which is also the kernel's test oracle.
+  The scalar loop uses a flat ``2^TABLE_BITS``-entry table: one lookup
+  per symbol for all codes up to :data:`TABLE_BITS` bits (the common
+  case); longer codes resolve through a canonical first-code search.
+  The lane kernel (:mod:`repro.sz.fastdecode`: v3 frames and long
+  single streams) uses one packed two-level table
+  (:meth:`_Decoder.lane_table`) that no code misses.
 * Everything derived from one code table — decoder tables, the dense
   encode LUT — hangs off a :class:`CanonicalCodec`, cached process-wide
   by table digest (:func:`codec_for`), so lanes, repeated
@@ -76,6 +82,7 @@ __all__ = [
     "TABLE_BITS",
     "DEPTH_LIMIT_BITS",
     "MAX_LANES",
+    "SELF_SYNC_MIN_VALUES",
 ]
 
 #: Hard cap on codeword length (keeps tables and bit passes bounded).
@@ -767,7 +774,11 @@ class _Decoder:
         self._fast_syms = fast_syms
         self._fast_bits = fast_bits
 
-    def decode(self, packed: PackedBits, n_values: int) -> np.ndarray:
+    def decode(
+        self, packed: PackedBits, n_values: int, start: int = 0
+    ) -> np.ndarray:
+        """Decode ``n_values`` symbols from bit ``start`` of ``packed``;
+        the last codeword must end exactly at ``packed.n_bits``."""
         # Hot loop notes (profile-driven, see the HPC guides): plain
         # Python lists beat ndarray scalar indexing ~4x here, the
         # buffer refills eight bytes per int.from_bytes call, and the
@@ -777,7 +788,10 @@ class _Decoder:
         # several codewords; the stream itself tells us the average
         # bits/symbol.  Above the threshold, skip both the build cost
         # and the per-iteration fast-path overhead.
-        use_fast = n_values > 0 and packed.n_bits / n_values <= self.t_bits / 2
+        n_bits = packed.n_bits
+        use_fast = (
+            n_values > 0 and (n_bits - start) / n_values <= self.t_bits / 2
+        )
         if use_fast and not hasattr(self, "_fast_syms"):
             self._build_fast_table()
         fast_syms = self._fast_syms if use_fast else None
@@ -790,11 +804,13 @@ class _Decoder:
         t_mask = (1 << t_bits) - 1
         max_len = self.max_len
         long_codes = self.long_codes
-        n_bits = packed.n_bits
+        pos = start >> 3
         buf = 0
-        buf_len = 0
-        pos = 0
-        consumed = 0
+        buf_len = -start & 7
+        if buf_len:  # enter mid-byte: keep the start byte's low bits
+            buf = data[pos] & ((1 << buf_len) - 1)
+            pos += 1
+        consumed = start
         n_bytes = len(data)
         i = 0
         while i < n_values:
@@ -854,6 +870,8 @@ class _Decoder:
             buf_len -= ln
             buf &= (1 << buf_len) - 1
             i += 1
+        if consumed != n_bits:
+            raise ValueError("huffman bitstream does not end at n_bits")
         return np.array(out, dtype=np.int64)
 
 
@@ -1054,8 +1072,31 @@ def decoder_for(code: HuffmanCode) -> _Decoder:
     return codec_for(code).decoder
 
 
+#: From this many symbols up, :func:`decode` sends a single stream
+#: through the lane kernel by self-synchronization
+#: (:func:`repro.sz.fastdecode.decode_stream`); shorter streams stay on
+#: the scalar loop, whose fixed cost per call is far lower.  Set at the
+#: measured crossover: from 16,384 symbols every serve stand-in decoded
+#: faster through the kernel (1.1-1.6x at 1-2 bits per symbol, 2.7x
+#: and more above), at 12,288 the lowest-entropy ones did not, and
+#: LZ7H's streams (60-4,449 symbols) decoded 14x slower through it.
+SELF_SYNC_MIN_VALUES = 1 << 14
+
+
 def decode(packed: PackedBits, code: HuffmanCode, n_values: int) -> np.ndarray:
-    """Decode ``n_values`` symbols from a Huffman bitstream."""
+    """Decode exactly ``n_values`` symbols that end exactly at
+    ``packed.n_bits``; raises ``ValueError`` otherwise.
+
+    Both routes accept the same streams: long ones go through the lane
+    kernel (:data:`SELF_SYNC_MIN_VALUES`), short ones through the
+    scalar loop.
+    """
     if n_values == 0:
+        if packed.n_bits:
+            raise ValueError("huffman bitstream does not end at n_bits")
         return np.empty(0, dtype=np.int64)
-    return decoder_for(code).decode(packed, n_values)
+    if n_values < SELF_SYNC_MIN_VALUES:
+        return decoder_for(code).decode(packed, n_values)
+    from repro.sz import fastdecode  # fastdecode imports this module
+
+    return fastdecode.decode_stream(packed, code, n_values)

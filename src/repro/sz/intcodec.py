@@ -60,29 +60,42 @@ def varint_encode(values: np.ndarray) -> bytes:
 
 
 def varint_decode(data: bytes, count: int) -> np.ndarray:
-    """Decode ``count`` varints; raises ``ValueError`` on truncation."""
-    values = np.empty(count, dtype=np.uint64)
-    pos = 0
-    n = len(data)
-    for i in range(count):
-        shift = 0
-        acc = 0
-        while True:
-            if pos >= n:
-                raise ValueError("truncated varint stream")
-            byte = data[pos]
-            pos += 1
-            acc |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-            if shift > 63:
-                raise ValueError("varint overflows 64 bits")
-        try:
-            values[i] = acc
-        except OverflowError:  # tenth byte carried more than bit 63
-            raise ValueError("varint overflows 64 bits") from None
-    return zigzag_decode(values)
+    """Decode ``count`` varints; raises ``ValueError`` on truncation.
+
+    Vectorized: every byte below 0x80 ends a varint, so the first
+    ``count`` such bytes delimit the values, and one ``reduceat`` ORs
+    each value's 7-bit groups together.  A varint that reaches an
+    eleventh byte, or whose tenth byte carries more than bit 63,
+    overflows 64 bits; the error raised is the one the first bad
+    varint in stream order hits.
+    """
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    head = raw[:count]
+    if len(head) == count and head.max() < 0x80:
+        # Every varint is one byte (small tree deltas): the common case.
+        return zigzag_decode(head)
+    ends = np.flatnonzero(raw < 0x80)[:count]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    width = ends + 1 - starts
+    # Only a value of 2^63 or more needs ten bytes.
+    overflow = len(ends) and width.max() >= 10 and bool(
+        ((width > 10) | ((width == 10) & (raw[ends] > 1))).any()
+    )
+    if len(ends) < count:
+        # The next varint runs off the end: truncated, unless it
+        # already ran past ten bytes.
+        tail = int(ends[-1]) + 1 if len(ends) else 0
+        if len(raw) < tail + 10 and not overflow:
+            raise ValueError("truncated varint stream")
+        raise ValueError("varint overflows 64 bits")
+    if overflow:
+        raise ValueError("varint overflows 64 bits")
+    used = raw[: int(ends[-1]) + 1]
+    shift = (np.arange(len(used)) - np.repeat(starts, width)) * 7
+    groups = (used & 0x7F).astype(np.uint64) << shift.astype(np.uint64)
+    return zigzag_decode(np.bitwise_or.reduceat(groups, starts))
 
 
 def byteplane_encode(values: np.ndarray) -> bytes:

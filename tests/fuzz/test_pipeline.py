@@ -83,6 +83,34 @@ def test_huffman_decode_garbage_bits(payload, n_values):
         pass
 
 
+@given(seed=st.integers(0, 2**32 - 1),
+       extra_bytes=st.integers(-2, 2),
+       holes=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_huffman_decode_garbage_bits_above_threshold(seed, extra_bytes,
+                                                     holes):
+    """Random bits long enough for the self-synchronizing kernel route:
+    decode or ValueError, never a hang or index error.  The complete
+    4-bit code decodes any bits (and never resynchronizes off its
+    lattice); the incomplete one also meets a Kraft hole."""
+    if holes:
+        code = huffman.codec_from_table(
+            np.arange(6, dtype=np.int64),
+            np.array([1, 2, 3, 5, 5, 5], dtype=np.uint8),
+        ).code
+    else:
+        values = np.arange(16, dtype=np.int64).repeat(4)
+        code = huffman.build_code(*np.unique(values, return_counts=True))
+    n_values = huffman.SELF_SYNC_MIN_VALUES + seed % 4096
+    payload = np.random.default_rng(seed).bytes(n_values // 2 + extra_bytes)
+    packed = PackedBits(data=payload, n_bits=8 * len(payload))
+    try:
+        out = huffman.decode(packed, code, n_values)
+        assert out.size == n_values
+    except ValueError:
+        pass
+
+
 @given(section=st.sampled_from(SECTION_ORDER),
        blob=st.binary(max_size=120),
        seed=st.integers(0, 2**31 - 1))

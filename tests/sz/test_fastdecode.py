@@ -77,7 +77,7 @@ class TestLaneRoundTrip:
         # One lane, no anchors: the lane stream is byte-identical to
         # the single-stream format the scalar decoder reads.
         packed = enc.lanes[0]
-        scalar = huffman.decode(packed, code, values.size)
+        scalar = huffman._Decoder(code).decode(packed, values.size)
         table = enc.table
         kernel = fastdecode.decode_lanes(codes, code, table, values.size)
         assert np.array_equal(scalar, kernel)

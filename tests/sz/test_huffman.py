@@ -213,7 +213,9 @@ class TestFastDecodeTable:
         off; both must reproduce the input exactly."""
         code = _code_for(values)
         packed = huffman.encode(values, code)
-        fast = huffman.decode(packed, code, values.size)
+        # The scalar loop itself: huffman.decode sends streams this
+        # long through the lane kernel.
+        fast = huffman._Decoder(code).decode(packed, values.size)
 
         decoder = huffman._Decoder(code)
         # Force the slow path by making the gate condition false.

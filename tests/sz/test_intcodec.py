@@ -10,6 +10,40 @@ from repro.sz import intcodec
 int64s = st.integers(min_value=-(2**62), max_value=2**62 - 1)
 
 
+def _varint_decode_ref(data: bytes, count: int) -> np.ndarray:
+    """The byte-at-a-time loop ``varint_decode`` replaced: the
+    differential reference for its values and its errors."""
+    values = np.empty(count, dtype=np.uint64)
+    pos = 0
+    n = len(data)
+    for i in range(count):
+        shift = 0
+        acc = 0
+        while True:
+            if pos >= n:
+                raise ValueError("truncated varint stream")
+            byte = data[pos]
+            pos += 1
+            acc |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                break
+            shift += 7
+            if shift > 63:
+                raise ValueError("varint overflows 64 bits")
+        try:
+            values[i] = acc
+        except OverflowError:  # tenth byte carried more than bit 63
+            raise ValueError("varint overflows 64 bits") from None
+    return intcodec.zigzag_decode(values)
+
+
+def _outcome(fn, data, count):
+    try:
+        return fn(data, count).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestZigzag:
     def test_small_values(self):
         vals = np.array([0, -1, 1, -2, 2], dtype=np.int64)
@@ -63,6 +97,39 @@ class TestVarint:
         arr = np.array(values, dtype=np.int64)
         data = intcodec.varint_encode(arr)
         assert np.array_equal(intcodec.varint_decode(data, len(arr)), arr)
+
+    @given(
+        # Continuation-heavy bytes, so runs of ten and more occur.
+        data=st.lists(
+            st.one_of(st.integers(0x80, 0xFF), st.integers(0, 0x7F)),
+            max_size=40,
+        ).map(bytes),
+        count=st.integers(0, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_on_any_bytes(self, data, count):
+        """Same values, or the same error, as the loop it replaced."""
+        assert _outcome(intcodec.varint_decode, data, count) == _outcome(
+            _varint_decode_ref, data, count
+        )
+
+    @pytest.mark.parametrize(
+        "data, count",
+        [
+            (b"\xff" * 9 + b"\x01", 1),          # tenth byte, bit 63 only
+            (b"\xff" * 9 + b"\x02", 1),          # tenth byte past bit 63
+            (b"\xff" * 10, 1),                   # unterminated at ten bytes
+            (b"\xff" * 9, 1),                    # unterminated at nine
+            (b"\x01" + b"\xff" * 9 + b"\x02", 3),  # overflow before truncation
+            (b"\x01\x02\x03", 2),                # trailing bytes ignored
+            (b"", 0),
+            (b"\x80", 0),
+        ],
+    )
+    def test_matches_loop_at_the_edges(self, data, count):
+        assert _outcome(intcodec.varint_decode, data, count) == _outcome(
+            _varint_decode_ref, data, count
+        )
 
 
 class TestBytePlane:

@@ -2,15 +2,18 @@
 
 ``fastdecode.decode_lanes`` decodes every v3 frame through one
 two-level packed table (``_Decoder.lane_table``) and one staged-output
-loop.  The scalar ``huffman.decode`` — the v2 single-stream decoder,
-with its own 12-bit table and canonical long-code scan — is the
-oracle: each lane of a v3 encoding is a self-contained stream it can
-read, so the kernel's output must equal the scalar decode of every
-lane, concatenated.  Codes are drawn at the depths where the table's
-shape changes (one level up to 16 bits; root plus 1- to 8-bit
-sub-tables above) and at shallow depths that pack up to 9 symbols per
-gather, in uniform and ragged segment layouts; incomplete codes check
-that both table levels keep their Kraft holes fail-closed.
+loop, and ``fastdecode.decode_stream`` sends single (v2) streams of at
+least ``huffman.SELF_SYNC_MIN_VALUES`` symbols through the same loop
+by self-synchronization.  The scalar loop, ``huffman._Decoder.decode``
+called directly — with its own 12-bit table and canonical long-code
+scan — is the oracle: each lane of a v3 encoding is a self-contained
+stream it can read, so the kernel's output must equal the scalar
+decode of every lane, concatenated, and ``huffman.decode`` must equal
+it on either side of the threshold.  Codes are drawn at the depths
+where the table's shape changes (one level up to 16 bits; root plus
+1- to 8-bit sub-tables above) and at shallow depths that pack up to 9
+symbols per gather, in uniform and ragged segment layouts; incomplete
+codes check that both table levels keep their Kraft holes fail-closed.
 """
 
 import tracemalloc
@@ -21,10 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sz import fastdecode, huffman
-from repro.sz.bitstream import concat_streams
+from repro.sz.bitstream import PackedBits, concat_streams
 from repro.sz.huffman import DEPTH_LIMIT_BITS, LaneTable
 
 DEPTHS = (6, 12, 16, 17, 19, 20, 21, 24)
+THRESHOLD = huffman.SELF_SYNC_MIN_VALUES
 
 
 def _code_from_lengths(lengths, seed: int = 0) -> huffman.HuffmanCode:
@@ -83,8 +87,9 @@ def _kernel_and_scalar(code, values, n_lanes, stride):
         concat_streams(list(enc.lanes)), code, enc.table, values.size
     )
     sizes = huffman.lane_sizes(values.size, n_lanes)
+    oracle = huffman._Decoder(code)
     scalar = np.concatenate([
-        huffman.decode(lane, code, int(size))
+        oracle.decode(lane, int(size))
         for lane, size in zip(enc.lanes, sizes)
     ])
     return kernel, scalar
@@ -122,6 +127,124 @@ class TestKernelMatchesScalar:
         kernel, scalar = _kernel_and_scalar(code, values, n_lanes, stride)
         np.testing.assert_array_equal(kernel, scalar)
         np.testing.assert_array_equal(kernel, values)
+
+
+def _routes(code, packed, n):
+    """Every way to read one stream: ``huffman.decode``, and the scalar
+    loop and the kernel route called directly."""
+    return (
+        lambda: huffman.decode(packed, code, n),
+        lambda: huffman._Decoder(code).decode(packed, n),
+        lambda: fastdecode.decode_stream(packed, code, n),
+    )
+
+
+def _assert_rejected(code, packed, n):
+    for decode in _routes(code, packed, n):
+        with pytest.raises(ValueError):
+            decode()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Symbol count of every call ``huffman.decode`` routes to the kernel."""
+    calls = []
+    real = fastdecode.decode_stream
+
+    def spy(packed, code, n_values):
+        calls.append(n_values)
+        return real(packed, code, n_values)
+
+    monkeypatch.setattr(fastdecode, "decode_stream", spy)
+    return calls
+
+
+class TestSingleStreamMatchesScalar:
+    @pytest.mark.parametrize("max_len", DEPTHS)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_drawn_codes_both_sides_of_threshold(self, max_len, data):
+        code = data.draw(codes_of_depth(max_len))
+        n = data.draw(
+            st.sampled_from([THRESHOLD - 1, THRESHOLD])
+            | st.integers(THRESHOLD + 1, THRESHOLD + 3000)
+            | st.integers(1, 2000)
+        )
+        values = _values(code, n, data.draw(st.integers(0, 2**32 - 1)))
+        packed = huffman.encode(values, code)
+        for decode in _routes(code, packed, n):
+            np.testing.assert_array_equal(decode(), values)
+
+    @pytest.mark.parametrize("max_len", DEPTHS)
+    @pytest.mark.parametrize("n", [THRESHOLD - 1, THRESHOLD])
+    def test_threshold_picks_the_route(self, max_len, n, kernel_calls):
+        code = _code_from_lengths(
+            list(range(1, max_len + 1)) + [max_len], seed=max_len
+        )
+        values = _values(code, n, seed=max_len)
+        packed = huffman.encode(values, code)
+        np.testing.assert_array_equal(huffman.decode(packed, code, n), values)
+        assert kernel_calls == ([n] if n >= THRESHOLD else [])
+
+
+class TestSingleStreamFailClosed:
+    def test_equal_lengths_never_resync_and_hit_the_round_cap(
+        self, monkeypatch
+    ):
+        # 256 symbols x 8 bits: decoding from a guess off the byte
+        # lattice stays off it, so each round settles one segment and
+        # the round cap hands the rest to the scalar loop.
+        code = _code_from_lengths([8] * 256, seed=3)
+        n = (1 << 15) + 3  # guesses land off the byte lattice
+        values = _values(code, n, seed=3)
+        packed = huffman.encode(values, code)
+        rounds, tails = [], []
+        real_run, real_scalar = fastdecode._run_past, huffman._Decoder.decode
+
+        def run_spy(*args):
+            rounds.append(args[4].size)
+            return real_run(*args)
+
+        def scalar_spy(self, packed, n_values, start=0):
+            tails.append((start, n_values))
+            return real_scalar(self, packed, n_values, start)
+
+        monkeypatch.setattr(fastdecode, "_run_past", run_spy)
+        monkeypatch.setattr(huffman._Decoder, "decode", scalar_spy)
+        np.testing.assert_array_equal(huffman.decode(packed, code, n), values)
+        assert len(rounds) == fastdecode._SYNC_ROUNDS
+        assert all(size > 1 for size in rounds)
+        ((start, rest),) = tails
+        assert start > 0 and start % 8 == 0
+        assert rest == n - start // 8
+
+    @pytest.mark.parametrize("n", [THRESHOLD - 1, THRESHOLD])
+    @pytest.mark.parametrize(
+        "defect", ["one-bit-short", "one-value-more", "trailing-bits"]
+    )
+    def test_malformed_stream_rejected_on_both_sides(self, n, defect):
+        code = _code_from_lengths(list(range(1, 13)) + [12], seed=1)
+        values = _values(code, n - (defect == "one-value-more"), seed=n)
+        packed = huffman.encode(values, code)
+        n_bits = packed.n_bits
+        if defect == "one-bit-short":
+            packed = PackedBits(packed.data[: (n_bits + 6) // 8], n_bits - 1)
+        elif defect == "trailing-bits":
+            # Zero bits decode as the all-zero codeword, so the chain
+            # runs on past n_values symbols.
+            extra = (n_bits + 5 + 7) // 8 - len(packed.data)
+            packed = PackedBits(packed.data + bytes(extra), n_bits + 5)
+        _assert_rejected(code, packed, n)
+
+    @pytest.mark.parametrize("n", [THRESHOLD - 1, THRESHOLD])
+    @pytest.mark.parametrize("n_bits", ["below-n", "above-3n"])
+    def test_bit_count_no_chain_can_fill_rejected(self, n, n_bits):
+        # Codes of 1 to 3 bits: n symbols fill n to 3n bits.  All-zero
+        # bits decode as the 1-bit codeword.
+        code = _code_from_lengths([1, 2, 3, 3], seed=2)
+        bits = n - 1 if n_bits == "below-n" else 3 * n + 1
+        packed = PackedBits(bytes(-(-bits // 8)), bits)
+        _assert_rejected(code, packed, n)
 
 
 class TestTableShape:
@@ -198,6 +321,49 @@ class TestKraftHoles:
         with pytest.raises(ValueError):
             huffman.decode(lane0, code, values.size // 2)
 
+    @pytest.mark.parametrize("n", [THRESHOLD - 1, THRESHOLD])
+    @pytest.mark.parametrize("where", ["first", "middle"])
+    @pytest.mark.parametrize(
+        "prefix",
+        [b"\xff\xff\xff", b"\xff\xfe\x10"],
+        ids=["root-hole", "sub-table-hole"],
+    )
+    def test_hole_on_the_true_chain_fails_closed_single_stream(
+        self, prefix, where, n
+    ):
+        code = _code_from_lengths(self.LENGTHS, seed=5)
+        values = _values(code, n, seed=5)
+        packed = huffman.encode(values, code)
+        # Overwrite the stream at a byte-aligned codeword boundary.
+        lengths = code.lengths[np.searchsorted(code.symbols, values)]
+        bounds = np.cumsum(lengths.astype(np.int64)) - lengths
+        aligned = bounds[bounds % 8 == 0] // 8
+        at = 0 if where == "first" else int(aligned[aligned.size // 2])
+        data = bytearray(packed.data)
+        data[at : at + len(prefix)] = prefix
+        corrupt = PackedBits(bytes(data), packed.n_bits)
+        _assert_rejected(code, corrupt, n)
+
+    def test_holes_met_only_from_guesses_do_not_raise(self, monkeypatch):
+        # Codewords 00, 01, 100, 101 leave prefix 11 a hole.  The true
+        # chain never starts a codeword there, but "01" followed by
+        # "10x" puts 11 across the boundary, where guesses can land.
+        code = _code_from_lengths([2, 2, 3, 3], seed=6)
+        values = _values(code, THRESHOLD + 1, seed=6)
+        packed = huffman.encode(values, code)
+        frozen = []
+        real = fastdecode._run_past
+
+        def spy(*args):
+            count, end, rows = real(*args)
+            frozen.append(int((end < 0).sum()))
+            return count, end, rows
+
+        monkeypatch.setattr(fastdecode, "_run_past", spy)
+        out = huffman.decode(packed, code, values.size)
+        np.testing.assert_array_equal(out, values)
+        assert frozen[0] > 0
+
     def test_holes_are_zero_at_both_levels(self):
         code = _code_from_lengths(self.LENGTHS, seed=5)
         tab, root_bits = huffman._Decoder(code).lane_table()
@@ -226,6 +392,31 @@ class TestKraftHoles:
             return
         assert out.shape == (n,) and out.dtype == np.int64
         assert np.isin(out, code.symbols).all()
+
+
+    @pytest.mark.parametrize("max_len", (6, 17, 24))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_flipped_single_streams_accepted_alike(self, max_len, data):
+        """Both routes accept exactly the same streams: a flipped
+        single stream decodes to the same symbols, or raises
+        ``ValueError``, whichever route reads it."""
+        code = data.draw(codes_of_depth(max_len))
+        n = data.draw(st.integers(1, 3000))
+        values = _values(code, n, data.draw(st.integers(0, 2**32 - 1)))
+        packed = huffman.encode(values, code)
+        stream = bytearray(packed.data)
+        for pick in data.draw(st.lists(st.integers(0, 1 << 30), min_size=1,
+                                       max_size=4)):
+            stream[pick % len(stream)] ^= 1 << (pick >> 20) % 8
+        flipped = PackedBits(bytes(stream), packed.n_bits)
+        outcomes = []
+        for decode in _routes(code, flipped, n)[1:]:
+            try:
+                outcomes.append(decode().tolist())
+            except ValueError:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
 
 
 def test_segment_layout_rejects_inconsistent_table():
