@@ -3,8 +3,9 @@
 Standalone (no pytest plugins): times the scalar-chained CBC path
 against the batched CTR path end-to-end on the encryption-heavy
 Cmpr-Encr scheme over a fig6-size field, the raw keystream generator
-monolithic vs segmented, whole-call CBC decryption, and the keystream
-blocks one CTR compress makes against those its ciphertext uses.
+monolithic vs segmented, whole-call CBC decryption and encryption, and
+the keystream blocks one CTR compress makes against those its
+ciphertext uses.
 Writes ``BENCH_crypto.json`` at the repo root (or ``REPRO_BENCH_OUT``)
 under the ledger's ``repro-bench/1`` provenance header
 (:mod:`provenance`).  CI runs it once at full size, where the
@@ -13,9 +14,11 @@ timings on the same runner — applies, and once as a smoke check at
 tiny dims (``REPRO_BENCH_DIMS`` set), where it is waived.
 
 Correctness is asserted at every size: segmented keystream must be
-bit-identical to monolithic, a CTR compress must make exactly the
-``ceil(n / 16)`` keystream blocks its ``n``-byte encrypt span needs,
-and seeded CBC containers must not drift between runs.
+bit-identical to monolithic, CBC encryption (the scalar chain kernel)
+must equal the chain rebuilt on the batched engine, a CTR compress
+must make exactly the ``ceil(n / 16)`` keystream blocks its
+``n``-byte encrypt span needs, and seeded CBC containers must not
+drift between runs.
 
 Usage::
 
@@ -40,7 +43,7 @@ from provenance import header
 
 from repro.core import trace
 from repro.core.pipeline import SecureCompressor
-from repro.crypto import modes
+from repro.crypto import batch, modes
 from repro.crypto.block import encrypt_block
 from repro.crypto.keyschedule import expand_key
 from repro.datasets import generate
@@ -61,12 +64,12 @@ OUT_PATH = os.environ.get(
 KEY = bytes(range(16))
 
 
-def _best_seconds(fn, repeats: int = REPEATS) -> float:
+def _best_seconds(fn, repeats: int = REPEATS, clock=time.perf_counter) -> float:
     best = float("inf")
     for _ in range(repeats):
-        t0 = time.perf_counter()
+        t0 = clock()
         fn()
-        best = min(best, time.perf_counter() - t0)
+        best = min(best, clock() - t0)
     return best
 
 
@@ -79,6 +82,18 @@ def _padded_ciphertext(ek, iv: bytes, n_bytes: int) -> bytes:
     prev = raw[-16:] if raw else iv
     last = bytes(a ^ b for a, b in zip(bytes(15) + b"\x01", prev))
     return raw + encrypt_block(last, ek)
+
+
+def _is_batch_chain(ct: bytes, plaintext: bytes, ek, iv: bytes) -> bool:
+    """True when ``ct`` is the CBC chain of ``plaintext`` on the batched
+    engine: every block is E(P_i xor C_{i-1}), with C_{-1} = IV.  One
+    engine call checks every link at once."""
+    plain = batch.to_blocks(modes.pkcs7_pad(plaintext))
+    cipher = batch.to_blocks(ct)
+    if cipher.shape != plain.shape:
+        return False
+    prev = np.vstack([np.frombuffer(iv, dtype=np.uint8), cipher[:-1]])
+    return bool(np.array_equal(batch.encrypt_blocks(plain ^ prev, ek), cipher))
 
 
 def main() -> dict:
@@ -97,6 +112,7 @@ def main() -> dict:
         "full_size": FULL_SIZE,
         "keystream_mb_per_s": {},
         "decrypt_mb_per_s": {},
+        "encrypt_mb_per_s": {},
         "end_to_end_s": {},
         "stage_encrypt_s": {},
     }
@@ -132,6 +148,21 @@ def main() -> dict:
     ct = _padded_ciphertext(ek, iv, n_ct)
     secs = _best_seconds(lambda: modes.cbc_decrypt(ct, ek, iv))
     result["decrypt_mb_per_s"]["cbc"] = round(n_ct / 1e6 / secs, 2)
+
+    # ------------------------------------------------------------------
+    # Whole-call CBC encrypt (the scalar chain kernel, CPU seconds) of
+    # that ciphertext's plaintext, so the same bytes come out; the
+    # chain must match the batched engine's at every size.
+    # ------------------------------------------------------------------
+    pt = modes.cbc_decrypt(ct, ek, iv)
+    enc = modes.cbc_encrypt(pt, ek, iv)
+    assert enc == ct and _is_batch_chain(enc, pt, ek, iv), (
+        "CBC chain drift: cbc_encrypt differs from the batch-engine chain"
+    )
+    secs = _best_seconds(
+        lambda: modes.cbc_encrypt(pt, ek, iv), clock=time.process_time
+    )
+    result["encrypt_mb_per_s"]["cbc"] = round(n_ct / 1e6 / secs, 2)
 
     # ------------------------------------------------------------------
     # End-to-end compress+encrypt: Cmpr-Encr encrypts its whole

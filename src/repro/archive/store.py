@@ -183,6 +183,8 @@ class ArchiveStore:
         crypto_rng.refuse_seeded_ctr(cipher_mode, random_state)
         self._path = os.fspath(path)
         self._key = key
+        # One key schedule per store, shared by every blob it seals.
+        self._cipher = AES128(key) if key is not None else None
         self._cipher_mode = cipher_mode
         self._rng = random_state
         self._chunk_kwargs = dict(
@@ -324,10 +326,10 @@ class ArchiveStore:
 
     def _seal(self, chunk: bytes, codec: int) -> tuple[_Blob, bytes]:
         payload = _encode(chunk, codec)
-        if self._key is not None:
+        if self._cipher is not None:
             iv = crypto_rng.fresh_iv(self._cipher_mode, self._rng)
             enc = _ENC_BY_MODE[self._cipher_mode]
-            payload = AES128(self._key).encrypt(
+            payload = self._cipher.encrypt(
                 payload, mode=self._cipher_mode, iv=iv
             ).ciphertext
         else:
@@ -345,12 +347,12 @@ class ArchiveStore:
                 f"stored blob {rec.raw_sha.hex()[:12]} digest mismatch"
             )
         if rec.enc != _ENC_NONE:
-            if self._key is None:
+            if self._cipher is None:
                 raise ValueError("archive blob is encrypted; key required")
             mode = "cbc" if rec.enc == _ENC_CBC else "ctr"
             # The 16s wire slot zero-pads CTR's 8-byte nonce.
             iv = rec.iv[:8] if rec.enc == _ENC_CTR else rec.iv
-            stored = AES128(self._key).decrypt(stored, iv, mode=mode)
+            stored = self._cipher.decrypt(stored, iv, mode=mode)
         chunk = _decode(stored, rec.codec)
         if len(chunk) != rec.raw_len or _sha(chunk) != rec.raw_sha:
             raise ArchiveCorrupt(
@@ -432,8 +434,10 @@ class ArchiveStore:
         """Add a float field as a SECZ container entry.
 
         The container carries its own scheme protection, so its chunks
-        are stored uncoded and unencrypted (``codec=store``, plain) —
-        double-sealing would only hide the dedup opportunity.
+        are stored uncoded (``codec=store``).  A keyed store still seals
+        them with its cipher like any other blob, which keeps a
+        ``scheme="none"`` field confidential; a keyless store keeps
+        them plain.
         """
         if self._key is None and get_scheme(scheme).requires_key:
             raise ValueError(f"scheme {scheme!r} needs an archive key")

@@ -2,12 +2,15 @@
 
 Two implementations live here:
 
-* :func:`encrypt_block` — the classic four-T-table formulation.  Each
-  round of the cipher collapses into 16 table lookups and 20 XORs on
-  32-bit column words, which is the fastest thing pure Python can do
-  per block.  CBC *encryption* must run block-by-block (ciphertext
-  chaining), so this path is on the critical path of every scheme in
-  the paper and is worth the table machinery.
+* :func:`cbc_encrypt_words` — the CBC chain kernel on the classic
+  four-T-table formulation.  Each round of the cipher collapses into
+  16 table lookups and 20 XORs on 32-bit column words, which is the
+  fastest thing pure Python can do per block.  CBC *encryption* must
+  run block-by-block (ciphertext chaining), so this loop is the
+  paper's Algorithm-1 path: it takes a window of plaintext words,
+  keeps the chain value in four ints and packs the ciphertext once.
+  :func:`encrypt_block` is its one-block call on a zero chain, so there
+  is one scalar forward cipher.
 * :func:`decrypt_block` — a plain state-matrix inverse cipher.  Bulk
   decryption goes through the vectorized :mod:`repro.crypto.batch`
   engine instead; this scalar version exists for small inputs and for
@@ -15,6 +18,8 @@ Two implementations live here:
 """
 
 from __future__ import annotations
+
+import struct
 
 from repro.crypto.keyschedule import ROUNDS, ExpandedKey
 from repro.crypto.sbox import (
@@ -31,86 +36,73 @@ from repro.crypto.sbox import (
     T3,
 )
 
-__all__ = ["encrypt_block", "decrypt_block", "BLOCK_BYTES"]
+__all__ = ["cbc_encrypt_words", "encrypt_block", "decrypt_block", "BLOCK_BYTES"]
 
 BLOCK_BYTES = 16
+#: One block as four big-endian column words (FIPS-197 ``w[i]`` order).
+_BLOCK_WORDS = struct.Struct(">4I")
+_ZERO_CHAIN = bytes(BLOCK_BYTES)
+
+
+def cbc_encrypt_words(words: list[int], key: ExpandedKey, chain: bytes) -> bytes:
+    """CBC-encrypt whole blocks given as big-endian 32-bit plaintext words.
+
+    ``words`` holds four column words per block (a slice of
+    ``np.frombuffer(..., ">u4")``, made a list); ``chain`` is the
+    16-byte value the first block XORs: the IV, or the last ciphertext
+    block of the previous window.  The chain value lives in four local
+    ints and the round keys are unpacked once per call, so a block
+    costs only its rounds.  ``words`` is consumed: each block's words
+    are overwritten with its ciphertext, so the kernel keeps no second
+    per-block list.  Returns the ciphertext bytes, packed once; their
+    last 16 bytes chain the next window.
+    """
+    c0, c1, c2, c3 = _BLOCK_WORDS.unpack(chain)
+    k = key.words
+    k0, k1, k2, k3 = k[0:4]
+    inner = [k[4 * r : 4 * r + 4] for r in range(1, ROUNDS)]
+    f0, f1, f2, f3 = k[4 * ROUNDS :]
+    t0, t1, t2, t3, s = T0, T1, T2, T3, SBOX
+    it = iter(words)
+    for i, (p0, p1, p2, p3) in enumerate(zip(it, it, it, it)):
+        w0 = p0 ^ c0 ^ k0
+        w1 = p1 ^ c1 ^ k1
+        w2 = p2 ^ c2 ^ k2
+        w3 = p3 ^ c3 ^ k3
+        # Words stay below 2**32, so the top byte needs no mask; w3 is
+        # overwritten last, once no other column still reads it.
+        for r0, r1, r2, r3 in inner:
+            e0 = t0[w0 >> 24] ^ t1[(w1 >> 16) & 0xFF] ^ t2[(w2 >> 8) & 0xFF] ^ t3[w3 & 0xFF] ^ r0
+            e1 = t0[w1 >> 24] ^ t1[(w2 >> 16) & 0xFF] ^ t2[(w3 >> 8) & 0xFF] ^ t3[w0 & 0xFF] ^ r1
+            e2 = t0[w2 >> 24] ^ t1[(w3 >> 16) & 0xFF] ^ t2[(w0 >> 8) & 0xFF] ^ t3[w1 & 0xFF] ^ r2
+            w3 = t0[w3 >> 24] ^ t1[(w0 >> 16) & 0xFF] ^ t2[(w1 >> 8) & 0xFF] ^ t3[w2 & 0xFF] ^ r3
+            w0, w1, w2 = e0, e1, e2
+        # Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
+        c0 = (
+            s[w0 >> 24] << 24 | s[(w1 >> 16) & 0xFF] << 16
+            | s[(w2 >> 8) & 0xFF] << 8 | s[w3 & 0xFF]
+        ) ^ f0
+        c1 = (
+            s[w1 >> 24] << 24 | s[(w2 >> 16) & 0xFF] << 16
+            | s[(w3 >> 8) & 0xFF] << 8 | s[w0 & 0xFF]
+        ) ^ f1
+        c2 = (
+            s[w2 >> 24] << 24 | s[(w3 >> 16) & 0xFF] << 16
+            | s[(w0 >> 8) & 0xFF] << 8 | s[w1 & 0xFF]
+        ) ^ f2
+        c3 = (
+            s[w3 >> 24] << 24 | s[(w0 >> 16) & 0xFF] << 16
+            | s[(w1 >> 8) & 0xFF] << 8 | s[w2 & 0xFF]
+        ) ^ f3
+        words[4 * i : 4 * i + 4] = c0, c1, c2, c3
+    return struct.pack(f">{len(words)}I", *words)
 
 
 def encrypt_block(block: bytes, key: ExpandedKey) -> bytes:
-    """Encrypt one 16-byte block with the T-table cipher."""
+    """Encrypt one 16-byte block: the chain kernel on a zero chain."""
     if len(block) != BLOCK_BYTES:
         raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
-    words = key.words
-    w0 = int.from_bytes(block[0:4], "big") ^ words[0]
-    w1 = int.from_bytes(block[4:8], "big") ^ words[1]
-    w2 = int.from_bytes(block[8:12], "big") ^ words[2]
-    w3 = int.from_bytes(block[12:16], "big") ^ words[3]
-
-    for r in range(1, ROUNDS):
-        base = 4 * r
-        e0 = (
-            T0[(w0 >> 24) & 0xFF]
-            ^ T1[(w1 >> 16) & 0xFF]
-            ^ T2[(w2 >> 8) & 0xFF]
-            ^ T3[w3 & 0xFF]
-            ^ words[base]
-        )
-        e1 = (
-            T0[(w1 >> 24) & 0xFF]
-            ^ T1[(w2 >> 16) & 0xFF]
-            ^ T2[(w3 >> 8) & 0xFF]
-            ^ T3[w0 & 0xFF]
-            ^ words[base + 1]
-        )
-        e2 = (
-            T0[(w2 >> 24) & 0xFF]
-            ^ T1[(w3 >> 16) & 0xFF]
-            ^ T2[(w0 >> 8) & 0xFF]
-            ^ T3[w1 & 0xFF]
-            ^ words[base + 2]
-        )
-        e3 = (
-            T0[(w3 >> 24) & 0xFF]
-            ^ T1[(w0 >> 16) & 0xFF]
-            ^ T2[(w1 >> 8) & 0xFF]
-            ^ T3[w2 & 0xFF]
-            ^ words[base + 3]
-        )
-        w0, w1, w2, w3 = e0, e1, e2, e3
-
-    # Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-    base = 4 * ROUNDS
-    f0 = (
-        (SBOX[(w0 >> 24) & 0xFF] << 24)
-        | (SBOX[(w1 >> 16) & 0xFF] << 16)
-        | (SBOX[(w2 >> 8) & 0xFF] << 8)
-        | SBOX[w3 & 0xFF]
-    ) ^ words[base]
-    f1 = (
-        (SBOX[(w1 >> 24) & 0xFF] << 24)
-        | (SBOX[(w2 >> 16) & 0xFF] << 16)
-        | (SBOX[(w3 >> 8) & 0xFF] << 8)
-        | SBOX[w0 & 0xFF]
-    ) ^ words[base + 1]
-    f2 = (
-        (SBOX[(w2 >> 24) & 0xFF] << 24)
-        | (SBOX[(w3 >> 16) & 0xFF] << 16)
-        | (SBOX[(w0 >> 8) & 0xFF] << 8)
-        | SBOX[w1 & 0xFF]
-    ) ^ words[base + 2]
-    f3 = (
-        (SBOX[(w3 >> 24) & 0xFF] << 24)
-        | (SBOX[(w0 >> 16) & 0xFF] << 16)
-        | (SBOX[(w1 >> 8) & 0xFF] << 8)
-        | SBOX[w2 & 0xFF]
-    ) ^ words[base + 3]
-
-    return (
-        f0.to_bytes(4, "big")
-        + f1.to_bytes(4, "big")
-        + f2.to_bytes(4, "big")
-        + f3.to_bytes(4, "big")
-    )
+    return cbc_encrypt_words(list(_BLOCK_WORDS.unpack(block)), key, _ZERO_CHAIN)
 
 
 def _add_round_key(state: list[int], key: ExpandedKey, r: int) -> None:

@@ -70,16 +70,6 @@ class ExpandedKey:
                 self, "dec_words", self.words[:4] + inner + self.words[WORDS - 4 :]
             )
 
-    def round_words(self, r: int) -> tuple[int, int, int, int]:
-        """The four 32-bit words of round key ``r`` (T-table path)."""
-        base = 4 * r
-        return (
-            self.words[base],
-            self.words[base + 1],
-            self.words[base + 2],
-            self.words[base + 3],
-        )
-
 
 def expand_key(key: bytes) -> ExpandedKey:
     """Expand a 16-byte AES-128 key per FIPS-197 Section 5.2.

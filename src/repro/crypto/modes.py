@@ -5,7 +5,8 @@ The paper's Algorithm 1 is textbook CBC:
     M_0 = IV xor B_0;  M_i = Cipher_{i-1} xor B_i;  Cipher_i = E_k(M_i)
 
 * **CBC encryption** chains each block on the previous ciphertext, so
-  it is inherently sequential and runs on the scalar T-table cipher.
+  it is inherently sequential and runs on the scalar T-table chain
+  kernel, in ``CTR_SEGMENT_BLOCKS``-block windows of plaintext words.
 * **CBC decryption** applies the block cipher to every ciphertext block
   *independently* (the chaining is only an XOR afterwards), so it runs
   on the batched engine, in ``CTR_SEGMENT_BLOCKS``-block windows:
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro.core import trace
 from repro.crypto import batch
-from repro.crypto.block import BLOCK_BYTES, encrypt_block
+from repro.crypto.block import BLOCK_BYTES, cbc_encrypt_words
 from repro.crypto.keyschedule import ExpandedKey
 
 __all__ = [
@@ -47,7 +48,8 @@ __all__ = [
 #: Blocks per batched engine call (8192 blocks = 128 KiB), for the CTR
 #: keystream and the CBC decrypt windows alike.  Bounds the engine's
 #: temporaries (a few (4, n) uint32 arrays per call) and keeps its
-#: working set in cache.
+#: working set in cache.  CBC encryption walks windows of the same
+#: size, which bounds its per-window lists of Python ints.
 CTR_SEGMENT_BLOCKS = 8192
 
 #: The counter field is 64 bits; ``initial + n_blocks`` past this wraps
@@ -89,23 +91,32 @@ def pkcs7_unpad(data: bytes) -> bytes:
 def cbc_encrypt(plaintext: bytes, key: ExpandedKey, iv: bytes) -> bytes:
     """AES-128-CBC encrypt with PKCS#7 padding (sequential by design).
 
-    The chaining XOR runs on whole 16-byte blocks as single 128-bit
-    ints — one ``int.from_bytes``/``to_bytes`` pair per block instead
-    of a 16-element generator expression, which measurably moves the
-    sequential Cmpr-Encr path.
+    The chain kernel :func:`~repro.crypto.block.cbc_encrypt_words` runs
+    over ``CTR_SEGMENT_BLOCKS``-block windows of big-endian plaintext
+    words, each window chained on the last ciphertext block of the one
+    before.  Only the final block is padded (the whole blocks are read
+    in place), so the peak stays near twice the plaintext whatever its
+    length.
     """
     if len(iv) != BLOCK_BYTES:
         raise ValueError(f"IV must be 16 bytes, got {len(iv)}")
-    padded = pkcs7_pad(plaintext)
-    trace.count("aes.blocks_encrypted", len(padded) // BLOCK_BYTES)
-    out = bytearray(len(padded))
-    prev = int.from_bytes(iv, "big")
-    for off in range(0, len(padded), BLOCK_BYTES):
-        block = int.from_bytes(padded[off : off + BLOCK_BYTES], "big") ^ prev
-        cipher = encrypt_block(block.to_bytes(BLOCK_BYTES, "big"), key)
-        out[off : off + BLOCK_BYTES] = cipher
-        prev = int.from_bytes(cipher, "big")
-    return bytes(out)
+    n_full = len(plaintext) // BLOCK_BYTES
+    last = np.frombuffer(
+        pkcs7_pad(plaintext[n_full * BLOCK_BYTES :]), dtype=">u4"
+    ).tolist()
+    n_blocks = n_full + 1
+    trace.count("aes.blocks_encrypted", n_blocks)
+    words = np.frombuffer(plaintext, dtype=">u4", count=4 * n_full)
+    parts = []
+    chain = iv
+    for start in range(0, n_blocks, CTR_SEGMENT_BLOCKS):
+        stop = start + CTR_SEGMENT_BLOCKS
+        window = words[4 * start : 4 * stop].tolist()
+        if stop >= n_blocks:
+            window += last
+        parts.append(cbc_encrypt_words(window, key, chain))
+        chain = parts[-1][-BLOCK_BYTES:]
+    return b"".join(parts)
 
 
 def cbc_decrypt(ciphertext: bytes, key: ExpandedKey, iv: bytes) -> bytes:

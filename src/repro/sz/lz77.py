@@ -208,15 +208,16 @@ def _best_matches(data: bytes) -> tuple[np.ndarray, np.ndarray]:
 
         # Distances shared by many pairs (runs, periodic data) get an
         # exact O(n) scan; the long tail keeps the block-extension
-        # loop, bounded per pair by the light cap.
-        counts = np.bincount(dist, minlength=WINDOW + 1)
+        # loop, bounded per pair by the light cap.  The histogram and
+        # its lookup end at the largest distance seen, not at WINDOW.
+        counts = np.bincount(dist)
         heavy = np.flatnonzero(counts >= _HEAVY_MIN)
         if heavy.size > _HEAVY_DISTANCES:
             heavy = heavy[
                 np.argsort(counts[heavy], kind="stable")[-_HEAVY_DISTANCES:]
             ]
         lengths = np.empty(pv.size, dtype=np.int64)
-        heavy_lut = np.zeros(WINDOW + 1, dtype=bool)
+        heavy_lut = np.zeros(counts.size, dtype=bool)
         heavy_lut[heavy] = True
         light = np.nonzero(~heavy_lut[dist])[0]
         if light.size:

@@ -135,6 +135,45 @@ class TestRoundTrip:
             store.extract_field("log")
 
 
+class TestSealing:
+    def test_key_expanded_once_per_store(self, path, monkeypatch):
+        """Every blob of an open store seals and unseals under the one
+        key schedule built when the store opened."""
+        from repro.crypto import aes
+
+        store = ArchiveStore.create(path, key=KEY)
+        expanded = []
+        real = aes.expand_key
+        monkeypatch.setattr(
+            aes, "expand_key", lambda key: expanded.append(key) or real(key)
+        )
+        data = corpus.build("text_log")
+        store.add_bytes("log", data, codec="lz77h")
+        assert store.entries()[0]["n_chunks"] > 1
+        assert store.extract_bytes("log") == data
+        assert expanded == []
+
+    @pytest.mark.parametrize("mode, enc", [("cbc", 1), ("ctr", 2)])
+    def test_keyed_store_seals_field_entries(self, path, mode, enc):
+        """Field chunks are stored uncoded but sealed like every blob
+        of a keyed store, whatever the field's own scheme."""
+        store = ArchiveStore.create(path, key=KEY, cipher_mode=mode)
+        field = np.linspace(0, 1, 4096, dtype=np.float32).reshape(16, 16, 16)
+        for scheme in ("encr_huffman", "none"):
+            store.add_field(scheme, field, scheme=scheme, error_bound=1e-3)
+        reopened = ArchiveStore(path, key=KEY, cipher_mode=mode)
+        for name in ("encr_huffman", "none"):
+            digests = reopened._entries[name].chunks
+            assert digests
+            assert {reopened._blobs[d].enc for d in digests} == {enc}
+            assert {reopened._blobs[d].codec for d in digests} == {0}
+
+    def test_keyless_store_keeps_field_entries_plain(self, path):
+        store = ArchiveStore.create(path)
+        store.add_field("f", np.zeros((8, 8), np.float32), scheme="none")
+        assert {store._blobs[d].enc for d in store._entries["f"].chunks} == {0}
+
+
 class TestDedup:
     def test_duplicate_shard_stored_once(self, path):
         """The acceptance criterion: a duplicated checkpoint shard

@@ -38,11 +38,6 @@ class TestExpandKey:
         assert all(len(rk) == 16 for rk in ek.round_keys)
         assert ek.round_keys[0] == FIPS_KEY
 
-    def test_round_words(self):
-        ek = expand_key(FIPS_KEY)
-        assert ek.round_words(0) == tuple(ek.words[:4])
-        assert ek.round_words(10) == tuple(ek.words[40:44])
-
     def test_dec_words_are_inv_mix_columns_of_round_keys(self):
         # FIPS-197 5.3.5: dw equals w for round keys 0 and 10 and
         # InvMixColumns(w) for rounds 1-9, computed here from gf_mul.
