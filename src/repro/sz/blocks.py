@@ -44,12 +44,13 @@ def pad_to_blocks(data: np.ndarray, block_size: int) -> np.ndarray:
     return np.pad(data, pad, mode="edge")
 
 
-def block_view(padded: np.ndarray, block_size: int) -> np.ndarray:
+def block_view(padded: np.ndarray, block_size: int,
+               dtype: np.dtype | None = None) -> np.ndarray:
     """Reshape a padded array to ``(n_blocks, block_size**ndim)``.
 
     Blocks are ordered C-style over the block grid, and elements within
     a block are C-ordered over local coordinates — the same convention
-    :func:`unblock_view` inverts.
+    :func:`unblock_view` inverts.  ``dtype`` casts in the same copy.
     """
     ndim = padded.ndim
     for axis, s in enumerate(padded.shape):
@@ -62,7 +63,11 @@ def block_view(padded: np.ndarray, block_size: int) -> np.ndarray:
     arr = padded.reshape(split_shape)
     order = list(range(0, 2 * ndim, 2)) + list(range(1, 2 * ndim, 2))
     arr = arr.transpose(order)
-    return arr.reshape(-1, block_size**ndim)
+    if dtype is None:
+        return arr.reshape(-1, block_size**ndim)
+    out = np.empty((padded.size // block_size**ndim, block_size**ndim), dtype)
+    out.reshape(arr.shape)[...] = arr
+    return out
 
 
 def unblock_view(blocked: np.ndarray, target_shape: tuple[int, ...],

@@ -139,8 +139,9 @@ def decode_lanes(
     """
     if n_values == 0:
         return np.empty(0, dtype=np.int64)
-    dec = huffman.decoder_for(code)
-    tab, root_bits = dec.lane_table()
+    codec = huffman.codec_for(code)
+    dec = codec.decoder
+    tab, root_bits = codec.lane_table()
 
     start, seg_end, quota = _segment_layout(table, n_values, len(codes))
     trace.count_many({
@@ -202,14 +203,15 @@ def decode_stream(
     A Kraft hole on the true chain raises; one met only from a guessed
     start does not.
     """
-    dec = huffman.decoder_for(code)
+    codec = huffman.codec_for(code)
+    dec = codec.decoder
     n_bits = packed.n_bits
     if not n_values <= n_bits <= dec.max_len * n_values:
         raise ValueError(
             f"{n_bits} bits cannot hold {n_values} codewords of this code"
         )
     codes = packed.data
-    tab, root_bits = dec.lane_table()
+    tab, root_bits = codec.lane_table()
     # At least _SYNC_SEGMENT_SYMBOLS bits per segment, more than any
     # codeword, so a start never lies past its own segment's end.
     n_seg = max(1, min(-(-n_values // _SYNC_SEGMENT_SYMBOLS),

@@ -496,13 +496,15 @@ def encode_lanes(
             anchors=(np.empty(0, dtype=np.int64),),
         )
         return LaneEncoding(lanes=(PackedBits(data=b"", n_bits=0),), table=table)
-    codewords, lengths = codec_for(code).lookup(values)
+    codec = codec_for(code)
 
     bounds = np.concatenate([[0], np.cumsum(lane_sizes(values.size, n_lanes))])
     lanes, anchors = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        lane_lens = lengths[lo:hi]
-        lanes.append(pack_codes(codewords[lo:hi], lane_lens))
+        # One lane's codewords at a time: no full-size codeword or
+        # length array is ever built.
+        lane_cw, lane_lens = codec.lookup(values[lo:hi])
+        lanes.append(pack_codes(lane_cw, lane_lens))
         # Bit offset where codeword anchor_stride, 2*anchor_stride, ...
         # begins: the boundary *after* the preceding codeword.  Only every
         # anchor_stride-th prefix sum is needed, so sum stride-sized blocks
@@ -742,6 +744,12 @@ class _Decoder:
         self._lane_table = (tab, root_bits)
         return self._lane_table
 
+    def nbytes(self) -> int:
+        """Bytes of the NumPy tables this decoder holds."""
+        held = self.tab_sym.nbytes + self.tab_len.nbytes + self.sorted_symbols.nbytes
+        lane = getattr(self, "_lane_table", None)
+        return held + (lane[0].nbytes if lane is not None else 0)
+
     def _build_fast_table(self) -> None:
         """Multi-symbol lookup: for every t_bits window, the run of
         *complete* codewords it contains and their total bit length.
@@ -908,7 +916,7 @@ class CanonicalCodec:
     are internally locked, so sharing across encode threads is safe.
     """
 
-    __slots__ = ("code", "digest", "_lock", "_decoder", "_enc")
+    __slots__ = ("code", "digest", "_lock", "_decoder", "_enc", "_charged")
 
     def __init__(self, code: HuffmanCode, digest: bytes | None = None) -> None:
         self.code = code
@@ -916,6 +924,8 @@ class CanonicalCodec:
         self._lock = threading.Lock()
         self._decoder: _Decoder | None = None
         self._enc = None
+        #: Bytes this codec counts for in the cache's byte total.
+        self._charged = 0
 
     @property
     def decoder(self) -> _Decoder:
@@ -926,7 +936,28 @@ class CanonicalCodec:
                 if dec is None:
                     dec = _Decoder(self.code)
                     self._decoder = dec
+            _codec_cache_fit(self)
         return dec
+
+    def lane_table(self) -> tuple[np.ndarray, int]:
+        """The decoder's lane-kernel table (:meth:`_Decoder.lane_table`).
+        A table built here counts against the cache's byte budget."""
+        dec = self.decoder
+        built = hasattr(dec, "_lane_table")
+        table = dec.lane_table()
+        if not built:
+            _codec_cache_fit(self)
+        return table
+
+    def nbytes(self) -> int:
+        """Bytes of the code and every derived NumPy table held."""
+        code = self.code
+        held = code.symbols.nbytes + code.lengths.nbytes + code.codewords.nbytes
+        if self._decoder is not None:
+            held += self._decoder.nbytes()
+        if self._enc is not None:
+            held += sum(a.nbytes for a in self._enc[1:] if a is not None)
+        return held
 
     def _encode_tables(self):
         enc = self._enc
@@ -936,6 +967,7 @@ class CanonicalCodec:
                 if enc is None:
                     enc = self._build_encode_tables()
                     self._enc = enc
+            _codec_cache_fit(self)
         return enc
 
     def _build_encode_tables(self):
@@ -981,15 +1013,21 @@ class CanonicalCodec:
         return code.codewords[idx], lengths64[idx]
 
 
-#: Process-wide codec cache.  Keyed by table digest; bounded LRU.  The
-#: derived state per entry is about 1 MB for real frames (nyx: a 256 KB
-#: lane-table root plus ~0.4 MB of sub-tables), so a generous bound
-#: still keeps the cache small while letting daemon-style workloads
-#: with many distinct error bounds all hit.  A deliberately deep tree
-#: can force a lane table of up to ``2^16 + 2^24`` int32 entries.
+#: Process-wide codec cache.  Keyed by table digest; an LRU bounded by
+#: entry count and by the bytes of the tables its codecs hold.  The
+#: derived state per entry is at most 1.4 MB for the stand-in fields
+#: (lane tables of 0.26-1.35 MB at small and medium, 1e-2..1e-6), so
+#: the bounds still let daemon-style workloads with many distinct
+#: error bounds all hit.  A deliberately deep tree can force a lane
+#: table of up to ``2^16 + 2^24`` int32 entries (67 MB): a codec over
+#: the whole byte budget is not kept at all, so one hostile frame
+#: neither pins that memory nor flushes the other codecs.
 _CODEC_CACHE_SIZE = 64
+_CODEC_CACHE_MAX_BYTES = 64 << 20
 _codec_cache: OrderedDict[bytes, CanonicalCodec] = OrderedDict()
 _codec_cache_lock = threading.Lock()
+#: Sum of the cached codecs' ``_charged`` bytes (under the lock).
+_codec_cache_bytes = 0
 
 
 def _codec_cached(digest: bytes) -> CanonicalCodec | None:
@@ -1011,9 +1049,30 @@ def _codec_insert(codec: CanonicalCodec) -> CanonicalCodec:
             _codec_cache.move_to_end(codec.digest)
             return existing
         _codec_cache[codec.digest] = codec
-        while len(_codec_cache) > _CODEC_CACHE_SIZE:
-            _codec_cache.popitem(last=False)
+    _codec_cache_fit(codec)
     return codec
+
+
+def _codec_cache_fit(grown: CanonicalCodec) -> None:
+    """Charge ``grown``'s current table bytes to the cache, then evict
+    least-recently-used codecs until at most :data:`_CODEC_CACHE_SIZE`
+    remain, holding at most :data:`_CODEC_CACHE_MAX_BYTES`.  Called on
+    insert and whenever a codec builds a table; a codec over the whole
+    budget leaves the cache instead."""
+    global _codec_cache_bytes
+    with _codec_cache_lock:
+        if _codec_cache.get(grown.digest) is not grown:
+            return  # evicted already, or lost an insert race
+        size = grown.nbytes()
+        _codec_cache_bytes += size - grown._charged
+        grown._charged = size
+        if size > _CODEC_CACHE_MAX_BYTES:
+            del _codec_cache[grown.digest]
+            _codec_cache_bytes -= size
+        while (len(_codec_cache) > _CODEC_CACHE_SIZE
+               or _codec_cache_bytes > _CODEC_CACHE_MAX_BYTES):
+            _, oldest = _codec_cache.popitem(last=False)
+            _codec_cache_bytes -= oldest._charged
 
 
 def codec_for(code: HuffmanCode) -> CanonicalCodec:
@@ -1045,8 +1104,10 @@ def codec_from_table(symbols: np.ndarray, lengths: np.ndarray) -> CanonicalCodec
 
 def codec_cache_clear() -> None:
     """Drop every cached codec (tests and fixture regeneration)."""
+    global _codec_cache_bytes
     with _codec_cache_lock:
         _codec_cache.clear()
+        _codec_cache_bytes = 0
 
 
 def codec_cache_stats() -> dict:

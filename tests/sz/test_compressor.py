@@ -238,6 +238,41 @@ def test_each_candidate_predicts_once(monkeypatch, predictor):
     assert after - before == (3 * data.size if predictor == "auto" else 0)
 
 
+#: Above 8 * 65,536 points ``auto`` scores mean and regression on their
+#: samples alone: each still fits once (modal value, regression
+#: coefficients), but only the winner makes a full-grid residual pass.
+#: Lorenzo's residuals are always made in full: they set the probe
+#: radius.
+_RESIDUAL_PASS = {"mean": "mean_residuals", "regression": "regression_predict"}
+
+
+@pytest.mark.parametrize("name,eb,dims,winner", [
+    ("nyx", 1e-4, (80, 80, 96), "mean"),
+    ("q2", 1e-2, (11, 240, 240), "regression"),
+    ("t", 1e-4, (6, 16, 80, 80), "lorenzo"),
+])
+def test_each_candidate_predicts_once_above_sample_size(monkeypatch, name, eb,
+                                                        dims, winner):
+    watched = [*_FULL_PASS.values(), *_RESIDUAL_PASS.values()]
+    seen = dict.fromkeys(watched, 0)
+    for fn in seen:
+        def spy(*args, _real=getattr(predictors, fn), _fn=fn, **kw):
+            seen[_fn] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(predictors, fn, spy)
+    data = np.asarray(generate(name, dims=dims))
+    assert data.size >= 8 * 65536
+    before = trace.counters_snapshot().get("predict.sample_points", 0)
+    frame = SZCompressor(eb).compress(data)
+    after = trace.counters_snapshot().get("predict.sample_points", 0)
+    assert frame.stats.predictor == winner
+    assert seen == {**dict.fromkeys(_FULL_PASS.values(), 1),
+                    **{fn: int(winner == pred)
+                       for pred, fn in _RESIDUAL_PASS.items()}}
+    stride = data.size // 65536
+    assert after - before == 3 * -(-data.size // stride)  # three samples
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     eb=st.sampled_from([1e-2, 1e-3, 1e-5]),

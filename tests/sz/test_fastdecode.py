@@ -1,6 +1,8 @@
 """The multi-lane Huffman format (frame v3) and its vectorized kernel."""
 
+import gc
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +316,59 @@ class TestCodecCache:
         huffman.codec_for(code)
         huffman.codec_cache_clear()
         assert len(huffman._codec_cache) == 0
+
+    @staticmethod
+    def _deep_code(offset: int) -> huffman.HuffmanCode:
+        """A 1-bit code, then 2^15 root prefixes of lengths 17..21,21:
+        every one links to a 32-entry sub-table, a 4.5 MB lane table."""
+        lengths = np.concatenate([
+            [1], np.tile(np.r_[np.arange(17, 22), 21], 1 << 15)
+        ]).astype(np.uint8)
+        symbols = np.arange(lengths.size, dtype=np.int64) + offset
+        return huffman.codec_from_table(symbols, lengths).code
+
+    @pytest.mark.parametrize("budget_mb", [16, 4])
+    def test_deep_codes_retain_at_most_the_byte_budget(self, monkeypatch,
+                                                       budget_mb):
+        """Tables built for hostile deep trees stay within the cache's
+        byte budget, and a codec larger than the budget is not kept."""
+        budget = budget_mb << 20
+        monkeypatch.setattr(huffman, "_CODEC_CACHE_MAX_BYTES", budget,
+                            raising=False)
+        huffman.codec_cache_clear()
+        rng = np.random.default_rng(4)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i in range(5):
+                code = self._deep_code(offset=1000 * i)
+                values = rng.choice(code.symbols, size=20_000)
+                packed = huffman.encode(values, code)
+                # Long enough for the lane kernel, so the lane table is built.
+                assert values.size >= huffman.SELF_SYNC_MIN_VALUES
+                np.testing.assert_array_equal(
+                    huffman.decode(packed, code, values.size), values
+                )
+                del code, values, packed
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            huffman.codec_cache_clear()
+        assert retained <= budget, retained / budget
+
+    def test_real_frame_tables_stay_cached(self):
+        from repro.datasets import generate
+
+        comp = SZCompressor(1e-4)
+        frame = comp.compress(np.asarray(generate("nyx", size="small")))
+        huffman.codec_cache_clear()
+        comp.decompress(frame)
+        (codec,) = huffman._codec_cache.values()
+        tab, _ = codec.lane_table()
+        assert tab.nbytes > 1 << 18
+        assert huffman._codec_cache.get(codec.digest) is codec
 
 
 class TestSlidingWindow:
