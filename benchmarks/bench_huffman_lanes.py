@@ -7,17 +7,20 @@ for long streams and against the vectorized multi-lane kernel, the
 reference bit-plane packer (``pack_codes_ref``) against the word-packed
 encode kernel, the symbol histogram ``huffman_build`` takes
 (``quantizer.code_histogram``) against the ``np.unique`` sort it
-replaced, and the tree build, both its length computation alone and
-all the work of the traced ``huffman_build`` span, on a >= 4 MB
-float32 field.  Writes ``BENCH_huffman.json`` at
-the repo root (or ``REPRO_BENCH_OUT``).  CI runs this at full size; the
-acceptance bars are a >= 5x decode speedup at K = 16 over the scalar
-loop, a >= 5x single-stream decode speedup over the scalar loop
-(asserted at full size: a ratio of two timings on one host, so it
-gates every change whatever the runner's speed), and a >= 2x
-`huffman_encode` throughput with ~8x lower peak allocation over the
-reference packer.  The file opens with the ``repro-bench/1`` provenance
-header (:mod:`provenance`).
+replaced, the tree build, both its length computation alone and
+all the work of the traced ``huffman_build`` span, and the whole
+``SZCompressor.decompress`` of the frame (CPU ms and its tracemalloc
+peak over the field's bytes), on a >= 4 MB float32 field.  The
+reference implementations come from ``tests/oracles.py``.  Writes
+``BENCH_huffman.json`` at the repo root (or ``REPRO_BENCH_OUT``).  CI
+runs this at full size; the acceptance bars are a >= 5x decode speedup
+at K = 16 over the scalar loop, a >= 5x single-stream decode speedup
+over the scalar loop and a decompress peak of at most 3.5x the field
+(both asserted at full size: a ratio of two timings on one host, and
+a ratio of bytes, so they gate every change whatever the runner's
+speed), and a >= 2x `huffman_encode` throughput with ~8x lower peak
+allocation over the reference packer.  The file opens with the
+``repro-bench/1`` provenance header (:mod:`provenance`).
 
 Decode columns are the median of ``time.process_time`` over the runs
 (CPU seconds: on a shared host, wall-clock best-of moved ~45% between
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 import tracemalloc
 
@@ -48,8 +52,11 @@ from provenance import header
 from repro.core import trace
 from repro.datasets import generate
 from repro.sz import fastdecode, huffman, quantizer
-from repro.sz.bitstream import concat_streams, pack_codes, pack_codes_ref
+from repro.sz.bitstream import concat_streams, pack_codes
 from repro.sz.compressor import SZCompressor
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+from tests.oracles import huffman_lengths_ref, pack_codes_ref
 
 LANE_COUNTS = (1, 4, 16)
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
@@ -107,9 +114,9 @@ def main() -> dict:
     n = int(np.prod(info["shape"]))
     if info["version"] >= 3:
         code, table = huffman.deserialize_lane_tree(frame.sections["tree"], n)
-        flat_codes = fastdecode.decode_lanes(
+        flat_codes = code.symbols[fastdecode.decode_lanes(
             frame.sections["codes"], code, table, n
-        )
+        )]
     else:
         code = huffman.deserialize_tree(frame.sections["tree"])
         flat_codes = huffman.decode(
@@ -130,6 +137,7 @@ def main() -> dict:
         "encode_peak_alloc_mb": {},
         "decode_mb_per_s": {},
         "decode_msym_per_s": {},
+        "decompress": {},
     }
 
     # ------------------------------------------------------------------
@@ -159,7 +167,7 @@ def main() -> dict:
     # ------------------------------------------------------------------
     result["alphabet_size"] = int(symbols.size)
     result["max_code_len"] = int(code.lengths.max())
-    secs = _best_seconds(lambda: huffman._huffman_lengths_ref(counts))
+    secs = _best_seconds(lambda: huffman_lengths_ref(counts))
     result["tree_build_ms"]["heapq_ref"] = round(secs * 1e3, 3)
     secs = _best_seconds(lambda: huffman._huffman_lengths(counts))
     result["tree_build_ms"]["two_queue"] = round(secs * 1e3, 3)
@@ -250,7 +258,8 @@ def main() -> dict:
     # ------------------------------------------------------------------
     # Decode: one stream through huffman.decode (the self-synchronizing
     # kernel route at this length) and through the scalar loop, vs the
-    # lane kernel on v3 layouts.
+    # lane kernel on v3 layouts, which returns stream-ordered symbol
+    # ranks (the form the SZ reader consumes).
     # ------------------------------------------------------------------
     scalar = huffman.decoder_for(code)
     for name, decode in (
@@ -268,7 +277,7 @@ def main() -> dict:
         codes_bytes = concat_streams(list(enc.lanes))
         table = enc.table
         out = fastdecode.decode_lanes(codes_bytes, code, table, n)
-        assert np.array_equal(out, flat_codes)
+        assert np.array_equal(code.symbols[out], flat_codes)
         secs = _median_cpu_seconds(
             lambda: fastdecode.decode_lanes(codes_bytes, code, table, n)
         )
@@ -286,6 +295,25 @@ def main() -> dict:
         assert result["speedup_single_vs_scalar"] >= 5, (
             "single-stream decode must run >= 5x the scalar loop, read "
             f"{result['speedup_single_vs_scalar']}x"
+        )
+
+    # ------------------------------------------------------------------
+    # Decompress: the whole SZCompressor.decompress of the frame (lane
+    # decode to ranks, then the slab-wise reconstruction), in CPU ms,
+    # and its tracemalloc peak over the field's bytes.
+    # ------------------------------------------------------------------
+    out = comp.decompress(frame)
+    assert np.max(np.abs(out.astype(np.float64) - field)) <= 1e-4
+    secs = _median_cpu_seconds(lambda: comp.decompress(frame))
+    result["decompress"]["cpu_ms"] = round(secs * 1e3, 3)
+    result["decompress"]["mb_per_cpu_s"] = round(field_mb / secs, 2)
+    result["decompress"]["peak_over_field"] = round(
+        _peak_mb(lambda: comp.decompress(frame)) / field_mb, 3
+    )
+    if "REPRO_BENCH_DIMS" not in os.environ:
+        assert result["decompress"]["peak_over_field"] <= 3.5, (
+            "decompress must peak at <= 3.5x the field under tracemalloc, "
+            f"read {result['decompress']['peak_over_field']}x"
         )
 
     with open(os.path.abspath(OUT_PATH), "w") as fh:

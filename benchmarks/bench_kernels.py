@@ -12,9 +12,9 @@ import pytest
 
 from repro.crypto import batch, modes
 from repro.crypto.keyschedule import expand_key
-from repro.sz import huffman
+from repro.sz import huffman, predictors
 from repro.sz.intcodec import byteplane_decode, byteplane_encode
-from repro.sz.predictors import lorenzo_reconstruct, lorenzo_residuals
+from repro.sz.predictors import lorenzo_residuals
 
 EK = expand_key(bytes(range(16)))
 RNG = np.random.default_rng(0)
@@ -36,8 +36,11 @@ def test_kernel_lorenzo_forward(benchmark, grid_q):
 
 
 def test_kernel_lorenzo_inverse(benchmark, grid_q):
-    res = lorenzo_residuals(grid_q)
-    out = benchmark(lorenzo_reconstruct, res)
+    """The decoder's slab-wise inverse, from symbol ranks (one per
+    distinct residual) to the field at step 1.0."""
+    table, ranks = np.unique(lorenzo_residuals(grid_q), return_inverse=True)
+    out = benchmark(predictors.reconstruct, ranks.astype(np.int32), table,
+                    grid_q.shape, "lorenzo", 0.5, np.float64)
     assert np.array_equal(out, grid_q)
 
 

@@ -33,12 +33,12 @@ def predictability_mask(data: np.ndarray, eb: float, **kwargs) -> np.ndarray:
     n = int(np.prod(info["shape"]))
     if info["version"] >= 3:
         code, table = huffman.deserialize_lane_tree(frame.sections["tree"], n)
-        codes = decode_lanes(frame.sections["codes"], code, table, n)
+        ranks = decode_lanes(frame.sections["codes"], code, table, n)
     else:
         code = huffman.deserialize_tree(frame.sections["tree"])
         packed = PackedBits(data=frame.sections["codes"], n_bits=info["n_bits"])
-        codes = huffman.decode(packed, code, n)
-    return (codes != 0).reshape(info["shape"])
+        ranks = huffman.decode_ranks(packed, code, n)
+    return (code.symbols[ranks] != 0).reshape(info["shape"])
 
 
 def write_pgm(path: str | os.PathLike, mask: np.ndarray) -> None:

@@ -4,8 +4,8 @@ Packing accumulates codewords into a flat array of 64-bit *words* (a
 vectorized shift register): every codeword lands in at most two
 adjacent words, so the whole stream assembles in a handful of NumPy
 passes over 8-bytes-per-64-bits buffers — roughly 8x less peak memory
-than the byte-per-bit scatter it replaced (kept as
-:func:`pack_codes_ref`, the differential-test oracle).  Unpacking back
+than the byte-per-bit scatter it replaced (kept as ``pack_codes_ref``
+in ``tests/oracles.py``, the differential-test oracle).  Unpacking back
 into codewords is done by the table-driven decoder in
 :mod:`repro.sz.huffman`; this module only provides the raw bit-level
 containers.
@@ -23,7 +23,6 @@ from repro.core import trace
 __all__ = [
     "PackedBits",
     "pack_codes",
-    "pack_codes_ref",
     "unpack_bits",
     "concat_streams",
     "lane_byte_lengths",
@@ -123,8 +122,8 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> PackedBits:
     disjoint, so integer addition *is* bitwise OR here).  Work and peak
     memory are ``O(n)`` in the codeword count with small constants —
     the ``max_len`` bit-plane passes and the byte-per-bit scratch of
-    the reference packer are gone.  Output bytes are identical to
-    :func:`pack_codes_ref` (pinned by ``tests/sz/test_bitstream_diff.py``).
+    the reference packer are gone.  Output bytes are identical to the
+    reference packer's (pinned by ``tests/sz/test_bitstream_diff.py``).
     """
     codes = np.asarray(codes, dtype=np.uint64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -219,37 +218,6 @@ def _scatter_or_sorted(
     run_last = np.concatenate([run_ends, [targets.size - 1]])
     sums = np.diff(csum[run_last], prepend=np.uint64(0))
     words[targets[run_last]] |= sums
-
-
-def pack_codes_ref(codes: np.ndarray, lengths: np.ndarray) -> PackedBits:
-    """Reference bit-plane packer (the original ``pack_codes``).
-
-    Kept as the differential-test oracle for the word-packed kernel:
-    it runs in ``O(max_len)`` vectorized passes — pass ``b`` scatters
-    bit ``b`` of every codeword long enough to have one — at the cost
-    of one byte per output *bit* of peak memory.  Not used on any hot
-    path.
-    """
-    codes = np.asarray(codes, dtype=np.uint64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    _check_code_table(codes, lengths)
-    if codes.size == 0:
-        return PackedBits(data=b"", n_bits=0)
-
-    ends = np.cumsum(lengths)
-    total_bits = int(ends[-1])
-    starts = ends - lengths
-
-    bits = np.zeros(total_bits, dtype=np.uint8)
-    max_len = int(lengths.max())
-    for b in range(max_len):
-        mask = lengths > b
-        # Bit b (from the MSB side) of each surviving codeword.
-        shift = (lengths[mask] - 1 - b).astype(np.uint64)
-        bits[starts[mask] + b] = ((codes[mask] >> shift) & np.uint64(1)).astype(
-            np.uint8
-        )
-    return PackedBits(data=np.packbits(bits).tobytes(), n_bits=total_bits)
 
 
 def unpack_bits(packed: PackedBits) -> np.ndarray:

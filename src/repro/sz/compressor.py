@@ -430,8 +430,11 @@ class SZCompressor:
                    tracer: trace.Tracer | None = None) -> np.ndarray:
         """Invert :meth:`compress`; returns the error-bounded field.
 
-        ``tracer``, when given, records a ``sz.decompress`` span tree
-        (stages ``huffman_decode`` and ``reconstruct``).
+        ``tracer``, when given, records a ``sz.decompress`` span tree:
+        ``huffman_decode`` turns the codes section into one stream of
+        symbol ranks, and ``reconstruct`` maps them slab by slab
+        through the inverse predictor into the output field
+        (:func:`repro.sz.predictors.reconstruct`).
         """
         tr = tracer or trace.NULL_TRACER
         info = self.parse_meta(frame.sections["meta"])
@@ -451,62 +454,52 @@ class SZCompressor:
                             "lane table bit count does not match meta"
                         )
                     _check_depth_flag(info, code)
-                    flat_codes = fastdecode.decode_lanes(
+                    ranks = fastdecode.decode_lanes(
                         frame.sections["codes"], code, lane_table, n_elements
                     )
                     sp.annotate(lanes=int(lane_table.lane_bits.size))
                 else:
-                    # v2: single-stream codes + bare tree (legacy
-                    # scalar decode).
+                    # v2: single-stream codes + bare tree.
                     code = huffman.deserialize_tree(frame.sections["tree"])
                     _check_depth_flag(info, code)
                     packed = PackedBits(
                         data=frame.sections["codes"], n_bits=info["n_bits"]
                     )
-                    flat_codes = huffman.decode(packed, code, n_elements)
+                    ranks = huffman.decode_ranks(packed, code, n_elements)
                     sp.annotate(lanes=1)
 
             with tr.span("reconstruct"):
                 work_dtype = (np.dtype(np.float64) if info["pw_rel"]
                               else info["dtype"])
                 name = info["predictor"]
-                n_unpred = info["n_unpredictable"]
                 if name == "lorenzo":
-                    unpred_res = intcodec.byteplane_decode(
-                        frame.sections["unpred"]
-                    )
-                    verbatim = None
+                    unpred = intcodec.byteplane_decode(frame.sections["unpred"])
                 else:
-                    unpred_res = np.zeros(n_unpred, dtype=np.int64)  # placeholder
-                    verbatim = ieee754.ieee754_decode(
+                    unpred = ieee754.ieee754_decode(
                         frame.sections["unpred"]
-                    )
-                    if verbatim.dtype != work_dtype:
-                        verbatim = verbatim.astype(work_dtype)
-                if (verbatim.size if verbatim is not None
-                        else unpred_res.size) != n_unpred:
+                    ).astype(work_dtype, copy=False)
+                if unpred.size != info["n_unpredictable"]:
                     raise ValueError(
                         "unpredictable channel does not match meta"
                     )
-                residuals = quantizer.residuals_from_codes(
-                    flat_codes, info["radius"], unpred_res
-                ).reshape(shape)
-
-                if name == "lorenzo":
-                    q = predictors.lorenzo_reconstruct(residuals)
-                elif name == "mean":
-                    q = predictors.mean_reconstruct(residuals, info["modal"])
-                else:  # regression
+                # Residual per symbol rank; mean folds its constant in.
+                table = code.symbols - np.int64(info["radius"])
+                if name == "mean":
+                    table += np.int64(info["modal"])
+                model = None
+                if name == "regression":
                     coefs = ieee754.ieee754_decode(frame.sections["coeffs"])
                     model = predictors.RegressionModel(
                         shape=shape,
                         block_size=info["block_size"],
                         coefficients=coefs.reshape(-1, len(shape) + 1),
                     )
-                    q = residuals + predictors.regression_predict(model)
-                out = quantizer.grid_reconstruct(q, info["eb"], work_dtype)
-                if verbatim is not None and n_unpred:
-                    out.reshape(-1)[np.ravel(flat_codes == 0)] = verbatim
+                zero = np.flatnonzero(code.symbols == 0)
+                out = predictors.reconstruct(
+                    ranks, table, shape, name, info["eb"], work_dtype,
+                    sentinel=int(zero[0]) if zero.size else None,
+                    unpredictable=unpred, model=model,
+                )
             dz_span.bytes_out = out.nbytes
         exact_idx, exact_vals = _unpack_exact(frame.sections["exact"], work_dtype)
         if exact_idx.size:

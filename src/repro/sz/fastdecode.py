@@ -18,16 +18,20 @@ code depth and segment layout:
   bits resolve in the root, and the few segments whose root entry is a
   sub-table link take one more gather on the next ``max_len - 16``
   bits.  No window can miss, so there is no search fallback;
-* symbols are staged in a small cache-resident block and stored into
-  a ``(segments, max_q)`` matrix :data:`_STAGE_COLUMNS` columns at a
-  time, touching each output row once per block rather than once per
-  symbol.
+* packed table entries are staged in a small cache-resident block and
+  stored into a ``(segments, max_q)`` matrix :data:`_STAGE_COLUMNS`
+  columns at a time, touching each output row once per block rather
+  than once per symbol.
 
 Segments are sorted by quota so the set still holding symbols at any
 iteration is a prefix; a segment that ends mid-group simply stops
-being sliced in.  A layout with short segments (the last one of each
-lane, or lanes shorter than the stride) is put back in stream order
-and trimmed to each quota once, at the end.
+being sliced in.  Both decoders return symbol *ranks* (positions in
+``code.symbols``, int32), not symbol values: the SZ reader gathers its
+residuals straight from the ranks (:func:`repro.sz.predictors.reconstruct`),
+and ``huffman.decode`` resolves them to values in one gather.
+:func:`decode_lanes` writes them in stream order by copying each run
+of consecutive full segments with one shift, then each short segment
+(the last one of a lane, or a lane shorter than the stride).
 
 The loop runs ``anchor_stride / k`` iterations regardless of input
 size, so throughput scales with the segment count; the encoder targets
@@ -117,7 +121,8 @@ def _segment_layout(
 def decode_lanes(
     codes: bytes, code: HuffmanCode, table: LaneTable, n_values: int
 ) -> np.ndarray:
-    """Decode ``n_values`` symbols from a multi-lane ``codes`` section.
+    """Decode ``n_values`` symbol ranks from a multi-lane ``codes``
+    section, in stream order (int32 positions in ``code.symbols``).
 
     Parameters
     ----------
@@ -138,7 +143,7 @@ def decode_lanes(
         (corrupt or truncated bitstream).
     """
     if n_values == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int32)
     codec = huffman.codec_for(code)
     dec = codec.decoder
     tab, root_bits = codec.lane_table()
@@ -164,23 +169,43 @@ def decode_lanes(
             "corrupt huffman lane stream: segment did not end on its "
             "anchor boundary"
         )
-    if int(ascending[0]) != max_q:
-        # Short segments: back to stream order, each row trimmed to its
-        # quota (segments tile the output contiguously in stream order).
-        stream = np.empty_like(out)
-        stream[order] = out
-        out = stream[np.arange(max_q, dtype=np.int64) < quota[:, None]]
-    # The kernel stores packed (rank << 5 | length) entries; resolve
-    # ranks to symbol values in one gather now that the boundary check
-    # has proven every slot was written.
-    return dec.code.symbols[out.reshape(-1) >> 5]
+    # The boundary check has proven every slot up to each quota was
+    # written, so the packed (rank << 5 | length) entries can move.
+    return _stream_ranks(out, order, quota)
+
+
+def _stream_ranks(rows: np.ndarray, order: np.ndarray,
+                  quota: np.ndarray) -> np.ndarray:
+    """The ranks (``entry >> 5``) of the kernel's ``rows``, where row
+    ``i`` holds segment ``order[i]``, as one stream-ordered array.
+
+    Segments tile the stream contiguously, so consecutive full
+    segments are one run of output: the full rows (a prefix, sorted
+    stably by descending quota) move with one shift per run, at most
+    one run per lane.  Each short row then moves on its own.
+    """
+    max_q = rows.shape[1]
+    offset = np.cumsum(quota) - quota
+    ranks = np.empty(int(quota.sum()), dtype=np.int32)
+    n_full = int(np.count_nonzero(quota == max_q))
+    full = order[:n_full]
+    cuts = [0, *(np.flatnonzero(np.diff(full) != 1) + 1).tolist(), n_full]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        dst = int(offset[full[a]])
+        np.right_shift(rows[a:b], 5,
+                       out=ranks[dst : dst + (b - a) * max_q].reshape(b - a, max_q))
+    for row, seg in enumerate(order[n_full:].tolist(), start=n_full):
+        dst, q = int(offset[seg]), int(quota[seg])
+        np.right_shift(rows[row, :q], 5, out=ranks[dst : dst + q])
+    return ranks
 
 
 def decode_stream(
     packed: PackedBits, code: HuffmanCode, n_values: int
 ) -> np.ndarray:
-    """Decode ``n_values`` symbols from one single-stream (v2)
-    bitstream through the lane kernel, by self-synchronization.
+    """Decode ``n_values`` symbol ranks (as :func:`decode_lanes`) from
+    one single-stream (v2) bitstream through the lane kernel, by
+    self-synchronization.
 
     The stream is cut at guessed bit offsets, one per
     :data:`_SYNC_SEGMENT_SYMBOLS` symbols' worth of bits; segment ``i``
@@ -238,7 +263,7 @@ def decode_stream(
                     "huffman bitstream does not hold n_values symbols "
                     "ending at n_bits"
                 )
-            return _symbols(dec, rows, count)
+            return _ranks(rows, count)
         first = int(np.argmin(settled))
         if follows[first]:
             raise ValueError("corrupt huffman bitstream: Kraft hole")
@@ -250,16 +275,15 @@ def decode_stream(
     if head > n_values:
         raise ValueError("huffman bitstream holds more than n_values symbols")
     tail = dec.decode(packed, n_values - head, start=int(start[first]))
-    return np.concatenate([_symbols(dec, rows[:first], count[:first]), tail])
+    return np.concatenate([_ranks(rows[:first], count[:first]),
+                           huffman.symbol_ranks(code, tail)])
 
 
-def _symbols(
-    dec: huffman._Decoder, rows: np.ndarray, count: np.ndarray
-) -> np.ndarray:
-    """The first ``count[i]`` packed entries of every row, in order,
-    resolved to symbol values."""
+def _ranks(rows: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranks of the first ``count[i]`` packed entries of every row,
+    in order."""
     keep = np.arange(rows.shape[1], dtype=np.int64) < count[:, None]
-    return dec.code.symbols[rows[keep] >> 5]
+    return rows[keep] >> 5
 
 
 def _run_past(

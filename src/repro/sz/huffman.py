@@ -16,11 +16,12 @@ Implementation notes
   smaller than a pointer-based tree dump, and trivially validated.
 * Code lengths come from the O(n) two-queue construction over the
   frequency-sorted histogram (:func:`_huffman_lengths`); the original
-  ``heapq`` builder survives as :func:`_huffman_lengths_ref`, the
-  differential-test oracle, and the two are *bit-identical* — the
-  two-queue tie-breaking (stable frequency sort, leaf-before-internal
-  on weight ties, FIFO internals) reproduces the heap's exact pop
-  order, so emitted frames and checked-in digests are unchanged.
+  ``heapq`` builder survives as ``huffman_lengths_ref`` in
+  ``tests/oracles.py``, the differential-test oracle, and the two are
+  *bit-identical* — the two-queue tie-breaking (stable frequency sort,
+  leaf-before-internal on weight ties, FIFO internals) reproduces the
+  heap's exact pop order, so emitted frames and checked-in digests are
+  unchanged.
 * Code lengths are limited to :data:`MAX_CODE_LEN` with a Kraft-sum
   fix-up (the zlib approach).  This keeps the decoder's primary lookup
   table small and bounds the encoder's bit-scatter passes; the rate
@@ -48,7 +49,6 @@ Implementation notes
 from __future__ import annotations
 
 import hashlib
-import heapq
 import struct
 import threading
 from collections import OrderedDict
@@ -69,6 +69,8 @@ __all__ = [
     "encode",
     "encode_lanes",
     "decode",
+    "decode_ranks",
+    "symbol_ranks",
     "codec_for",
     "codec_cache_clear",
     "codec_cache_stats",
@@ -142,45 +144,15 @@ class HuffmanCode:
         return float((frequencies * self.lengths).sum() / total)
 
 
-def _huffman_lengths_ref(freqs: np.ndarray) -> np.ndarray:
-    """Optimal prefix-code lengths via the classic heap construction.
-
-    The original implementation, kept as the differential-test oracle
-    for the O(n) two-queue builder (the ``pack_codes_ref`` idiom): the
-    heap's pop order *defines* the tie-breaking the fast path must
-    reproduce for frames to stay bit-identical.
-    """
-    n = len(freqs)
-    if n == 1:
-        return np.array([1], dtype=np.int64)
-    # Heap items: (freq, tiebreak, node_id).  Internal nodes get ids >= n.
-    heap = [(int(f), i, i) for i, f in enumerate(freqs)]
-    heapq.heapify(heap)
-    parent = np.full(2 * n - 1, -1, dtype=np.int64)
-    next_id = n
-    while len(heap) > 1:
-        f1, _, a = heapq.heappop(heap)
-        f2, _, b = heapq.heappop(heap)
-        parent[a] = next_id
-        parent[b] = next_id
-        heapq.heappush(heap, (f1 + f2, next_id, next_id))
-        next_id += 1
-    depths = np.zeros(2 * n - 1, dtype=np.int64)
-    # Nodes were created bottom-up, so walking ids top-down lets every
-    # child read its parent's already-final depth.
-    for node in range(next_id - 2, -1, -1):
-        depths[node] = depths[parent[node]] + 1
-    return depths[:n]
-
-
 def _huffman_lengths(freqs: np.ndarray) -> np.ndarray:
     """Optimal prefix-code lengths via the O(n) two-queue construction.
 
     Merging weights emerge in nondecreasing order, so after one sort of
     the leaves the two smallest live nodes are always at the front of
     two queues — no heap needed.  Tie-breaking is chosen to replay
-    :func:`_huffman_lengths_ref` exactly (bit-identical lengths, pinned
-    by ``tests/sz/test_huffman_diff.py``):
+    the heap construction (``huffman_lengths_ref`` in
+    ``tests/oracles.py``) exactly (bit-identical lengths, pinned by
+    ``tests/sz/test_huffman_diff.py``):
 
     * leaves are stable-sorted by frequency, so equal-frequency leaves
       merge in symbol order (the heap's ``(freq, leaf_id)`` ordering);
@@ -270,17 +242,28 @@ def _canonical_codewords(lengths: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.uint64)
     max_len = int(lengths.max())
     counts = np.bincount(lengths, minlength=max_len + 1)
-    first = np.zeros(max_len + 1, dtype=np.uint64)
-    c = 0
-    for ln in range(1, max_len + 1):
-        c = (c + int(counts[ln - 1])) << 1
-        first[ln] = c
+    first = [0]
+    for count in counts[:-1].tolist():
+        first.append((first[-1] + count) << 1)
+    # In (length, symbol) order the symbols fill the length groups one
+    # after another, so each symbol's group start and first code are
+    # its length's values repeated over the group.
     order = np.argsort(lengths, kind="stable")
     group_start = np.cumsum(counts) - counts
-    ranks = np.arange(n, dtype=np.int64) - group_start[lengths[order]]
+    ranks = np.arange(n, dtype=np.int64) - np.repeat(group_start, counts)
     codes = np.empty(n, dtype=np.uint64)
-    codes[order] = first[lengths[order]] + ranks.astype(np.uint64)
+    codes[order] = (np.repeat(np.asarray(first, dtype=np.uint64), counts)
+                    + ranks.astype(np.uint64))
     return codes
+
+
+def _empty_code() -> HuffmanCode:
+    """The code of an empty alphabet (an empty field's tree)."""
+    return HuffmanCode(
+        symbols=np.empty(0, dtype=np.int64),
+        lengths=np.empty(0, dtype=np.uint8),
+        codewords=np.empty(0, dtype=np.uint64),
+    )
 
 
 def build_code(symbols: np.ndarray, frequencies: np.ndarray) -> HuffmanCode:
@@ -296,11 +279,7 @@ def build_code(symbols: np.ndarray, frequencies: np.ndarray) -> HuffmanCode:
     symbols = np.asarray(symbols, dtype=np.int64)
     frequencies = np.asarray(frequencies, dtype=np.int64)
     if symbols.size == 0:
-        return HuffmanCode(
-            symbols=symbols,
-            lengths=np.empty(0, dtype=np.uint8),
-            codewords=np.empty(0, dtype=np.uint64),
-        )
+        return _empty_code()
     if symbols.size != frequencies.size:
         raise ValueError("symbols and frequencies must align")
     if (frequencies <= 0).any():
@@ -358,7 +337,7 @@ def deserialize_tree(data: bytes) -> HuffmanCode:
     if max_len > MAX_CODE_LEN:
         raise ValueError(f"serialized tree max length {max_len} exceeds cap")
     if n == 0:
-        return build_code(np.empty(0, np.int64), np.empty(0, np.int64))
+        return _empty_code()
     body = data[_TREE_HEADER.size :]
     if len(body) < n:
         raise ValueError("truncated huffman tree stream")
@@ -1152,12 +1131,30 @@ def decode(packed: PackedBits, code: HuffmanCode, n_values: int) -> np.ndarray:
     kernel (:data:`SELF_SYNC_MIN_VALUES`), short ones through the
     scalar loop.
     """
+    if n_values >= SELF_SYNC_MIN_VALUES:
+        return code.symbols.take(decode_ranks(packed, code, n_values))
     if n_values == 0:
         if packed.n_bits:
             raise ValueError("huffman bitstream does not end at n_bits")
         return np.empty(0, dtype=np.int64)
-    if n_values < SELF_SYNC_MIN_VALUES:
-        return decoder_for(code).decode(packed, n_values)
-    from repro.sz import fastdecode  # fastdecode imports this module
+    return decoder_for(code).decode(packed, n_values)
 
-    return fastdecode.decode_stream(packed, code, n_values)
+
+def decode_ranks(packed: PackedBits, code: HuffmanCode, n_values: int) -> np.ndarray:
+    """:func:`decode` as symbol ranks: int32 positions in
+    ``code.symbols``, the form the lane kernel produces and the SZ
+    reader gathers its residuals by."""
+    if n_values >= SELF_SYNC_MIN_VALUES:
+        from repro.sz import fastdecode  # fastdecode imports this module
+
+        return fastdecode.decode_stream(packed, code, n_values)
+    return symbol_ranks(code, decode(packed, code, n_values))
+
+
+def symbol_ranks(code: HuffmanCode, values: np.ndarray) -> np.ndarray:
+    """Positions in ``code.symbols`` of ``values``, which must all be
+    symbols of ``code`` (int32).  A deserialized table need not list
+    its symbols in order, so the lookup goes through a sort."""
+    order = np.argsort(code.symbols, kind="stable")
+    found = np.searchsorted(code.symbols, values, sorter=order)
+    return order.take(found).astype(np.int32)

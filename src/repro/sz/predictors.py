@@ -10,9 +10,10 @@ floats is what makes everything vectorizable *and* exact:
 
 * The N-d Lorenzo residual is precisely the composition of first
   differences along every axis (with zero ghost layers), so
-  ``residuals = diff_axis0(diff_axis1(...))`` — computed over
-  cache-sized slabs of planes — and the inverse is the composition of
-  cumulative sums, a single NumPy call per axis.
+  ``residuals = diff_axis0(diff_axis1(...))``, and the inverse is the
+  composition of cumulative sums.  Both run over cache-sized slabs of
+  axis-0 planes; the inverse carries the last reconstructed plane of
+  one slab into the next.
 * The mean predictor is a constant (the modal grid value), so residual
   and reconstruction are elementwise.
 * Regression predicts from transmitted per-block plane coefficients;
@@ -20,7 +21,9 @@ floats is what makes everything vectorizable *and* exact:
   float64 expression, so encoder and decoder agree bit-for-bit.
 
 Every predictor returns plain residual arrays; the quantizer decides
-which residuals are unpredictable.  Selection is sample-first, like
+which residuals are unpredictable.  The decoder's way back is one
+slab-wise pass, :func:`reconstruct`: Huffman symbol ranks to residuals,
+through the inverse predictor, to the output field.  Selection is sample-first, like
 SZ's: candidates are scored on a strided sample of their residuals,
 and on large grids mean and regression are evaluated at the sampled
 points alone, so only the winner is computed over the whole grid
@@ -29,6 +32,7 @@ points alone, so only the winner is computed over the whole grid
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,10 +45,8 @@ from repro.sz import quantizer
 __all__ = [
     "PREDICTORS",
     "lorenzo_residuals",
-    "lorenzo_reconstruct",
     "modal_value",
     "mean_residuals",
-    "mean_reconstruct",
     "RegressionModel",
     "regression_fit",
     "regression_predict",
@@ -55,6 +57,7 @@ __all__ = [
     "predict_sampled",
     "select_predictor",
     "SAMPLE_SCORE_MIN_POINTS",
+    "reconstruct",
 ]
 
 #: Registry of predictor names (wire ids are their indices).
@@ -105,13 +108,6 @@ def lorenzo_residuals(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def lorenzo_reconstruct(residuals: np.ndarray) -> np.ndarray:
-    """Invert :func:`lorenzo_residuals` (cumulative sum per axis)."""
-    q = np.asarray(residuals, dtype=np.int64)
-    for axis in range(q.ndim):
-        q = np.cumsum(q, axis=axis, dtype=np.int64)
-    return q
-
 
 # ---------------------------------------------------------------------------
 # Mean-integrated (modal constant) predictor
@@ -135,11 +131,6 @@ def modal_value(q: np.ndarray, *, sample_limit: int = 65536) -> int:
 def mean_residuals(q: np.ndarray, mode: int) -> np.ndarray:
     """Residuals against the constant modal predictor."""
     return np.asarray(q, dtype=np.int64) - np.int64(mode)
-
-
-def mean_reconstruct(residuals: np.ndarray, mode: int) -> np.ndarray:
-    """Invert :func:`mean_residuals`."""
-    return np.asarray(residuals, dtype=np.int64) + np.int64(mode)
 
 
 # ---------------------------------------------------------------------------
@@ -384,3 +375,110 @@ def select_predictor(q: np.ndarray, radius: int, block_size: int,
         best = predict(q, best.name, block_size, model=best.model,
                        modal=best.modal)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Decoding: symbol ranks to the output field
+# ---------------------------------------------------------------------------
+
+def reconstruct(ranks: np.ndarray, table: np.ndarray, shape: tuple[int, ...],
+                name: str, eb: float, dtype: np.dtype, *,
+                sentinel: int | None = None,
+                unpredictable: np.ndarray | None = None,
+                model: RegressionModel | None = None) -> np.ndarray:
+    """Invert quantization and the predictor ``name`` into the field.
+
+    ``ranks`` are the Huffman decoder's symbol ranks in C order and
+    ``table[rank]`` is that symbol's residual (``code - radius``; mean
+    folds its modal value in, so its grid value).  ``sentinel`` is the
+    rank of code 0, the unpredictable marker, or ``None`` if the code
+    has none.  ``unpredictable`` holds, in C order of the sentinels,
+    Lorenzo's out-of-range residuals, or for mean and regression the
+    verbatim values in ``dtype``.  ``model`` is regression's fit.
+
+    One pass walks slabs of whole axis-0 planes, about
+    :data:`~repro.sz.quantizer.SLAB_POINTS` points each, in one reused
+    int64 buffer: gather the residuals, invert the predictor in place
+    (Lorenzo: a cumulative sum per axis, with the previous slab's last
+    plane carried in as plane 0; regression: add its slab of
+    :func:`regression_predict`), and write ``q·2eb`` straight into the
+    output.  The result equals the whole-array chain bit for bit:
+    integer sums wrap alike in any order, and each value makes the
+    same int64 → float64 → ``dtype`` roundings as
+    :func:`~repro.sz.quantizer.grid_reconstruct`.
+
+    Raises
+    ------
+    ValueError
+        If the stream's sentinel count differs from
+        ``unpredictable.size``.
+    """
+    if unpredictable is None:
+        unpredictable = np.empty(0, dtype=np.int64)
+    if sentinel is None and unpredictable.size:
+        raise _unpredictable_mismatch(0, unpredictable.size)
+    out = np.empty(shape, dtype=dtype)
+    if out.size == 0:
+        return out
+    ranks = np.ravel(ranks)
+    pred = regression_predict(model) if name == "regression" else None
+    step = 2.0 * eb
+    plane = out.size // shape[0]
+    per = max(1, quantizer.SLAB_POINTS // plane)
+    # Plane 0 of the buffer carries the last plane of the slab before.
+    buf = np.zeros((min(per, shape[0]) + 1,) + tuple(shape[1:]), dtype=np.int64)
+    index = np.empty(buf[1:].size, dtype=np.int64)
+    flat_out = out.reshape(-1)
+    no_hits = np.empty(0, dtype=np.intp)
+    taken = 0
+    for lo in range(0, shape[0], per):
+        hi = min(lo + per, shape[0])
+        a, b = lo * plane, hi * plane
+        g = buf[1 : hi - lo + 1]
+        flat = g.reshape(-1)
+        np.copyto(index[: b - a], ranks[a:b])
+        np.take(table, index[: b - a], out=flat, mode="clip")
+        hits = (np.flatnonzero(ranks[a:b] == sentinel) if sentinel is not None
+                else no_hits)
+        stored = unpredictable[taken : taken + hits.size]
+        if stored.size < hits.size:
+            raise _unpredictable_mismatch(
+                int(np.count_nonzero(ranks == sentinel)), unpredictable.size
+            )
+        taken += hits.size
+        if name == "lorenzo":
+            flat[hits] = stored
+            for axis in range(1, len(shape)):
+                _cumsum_in_place(g, axis)
+            _cumsum_in_place(buf[: hi - lo + 1], 0)
+            buf[0] = buf[hi - lo]
+        elif pred is not None:
+            g += pred[lo:hi]
+        np.multiply(g, step, out=out[lo:hi], casting="unsafe")
+        if name != "lorenzo":
+            flat_out[a + hits] = stored
+    if taken != unpredictable.size:
+        raise _unpredictable_mismatch(taken, unpredictable.size)
+    return out
+
+
+def _cumsum_in_place(a: np.ndarray, axis: int) -> None:
+    """``np.cumsum(a, axis=axis, out=a)``.  NumPy accumulates with
+    ``axis`` as its inner loop, one call per element of the blocks
+    after it, so a short axis ahead of wide blocks (the slab's few
+    planes, or a 4-D field's second axis) runs as one vectorized add
+    per index instead."""
+    n = a.shape[axis]
+    if 8 * n > math.prod(a.shape[axis + 1:]):
+        np.cumsum(a, axis=axis, out=a)
+        return
+    steps = np.moveaxis(a, axis, 0)
+    for i in range(1, n):
+        np.add(steps[i], steps[i - 1], out=steps[i])
+
+
+def _unpredictable_mismatch(in_stream: int, stored: int) -> ValueError:
+    return ValueError(
+        f"stream has {in_stream} unpredictable points but "
+        f"{stored} stored residuals"
+    )

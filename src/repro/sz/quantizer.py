@@ -18,7 +18,10 @@ chosen adaptively from a residual sample like SZ's interval optimizer.
 The elementwise compress passes (:func:`grid_quantize_verified`,
 :func:`codes_from_residuals`) run over :data:`SLAB_POINTS`-point slabs
 so their temporaries stay in cache; their results equal the
-whole-array computations exactly.
+whole-array computations exactly.  The decoder inverts the code map
+inside its slab-wise reconstruction
+(:func:`repro.sz.predictors.reconstruct`): a code's residual is
+``code - radius``, looked up per Huffman symbol.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "grid_reconstruct",
     "codes_from_residuals",
     "code_histogram",
-    "residuals_from_codes",
     "choose_radius",
     "MAX_RADIUS",
     "MIN_RADIUS",
@@ -55,7 +57,8 @@ _GRID_LIMIT = float(1 << 58)
 
 #: Points per slab of the elementwise compress passes
 #: (:func:`grid_quantize_verified`, :func:`codes_from_residuals`, the
-#: Lorenzo residuals).  A slab's
+#: Lorenzo residuals) and of the decoder's reconstruction
+#: (:func:`repro.sz.predictors.reconstruct`).  A slab's
 #: float64 temporaries are 256 KB each and stay in cache; whole-array,
 #: the same dozen temporaries of a medium field (2.1-2.3 M points,
 #: 17 MB each) are bound by memory bandwidth.  Measured on nyx, t and
@@ -321,24 +324,3 @@ def code_histogram(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hist = np.bincount(np.ravel(codes))
     symbols = np.flatnonzero(hist)
     return symbols, hist[symbols]
-
-
-def residuals_from_codes(codes: np.ndarray, radius: int,
-                         unpredictable_residuals: np.ndarray) -> np.ndarray:
-    """Invert :func:`codes_from_residuals`.
-
-    ``unpredictable_residuals`` supplies, in C order of the sentinel
-    positions, the residual values that did not fit the radius.
-    """
-    codes = np.asarray(codes, dtype=np.int64)
-    sentinel = codes == 0
-    n_unpred = int(sentinel.sum())
-    if unpredictable_residuals.size != n_unpred:
-        raise ValueError(
-            f"stream has {n_unpred} unpredictable points but "
-            f"{unpredictable_residuals.size} stored residuals"
-        )
-    residuals = codes - np.int64(radius)
-    if n_unpred:
-        residuals[sentinel] = unpredictable_residuals
-    return residuals

@@ -43,7 +43,7 @@ def test_baseline_only_holds_triaged_exception_contract_rows():
 #: Triaged entries left in ``.lint-baseline.json``.  The ratchet only
 #: turns down: fixing an escape deletes its entry and lowers this
 #: number; a new triaged exception fails here until review raises it.
-BASELINE_CEILING = 2
+BASELINE_CEILING = 1
 
 
 def test_baseline_only_shrinks():

@@ -1,0 +1,187 @@
+"""Reference implementations the fast paths of ``repro.sz`` replaced.
+
+Each function here is the original, simpler code a faster one took
+over from, kept outside ``src/`` as a differential-test oracle: the
+``tests/sz/*_diff.py`` suites and ``benchmarks/bench_huffman_lanes.py``
+demand exact equality with it.  None of it runs on a production path.
+
+* :func:`huffman_lengths_ref` — the heapq tree build
+  (``huffman._huffman_lengths`` is the two-queue build);
+* :func:`pack_codes_ref` — the byte-per-bit packer
+  (``bitstream.pack_codes`` is the word-packed kernel);
+* :func:`residuals_from_codes`, :func:`lorenzo_reconstruct`,
+  :func:`mean_reconstruct` and :func:`decompress_ref` — the whole-array
+  SZ reader (``SZCompressor.decompress`` is the slab-wise one,
+  ``predictors.reconstruct``).
+"""
+
+from __future__ import annotations
+
+import heapq
+
+import numpy as np
+
+from repro.sz import compressor as szc
+from repro.sz import fastdecode, huffman, ieee754, intcodec, predictors, quantizer
+from repro.sz.bitstream import PackedBits, _check_code_table
+
+__all__ = [
+    "huffman_lengths_ref",
+    "pack_codes_ref",
+    "residuals_from_codes",
+    "lorenzo_reconstruct",
+    "mean_reconstruct",
+    "decode_codes_ref",
+    "decompress_ref",
+]
+
+
+def huffman_lengths_ref(freqs: np.ndarray) -> np.ndarray:
+    """Optimal prefix-code lengths via the classic heap construction.
+
+    The heap's pop order *defines* the tie-breaking the two-queue build
+    must reproduce for frames to stay bit-identical.
+    """
+    n = len(freqs)
+    if n == 1:
+        return np.array([1], dtype=np.int64)
+    # Heap items: (freq, tiebreak, node_id).  Internal nodes get ids >= n.
+    heap = [(int(f), i, i) for i, f in enumerate(freqs)]
+    heapq.heapify(heap)
+    parent = np.full(2 * n - 1, -1, dtype=np.int64)
+    next_id = n
+    while len(heap) > 1:
+        f1, _, a = heapq.heappop(heap)
+        f2, _, b = heapq.heappop(heap)
+        parent[a] = next_id
+        parent[b] = next_id
+        heapq.heappush(heap, (f1 + f2, next_id, next_id))
+        next_id += 1
+    depths = np.zeros(2 * n - 1, dtype=np.int64)
+    # Nodes were created bottom-up, so walking ids top-down lets every
+    # child read its parent's already-final depth.
+    for node in range(next_id - 2, -1, -1):
+        depths[node] = depths[parent[node]] + 1
+    return depths[:n]
+
+
+def pack_codes_ref(codes: np.ndarray, lengths: np.ndarray) -> PackedBits:
+    """Reference bit-plane packer (the original ``pack_codes``).
+
+    ``O(max_len)`` vectorized passes — pass ``b`` scatters bit ``b`` of
+    every codeword long enough to have one — at the cost of one byte
+    per output *bit* of peak memory.
+    """
+    codes = np.asarray(codes, dtype=np.uint64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    _check_code_table(codes, lengths)
+    if codes.size == 0:
+        return PackedBits(data=b"", n_bits=0)
+
+    ends = np.cumsum(lengths)
+    total_bits = int(ends[-1])
+    starts = ends - lengths
+
+    bits = np.zeros(total_bits, dtype=np.uint8)
+    max_len = int(lengths.max())
+    for b in range(max_len):
+        mask = lengths > b
+        # Bit b (from the MSB side) of each surviving codeword.
+        shift = (lengths[mask] - 1 - b).astype(np.uint64)
+        bits[starts[mask] + b] = ((codes[mask] >> shift) & np.uint64(1)).astype(
+            np.uint8
+        )
+    return PackedBits(data=np.packbits(bits).tobytes(), n_bits=total_bits)
+
+
+def residuals_from_codes(codes: np.ndarray, radius: int,
+                         unpredictable_residuals: np.ndarray) -> np.ndarray:
+    """Invert ``quantizer.codes_from_residuals``.
+
+    ``unpredictable_residuals`` supplies, in C order of the sentinel
+    positions, the residual values that did not fit the radius.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    sentinel = codes == 0
+    n_unpred = int(sentinel.sum())
+    if unpredictable_residuals.size != n_unpred:
+        raise ValueError(
+            f"stream has {n_unpred} unpredictable points but "
+            f"{unpredictable_residuals.size} stored residuals"
+        )
+    residuals = codes - np.int64(radius)
+    if n_unpred:
+        residuals[sentinel] = unpredictable_residuals
+    return residuals
+
+
+def lorenzo_reconstruct(residuals: np.ndarray) -> np.ndarray:
+    """Invert ``predictors.lorenzo_residuals`` (cumulative sum per axis)."""
+    q = np.asarray(residuals, dtype=np.int64)
+    for axis in range(q.ndim):
+        q = np.cumsum(q, axis=axis, dtype=np.int64)
+    return q
+
+
+def mean_reconstruct(residuals: np.ndarray, mode: int) -> np.ndarray:
+    """Invert ``predictors.mean_residuals``."""
+    return np.asarray(residuals, dtype=np.int64) + np.int64(mode)
+
+
+def decode_codes_ref(frame: szc.SZFrame) -> np.ndarray:
+    """The frame's quantization codes as symbol values, in C order."""
+    info = szc.SZCompressor.parse_meta(frame.sections["meta"])
+    n = int(np.prod(info["shape"]))
+    if info["version"] >= 3:
+        code, table = huffman.deserialize_lane_tree(frame.sections["tree"], n)
+        ranks = fastdecode.decode_lanes(frame.sections["codes"], code, table, n)
+        return code.symbols[ranks]
+    code = huffman.deserialize_tree(frame.sections["tree"])
+    packed = PackedBits(data=frame.sections["codes"], n_bits=info["n_bits"])
+    return huffman.decode(packed, code, n)
+
+
+def decompress_ref(frame: szc.SZFrame) -> np.ndarray:
+    """The whole-array SZ reader: codes → residuals → inverse predictor
+    → ``grid_reconstruct``, then the verbatim, exact and pw_rel
+    channels, each over the full field."""
+    info = szc.SZCompressor.parse_meta(frame.sections["meta"])
+    shape = info["shape"]
+    flat_codes = decode_codes_ref(frame)
+    work_dtype = np.dtype(np.float64) if info["pw_rel"] else info["dtype"]
+    name = info["predictor"]
+    n_unpred = info["n_unpredictable"]
+    if name == "lorenzo":
+        unpred_res = intcodec.byteplane_decode(frame.sections["unpred"])
+        verbatim = None
+    else:
+        unpred_res = np.zeros(n_unpred, dtype=np.int64)  # placeholder
+        verbatim = ieee754.ieee754_decode(frame.sections["unpred"])
+        if verbatim.dtype != work_dtype:
+            verbatim = verbatim.astype(work_dtype)
+    if (verbatim.size if verbatim is not None else unpred_res.size) != n_unpred:
+        raise ValueError("unpredictable channel does not match meta")
+    residuals = residuals_from_codes(
+        flat_codes, info["radius"], unpred_res
+    ).reshape(shape)
+    if name == "lorenzo":
+        q = lorenzo_reconstruct(residuals)
+    elif name == "mean":
+        q = mean_reconstruct(residuals, info["modal"])
+    else:
+        coefs = ieee754.ieee754_decode(frame.sections["coeffs"])
+        model = predictors.RegressionModel(
+            shape=shape,
+            block_size=info["block_size"],
+            coefficients=coefs.reshape(-1, len(shape) + 1),
+        )
+        q = residuals + predictors.regression_predict(model)
+    out = quantizer.grid_reconstruct(q, info["eb"], work_dtype)
+    if verbatim is not None and n_unpred:
+        out.reshape(-1)[np.ravel(flat_codes == 0)] = verbatim
+    exact_idx, exact_vals = szc._unpack_exact(frame.sections["exact"], work_dtype)
+    if exact_idx.size:
+        out.reshape(-1)[exact_idx] = exact_vals
+    if info["pw_rel"]:
+        out = szc._pwrel_inverse(out, frame.sections["aux"], info["dtype"])
+    return out

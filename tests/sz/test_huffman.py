@@ -1,11 +1,13 @@
 """Canonical Huffman coding."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sz import huffman
+from repro.sz import huffman, intcodec
 from repro.sz.bitstream import PackedBits
 
 
@@ -184,6 +186,54 @@ class TestTreeSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             huffman.deserialize_tree(b"\xff" * 40)
+
+    def test_empty_tree_bytes(self):
+        """A serialized empty tree (an empty field's) parses to the empty
+        code without building one, and decoding with it fails closed."""
+        code = huffman.deserialize_tree(struct.pack("<IB", 0, 0))
+        assert code.n_symbols == 0
+        assert code.symbols.dtype == np.int64
+        assert code.lengths.dtype == np.uint8
+        assert code.codewords.dtype == np.uint64
+        assert huffman.decode(PackedBits(b"", 0), code, 0).size == 0
+        for n in (1, huffman.SELF_SYNC_MIN_VALUES):
+            with pytest.raises(ValueError):
+                huffman.decode(PackedBits(b"\x00" * 8, 64), code, n)
+
+    def test_hostile_tree_bytes_raise_only_valueerror(self):
+        """Hostile headers (counts past the body, lengths past the cap or
+        zero) and hostile length bytes (over-subscribed, inconsistent
+        with the header, holes) parse to a valid code or raise
+        ``ValueError``, and so does decoding with what parses."""
+        rng = np.random.default_rng(2024)
+        parsed = 0
+        for trial in range(3000):
+            n = int(rng.integers(0, 40))
+            lengths = rng.integers(0 if trial % 7 == 0 else 1, 26, n)
+            if trial % 3 == 0 and n:
+                # Mostly valid: a real code's lengths, sometimes bent.
+                freqs = rng.geometric(0.2, n)
+                lengths = huffman._limit_lengths(
+                    huffman._huffman_lengths(freqs), freqs, huffman.MAX_CODE_LEN
+                )
+                if trial % 2:
+                    lengths[rng.integers(n)] = rng.integers(0, 26)
+            max_len = int(lengths.max()) if n and trial % 5 else int(rng.integers(0, 256))
+            head_n = n if trial % 11 else int(rng.integers(0, 1 << 32))
+            deltas = rng.integers(-5, 50, n)
+            blob = (struct.pack("<IB", head_n, max_len)
+                    + intcodec.varint_encode(deltas)
+                    + lengths.astype(np.uint8).tobytes())
+            if trial % 13 == 0:
+                blob = blob[: rng.integers(0, len(blob) + 1)]
+            try:
+                code = huffman.deserialize_tree(blob)
+                parsed += 1
+                stream = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
+                huffman.decode(PackedBits(stream, 128), code, int(rng.integers(0, 9)))
+            except ValueError:
+                pass
+        assert parsed > 100
 
     def test_tree_size_scales_with_alphabet(self):
         small = huffman.serialize_tree(_code_for(np.arange(4, dtype=np.int64)))

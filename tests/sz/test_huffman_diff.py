@@ -1,8 +1,8 @@
 """Differential tests: two-queue tree build and the depth-limit flag.
 
-``_huffman_lengths_ref`` is the original heapq construction kept as an
-oracle; ``_huffman_lengths`` is the O(n) two-queue build that replaced
-it on the hot path.  Because the tie-break rule is reproduced exactly,
+``huffman_lengths_ref`` (``tests/oracles.py``) is the original heapq
+construction kept as an oracle; ``_huffman_lengths`` is the O(n)
+two-queue build that replaced it on the hot path.  Because the tie-break rule is reproduced exactly,
 the two must agree *bit-for-bit* on every frequency table — the code
 lengths feed canonical codeword assignment, which feeds the frozen
 v2/v3 wire format, so any divergence would silently change frame
@@ -23,9 +23,9 @@ from repro.sz.huffman import (
     MAX_CODE_LEN,
     _canonical_codewords,
     _huffman_lengths,
-    _huffman_lengths_ref,
     build_code,
 )
+from tests.oracles import huffman_lengths_ref
 
 freq_tables = st.lists(
     st.integers(min_value=1, max_value=1 << 40), min_size=2, max_size=200
@@ -63,7 +63,7 @@ class TestTwoQueueVsHeap:
     def test_lengths_bit_identical(self, freqs):
         f = np.asarray(freqs, dtype=np.int64)
         np.testing.assert_array_equal(
-            _huffman_lengths(f), _huffman_lengths_ref(f)
+            _huffman_lengths(f), huffman_lengths_ref(f)
         )
 
     @given(tied_freq_tables)
@@ -71,7 +71,7 @@ class TestTwoQueueVsHeap:
     def test_lengths_bit_identical_under_ties(self, freqs):
         f = np.asarray(freqs, dtype=np.int64)
         np.testing.assert_array_equal(
-            _huffman_lengths(f), _huffman_lengths_ref(f)
+            _huffman_lengths(f), huffman_lengths_ref(f)
         )
 
     @given(freq_tables)
@@ -85,7 +85,7 @@ class TestTwoQueueVsHeap:
         rng = np.random.default_rng(7)
         f = np.sort(rng.zipf(1.3, 20_000).astype(np.int64))[::-1].copy()
         np.testing.assert_array_equal(
-            _huffman_lengths(f), _huffman_lengths_ref(f)
+            _huffman_lengths(f), huffman_lengths_ref(f)
         )
 
     def test_two_symbols(self):
@@ -109,6 +109,25 @@ class TestCanonicalCodewords:
             _canonical_codewords(lengths),
             _canonical_codewords_ref(lengths),
         )
+
+    def test_random_tables_match_reference(self):
+        """3,000 length tables in symbol order, as a deserialized tree
+        gives them: complete codes up to the length cap, codes with
+        holes (dropped symbols), and shallow or one-length codes."""
+        rng = np.random.default_rng(21)
+        for _ in range(3000):
+            n = int(rng.integers(1, 400))
+            freqs = rng.zipf(1.3, n).astype(np.int64)
+            lengths = _huffman_lengths(freqs)
+            lengths = np.minimum(lengths, MAX_CODE_LEN)
+            if int((np.int64(1) << (MAX_CODE_LEN - lengths)).sum()) > 1 << MAX_CODE_LEN:
+                lengths = huffman._limit_lengths(lengths, freqs, MAX_CODE_LEN)
+            keep = rng.random(n) < rng.uniform(0.5, 1.0)
+            lengths = lengths[keep] if keep.any() else lengths[:1]
+            np.testing.assert_array_equal(
+                _canonical_codewords(lengths),
+                _canonical_codewords_ref(lengths),
+            )
 
 
 class TestLengthCap:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sz import quantizer
+from repro.sz import predictors, quantizer
 from repro.sz.quantizer import ErrorBound
+from tests.oracles import residuals_from_codes
 
 
 class TestErrorBound:
@@ -145,13 +146,19 @@ class TestCodes:
     def test_roundtrip(self):
         res = np.array([0, 5, -5, 100, -100], dtype=np.int64)
         codes, unpred = quantizer.codes_from_residuals(res, 32)
-        back = quantizer.residuals_from_codes(codes, 32, res[unpred])
+        back = residuals_from_codes(codes, 32, res[unpred])
         assert np.array_equal(back, res)
 
     def test_mismatched_channel_rejected(self):
-        codes = np.array([0, 33], dtype=np.int64)
+        # Codes [0, 33] at radius 32, as the reader sees them: symbol
+        # ranks into the code table [0, 33], rank 0 the sentinel.
+        symbols = np.array([0, 33], dtype=np.int64)
         with pytest.raises(ValueError, match="unpredictable"):
-            quantizer.residuals_from_codes(codes, 32, np.empty(0, np.int64))
+            predictors.reconstruct(
+                np.array([0, 1], np.int32), symbols - 32, (2,), "lorenzo",
+                0.5, np.float64, sentinel=0,
+                unpredictable=np.empty(0, np.int64),
+            )
 
     @given(seed=st.integers(0, 2**32 - 1),
            radius=st.sampled_from([16, 64, 1024, 32768]))
@@ -160,5 +167,5 @@ class TestCodes:
         rng = np.random.default_rng(seed)
         res = (rng.standard_normal(500) * radius).astype(np.int64)
         codes, unpred = quantizer.codes_from_residuals(res, radius)
-        back = quantizer.residuals_from_codes(codes, radius, res[unpred])
+        back = residuals_from_codes(codes, radius, res[unpred])
         assert np.array_equal(back, res)

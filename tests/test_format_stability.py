@@ -61,6 +61,17 @@ GOLDEN = {
 
 V1_DIR = os.path.join(os.path.dirname(__file__), "data", "v1_containers")
 
+#: SHA-256 of the field each pinned frame decodes to, recorded before
+#: the slab-wise reader replaced the whole-array one.  Every q2 frame
+#: holds the same grid, so every scheme and cipher mode (and the v3
+#: frame) decodes to the same bytes; the ``auto`` frames pin the mean
+#: and regression reconstructions.
+DECODED = {
+    "q2": "c0cb09e2dab89d35a498ec72bafa98c2ce472a9d7e96362fcd1a9bc523e95708",
+    "auto:mean": "966cc119d58a1514d7c209f666a248f8eb06be8156ebe83ca4b2be7a18cabdd6",
+    "auto:regression": "a8eb9e1f220a7b7c1793b97363ba2939d0190a71d3b8ad278596c35bcca00a5d",
+}
+
 
 @pytest.fixture(scope="module")
 def reference_data():
@@ -135,6 +146,49 @@ def test_auto_frame_digest_stable_per_winner(dataset, eb, winner):
     assert h.hexdigest() == GOLDEN[f"auto:{winner}"], (
         f"auto frame with a {winner} winner changed — see module docstring"
     )
+
+
+def _decoded_digest(out: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("golden", [
+    "none", "cmpr_encr", "encr_quant", "encr_huffman",
+    "ctr:cmpr_encr", "ctr:encr_quant", "ctr:encr_huffman",
+])
+def test_golden_container_decodes_to_pinned_field(golden, reference_data):
+    """Each GOLDEN container (CBC and CTR) decodes to the pinned field
+    bytes, so a reader change cannot move a decoded value."""
+    cipher_mode, _, scheme = golden.rpartition(":")
+    sc = SecureCompressor(
+        scheme, 1e-4, key=KEY, cipher_mode=cipher_mode or "cbc",
+        allow_nonce_reuse=bool(cipher_mode),
+        random_state=np.random.default_rng(42),
+    )
+    blob = sc.compress(reference_data).container
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN[golden]
+    out = sc.decompress(blob)
+    assert out.dtype == reference_data.dtype
+    assert out.shape == reference_data.shape
+    assert _decoded_digest(out) == DECODED["q2"]
+
+
+def test_v3_frame_decodes_to_pinned_field(reference_data):
+    comp = SZCompressor(1e-4, huffman_lanes=4, anchor_stride=1024)
+    frame = comp.compress(reference_data)
+    assert SZCompressor.parse_meta(frame.sections["meta"])["version"] == 3
+    assert _decoded_digest(comp.decompress(frame)) == DECODED["q2"]
+
+
+@pytest.mark.parametrize("dataset,eb,winner", [
+    ("nyx", 1e-4, "mean"),
+    ("wf48", 1e-6, "regression"),
+])
+def test_auto_frame_decodes_to_pinned_field(dataset, eb, winner):
+    comp = SZCompressor(eb)
+    frame = comp.compress(np.asarray(generate(dataset, size="tiny")))
+    assert frame.stats.predictor == winner
+    assert _decoded_digest(comp.decompress(frame)) == DECODED[f"auto:{winner}"]
 
 
 def test_old_golden_container_still_decodes(reference_data):
