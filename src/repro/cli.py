@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seconds before a running batch is failed")
     p_s.add_argument("--seed", type=int, default=None,
                      help="seed the IV stream for reproducible containers "
-                          "(forces --workers 1 semantics per config)")
+                          "(CBC only; one shared compressor per config)")
     p_s.add_argument("--chunk-axis-min", type=int, default=0,
                      help="route fields whose leading axis reaches this "
                           "through the chunked compressor (0 = never)")

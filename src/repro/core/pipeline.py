@@ -12,12 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import container as cont
-from repro.core import integrity
 from repro.core import trace
-from repro.core.schemes import Scheme, get_scheme
-from repro.crypto import rng as crypto_rng
-from repro.crypto.aes import AES128, OneShotCTR
+from repro.core.protect import Sealer
 from repro.sz.compressor import CompressionStats, SZCompressor, SZFrame
 from repro.sz.quantizer import ErrorBound
 
@@ -89,7 +85,8 @@ class SecureCompressor:
         unless this flag is set explicitly (reproducible experiments
         on non-sensitive data only — see DESIGN.md).  CBC is unaffected
         (a repeated CBC IV leaks only equal-prefix information, and the
-        paper's reproduction tables require seeded CBC runs).
+        paper's reproduction tables require seeded CBC runs).  No other
+        front end has this opt-in.
 
     Examples
     --------
@@ -115,40 +112,20 @@ class SecureCompressor:
         random_state: np.random.Generator | None = None,
         allow_nonce_reuse: bool = False,
     ) -> None:
-        self._scheme: Scheme = get_scheme(scheme)
-        if cipher_mode not in cont.CIPHER_MODES:
-            raise ValueError(f"unknown cipher mode {cipher_mode!r}")
-        if (
-            cipher_mode == "ctr"
-            and random_state is not None
-            and not allow_nonce_reuse
-        ):
-            raise ValueError(
-                "cipher_mode='ctr' with a seeded random_state derives "
-                "deterministic nonces: re-running with the same seed and "
-                "key would encrypt two plaintexts under one (key, nonce) "
-                "pair and leak their XOR. Pass allow_nonce_reuse=True "
-                "only for reproducible experiments on non-sensitive data "
-                "(DESIGN.md), or drop random_state to use OS entropy."
-            )
-        self.cipher_mode = cipher_mode
-        self.allow_nonce_reuse = allow_nonce_reuse
-        if self._scheme.requires_key or authenticate:
-            if key is None:
-                need = "authentication" if authenticate else f"scheme {scheme!r}"
-                raise ValueError(f"{need} requires a 16-byte key; pass key=")
-            self._cipher: AES128 | None = AES128(key)
-        else:
-            self._cipher = AES128(key) if key is not None else None
-        self.authenticate = authenticate
-        self._master_key = key
+        self._sealer = Sealer(
+            scheme,
+            key=key,
+            cipher_mode=cipher_mode,
+            authenticate=authenticate,
+            random_state=random_state,
+            allow_nonce_reuse=allow_nonce_reuse,
+        )
         self._sz = SZCompressor(error_bound, predictor=predictor)
-        self._random_state = random_state
 
     @property
     def scheme(self) -> str:
         """The active scheme's registry name."""
-        return self._scheme.name
+        return self._sealer.scheme.name
 
     @property
     def sz(self) -> SZCompressor:
@@ -167,33 +144,19 @@ class SecureCompressor:
         times of Fig. 7 and Tables III–V (:func:`trace.stage_seconds`).
         """
         tr = tracer or trace.NULL_TRACER
+        scheme = self._sealer.scheme
         with tr.span(
             "compress", bytes_in=data.nbytes,
-            scheme=self._scheme.name, cipher_mode=self.cipher_mode,
+            scheme=scheme.name, cipher_mode=self._sealer.cipher_mode,
         ) as root:
-            iv = crypto_rng.fresh_iv(self.cipher_mode, self._random_state)
-            cipher = self._cipher
-            if self.cipher_mode == "ctr" and cipher is not None:
-                # One (key, nonce) pair per plaintext: a second CTR
-                # encryption under ``iv`` raises (DESIGN.md §5).
-                cipher = OneShotCTR(cipher, iv)
             frame = self._sz.compress(data, tracer=tr)
-            with tr.span("protect") as psp:
-                out_sections = self._scheme.protect(
-                    frame.sections, cipher, iv, self.cipher_mode, tr
-                )
-                psp.bytes_out = sum(len(v) for v in out_sections.values())
-            blob = cont.pack_container(
-                self._scheme.scheme_id, self.cipher_mode, iv, out_sections
-            )
-            if self.authenticate:
-                blob = integrity.authenticate(blob, self._master_key)
+            blob = self._sealer.seal(frame.sections, tr)
             root.bytes_out = len(blob)
         return CompressResult(
             container=blob,
             sz_stats=frame.stats,
-            encrypted_bytes=self._scheme.encrypted_bytes(frame.sections),
-            scheme=self._scheme.name,
+            encrypted_bytes=scheme.encrypted_bytes(frame.sections),
+            scheme=scheme.name,
         )
 
     def decompress(
@@ -207,33 +170,11 @@ class SecureCompressor:
         """
         tr = tracer or trace.NULL_TRACER
         with tr.span(
-            "decompress", bytes_in=len(blob), scheme=self._scheme.name,
+            "decompress", bytes_in=len(blob), scheme=self.scheme,
         ) as root:
-            if blob[: len(integrity.MAGIC)] == integrity.MAGIC:
-                if self._master_key is None:
-                    raise ValueError(
-                        "authenticated container requires a key for "
-                        "verification"
-                    )
-                blob = integrity.verify_and_strip(blob, self._master_key)
-            elif self.authenticate:
-                raise integrity.AuthenticationError(
-                    "expected an authenticated (SECA) container"
-                )
-            parsed = cont.parse_container(blob)
-            scheme = get_scheme(parsed.scheme_id)
-            if scheme.name != self._scheme.name:
-                raise ValueError(
-                    f"container was written with scheme {scheme.name!r} but "
-                    f"this compressor is configured for {self._scheme.name!r}"
-                )
-            with tr.span("unprotect"):
-                frame_sections = scheme.unprotect(
-                    parsed.sections, self._cipher, parsed.iv,
-                    parsed.cipher_mode, tr,
-                )
             frame = SZFrame(
-                sections=frame_sections, stats=_placeholder_stats()
+                sections=self._sealer.open(blob, tr),
+                stats=_placeholder_stats(),
             )
             data = self._sz.decompress(frame, tracer=tr)
             root.bytes_out = data.nbytes

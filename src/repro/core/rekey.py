@@ -7,9 +7,11 @@ re-encrypting only its ciphertext section — the expensive SZ stages
 never rerun.  For Encr-Huffman that means re-encrypting a few hundred
 bytes of deflated tree to rotate the protection of a whole archive.
 
-The rotated container gets a fresh IV (never reuse an IV under a new
-key) and, when the input was authenticated, a recomputed tag under the
-new key.
+Rotation is one :meth:`~repro.core.protect.Sealer.open` under the old
+key and one :meth:`~repro.core.protect.Sealer.seal` under the new key,
+in the container's scheme and cipher mode.  The rotated container gets
+a fresh IV (never reuse an IV under a new key) and, when the input was
+authenticated, a recomputed tag under the new key.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import numpy as np
 
 from repro.core import container as cont
 from repro.core import integrity
+from repro.core.protect import Sealer
 from repro.core.schemes import get_scheme
-from repro.crypto import rng as crypto_rng
-from repro.crypto.aes import AES128
 
 __all__ = ["rotate_key"]
 
@@ -39,28 +40,20 @@ def rotate_key(
     or corrupt container, and on a seeded ``random_state`` for a CTR
     container (see :func:`repro.crypto.rng.refuse_seeded_ctr`).
     """
-    was_authenticated = blob[: len(integrity.MAGIC)] == integrity.MAGIC
-    if was_authenticated:
+    tagged = blob[: len(integrity.MAGIC)] == integrity.MAGIC
+    if tagged:
         blob = integrity.verify_and_strip(blob, old_key)
     parsed = cont.parse_container(blob)
     scheme = get_scheme(parsed.scheme_id)
-
-    if scheme.requires_key:
-        crypto_rng.refuse_seeded_ctr(parsed.cipher_mode, random_state)
-        old_cipher = AES128(old_key)
-        new_cipher = AES128(new_key)
-        sections = scheme.unprotect(
-            parsed.sections, old_cipher, parsed.iv, parsed.cipher_mode
-        )
-        iv = crypto_rng.fresh_iv(parsed.cipher_mode, random_state)
-        out_sections = scheme.protect(
-            sections, new_cipher, iv, parsed.cipher_mode
-        )
-        out = cont.pack_container(
-            scheme.scheme_id, parsed.cipher_mode, iv, out_sections
-        )
-    else:
-        out = blob
-    if was_authenticated:
-        out = integrity.authenticate(out, new_key)
-    return out
+    if not scheme.requires_key:
+        # Nothing is encrypted: the container passes through as is.
+        return integrity.authenticate(blob, new_key) if tagged else blob
+    old = Sealer(scheme.name, key=old_key, cipher_mode=parsed.cipher_mode)
+    new = Sealer(
+        scheme.name,
+        key=new_key,
+        cipher_mode=parsed.cipher_mode,
+        authenticate=tagged,
+        random_state=random_state,
+    )
+    return new.seal(old.open(blob))

@@ -252,6 +252,9 @@ class EncrHuffman(Scheme):
     scheme_id = 3
 
     _PLAIN = ("meta", "codes", "unpred", "coeffs", "exact", "aux")
+    #: Deflate the tree before encrypting it (False only for
+    #: :class:`EncrHuffmanRaw`).
+    _DEFLATE_TREE = True
 
     def protect(self, frame_sections, cipher, iv, mode, tracer=None):
         cipher = self._check_cipher(cipher)
@@ -263,12 +266,13 @@ class EncrHuffman(Scheme):
         # pre-compression is what preserves the paper's ">99 % of the
         # original CR" observation (see DESIGN.md §5).
         tr = tracer or trace.NULL_TRACER
-        with tr.span("lossless",
-                     bytes_in=len(frame_sections["tree"])) as sp:
-            tree_z = lossless.compress(frame_sections["tree"])
-            sp.bytes_out = len(tree_z)
-        with tr.span("encrypt", bytes_in=len(tree_z), mode=mode) as sp:
-            ct = cipher.encrypt(tree_z, mode=mode, iv=iv).ciphertext
+        tree = frame_sections["tree"]
+        if self._DEFLATE_TREE:
+            with tr.span("lossless", bytes_in=len(tree)) as sp:
+                tree = lossless.compress(tree)
+                sp.bytes_out = len(tree)
+        with tr.span("encrypt", bytes_in=len(tree), mode=mode) as sp:
+            ct = cipher.encrypt(tree, mode=mode, iv=iv).ciphertext
             sp.bytes_out = len(ct)
         outer = {"cipher": ct}
         outer.update({k: frame_sections[k] for k in self._PLAIN})
@@ -288,11 +292,12 @@ class EncrHuffman(Scheme):
         outer = cont.unpack_sections(blob)
         ct = self._take(outer, "cipher")
         with tr.span("decrypt", bytes_in=len(ct), mode=mode) as sp:
-            tree_z = cipher.decrypt(ct, iv, mode=mode)
-            sp.bytes_out = len(tree_z)
-        with tr.span("lossless", bytes_in=len(tree_z)) as sp:
-            tree = lossless.decompress(tree_z)
+            tree = cipher.decrypt(ct, iv, mode=mode)
             sp.bytes_out = len(tree)
+        if self._DEFLATE_TREE:
+            with tr.span("lossless", bytes_in=len(tree)) as sp:
+                tree = lossless.decompress(tree)
+                sp.bytes_out = len(tree)
         frame_sections = {k: self._take(outer, k) for k in self._PLAIN}
         frame_sections["tree"] = tree
         return frame_sections
@@ -317,39 +322,7 @@ class EncrHuffmanRaw(EncrHuffman):
 
     name = "encr_huffman_raw"
     scheme_id = 4
-
-    def protect(self, frame_sections, cipher, iv, mode, tracer=None):
-        tr = tracer or trace.NULL_TRACER
-        cipher = self._check_cipher(cipher)
-        with tr.span("encrypt", bytes_in=len(frame_sections["tree"]),
-                     mode=mode) as sp:
-            ct = cipher.encrypt(
-                frame_sections["tree"], mode=mode, iv=iv
-            ).ciphertext
-            sp.bytes_out = len(ct)
-        outer = {"cipher": ct}
-        outer.update({k: frame_sections[k] for k in self._PLAIN})
-        packed = cont.pack_sections(outer)
-        with tr.span("lossless", bytes_in=len(packed)) as sp:
-            z = lossless.compress(packed)
-            sp.bytes_out = len(z)
-        return {"zblob": z}
-
-    def unprotect(self, sections, cipher, iv, mode, tracer=None):
-        tr = tracer or trace.NULL_TRACER
-        cipher = self._check_cipher(cipher)
-        z = self._take(sections, "zblob")
-        with tr.span("lossless", bytes_in=len(z)) as sp:
-            blob = lossless.decompress(z)
-            sp.bytes_out = len(blob)
-        outer = cont.unpack_sections(blob)
-        ct = self._take(outer, "cipher")
-        with tr.span("decrypt", bytes_in=len(ct), mode=mode) as sp:
-            tree = cipher.decrypt(ct, iv, mode=mode)
-            sp.bytes_out = len(tree)
-        frame_sections = {k: self._take(outer, k) for k in self._PLAIN}
-        frame_sections["tree"] = tree
-        return frame_sections
+    _DEFLATE_TREE = False
 
 
 #: Registry, paper order (plus the raw-tree ablation variant).

@@ -35,7 +35,7 @@ Layout
 ``aes``
     The :class:`~repro.crypto.aes.AES128` façade the rest of the
     library uses, and :class:`~repro.crypto.aes.OneShotCTR`, the view
-    that lets one compress's CTR nonce encrypt exactly once.
+    that lets one container's CTR nonce encrypt exactly once.
 """
 
 from repro.crypto.aes import AES128, EncryptionResult, OneShotCTR

@@ -107,8 +107,8 @@ class AES128:
 class OneShotCTR:
     """A view of an :class:`AES128` that lets ``nonce`` encrypt once.
 
-    :meth:`~repro.core.pipeline.SecureCompressor.compress` hands this
-    to the scheme layer in CTR mode, which makes the nonce rule (*one*
+    :meth:`~repro.core.protect.Sealer.seal` hands this to the scheme
+    layer in CTR mode, which makes the nonce rule (*one*
     (key, nonce) pair per plaintext — DESIGN.md §5) executable: a
     second CTR encryption under ``nonce`` raises instead of silently
     reusing keystream.  Other nonces and CBC delegate.  ``encrypt`` —

@@ -46,18 +46,25 @@ def fresh_iv(
 
 
 def refuse_seeded_ctr(
-    cipher_mode: str, rng: np.random.Generator | None
+    cipher_mode: str,
+    seed: np.random.Generator | int | None,
+    *,
+    allow_nonce_reuse: bool = False,
 ) -> None:
-    """Raise ``ValueError`` for CTR nonces drawn from a seeded generator.
+    """Raise ``ValueError`` for CTR nonces from a seeded IV stream.
 
-    Two generators with the same seed (or two runs of one program)
-    draw the same nonces, so different plaintexts end up under one
-    (key, nonce) pair and CTR leaks their XOR.  Seeded CBC stays
-    allowed: the reproduction tables need deterministic IVs.
+    ``seed`` is a seeded generator or an integer seed (``None``: OS
+    entropy).  Two runs seeded alike draw the same nonces, so different
+    plaintexts end up under one (key, nonce) pair and CTR leaks their
+    XOR.  Seeded CBC stays allowed: the reproduction tables need
+    deterministic IVs.  Only ``SecureCompressor`` exposes the
+    ``allow_nonce_reuse`` opt-in (reproducible sweeps, DESIGN.md §5).
     """
-    if cipher_mode == "ctr" and rng is not None:
+    if cipher_mode == "ctr" and seed is not None and not allow_nonce_reuse:
         raise ValueError(
-            "cipher_mode='ctr' with a seeded random_state derives "
-            "predictable nonces; CTR nonces must come from OS "
-            "entropy (drop random_state or use 'cbc')"
+            "cipher_mode='ctr' with a seeded IV stream derives "
+            "predictable nonces: two runs with the same seed and key "
+            "would encrypt two plaintexts under one (key, nonce) pair "
+            "and leak their XOR. CTR nonces must come from OS entropy; "
+            "drop the seed or use cipher_mode='cbc'"
         )

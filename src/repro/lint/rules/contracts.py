@@ -68,6 +68,7 @@ DEFAULT_CONTRACTS: dict = {
         "repro.core.container.parse_container",
         "repro.core.container.unpack_sections",
         "repro.core.integrity.verify_and_strip",
+        "repro.core.protect.Sealer.open",
         "repro.core.schemes.*.unprotect",
         "repro.archive.store.ArchiveStore._load",
         "repro.archive.store.ArchiveStore._parse_index",

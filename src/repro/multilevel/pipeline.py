@@ -1,11 +1,10 @@
-"""Secure multilevel compression via the generic protect helpers."""
+"""Secure multilevel compression through the seal path."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import integrity
-from repro.core.protect import protect_sections, unprotect_container
+from repro.core.protect import Sealer
 from repro.multilevel.codec import MultilevelCodec, MultilevelStats
 
 __all__ = ["SecureMultilevelCompressor"]
@@ -35,12 +34,15 @@ class SecureMultilevelCompressor:
         authenticate: bool = False,
         random_state: np.random.Generator | None = None,
     ) -> None:
+        self._sealer = Sealer(
+            scheme,
+            key=key,
+            cipher_mode=cipher_mode,
+            authenticate=authenticate,
+            random_state=random_state,
+        )
         self.scheme = scheme
         self._codec = MultilevelCodec(error_bound)
-        self._key = key
-        self._cipher_mode = cipher_mode
-        self._authenticate = authenticate
-        self._random_state = random_state
         self.last_stats: MultilevelStats | None = None
 
     @property
@@ -50,24 +52,9 @@ class SecureMultilevelCompressor:
 
     def compress(self, data: np.ndarray) -> bytes:
         """Encode and protect ``data``; stats land in ``last_stats``."""
-        sections, stats = self._codec.encode(data)
-        self.last_stats = stats
-        return protect_sections(
-            sections,
-            self.scheme,
-            key=self._key,
-            cipher_mode=self._cipher_mode,
-            authenticate=self._authenticate,
-            random_state=self._random_state,
-        )
+        sections, self.last_stats = self._codec.encode(data)
+        return self._sealer.seal(sections)
 
     def decompress(self, blob: bytes) -> np.ndarray:
         """Invert :meth:`compress` within the codec's error bound."""
-        if self._authenticate and blob[: len(integrity.MAGIC)] != integrity.MAGIC:
-            raise integrity.AuthenticationError(
-                "expected an authenticated (SECA) container"
-            )
-        sections = unprotect_container(
-            blob, key=self._key, expected_scheme=self.scheme
-        )
-        return self._codec.decode(sections)
+        return self._codec.decode(self._sealer.open(blob))

@@ -14,8 +14,7 @@ Implementation notes
 * Seeded runs (``base_seed``) derive slab nonces deterministically from
   ``base_seed + slab_index``; in CTR mode that is a keystream-reuse
   hazard across *runs* (same seed + same key → same nonces), so the
-  constructor refuses it unless ``allow_nonce_reuse=True`` is passed
-  explicitly (see DESIGN.md).
+  constructor refuses it (:func:`repro.crypto.rng.refuse_seeded_ctr`).
 * The outer framing is deliberately trivial: magic, chunk count, chunk
   lengths, then the containers back to back.
 """
@@ -30,6 +29,7 @@ import numpy as np
 
 from repro.core import trace
 from repro.core.pipeline import SecureCompressor
+from repro.crypto import rng as crypto_rng
 
 __all__ = ["ChunkedSecureCompressor"]
 
@@ -46,7 +46,6 @@ class _Config:
     key: bytes | None = field(repr=False)
     cipher_mode: str
     authenticate: bool = False
-    allow_nonce_reuse: bool = False
 
     def build(self, seed: int | None = None) -> SecureCompressor:
         rng = np.random.default_rng(seed) if seed is not None else None
@@ -57,7 +56,6 @@ class _Config:
             cipher_mode=self.cipher_mode,
             authenticate=self.authenticate,
             random_state=rng,
-            allow_nonce_reuse=self.allow_nonce_reuse,
         )
 
 
@@ -100,12 +98,8 @@ class ChunkedSecureCompressor:
     base_seed:
         When set, slab IVs derive from ``base_seed + slab_index`` so
         runs are reproducible; production leaves it None (OS entropy).
-        With ``cipher_mode="ctr"`` this makes nonces deterministic
-        across runs and therefore requires ``allow_nonce_reuse=True``.
-    allow_nonce_reuse:
-        Explicit opt-in for seeded CTR runs (reproducible experiments
-        on non-sensitive data only); forwarded to every slab's
-        :class:`SecureCompressor`.  See DESIGN.md.
+        Refused with ``cipher_mode="ctr"``, whose nonces it would make
+        deterministic across runs.
     """
 
     def __init__(
@@ -119,33 +113,20 @@ class ChunkedSecureCompressor:
         n_chunks: int = 4,
         n_workers: int = 4,
         base_seed: int | None = None,
-        allow_nonce_reuse: bool = False,
     ) -> None:
         if n_chunks < 1:
             raise ValueError("n_chunks must be positive")
         if n_workers < 1:
             raise ValueError("n_workers must be positive")
-        if (
-            cipher_mode == "ctr"
-            and base_seed is not None
-            and not allow_nonce_reuse
-        ):
-            # Fail here rather than in the workers: one clear error in
-            # the construction stack instead of N pickled ones.
-            raise ValueError(
-                "cipher_mode='ctr' with base_seed derives deterministic "
-                "per-slab nonces: re-running with the same seed and key "
-                "would reuse (key, nonce) pairs and leak slab XORs. Pass "
-                "allow_nonce_reuse=True only for reproducible experiments "
-                "on non-sensitive data (DESIGN.md), or drop base_seed."
-            )
+        # Refuse here rather than in the workers: one clear error in
+        # the construction stack instead of N pickled ones.
+        crypto_rng.refuse_seeded_ctr(cipher_mode, base_seed)
         self._config = _Config(
             scheme=scheme,
             error_bound=float(error_bound),
             key=key,
             cipher_mode=cipher_mode,
             authenticate=authenticate,
-            allow_nonce_reuse=allow_nonce_reuse,
         )
         self.n_chunks = n_chunks
         self.n_workers = n_workers

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core import trace
 from repro.core.pipeline import SecureCompressor
+from repro.crypto import rng as crypto_rng
 from repro.parallel.chunked import ChunkedSecureCompressor
 from repro.sz import huffman
 
@@ -66,7 +67,8 @@ class CompressorPool:
     Parameters mirror the compressor's; ``seed`` builds *one* shared
     compressor with a seeded IV stream (deterministic containers for
     reproducible experiments — callers must then serialize jobs, which
-    ``secz serve --workers 1`` does).  ``chunk_axis_min > 0`` routes
+    ``secz serve --workers 1`` does).  Seeded CTR is refused here, at
+    construction, rather than in every job.  ``chunk_axis_min > 0`` routes
     fields whose leading axis reaches it through the slab-parallel
     chunked compressor.
     """
@@ -79,16 +81,15 @@ class CompressorPool:
         key: bytes | None = None,
         cipher_mode: str = "cbc",
         seed: int | None = None,
-        allow_nonce_reuse: bool = False,
         chunk_axis_min: int = 0,
         n_chunks: int = 4,
     ) -> None:
+        crypto_rng.refuse_seeded_ctr(cipher_mode, seed)
         self.scheme = scheme
         self.error_bound = float(error_bound)
         self.key = key
         self.cipher_mode = cipher_mode
         self.seed = seed
-        self.allow_nonce_reuse = allow_nonce_reuse
         self.chunk_axis_min = int(chunk_axis_min)
         self.n_chunks = n_chunks
         self._tls = threading.local()
@@ -110,7 +111,6 @@ class CompressorPool:
             key=self.key,
             cipher_mode=self.cipher_mode,
             random_state=self._seed_rng if self.seed is not None else None,
-            allow_nonce_reuse=self.allow_nonce_reuse,
         )
 
     def compressor_for(self, scheme: str, eb: float) -> SecureCompressor:
@@ -173,7 +173,6 @@ class CompressorPool:
             cipher_mode=self.cipher_mode,
             n_chunks=min(self.n_chunks, item.field.shape[0]),
             n_workers=1,
-            allow_nonce_reuse=self.allow_nonce_reuse,
         )
         return chunked.compress(item.field)
 

@@ -60,11 +60,11 @@ class ServiceConfig:
     they default to this config, which is where a deployment pins its
     policy (the per-job override exists for mixed workloads).  ``seed``
     makes IVs deterministic for reproducible experiments (use with
-    ``workers=1``; CTR additionally needs ``allow_nonce_reuse``, same
-    rule as the library).  ``job_timeout`` bounds one *batch* of jobs
-    on the executor; timed-out jobs fail, their executor thread is left
-    to finish cooperatively (pure-Python compression cannot be killed
-    mid-kernel) and its result is discarded.
+    ``workers=1``); seeded CTR is refused at construction.
+    ``job_timeout`` bounds one *batch* of jobs on the executor;
+    timed-out jobs fail, their executor thread is left to finish
+    cooperatively (pure-Python compression cannot be killed mid-kernel)
+    and its result is discarded.
     """
 
     scheme: str = "encr_huffman"
@@ -77,7 +77,6 @@ class ServiceConfig:
     job_timeout: float | None = None
     max_payload: int = 64 * 1024 * 1024
     seed: int | None = None
-    allow_nonce_reuse: bool = False
     chunk_axis_min: int = 0
     n_chunks: int = 4
 
@@ -103,17 +102,17 @@ class CompressionService:
                 f"scheme {config.scheme!r} requires a 16-byte key"
             )
         self.config = config
-        self.store = JobStore(store_path)
+        # The pool first: a refused policy (seeded CTR) creates no store.
         self.pool = pool if pool is not None else CompressorPool(
             scheme=config.scheme,
             error_bound=config.error_bound,
             key=config.key,
             cipher_mode=config.cipher_mode,
             seed=config.seed,
-            allow_nonce_reuse=config.allow_nonce_reuse,
             chunk_axis_min=config.chunk_axis_min,
             n_chunks=config.n_chunks,
         )
+        self.store = JobStore(store_path)
         self.jobs: dict[bytes, Job] = {}
         self.queue = JobQueue(config.queue_limit)
         self._executor: ThreadPoolExecutor | None = None

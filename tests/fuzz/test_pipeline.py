@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.container import pack_container, pack_sections
 from repro.core.integrity import AuthenticationError
 from repro.core.pipeline import SecureCompressor
-from repro.imagecodec import ImageCodec
+from repro.imagecodec import ImageCodec, SecureImageCompressor
+from repro.multilevel import MultilevelCodec, SecureMultilevelCompressor
 from repro.security.attacks import flip_bit
-from repro.sz import SZCompressor, huffman
+from repro.sz import SZCompressor, huffman, lossless
 from repro.sz.bitstream import PackedBits
 from repro.sz.compressor import SECTION_ORDER, SZFrame
 
@@ -147,3 +149,30 @@ def test_authenticated_garbage_rejected_fast():
     for blob in (b"", b"SECA", b"SECA" + bytes(31), b"SECA" + bytes(64)):
         with pytest.raises(ACCEPTED):
             sc.decompress(blob)
+
+
+def _none_container_without(sections: dict[str, bytes], missing: str) -> bytes:
+    """A forged ``none`` container: genuine sections, one dropped."""
+    kept = {k: v for k, v in sections.items() if k != missing}
+    zblob = lossless.compress(pack_sections(kept))
+    return pack_container(0, "cbc", bytes(16), {"zblob": zblob})
+
+
+@pytest.mark.parametrize("missing", ["meta", "tree"])
+@pytest.mark.parametrize("reader", ["sz", "image", "multilevel"])
+def test_forged_container_missing_section(reader, missing):
+    """Every reader refuses a container whose sections lack one the
+    codecs need, with the contractual ValueError (not a KeyError)."""
+    data = np.random.default_rng(7).random((8, 8, 8)).astype(np.float32)
+    if reader == "sz":
+        sections = SZCompressor(1e-3).compress(data).sections
+        decompress = SecureCompressor("none", 1e-3).decompress
+    elif reader == "image":
+        sections, _ = ImageCodec(75).encode(data[0] * 255)
+        decompress = SecureImageCompressor("none", 75).decompress
+    else:
+        sections, _ = MultilevelCodec(1e-3).encode(data)
+        decompress = SecureMultilevelCompressor("none", 1e-3).decompress
+    blob = _none_container_without(sections, missing)
+    with pytest.raises(ValueError, match=f"missing.*'{missing}'"):
+        decompress(blob)

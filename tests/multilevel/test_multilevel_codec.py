@@ -158,13 +158,12 @@ class TestSecurePipeline:
                            match="authenticated"):
             smc.decompress(stripped)
 
-    def test_seeded_ctr_refused(self, smooth_field, key):
-        smc = SecureMultilevelCompressor(
-            "encr_huffman", 1e-3, key=key, cipher_mode="ctr",
-            random_state=np.random.default_rng(1),
-        )
+    def test_seeded_ctr_refused(self, key):
         with pytest.raises(ValueError, match="nonce"):
-            smc.compress(smooth_field)
+            SecureMultilevelCompressor(
+                "encr_huffman", 1e-3, key=key, cipher_mode="ctr",
+                random_state=np.random.default_rng(1),
+            )
 
     def test_encr_quant_collapse_transfers(self, key):
         """The paper's Encr-Quant caveat holds for the third codec."""

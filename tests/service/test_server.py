@@ -279,6 +279,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="requires"):
             CompressionService(ServiceConfig(key=None), endpoint[1])
 
+    def test_seeded_ctr_refused_at_startup(self, endpoint):
+        # Refused when the daemon is built, not in every job; a refused
+        # policy leaves no job store behind.
+        from pathlib import Path
+
+        from repro.service import CompressionService
+
+        config = ServiceConfig(key=KEY, cipher_mode="ctr", seed=1)
+        with pytest.raises(ValueError, match="nonce"):
+            CompressionService(config, endpoint[1])
+        assert not Path(endpoint[1]).exists()
+
     def test_keyless_scheme_allowed(self, endpoint, smooth_field):
         config = ServiceConfig(scheme="none", key=None)
         with serve(config, endpoint):

@@ -101,17 +101,6 @@ class TestChunked:
                 cipher_mode="ctr", base_seed=7,
             )
 
-    def test_seeded_ctr_with_optin_is_deterministic(self, field, key):
-        def run():
-            return ChunkedSecureCompressor(
-                scheme="encr_huffman", error_bound=1e-3, key=key,
-                cipher_mode="ctr", n_chunks=4, n_workers=1,
-                base_seed=7, allow_nonce_reuse=True,
-            ).compress(field)
-
-        a, b = run(), run()
-        assert a == b
-
     def test_too_many_chunks_rejected(self, key):
         csc = ChunkedSecureCompressor(scheme="none", n_chunks=50)
         with pytest.raises(ValueError, match="split"):
