@@ -33,7 +33,6 @@ Quick start
 True
 """
 
-from repro.archive import SecureArchive
 from repro.core import SecureCompressor, recommend_scheme
 from repro.core.pipeline import CompressResult
 from repro.crypto import AES128
@@ -43,7 +42,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "SecureCompressor",
-    "SecureArchive",
     "CompressResult",
     "SZCompressor",
     "ErrorBound",

@@ -1,17 +1,11 @@
-"""Secure archives: flat v1 bundles and the content-addressed v2 store.
+"""Secure archives: the content-addressed SECB v2 store.
 
-Two generations live side by side:
-
-* :class:`SecureArchive` (``legacy``) — the flat SECB v1 bundle: a
-  plaintext name index in front of back-to-back SECZ containers.
-  Kept verbatim for existing archives and fixtures.
-* :class:`ArchiveStore` (``store``) — the SECB v2 content-addressed
-  store: content-defined chunking, SHA-256 addressed store-once blobs
-  with refcounts, per-entry scheme/codec/error-bound metadata, and
-  incremental append.  ``secz archive`` drives it from the CLI.
-
-Import from the package root; the submodule split is an
-implementation detail.
+:class:`ArchiveStore` keeps raw byte entries and SECZ field containers
+in one file: content-defined chunking, SHA-256 addressed store-once
+blobs with refcounts, per-entry scheme/codec/error-bound metadata, and
+incremental append.  ``secz archive`` drives it from the CLI.  Flat
+SECB v1 bundles are read only, by :meth:`ArchiveStore.import_secb_v1`,
+which turns their containers into field entries.
 
 Examples
 --------
@@ -29,7 +23,6 @@ b'weights '
 []
 """
 
-from repro.archive.legacy import SecureArchive
 from repro.archive.store import ArchiveStore, ArchiveCorrupt
 
-__all__ = ["SecureArchive", "ArchiveStore", "ArchiveCorrupt"]
+__all__ = ["ArchiveStore", "ArchiveCorrupt"]

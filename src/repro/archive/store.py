@@ -1,8 +1,9 @@
 """SECB v2: the content-addressed, deduplicating archive store.
 
-The flat v1 bundle (:mod:`repro.archive.legacy`) stores every field's
-container back-to-back; adding the same checkpoint shard twice costs
-twice the bytes.  v2 splits each entry into content-defined chunks
+The flat v1 bundle (FORMAT.md §10.1, now only read, by
+:meth:`ArchiveStore.import_secb_v1`) stored every field's container
+back-to-back; adding the same checkpoint shard twice cost twice the
+bytes.  v2 splits each entry into content-defined chunks
 (:mod:`repro.archive.chunker`), addresses every chunk by its SHA-256,
 and stores each distinct chunk exactly once in a refcounted blob
 table — the shape of a lab's archival job where most snapshots barely
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -50,17 +52,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.archive import chunker
-from repro.core import trace
+from repro.core import integrity, trace
 from repro.core.pipeline import SecureCompressor
+from repro.core.protect import Sealer
 from repro.core.schemes import get_scheme
 from repro.crypto.aes import AES128
 from repro.crypto import rng as crypto_rng
 from repro.sz import lossless, lz77
+from repro.sz.compressor import SZCompressor
 
 __all__ = ["ArchiveStore", "ArchiveCorrupt", "CODECS"]
 
+_MAGIC1 = b"SECB"
 _MAGIC2 = b"SEB2"
 _VERSION = 2
+
+_V1_HEAD = struct.Struct("<4sI")  # magic, field count
+_V1_NAME = struct.Struct("<H")  # field name length, then utf-8 bytes
+_V1_LEN = struct.Struct("<Q")  # container length
 
 _V2_HEAD = struct.Struct("<4sBBH")  # magic, version, flags, reserved
 _V2_COUNTS = struct.Struct("<II")  # n_blobs, n_entries
@@ -144,6 +153,55 @@ class _Entry:
     raw_size: int
     content_sha: bytes
     chunks: list[bytes] = field(default_factory=list)
+
+
+def _new_entry(
+    name: str, data: bytes, *, kind: int, scheme_id: int, codec: int,
+    error_bound: float,
+) -> _Entry:
+    """An entry for ``data``, its chunk list still to be filled."""
+    return _Entry(
+        name=name, kind=kind, scheme_id=scheme_id, codec=codec,
+        error_bound=error_bound, raw_size=len(data), content_sha=_sha(data),
+    )
+
+
+def _split_secb_v1(blob: bytes) -> dict[str, bytes]:
+    """Split a flat SECB v1 bundle (FORMAT.md §10.1) into its containers."""
+    if len(blob) < _V1_HEAD.size:
+        raise ArchiveCorrupt("SECB v1 bundle shorter than its header")
+    magic, count = _V1_HEAD.unpack_from(blob)
+    if magic != _MAGIC1:
+        raise ArchiveCorrupt("bad magic; not a SECB v1 bundle")
+    offset = _V1_HEAD.size
+    lengths: dict[str, int] = {}
+    for _ in range(count):
+        if offset + _V1_NAME.size > len(blob):
+            raise ArchiveCorrupt("truncated SECB v1 index")
+        (name_len,) = _V1_NAME.unpack_from(blob, offset)
+        offset += _V1_NAME.size
+        raw_name = blob[offset : offset + name_len]
+        offset += name_len
+        if offset + _V1_LEN.size > len(blob):
+            raise ArchiveCorrupt("truncated SECB v1 index")
+        (length,) = _V1_LEN.unpack_from(blob, offset)
+        offset += _V1_LEN.size
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ArchiveCorrupt(
+                f"field name is not valid UTF-8: {exc}"
+            ) from exc
+        if name in lengths:
+            raise ArchiveCorrupt(f"duplicate field {name!r}")
+        lengths[name] = length
+    containers: dict[str, bytes] = {}
+    for name, length in lengths.items():
+        containers[name] = blob[offset : offset + length]
+        offset += length
+    if offset != len(blob):
+        raise ArchiveCorrupt("SECB v1 bundle length does not match its index")
+    return containers
 
 
 class ArchiveStore:
@@ -362,30 +420,31 @@ class ArchiveStore:
 
     # -- mutation -----------------------------------------------------
 
-    def _add_entry(
-        self, name: str, data: bytes, *, kind: int, scheme_id: int,
-        codec: int, error_bound: float,
-    ) -> None:
-        encoded = name.encode("utf-8")
-        if not 1 <= len(encoded) <= 65535:
-            raise ValueError(f"bad entry name {name!r}")
-        if name in self._entries:
-            raise ValueError(f"archive already has an entry {name!r}")
-        digests: list[bytes] = []
+    def _add_entries(self, items: list[tuple[_Entry, bytes]]) -> None:
+        """Chunk, seal and append each ``(entry, data)`` in one write.
+
+        Every name is checked before anything changes.
+        """
+        for ent, _ in items:
+            if not 1 <= len(ent.name.encode("utf-8")) <= 65535:
+                raise ValueError(f"bad entry name {ent.name!r}")
+            if ent.name in self._entries:
+                raise ValueError(f"archive already has an entry {ent.name!r}")
         fresh: list[tuple[_Blob, bytes]] = []
         pending: dict[bytes, _Blob] = {}
-        for chunk in chunker.split(data, **self._chunk_kwargs):
-            raw_sha = _sha(chunk)
-            digests.append(raw_sha)
-            known = self._blobs.get(raw_sha) or pending.get(raw_sha)
-            if known is not None:
-                known.refcount += 1
-                trace.count("archive.chunks_deduped")
-                continue
-            rec, payload = self._seal(chunk, codec)
-            pending[raw_sha] = rec
-            fresh.append((rec, payload))
-            trace.count("archive.chunks_added")
+        for ent, data in items:
+            for chunk in chunker.split(data, **self._chunk_kwargs):
+                raw_sha = _sha(chunk)
+                ent.chunks.append(raw_sha)
+                known = self._blobs.get(raw_sha) or pending.get(raw_sha)
+                if known is not None:
+                    known.refcount += 1
+                    trace.count("archive.chunks_deduped")
+                    continue
+                rec, payload = self._seal(chunk, ent.codec)
+                pending[raw_sha] = rec
+                fresh.append((rec, payload))
+                trace.count("archive.chunks_added")
         with open(self._path, "r+b") as fh:
             # Append-only data region: new blobs overwrite the dead
             # index, then a fresh index + footer go after them.
@@ -395,11 +454,8 @@ class ArchiveStore:
                 fh.write(payload)
                 self._data_end += rec.stored_len
                 self._blobs[rec.raw_sha] = rec
-            self._entries[name] = _Entry(
-                name=name, kind=kind, scheme_id=scheme_id, codec=codec,
-                error_bound=error_bound, raw_size=len(data),
-                content_sha=_sha(data), chunks=digests,
-            )
+            for ent, _ in items:
+                self._entries[ent.name] = ent
             self._flush(fh)
 
     def add_bytes(
@@ -416,11 +472,11 @@ class ArchiveStore:
                 f"unknown codec {codec!r}; one of {sorted(CODECS)}"
             )
         scheme = "cmpr_encr" if self._key is not None else "none"
-        self._add_entry(
+        self._add_entries([(_new_entry(
             name, data, kind=_KIND_RAW,
             scheme_id=get_scheme(scheme).scheme_id,
             codec=CODECS[codec], error_bound=0.0,
-        )
+        ), data)])
 
     def add_field(
         self,
@@ -446,11 +502,39 @@ class ArchiveStore:
             cipher_mode=self._cipher_mode, random_state=self._rng,
         )
         container = sc.compress(data, tracer=tracer).container
-        self._add_entry(
+        self._add_entries([(_new_entry(
             name, container, kind=_KIND_FIELD,
             scheme_id=get_scheme(scheme).scheme_id,
             codec=CODECS["store"], error_bound=error_bound,
-        )
+        ), container)])
+
+    def import_secb_v1(self, blob: bytes) -> list[str]:
+        """Add every field of a flat SECB v1 bundle (FORMAT.md §10.1).
+
+        The one reader of v1 bundles.  Each container is opened under
+        this store's key (a SECA tag is verified) and its error bound
+        read from its frame meta before anything is written, so a
+        bundle that fails any check raises ``ValueError`` (or
+        :class:`ArchiveCorrupt`) and leaves the store as it was.  The
+        containers are then stored verbatim as field entries.  Returns
+        the imported names in bundle order.
+        """
+        items = []
+        for name, container in _split_secb_v1(blob).items():
+            scheme = get_scheme(integrity.read_header(container)[0].scheme_id)
+            sections = Sealer(scheme.name, key=self._key).open(container)
+            eb = SZCompressor.parse_meta(sections["meta"])["eb"]
+            if not 0.0 < eb < math.inf:
+                raise ArchiveCorrupt(
+                    f"field {name!r}: frame meta error bound {eb!r}"
+                )
+            items.append((_new_entry(
+                name, container, kind=_KIND_FIELD,
+                scheme_id=scheme.scheme_id, codec=CODECS["store"],
+                error_bound=eb,
+            ), container))
+        self._add_entries(items)
+        return [ent.name for ent, _ in items]
 
     def remove(self, name: str) -> None:
         """Drop an entry; its blobs stay until :meth:`gc` runs."""

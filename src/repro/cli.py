@@ -34,7 +34,7 @@ import sys
 
 import numpy as np
 
-from repro.core.container import parse_container
+from repro.core.integrity import read_header
 from repro.core.pipeline import SecureCompressor
 from repro.core.schemes import SCHEMES, get_scheme
 from repro.crypto.aes import derive_key
@@ -346,7 +346,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 def _cmd_decompress(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
         blob = fh.read()
-    scheme = get_scheme(parse_container(blob).scheme_id)
+    scheme = get_scheme(read_header(blob)[0].scheme_id)
     sc = SecureCompressor(scheme=scheme.name, key=_key_from_args(args))
     data = sc.decompress(blob)
     if args.output.endswith(".npy"):
@@ -358,15 +358,10 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from repro.core import integrity
-
     with open(args.input, "rb") as fh:
         blob = fh.read()
-    authenticated = blob[: len(integrity.MAGIC)] == integrity.MAGIC
-    if authenticated:
-        # Header-only inspection does not need (or verify) the key.
-        blob = blob[len(integrity.MAGIC) + integrity.TAG_BYTES :]
-    parsed = parse_container(blob)
+    # Header-only inspection does not need (or verify) the key.
+    parsed, authenticated = read_header(blob)
     scheme = get_scheme(parsed.scheme_id)
     print(f"scheme:      {scheme.name}")
     print(f"authenticated: {'yes (SECA tag present, not verified)' if authenticated else 'no'}")
@@ -666,7 +661,7 @@ def _cmd_img_decompress(args: argparse.Namespace) -> int:
 
     with open(args.input, "rb") as fh:
         blob = fh.read()
-    scheme = get_scheme(parse_container(blob).scheme_id)
+    scheme = get_scheme(read_header(blob)[0].scheme_id)
     sic = SecureImageCompressor(
         scheme.name, args.quality, key=_key_from_args(args)
     )

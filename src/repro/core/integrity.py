@@ -22,9 +22,12 @@ from __future__ import annotations
 import hashlib
 import hmac
 
+from repro.core.container import Container, parse_container
+
 __all__ = [
     "authenticate",
     "verify_and_strip",
+    "read_header",
     "derive_mac_key",
     "AuthenticationError",
     "MAGIC",
@@ -79,3 +82,15 @@ def verify_and_strip(blob: bytes, master_key: bytes) -> bytes:
     if not hmac.compare_digest(tag, expected):
         raise AuthenticationError("container failed authentication")
     return inner
+
+
+def read_header(blob: bytes) -> tuple[Container, bool]:
+    """Parse a SECZ container behind an optional, *unverified* SECA tag.
+
+    Returns the parsed container and whether a tag was present.  This
+    picks a reader (scheme, cipher mode) before any key is applied;
+    :meth:`repro.core.protect.Sealer.open` is what verifies the tag.
+    """
+    tagged = blob[: len(MAGIC)] == MAGIC
+    inner = blob[len(MAGIC) + TAG_BYTES :] if tagged else blob
+    return parse_container(inner), tagged

@@ -4,9 +4,11 @@ Machine-checks the cross-file invariants the docs promise: counter
 keys vs ``trace.KNOWN_COUNTERS`` vs docs/OBSERVABILITY.md, span names
 vs the registry and the golden trace fixtures, wire-format constants
 vs docs/FORMAT.md, CSPRNG-only randomness in ``repro.crypto``, dtype
-discipline on hot allocations, and general hygiene.  Exposed as
-``secz lint`` (see docs/LINTING.md) and run over the real tree by
-``tests/lint/``.
+discipline on hot allocations, exception contracts, secret taint and
+lock discipline.  Generic Python hygiene (bare ``except``, mutable
+defaults, ``assert``, unused imports) is ruff's (pyproject.toml).
+Exposed as ``secz lint`` (see docs/LINTING.md) and run over the real
+tree by ``tests/lint/``.
 
 >>> from pathlib import Path
 >>> from repro import lint

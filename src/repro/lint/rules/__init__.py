@@ -14,12 +14,6 @@ from repro.lint.rules.counters import CounterRegistryRule
 from repro.lint.rules.crypto import CryptoHygieneRule
 from repro.lint.rules.dtype import DtypeDisciplineRule
 from repro.lint.rules.formats import FormatSpecRule
-from repro.lint.rules.hygiene import (
-    AssertStmtRule,
-    BareExceptRule,
-    MutableDefaultRule,
-    UnusedImportRule,
-)
 from repro.lint.rules.locks import LockDisciplineRule
 from repro.lint.rules.spans import SpanRegistryRule
 from repro.lint.rules.taint import SecretTaintRule
@@ -34,10 +28,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     FormatSpecRule,
     CryptoHygieneRule,
     DtypeDisciplineRule,
-    BareExceptRule,
-    MutableDefaultRule,
-    AssertStmtRule,
-    UnusedImportRule,
     ExceptionContractRule,
     SecretTaintRule,
     LockDisciplineRule,

@@ -64,15 +64,18 @@ DEFAULT_CONTRACTS: dict = {
         "repro.sz.huffman.deserialize_tree",
         "repro.sz.huffman.deserialize_lane_tree",
         "repro.sz.lz77.decompress",
+        "repro.sz.compressor.SZCompressor.parse_meta",
         "repro.sz.lossless.decompress",
         "repro.core.container.parse_container",
         "repro.core.container.unpack_sections",
         "repro.core.integrity.verify_and_strip",
+        "repro.core.integrity.read_header",
         "repro.core.protect.Sealer.open",
         "repro.core.schemes.*.unprotect",
         "repro.archive.store.ArchiveStore._load",
         "repro.archive.store.ArchiveStore._parse_index",
         "repro.archive.store._decode",
+        "repro.archive.store._split_secb_v1",
         "repro.service.protocol.unpack_header",
         "repro.service.protocol.unpack_submit",
     ],

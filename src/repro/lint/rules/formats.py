@@ -28,9 +28,7 @@ FORMAT_MODULES = frozenset({
     "src/repro/sz/ieee754.py",
     "src/repro/sz/intcodec.py",
     "src/repro/sz/lz77.py",
-    "src/repro/parallel/chunked.py",
     "src/repro/parallel/filestream.py",
-    "src/repro/archive/legacy.py",
     "src/repro/archive/store.py",
     "src/repro/service/protocol.py",
 })

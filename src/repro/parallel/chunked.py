@@ -16,12 +16,13 @@ Implementation notes
   hazard across *runs* (same seed + same key → same nonces), so the
   constructor refuses it (:func:`repro.crypto.rng.refuse_seeded_ctr`).
 * The outer framing is deliberately trivial: magic, chunk count, chunk
-  lengths, then the containers back to back.
+  lengths, then the containers back to back.  It is written and read
+  by :mod:`repro.parallel.filestream`, through an in-memory buffer.
 """
 
 from __future__ import annotations
 
-import struct
+import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -30,11 +31,9 @@ import numpy as np
 from repro.core import trace
 from repro.core.pipeline import SecureCompressor
 from repro.crypto import rng as crypto_rng
+from repro.parallel.filestream import read_secm, write_secm
 
 __all__ = ["ChunkedSecureCompressor"]
-
-_MAGIC = b"SECM"
-_HEADER = struct.Struct("<4sI")
 
 
 @dataclass(frozen=True)
@@ -178,11 +177,9 @@ class ChunkedSecureCompressor:
             self._graft_slab_traces(
                 tr, (doc for _, doc in results), pooled
             )
-            head = _HEADER.pack(_MAGIC, len(containers))
-            lengths = struct.pack(
-                f"<{len(containers)}Q", *map(len, containers)
-            )
-            blob = head + lengths + b"".join(containers)
+            buf = io.BytesIO()
+            write_secm(buf, len(containers), containers)
+            blob = buf.getvalue()
             root.bytes_out = len(blob)
         return blob
 
@@ -213,24 +210,7 @@ class ChunkedSecureCompressor:
     ) -> np.ndarray:
         """Invert :meth:`compress`, reassembling the slabs in order."""
         tr = tracer or trace.NULL_TRACER
-        if len(blob) < _HEADER.size:
-            raise ValueError("multi-chunk blob shorter than its header")
-        magic, n_chunks = _HEADER.unpack_from(blob)
-        if magic != _MAGIC:
-            raise ValueError("bad magic; not a SECM multi-chunk blob")
-        offset = _HEADER.size
-        if len(blob) < offset + 8 * n_chunks:
-            raise ValueError("truncated multi-chunk length table")
-        lengths = struct.unpack_from(f"<{n_chunks}Q", blob, offset)
-        offset += 8 * n_chunks
-        containers = []
-        for length in lengths:
-            if offset + length > len(blob):
-                raise ValueError("truncated multi-chunk payload")
-            containers.append(blob[offset : offset + length])
-            offset += length
-        if offset != len(blob):
-            raise ValueError("trailing bytes after multi-chunk payload")
+        containers = list(read_secm(io.BytesIO(blob)))
         jobs = [(self._config, c, tr.enabled) for c in containers]
         with tr.span("chunked.decompress", bytes_in=len(blob),
                      n_chunks=len(containers),

@@ -1,25 +1,79 @@
-"""Streaming file-to-file secure compression.
+"""Streaming file-to-file secure compression, and the SECM framing.
 
 For fields too large to hold in memory (the paper's QI/T are 5.8 GB),
 the compressor memory-maps the raw input, processes one axis-0 slab at
 a time, and appends each slab's container to the output as it
-completes.  The on-disk format is the same SECM multi-chunk framing as
-:class:`~repro.parallel.chunked.ChunkedSecureCompressor`, written
-incrementally: the chunk-length table is back-patched after the last
-slab, so compression needs only one slab of working memory.
+completes.  :func:`write_secm` and :func:`read_secm` are the one
+writer and reader of the SECM multi-chunk framing (FORMAT.md §9);
+:class:`~repro.parallel.chunked.ChunkedSecureCompressor` drives them
+through an in-memory buffer.  The chunk-length table is back-patched
+after the last slab, so compression needs only one slab of working
+memory.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
+from collections.abc import Iterable, Iterator
+from typing import BinaryIO
 
 import numpy as np
 
 from repro.core.pipeline import SecureCompressor
-from repro.parallel.chunked import _HEADER, _MAGIC
 
-__all__ = ["compress_file", "decompress_file"]
+__all__ = ["compress_file", "decompress_file", "write_secm", "read_secm"]
+
+_MAGIC = b"SECM"
+_HEADER = struct.Struct("<4sI")  # magic, chunk count
+
+
+def write_secm(
+    out: BinaryIO, n_chunks: int, containers: Iterable[bytes]
+) -> None:
+    """Frame ``n_chunks`` containers as SECM onto ``out``.
+
+    Each container is written as it arrives; the length table is
+    back-patched after the last one, so ``out`` must be seekable.
+    """
+    out.write(_HEADER.pack(_MAGIC, n_chunks))
+    table_pos = out.tell()
+    out.write(bytes(8 * n_chunks))
+    lengths = []
+    for container in containers:
+        lengths.append(len(container))
+        out.write(container)
+    out.seek(table_pos)
+    out.write(struct.pack(f"<{n_chunks}Q", *lengths))
+
+
+def read_secm(inp: BinaryIO) -> Iterator[bytes]:
+    """Yield the containers of the SECM stream from ``inp`` on, in order.
+
+    ``inp`` must be seekable: every length is checked against the bytes
+    left before anything is read.  Bad magic, a truncated header, table
+    or payload, and bytes after the last container raise ``ValueError``.
+    """
+    start = inp.tell()
+    left = inp.seek(0, io.SEEK_END) - start
+    inp.seek(start)
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal left
+        if n > left:
+            raise ValueError(f"truncated SECM {what}")
+        left -= n
+        return inp.read(n)
+
+    magic, n_chunks = _HEADER.unpack(take(_HEADER.size, "header"))
+    if magic != _MAGIC:
+        raise ValueError("bad magic; not a SECM stream")
+    table = take(8 * n_chunks, "length table")
+    for length in struct.unpack(f"<{n_chunks}Q", table):
+        yield take(length, "payload")
+    if left:
+        raise ValueError("trailing bytes after SECM payload")
 
 
 def compress_file(
@@ -60,20 +114,14 @@ def compress_file(
     field = np.memmap(in_path, dtype=dtype, mode="r", shape=tuple(shape))
     sc = SecureCompressor(**compressor_kwargs)
     n_slabs = -(-shape[0] // slab_rows)
-    lengths: list[int] = []
+    containers = (
+        sc.compress(np.ascontiguousarray(
+            field[s * slab_rows : (s + 1) * slab_rows]
+        )).container
+        for s in range(n_slabs)
+    )
     with open(out_path, "wb") as out:
-        out.write(_HEADER.pack(_MAGIC, n_slabs))
-        table_pos = out.tell()
-        out.write(b"\x00" * 8 * n_slabs)  # back-patched below
-        for s in range(n_slabs):
-            slab = np.ascontiguousarray(
-                field[s * slab_rows : (s + 1) * slab_rows]
-            )
-            container = sc.compress(slab).container
-            lengths.append(len(container))
-            out.write(container)
-        out.seek(table_pos)
-        out.write(struct.pack(f"<{n_slabs}Q", *lengths))
+        write_secm(out, n_slabs, containers)
     return n_slabs
 
 
@@ -91,20 +139,7 @@ def decompress_file(
     rows = 0
     tail_shape: tuple[int, ...] | None = None
     with open(in_path, "rb") as inp, open(out_path, "wb") as out:
-        head = inp.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ValueError("SECM file shorter than its header")
-        magic, n_slabs = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ValueError("bad magic; not a SECM file")
-        table = inp.read(8 * n_slabs)
-        if len(table) < 8 * n_slabs:
-            raise ValueError("truncated SECM length table")
-        lengths = struct.unpack(f"<{n_slabs}Q", table)
-        for length in lengths:
-            container = inp.read(length)
-            if len(container) < length:
-                raise ValueError("truncated SECM payload")
+        for container in read_secm(inp):
             slab = sc.decompress(container)
             if tail_shape is None:
                 tail_shape = slab.shape[1:]
@@ -112,6 +147,4 @@ def decompress_file(
                 raise ValueError("inconsistent slab shapes in SECM file")
             rows += slab.shape[0]
             out.write(np.ascontiguousarray(slab).tobytes())
-        if inp.read(1):
-            raise ValueError("trailing bytes after SECM payload")
     return (rows, *(tail_shape or ()))

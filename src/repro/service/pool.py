@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core import trace
 from repro.core.pipeline import SecureCompressor
-from repro.crypto import rng as crypto_rng
+from repro.core.protect import Sealer
 from repro.parallel.chunked import ChunkedSecureCompressor
 from repro.sz import huffman
 
@@ -67,10 +67,11 @@ class CompressorPool:
     Parameters mirror the compressor's; ``seed`` builds *one* shared
     compressor with a seeded IV stream (deterministic containers for
     reproducible experiments — callers must then serialize jobs, which
-    ``secz serve --workers 1`` does).  Seeded CTR is refused here, at
-    construction, rather than in every job.  ``chunk_axis_min > 0`` routes
-    fields whose leading axis reaches it through the slab-parallel
-    chunked compressor.
+    ``secz serve --workers 1`` does).  The default policy (scheme, key,
+    cipher mode, seeded CTR) is checked here, at construction, rather
+    than in every job.  ``chunk_axis_min > 0`` routes fields whose
+    leading axis reaches it through the slab-parallel chunked
+    compressor.
     """
 
     def __init__(
@@ -84,7 +85,15 @@ class CompressorPool:
         chunk_axis_min: int = 0,
         n_chunks: int = 4,
     ) -> None:
-        crypto_rng.refuse_seeded_ctr(cipher_mode, seed)
+        # One shared seeded IV stream: it is a sequence, so it must not
+        # fork across threads (seeded compressors are shared).
+        self._seed_rng = (
+            np.random.default_rng(seed) if seed is not None else None
+        )
+        # A Sealer checks the scheme, the key, the cipher mode and the
+        # seeded-CTR policy, so a bad policy fails here, not every job.
+        Sealer(scheme, key=key, cipher_mode=cipher_mode,
+               random_state=self._seed_rng)
         self.scheme = scheme
         self.error_bound = float(error_bound)
         self.key = key
@@ -97,10 +106,6 @@ class CompressorPool:
         self._stats_lock = threading.Lock()
         #: Jobs compressed, for STAT.
         self.jobs_compressed = 0
-        if seed is not None:
-            # One shared seeded compressor per config: the IV stream is
-            # a sequence, so it must not fork across threads.
-            self._seed_rng = np.random.default_rng(seed)
 
     # -- compressor construction ---------------------------------------
 
@@ -110,7 +115,7 @@ class CompressorPool:
             error_bound=eb,
             key=self.key,
             cipher_mode=self.cipher_mode,
-            random_state=self._seed_rng if self.seed is not None else None,
+            random_state=self._seed_rng,
         )
 
     def compressor_for(self, scheme: str, eb: float) -> SecureCompressor:

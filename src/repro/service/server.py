@@ -95,14 +95,9 @@ class CompressionService:
             raise ValueError("workers must be >= 0")
         if config.batch_limit < 1:
             raise ValueError("batch_limit must be positive")
-        if config.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {config.scheme!r}")
-        if get_scheme(config.scheme).requires_key and config.key is None:
-            raise ValueError(
-                f"scheme {config.scheme!r} requires a 16-byte key"
-            )
         self.config = config
-        # The pool first: a refused policy (seeded CTR) creates no store.
+        # The pool first: it checks the policy (scheme, key, cipher
+        # mode, seeded CTR), so a refused one creates no store.
         self.pool = pool if pool is not None else CompressorPool(
             scheme=config.scheme,
             error_bound=config.error_bound,

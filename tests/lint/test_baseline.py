@@ -17,14 +17,14 @@ from repro.lint.baseline import (
 from repro.lint.walker import Finding, LintReport
 
 
-def _finding(rule="bare-except", path="src/repro/io.py", line=3,
-             message="bare 'except:' swallows everything"):
+def _finding(rule="crypto-hygiene", path="src/repro/io.py", line=3,
+             message="literal IV/nonce passed to encrypt_cbc()"):
     return Finding(path=path, line=line, rule=rule, message=message)
 
 
 def _report(findings):
     return LintReport(findings=findings, files_checked=1,
-                      rules_run=["bare-except"])
+                      rules_run=["crypto-hygiene"])
 
 
 class TestFileFormat:
@@ -35,8 +35,8 @@ class TestFileFormat:
         # Line numbers are dropped; identical (rule, path, message)
         # rows collapse to one entry.
         assert entries == [(
-            "bare-except", "src/repro/io.py",
-            "bare 'except:' swallows everything",
+            "crypto-hygiene", "src/repro/io.py",
+            "literal IV/nonce passed to encrypt_cbc()",
         )]
         assert json.loads(target.read_text())["schema"] == BASELINE_SCHEMA
 
@@ -86,7 +86,7 @@ class TestApply:
     def test_stale_entry_flagged(self):
         out = apply_baseline(
             _report([]),
-            [("bare-except", "src/repro/io.py", "gone finding")],
+            [("crypto-hygiene", "src/repro/io.py", "gone finding")],
         )
         assert [f.rule for f in out.findings] == ["stale-baseline"]
         assert "gone finding" in out.findings[0].message
@@ -97,7 +97,7 @@ class TestApply:
         parsed — they are neither matched nor stale."""
         out = apply_baseline(
             _report([]),
-            [("bare-except", "src/repro/other.py", "elsewhere")],
+            [("crypto-hygiene", "src/repro/other.py", "elsewhere")],
             scanned={"src/repro/io.py"},
         )
         assert out.findings == []
@@ -105,7 +105,7 @@ class TestApply:
     def test_scanned_path_still_goes_stale(self):
         out = apply_baseline(
             _report([]),
-            [("bare-except", "src/repro/io.py", "fixed finding")],
+            [("crypto-hygiene", "src/repro/io.py", "fixed finding")],
             scanned={"src/repro/io.py"},
         )
         assert [f.rule for f in out.findings] == ["stale-baseline"]
@@ -120,7 +120,10 @@ class TestEndToEnd:
         target.write_text(source)
         return root
 
-    BAD = "def f():\n    try:\n        pass\n    except:\n        pass\n"
+    BAD = (
+        "def f(cipher, data):\n"
+        "    return cipher.encrypt_cbc(data, iv=bytes(16))\n"
+    )
 
     def test_auto_baseline_applied_from_root(self, tmp_path):
         root = self._repo(tmp_path, self.BAD)
@@ -152,7 +155,7 @@ class TestEndToEnd:
         dirty = lint.lint_paths([root / "src"], root=root, baseline=None)
         write_baseline(root / BASELINE_FILENAME, dirty.findings)
         (root / "src" / "repro" / "io.py").write_text(self.BAD.replace(
-            "except:", "except:  # lint: disable=bare-except"
+            "bytes(16))", "bytes(16))  # lint: disable=crypto-hygiene"
         ))
         report = lint.lint_paths([root / "src"], root=root)
         assert [f.rule for f in report.findings] == ["stale-baseline"]

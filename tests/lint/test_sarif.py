@@ -112,13 +112,13 @@ SARIF_SCHEMA = {
 def _report(findings):
     return LintReport(
         findings=findings, files_checked=3,
-        rules_run=["bare-except", "exception-contract"],
+        rules_run=["crypto-hygiene", "exception-contract"],
     )
 
 
 FINDINGS = [
-    Finding(path="src/repro/io.py", line=4, rule="bare-except",
-            message="bare 'except:' swallows everything"),
+    Finding(path="src/repro/io.py", line=4, rule="crypto-hygiene",
+            message="literal IV/nonce passed to encrypt_cbc()"),
     Finding(path="src/repro/sz/mod.py", line=17, rule="exception-contract",
             message="raw KeyError can escape entry point parse"),
     Finding(path="src/repro/gone.py", line=0, rule="stale-baseline",

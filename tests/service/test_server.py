@@ -291,6 +291,18 @@ class TestConfigValidation:
             CompressionService(config, endpoint[1])
         assert not Path(endpoint[1]).exists()
 
+    def test_unknown_cipher_mode_refused_at_startup(self, endpoint):
+        # The library API takes any string; the pool's Sealer refuses
+        # it when the daemon is built, before a job store exists.
+        from pathlib import Path
+
+        from repro.service import CompressionService
+
+        config = ServiceConfig(key=KEY, cipher_mode="gcm")
+        with pytest.raises(ValueError, match="unknown cipher mode"):
+            CompressionService(config, endpoint[1])
+        assert not Path(endpoint[1]).exists()
+
     def test_keyless_scheme_allowed(self, endpoint, smooth_field):
         config = ServiceConfig(scheme="none", key=None)
         with serve(config, endpoint):

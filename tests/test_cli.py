@@ -163,6 +163,70 @@ class TestInspectAuthenticated:
         assert "authenticated: yes" in out
 
 
+class TestAuthenticatedContainers:
+    """SECA-tagged containers through the CLI: the header read skips the
+    tag to pick the scheme, and the decompress verifies it."""
+
+    KEY_HEX = "000102030405060708090a0b0c0d0e0f"
+
+    def _tagged(self, tmp_path, data):
+        from repro.core.pipeline import SecureCompressor
+
+        sc = SecureCompressor("encr_huffman", 1e-3,
+                              key=bytes.fromhex(self.KEY_HEX),
+                              authenticate=True)
+        path = tmp_path / "tagged.secz"
+        path.write_bytes(sc.compress(data).container)
+        return path
+
+    def test_roundtrip_meets_error_bound(self, tmp_path):
+        data = generate("q2", size="tiny")
+        path = self._tagged(tmp_path, data)
+        back = str(tmp_path / "back.npy")
+        assert cli.main(["decompress", str(path), back,
+                         "--key-hex", self.KEY_HEX]) == 0
+        assert np.max(np.abs(np.load(back).astype(np.float64) - data)) <= 1e-3
+
+    def test_flipped_tag_byte_exits_nonzero(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        path = self._tagged(tmp_path, np.linspace(0, 1, 512,
+                                                  dtype=np.float32))
+        blob = bytearray(path.read_bytes())
+        blob[4] ^= 0x01  # first byte of the HMAC tag
+        path.write_bytes(bytes(blob))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "decompress", str(path),
+             str(tmp_path / "out.npy"), "--key-hex", self.KEY_HEX],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode != 0
+        assert "failed authentication" in proc.stderr
+        assert not (tmp_path / "out.npy").exists()
+
+    def test_image_roundtrip(self, tmp_path):
+        from repro.imagecodec import ImageCodec, SecureImageCompressor
+        from repro.imagecodec import synthetic_image
+
+        img = synthetic_image("scene", 64)
+        sic = SecureImageCompressor("encr_huffman", 80,
+                                    key=bytes.fromhex(self.KEY_HEX),
+                                    authenticate=True)
+        path = tmp_path / "img.secz"
+        path.write_bytes(sic.compress(img).container)
+        back = str(tmp_path / "back.npy")
+        assert cli.main(["img-decompress", str(path), back, "--quality",
+                         "80", "--key-hex", self.KEY_HEX]) == 0
+        codec = ImageCodec(80)
+        sections, _ = codec.encode(img)
+        assert np.array_equal(np.load(back), codec.decode(sections))
+
+
 class TestTrace:
     def test_synthetic_roundtrip_writes_valid_schema(self, tmp_path, capsys):
         """Acceptance: `secz trace` output validates against the

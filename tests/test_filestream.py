@@ -84,3 +84,21 @@ class TestFileStream:
         trailing.write_bytes(blob + b"z")
         with pytest.raises(ValueError, match="trailing"):
             decompress_file(str(trailing), str(tmp_path / "o"), scheme="none")
+
+    def test_hostile_lengths_fail_as_truncation(self, tmp_path):
+        """A declared count or length past the end of the stream is a
+        truncation, for the file reader and the in-memory one alike."""
+        import struct
+
+        from repro.parallel import ChunkedSecureCompressor
+
+        huge_len = struct.pack("<4sIQ", b"SECM", 1, 2**64 - 1)
+        huge_count = struct.pack("<4sI", b"SECM", 2**32 - 1)
+        for blob in (huge_len, huge_count):
+            path = tmp_path / "hostile.secm"
+            path.write_bytes(blob)
+            with pytest.raises(ValueError, match="truncated"):
+                decompress_file(str(path), str(tmp_path / "o"),
+                                scheme="none")
+            with pytest.raises(ValueError, match="truncated"):
+                ChunkedSecureCompressor(scheme="none").decompress(blob)

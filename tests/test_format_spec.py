@@ -212,10 +212,10 @@ def test_fresh_v2_frame_is_single_stream():
     assert n_symbols >= 1 and max_len <= 24
 
 
-def test_secb_fixture():
-    """§10: re-parse the checked-in multi-field SECB archive with only
-    struct/zlib — index walk, partial-read offsets, and the per-field
-    SECZ containers inside."""
+def test_secb_fixture(tmp_path):
+    """§10.1: re-parse the checked-in multi-field SECB v1 archive with
+    only struct/zlib — index walk, partial-read offsets, and the
+    per-field SECZ containers inside — then import it into a v2 store."""
     import hashlib
 
     secb_dir = os.path.join(HERE, "data", "secb")
@@ -264,15 +264,19 @@ def test_secb_fixture():
         assert list(info["shape"]) == manifest["fields"][name]["shape"]
     assert offset == len(blob), "archive length must match its index"
 
-    # The real reader agrees with the hand-parse: partial reads
-    # reproduce the pinned plaintext digests.
-    from repro.archive import SecureArchive
+    # The real reader agrees with the hand-parse: every imported field
+    # reproduces its pinned plaintext digest.
+    from repro.archive import ArchiveStore
 
-    arch = SecureArchive(
-        scheme=manifest["scheme"], key=bytes.fromhex(manifest["key_hex"])
+    store = ArchiveStore.create(
+        tmp_path / "imported.secb", key=bytes.fromhex(manifest["key_hex"])
     )
+    assert store.import_secb_v1(blob) == [name for name, _ in entries]
+    assert {row["name"]: row["error_bound"] for row in store.entries()} == {
+        name: meta["error_bound"] for name, meta in manifest["fields"].items()
+    }
     for name, meta in manifest["fields"].items():
-        out = arch.unpack_field(blob, name)
+        out = store.extract_field(name)
         assert list(out.shape) == meta["shape"]
         assert str(out.dtype) == meta["dtype"]
         digest = hashlib.sha256(
