@@ -18,7 +18,8 @@ The package provides:
 * :mod:`repro.datasets` — seeded synthetic SDRBench-like fields;
 * :mod:`repro.bench` — the harness regenerating every table and
   figure of the paper's evaluation (see EXPERIMENTS.md);
-* :mod:`repro.parallel` — chunked multi-process compression.
+* :mod:`repro.parallel` — streaming slab-by-slab file compression
+  (the SECM framing).
 
 Quick start
 -----------

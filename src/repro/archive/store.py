@@ -241,8 +241,10 @@ class ArchiveStore:
         crypto_rng.refuse_seeded_ctr(cipher_mode, random_state)
         self._path = os.fspath(path)
         self._key = key
-        # One key schedule per store, shared by every blob it seals.
+        # One key schedule per store, shared by every blob it seals,
+        # and one per scheme its field entries use (see _sealer).
         self._cipher = AES128(key) if key is not None else None
+        self._sealers: dict[str, Sealer] = {}
         self._cipher_mode = cipher_mode
         self._rng = random_state
         self._chunk_kwargs = dict(
@@ -399,6 +401,15 @@ class ArchiveStore:
         )
         return rec, payload
 
+    def _sealer(self, scheme: str) -> Sealer:
+        """The seal state of ``scheme``'s field entries, built once."""
+        if scheme not in self._sealers:
+            self._sealers[scheme] = Sealer(
+                scheme, key=self._key, cipher_mode=self._cipher_mode,
+                random_state=self._rng,
+            )
+        return self._sealers[scheme]
+
     def _unseal(self, stored: bytes, rec: _Blob) -> bytes:
         if _sha(stored) != rec.stored_sha:
             raise ArchiveCorrupt(
@@ -497,10 +508,7 @@ class ArchiveStore:
         """
         if self._key is None and get_scheme(scheme).requires_key:
             raise ValueError(f"scheme {scheme!r} needs an archive key")
-        sc = SecureCompressor(
-            scheme, error_bound, key=self._key,
-            cipher_mode=self._cipher_mode, random_state=self._rng,
-        )
+        sc = SecureCompressor.from_sealer(self._sealer(scheme), error_bound)
         container = sc.compress(data, tracer=tracer).container
         self._add_entries([(_new_entry(
             name, container, kind=_KIND_FIELD,
@@ -522,7 +530,7 @@ class ArchiveStore:
         items = []
         for name, container in _split_secb_v1(blob).items():
             scheme = get_scheme(integrity.read_header(container)[0].scheme_id)
-            sections = Sealer(scheme.name, key=self._key).open(container)
+            sections = self._sealer(scheme.name).open(container)
             eb = SZCompressor.parse_meta(sections["meta"])["eb"]
             if not 0.0 < eb < math.inf:
                 raise ArchiveCorrupt(
@@ -612,9 +620,8 @@ class ArchiveStore:
                 f"entry {name!r} is raw bytes; use extract_bytes"
             )
         container = self._assemble(ent)
-        sc = SecureCompressor(
-            get_scheme(ent.scheme_id).name, ent.error_bound,
-            key=self._key, cipher_mode=self._cipher_mode,
+        sc = SecureCompressor.from_sealer(
+            self._sealer(get_scheme(ent.scheme_id).name), ent.error_bound
         )
         return sc.decompress(container)
 

@@ -12,10 +12,7 @@ import os
 
 import numpy as np
 
-from repro.sz import huffman
-from repro.sz.bitstream import PackedBits
-from repro.sz.compressor import SZCompressor
-from repro.sz.fastdecode import decode_lanes
+from repro.sz.compressor import SZCompressor, decode_codes
 
 __all__ = ["predictability_mask", "write_pgm", "mask_summary"]
 
@@ -30,14 +27,7 @@ def predictability_mask(data: np.ndarray, eb: float, **kwargs) -> np.ndarray:
     comp = SZCompressor(eb, **kwargs)
     frame = comp.compress(data)
     info = comp.parse_meta(frame.sections["meta"])
-    n = int(np.prod(info["shape"]))
-    if info["version"] >= 3:
-        code, table = huffman.deserialize_lane_tree(frame.sections["tree"], n)
-        ranks = decode_lanes(frame.sections["codes"], code, table, n)
-    else:
-        code = huffman.deserialize_tree(frame.sections["tree"])
-        packed = PackedBits(data=frame.sections["codes"], n_bits=info["n_bits"])
-        ranks = huffman.decode_ranks(packed, code, n)
+    code, ranks, _ = decode_codes(frame.sections, info)
     return (code.symbols[ranks] != 0).reshape(info["shape"])
 
 

@@ -281,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--seed", type=int, default=None,
                      help="seed the IV stream for reproducible containers "
                           "(CBC only; one shared compressor per config)")
-    p_s.add_argument("--chunk-axis-min", type=int, default=0,
-                     help="route fields whose leading axis reaches this "
-                          "through the chunked compressor (0 = never)")
 
     p_g = sub.add_parser("datasets", help="list / write synthetic datasets")
     p_g.add_argument("--write", metavar="DIR", default=None,
@@ -483,7 +480,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batch_limit=args.batch_limit,
         job_timeout=args.job_timeout,
         seed=args.seed,
-        chunk_axis_min=args.chunk_axis_min,
     )
     try:
         service = CompressionService(config, args.store)

@@ -122,6 +122,21 @@ class SecureCompressor:
         )
         self._sz = SZCompressor(error_bound, predictor=predictor)
 
+    @classmethod
+    def from_sealer(
+        cls, sealer: Sealer, error_bound: ErrorBound | float = 1e-3
+    ) -> "SecureCompressor":
+        """A compressor that seals through an existing :class:`Sealer`.
+
+        The sealer's key schedule and IV stream are shared, not
+        rebuilt, so a caller compressing under one key at many error
+        bounds expands the key once.
+        """
+        sc = cls.__new__(cls)
+        sc._sealer = sealer
+        sc._sz = SZCompressor(error_bound)
+        return sc
+
     @property
     def scheme(self) -> str:
         """The active scheme's registry name."""

@@ -58,7 +58,6 @@ __all__ = [
     "Tracer",
     "NULL_TRACER",
     "stage_seconds",
-    "span_from_dict",
     "chrome_trace",
     "format_tree",
     "validate",
@@ -66,7 +65,6 @@ __all__ = [
     "count_many",
     "counters_snapshot",
     "reset_counters",
-    "merge_counters",
 ]
 
 #: Schema identifier stamped into every exported trace document.
@@ -140,16 +138,6 @@ def reset_counters() -> None:
         _counters.clear()
 
 
-def merge_counters(delta: dict[str, int]) -> None:
-    """Fold a counter snapshot from another process into this one.
-
-    The chunked compressor uses this to pull worker-process counters
-    back into the parent, so a traced parallel compression accounts for
-    the AES/zlib/decoder work its workers did.
-    """
-    count_many(delta)
-
-
 # ----------------------------------------------------------------------
 # Spans
 # ----------------------------------------------------------------------
@@ -159,10 +147,9 @@ def merge_counters(delta: dict[str, int]) -> None:
 class Span:
     """One timed operation in the trace tree.
 
-    ``start`` is seconds since the owning tracer's creation (spans
-    merged from worker processes keep their *worker-relative* starts —
-    see docs/OBSERVABILITY.md).  ``bytes_in`` / ``bytes_out`` are the
-    operation's byte flow where meaningful, ``None`` where not.
+    ``start`` is seconds since the owning tracer's creation.
+    ``bytes_in`` / ``bytes_out`` are the operation's byte flow where
+    meaningful, ``None`` where not.
     """
 
     name: str
@@ -194,24 +181,6 @@ class Span:
         yield self
         for child in self.children:
             yield from child.walk()
-
-
-def span_from_dict(data: dict) -> Span:
-    """Rebuild a :class:`Span` tree from :meth:`Span.to_dict` output."""
-    _validate_span(data, path="span")
-    return _span_from_checked(data)
-
-
-def _span_from_checked(data: dict) -> Span:
-    return Span(
-        name=data["name"],
-        start=float(data["start"]),
-        seconds=float(data["seconds"]),
-        bytes_in=data.get("bytes_in"),
-        bytes_out=data.get("bytes_out"),
-        attrs=dict(data.get("attrs", {})),
-        children=[_span_from_checked(c) for c in data.get("children", [])],
-    )
 
 
 class _NullSpan:
@@ -317,21 +286,6 @@ class Tracer:
         span = Span(name=name, bytes_in=bytes_in, attrs=dict(attrs))
         return _ActiveSpan(self, span)
 
-    def attach(self, span: Span | dict) -> None:
-        """Graft an externally recorded span tree into the current
-        position (thread-safe) — e.g. a worker process's exported trace.
-        No-op on disabled tracers."""
-        if not self.enabled:
-            return
-        if isinstance(span, dict):
-            span = span_from_dict(span)
-        stack = self._span_stack()
-        if stack:
-            stack[-1].children.append(span)
-        else:
-            with self._lock:
-                self.roots.append(span)
-
     # -- export ---------------------------------------------------------
 
     def export(self) -> dict:
@@ -402,7 +356,7 @@ def chrome_trace(doc: "dict | Tracer") -> dict:
 
     The result (``{"traceEvents": [...]}``) loads directly into
     ``chrome://tracing`` or https://ui.perfetto.dev.  Every root span
-    gets its own ``tid`` row so parallel slabs stack visually.
+    gets its own ``tid`` row so concurrent roots stack visually.
     """
     if isinstance(doc, Tracer):
         doc = doc.export()

@@ -76,6 +76,7 @@ DEFAULT_CONTRACTS: dict = {
         "repro.archive.store.ArchiveStore._parse_index",
         "repro.archive.store._decode",
         "repro.archive.store._split_secb_v1",
+        "repro.parallel.filestream.read_secm",
         "repro.service.protocol.unpack_header",
         "repro.service.protocol.unpack_submit",
     ],

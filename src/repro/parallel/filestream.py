@@ -4,11 +4,9 @@ For fields too large to hold in memory (the paper's QI/T are 5.8 GB),
 the compressor memory-maps the raw input, processes one axis-0 slab at
 a time, and appends each slab's container to the output as it
 completes.  :func:`write_secm` and :func:`read_secm` are the one
-writer and reader of the SECM multi-chunk framing (FORMAT.md §9);
-:class:`~repro.parallel.chunked.ChunkedSecureCompressor` drives them
-through an in-memory buffer.  The chunk-length table is back-patched
-after the last slab, so compression needs only one slab of working
-memory.
+writer and reader of the SECM multi-chunk framing (FORMAT.md §9).
+The chunk-length table is back-patched after the last slab, so
+compression needs only one slab of working memory.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Synchronous SECP client for ``secz serve``.
 
 A thin blocking wrapper over one socket: submit numpy fields, poll or
-wait for results, fetch SECZ/SECM containers, read the STAT document.
+wait for results, fetch SECZ containers, read the STAT document.
 The client is deliberately dependency-free beyond the stdlib + numpy —
 ``examples/serve_client.py`` shows the full round trip, and the README
 "Serving" quickstart is a three-line version of the same.

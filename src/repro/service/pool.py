@@ -17,10 +17,7 @@ every compatible job it managed to drain from the queue and the batch
 compresses back to back on one warm compressor.  Each field whose
 canonical codec is served from the process-wide cache counts one
 ``service.batch_reuse_hits`` — the daemon's measurable win over
-one-shot calls.  Fields whose leading axis is long enough optionally
-take the :class:`~repro.parallel.chunked.ChunkedSecureCompressor`
-slab-parallel path and come back as SECM multi-chunk blobs (the
-container magic tells clients which decoder to use).
+one-shot calls.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ import numpy as np
 from repro.core import trace
 from repro.core.pipeline import SecureCompressor
 from repro.core.protect import Sealer
-from repro.parallel.chunked import ChunkedSecureCompressor
 from repro.sz import huffman
 
 __all__ = ["CompressorPool", "BatchItem", "BatchResult"]
@@ -69,9 +65,7 @@ class CompressorPool:
     reproducible experiments — callers must then serialize jobs, which
     ``secz serve --workers 1`` does).  The default policy (scheme, key,
     cipher mode, seeded CTR) is checked here, at construction, rather
-    than in every job.  ``chunk_axis_min > 0`` routes fields whose
-    leading axis reaches it through the slab-parallel chunked
-    compressor.
+    than in every job.
     """
 
     def __init__(
@@ -82,8 +76,6 @@ class CompressorPool:
         key: bytes | None = None,
         cipher_mode: str = "cbc",
         seed: int | None = None,
-        chunk_axis_min: int = 0,
-        n_chunks: int = 4,
     ) -> None:
         # One shared seeded IV stream: it is a sequence, so it must not
         # fork across threads (seeded compressors are shared).
@@ -99,8 +91,6 @@ class CompressorPool:
         self.key = key
         self.cipher_mode = cipher_mode
         self.seed = seed
-        self.chunk_axis_min = int(chunk_axis_min)
-        self.n_chunks = n_chunks
         self._tls = threading.local()
         self._shared: dict[tuple[str, float], SecureCompressor] = {}
         self._stats_lock = threading.Lock()
@@ -153,14 +143,7 @@ class CompressorPool:
             hits_before = trace.counters_snapshot().get(
                 "huffman.codec_cache_hits", 0
             )
-            if (
-                self.chunk_axis_min > 0
-                and item.field.ndim >= 2
-                and item.field.shape[0] >= self.chunk_axis_min
-            ):
-                container = self._compress_chunked(item)
-            else:
-                container = sc.compress(item.field).container
+            container = sc.compress(item.field).container
             if trace.counters_snapshot().get(
                 "huffman.codec_cache_hits", 0
             ) > hits_before:
@@ -169,17 +152,6 @@ class CompressorPool:
                 self.jobs_compressed += 1
             results.append(BatchResult(item.job_id, container))
         return results
-
-    def _compress_chunked(self, item: BatchItem) -> bytes:
-        chunked = ChunkedSecureCompressor(
-            scheme=item.scheme,
-            error_bound=item.eb,
-            key=self.key,
-            cipher_mode=self.cipher_mode,
-            n_chunks=min(self.n_chunks, item.field.shape[0]),
-            n_workers=1,
-        )
-        return chunked.compress(item.field)
 
     # -- observability -------------------------------------------------
 

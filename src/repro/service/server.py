@@ -77,8 +77,6 @@ class ServiceConfig:
     job_timeout: float | None = None
     max_payload: int = 64 * 1024 * 1024
     seed: int | None = None
-    chunk_axis_min: int = 0
-    n_chunks: int = 4
 
 
 class CompressionService:
@@ -104,8 +102,6 @@ class CompressionService:
             key=config.key,
             cipher_mode=config.cipher_mode,
             seed=config.seed,
-            chunk_axis_min=config.chunk_axis_min,
-            n_chunks=config.n_chunks,
         )
         self.store = JobStore(store_path)
         self.jobs: dict[bytes, Job] = {}

@@ -36,7 +36,10 @@ from repro.sz import fastdecode, huffman, ieee754, intcodec, predictors, quantiz
 from repro.sz.bitstream import PackedBits, concat_streams
 from repro.sz.quantizer import ErrorBound
 
-__all__ = ["SZCompressor", "SZFrame", "CompressionStats", "SECTION_ORDER"]
+__all__ = [
+    "SZCompressor", "SZFrame", "CompressionStats", "SECTION_ORDER",
+    "decode_codes",
+]
 
 #: Canonical section order inside a serialized stream.
 SECTION_ORDER = ("meta", "tree", "codes", "unpred", "coeffs", "exact", "aux")
@@ -439,34 +442,13 @@ class SZCompressor:
         tr = tracer or trace.NULL_TRACER
         info = self.parse_meta(frame.sections["meta"])
         shape = info["shape"]
-        n_elements = int(np.prod(shape))
 
         with tr.span("sz.decompress", frame_version=info["version"],
                      predictor=info["predictor"]) as dz_span:
             with tr.span("huffman_decode",
                          bytes_in=len(frame.sections["codes"])) as sp:
-                if info["version"] >= 3:
-                    code, lane_table = huffman.deserialize_lane_tree(
-                        frame.sections["tree"], n_elements
-                    )
-                    if int(lane_table.lane_bits.sum()) != info["n_bits"]:
-                        raise ValueError(
-                            "lane table bit count does not match meta"
-                        )
-                    _check_depth_flag(info, code)
-                    ranks = fastdecode.decode_lanes(
-                        frame.sections["codes"], code, lane_table, n_elements
-                    )
-                    sp.annotate(lanes=int(lane_table.lane_bits.size))
-                else:
-                    # v2: single-stream codes + bare tree.
-                    code = huffman.deserialize_tree(frame.sections["tree"])
-                    _check_depth_flag(info, code)
-                    packed = PackedBits(
-                        data=frame.sections["codes"], n_bits=info["n_bits"]
-                    )
-                    ranks = huffman.decode_ranks(packed, code, n_elements)
-                    sp.annotate(lanes=1)
+                code, ranks, lanes = decode_codes(frame.sections, info)
+                sp.annotate(lanes=lanes)
 
             with tr.span("reconstruct"):
                 work_dtype = (np.dtype(np.float64) if info["pw_rel"]
@@ -509,6 +491,35 @@ class SZCompressor:
         if info["pw_rel"]:
             out = _pwrel_inverse(out, frame.sections["aux"], info["dtype"])
         return out
+
+
+def decode_codes(
+    sections: dict[str, bytes], info: dict
+) -> tuple[huffman.HuffmanCode, np.ndarray, int]:
+    """The ``codes`` section as symbol ranks: ``(code, ranks, lanes)``.
+
+    ``info`` is the frame's parsed meta.  v3 frames decode lane by lane
+    through the lane table, whose bit count must match the meta; v2
+    frames carry one stream and a bare tree.  Either way the tree must
+    keep the meta's depth-limited promise.  ``code.symbols[ranks]`` are
+    the quantization codes, 0 at every unpredictable point.
+    """
+    n_elements = int(np.prod(info["shape"]))
+    if info["version"] >= 3:
+        code, lane_table = huffman.deserialize_lane_tree(
+            sections["tree"], n_elements
+        )
+        if int(lane_table.lane_bits.sum()) != info["n_bits"]:
+            raise ValueError("lane table bit count does not match meta")
+        _check_depth_flag(info, code)
+        ranks = fastdecode.decode_lanes(
+            sections["codes"], code, lane_table, n_elements
+        )
+        return code, ranks, int(lane_table.lane_bits.size)
+    code = huffman.deserialize_tree(sections["tree"])
+    _check_depth_flag(info, code)
+    packed = PackedBits(data=sections["codes"], n_bits=info["n_bits"])
+    return code, huffman.decode_ranks(packed, code, n_elements), 1
 
 
 def _check_depth_flag(info: dict, code: huffman.HuffmanCode) -> None:

@@ -41,9 +41,8 @@ Implementation notes
   (:meth:`_Decoder.lane_table`) that no code misses.
 * Everything derived from one code table — decoder tables, the dense
   encode LUT — hangs off a :class:`CanonicalCodec`, cached process-wide
-  by table digest (:func:`codec_for`), so lanes, repeated
-  ``compress``/``decompress`` calls and chunked-pipeline workers all
-  share one build.
+  by table digest (:func:`codec_for`), so lanes and repeated
+  ``compress``/``decompress`` calls all share one build.
 """
 
 from __future__ import annotations
@@ -889,10 +888,10 @@ class CanonicalCodec:
     One instance bundles the :class:`HuffmanCode` with its decoder
     tables and the encode-side lookup structures, so the expensive
     derived state is constructed at most once per distinct table in
-    the process — shared across lanes, repeated compress/decompress
-    calls and (per process) the chunked-pipeline workers.  Instances
-    are obtained via :func:`codec_for` / :func:`codec_from_table` and
-    are internally locked, so sharing across encode threads is safe.
+    the process — shared across lanes and repeated compress/decompress
+    calls.  Instances are obtained via :func:`codec_for` /
+    :func:`codec_from_table` and are internally locked, so sharing
+    across encode threads is safe.
     """
 
     __slots__ = ("code", "digest", "_lock", "_decoder", "_enc", "_charged")

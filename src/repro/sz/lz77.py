@@ -343,9 +343,10 @@ def _gather_extras(stream: bytes, widths: np.ndarray) -> np.ndarray:
     Zero-width entries occupy no bits and read as 0, so callers can
     pass the interleaved (length, distance) width sequence directly.
     """
-    ends = np.cumsum(widths)
-    starts = ends - widths
+    starts = np.cumsum(widths) - widths
     win = sliding_window_u64(stream, pad_bytes=8)
+    if starts.size and int(starts.max()) >> 3 >= len(win):
+        raise ValueError("extra-bits widths run past the stream")
     shift = np.minimum(64 - widths - (starts & 7), 63)
     mask = (np.int64(1) << widths) - 1
     vals = win[starts >> 3].astype(np.int64)
@@ -396,6 +397,8 @@ def decompress(blob: bytes) -> bytes:
     tokens = huffman.decode(
         PackedBits(data=tok_bytes, n_bits=tok_bits), tok_code, n_tokens
     )
+    if len(tokens) != n_tokens:
+        raise ValueError("token stream decoded to the wrong symbol count")
     if tokens.size and (
         int(tokens.min()) < 0
         or int(tokens.max()) >= 256 + _LEN_BUCKETS
@@ -437,14 +440,14 @@ def decompress(blob: bytes) -> bytes:
 
     out_sizes = np.ones(n_tokens, dtype=np.int64)
     out_sizes[is_match] = lengths
-    ends = np.cumsum(out_sizes)
-    if int(ends[-1]) != raw_len:
+    if int(out_sizes.sum()) != raw_len:
         raise ValueError("decoded size disagrees with the frame header")
-    starts = ends - out_sizes
 
-    out = np.zeros(raw_len, dtype=np.uint8)
-    out[starts[~is_match]] = tokens[~is_match].astype(np.uint8)
-    mstarts = starts[is_match]
+    # Literals land at their offsets and match spans start zeroed; a
+    # match begins at its token index plus the extra bytes of every
+    # earlier match.
+    out = np.repeat(np.where(is_match, 0, tokens).astype(np.uint8), out_sizes)
+    mstarts = np.flatnonzero(is_match) + np.cumsum(lengths - 1) - (lengths - 1)
     if n_matches and int((distances > mstarts).sum()):
         raise ValueError("match distance reaches before the output start")
     for p, length, dist in zip(

@@ -153,6 +153,32 @@ class TestSealing:
         assert store.extract_bytes("log") == data
         assert expanded == []
 
+    def test_field_entries_expand_key_once_per_scheme(self, path, monkeypatch):
+        """Importing a v1 bundle of three encr_huffman fields, then
+        adding and extracting three more at different bounds, shares
+        one schedule for the scheme: two expansions in all, counting
+        the store's blob cipher."""
+        from repro.crypto import aes
+
+        expanded = []
+        real = aes.expand_key
+        monkeypatch.setattr(
+            aes, "expand_key", lambda key: expanded.append(key) or real(key)
+        )
+        secb = os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                            "secb", "archive.secb")
+        with open(secb, "rb") as fh:
+            bundle = fh.read()
+        store = ArchiveStore.create(path, key=KEY)
+        assert len(store.import_secb_v1(bundle)) == 3
+        field = np.linspace(0, 1, 4096, dtype=np.float32).reshape(16, 16, 16)
+        ebs = {"f2": 1e-2, "f3": 1e-3, "f4": 1e-4}
+        for name, eb in ebs.items():
+            store.add_field(name, field, error_bound=eb)
+        for name, eb in ebs.items():
+            assert np.max(np.abs(store.extract_field(name) - field)) <= eb
+        assert len(expanded) == 2
+
     @pytest.mark.parametrize("mode, enc", [("cbc", 1), ("ctr", 2)])
     def test_keyed_store_seals_field_entries(self, path, mode, enc):
         """Field chunks are stored uncoded but sealed like every blob

@@ -96,3 +96,75 @@ def test_truncated_frames_rejected(name, cut):
 @settings(max_examples=100, deadline=None)
 def test_round_trip_arbitrary_bytes(data):
     assert lz77.decompress(lz77.compress(data)) == data
+
+
+# ----------------------------------------------------------------------
+# Hand-built token streams: frames the matcher never writes
+# ----------------------------------------------------------------------
+
+
+def _program_frame(monkeypatch, program, raw_len):
+    """An LZ7H frame whose tokens are ``program`` (ints are literal
+    bytes, ``(length, distance)`` pairs are matches) and whose header
+    declares ``raw_len`` output bytes.  The frame's own encoder writes
+    it, so every count and length in it is consistent; only its
+    meaning is hostile."""
+    tokens = np.array([
+        256 + int(lz77._bucket(np.array([step[0] - lz77.MIN_MATCH]))[0])
+        if isinstance(step, tuple) else step
+        for step in program
+    ], dtype=np.int64)
+    matches = [step for step in program if isinstance(step, tuple)]
+    lengths = np.array([m[0] for m in matches], dtype=np.int64)
+    distances = np.array([m[1] for m in matches], dtype=np.int64)
+    n_lit = len(program) - len(matches)
+    monkeypatch.setattr(
+        lz77, "tokenize", lambda data: (tokens, lengths, distances, n_lit)
+    )
+    return lz77.compress(bytes(raw_len))
+
+
+#: (program, declared raw length, the error it must raise), one row per
+#: decode step a hostile stream can reach: the extra-bits gather, the
+#: match-length buckets, the output-size check and the match copy.
+HOSTILE_PROGRAMS = {
+    "length-past-cap": ([65, (lz77.MAX_MATCH + 3, 1)], 1 + lz77.MAX_MATCH + 3,
+                        "exceeds format caps"),
+    "size-disagrees": ([65, 66, 67, 68, (4, 4)], 9, "decoded size"),
+    "literals-size-disagrees": ([65, 66], 3, "decoded size"),
+    "match-before-start": ([(4, 1), 65], 5, "before the output start"),
+    "distance-past-output": ([65, 66, (4, 3)], 6, "before the output start"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_PROGRAMS))
+def test_hostile_token_streams_raise_value_error(case, monkeypatch):
+    program, raw_len, match = HOSTILE_PROGRAMS[case]
+    blob = _program_frame(monkeypatch, program, raw_len)
+    with pytest.raises(ValueError, match=match) as info:
+        lz77.decompress(blob)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_PROGRAMS))
+def test_hostile_token_streams_through_the_archive(case, monkeypatch,
+                                                   tmp_path):
+    """A stored LZ7H blob decodes fail-closed on extract: only
+    ``ValueError``/``ArchiveCorrupt`` reach the caller."""
+    from repro.archive import ArchiveCorrupt, ArchiveStore
+
+    program, raw_len, _ = HOSTILE_PROGRAMS[case]
+    store = ArchiveStore.create(str(tmp_path / "a.secb"))
+    with monkeypatch.context() as patch:
+        _program_frame(patch, program, raw_len)
+        store.add_bytes("e", bytes(raw_len), codec="lz77h")
+    with pytest.raises(ValueError) as info:
+        store.extract_bytes("e")
+    assert type(info.value) in (ValueError, ArchiveCorrupt)
+
+
+def test_extra_bits_gather_checks_its_stream():
+    """Widths that run past the extra-bits stream fail as ValueError,
+    before any window is read."""
+    with pytest.raises(ValueError, match="past the stream"):
+        lz77._gather_extras(b"", np.full(20, 8, dtype=np.int64))

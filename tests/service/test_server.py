@@ -80,21 +80,6 @@ class TestRoundTrip:
         assert restored.dtype == np.float64
         assert np.abs(restored - field).max() <= 1e-5
 
-    def test_chunked_path_emits_secm(self, endpoint):
-        field = small_field(side=16)
-        config = ServiceConfig(key=KEY, chunk_axis_min=16, n_chunks=2)
-        with serve(config, endpoint):
-            with ServiceClient(endpoint[0]) as client:
-                container = client.wait(client.submit(field))
-        assert container[:4] == b"SECM"
-        from repro.parallel.chunked import ChunkedSecureCompressor
-
-        chunked = ChunkedSecureCompressor(
-            scheme="encr_huffman", error_bound=1e-3, key=KEY, n_workers=1
-        )
-        restored = chunked.decompress(container)
-        assert np.abs(restored - field).max() <= 1e-3
-
 
 class TestConcurrency:
     def test_64_concurrent_submissions(self, endpoint):

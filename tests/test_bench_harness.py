@@ -102,6 +102,20 @@ class TestFigures:
         assert summary["predictable"] + summary["unpredictable"] == data.size
         assert 0.0 <= summary["predictable_fraction"] <= 1.0
 
+    @pytest.mark.parametrize("size, version", [("tiny", 2), ("small", 3)])
+    def test_mask_counts_the_frames_unpredictable_points(self, size, version):
+        """The mask reads the codes section the way decompress does, so
+        its unpredictable points are exactly the compressor's, for the
+        single-stream (v2) and the multi-lane (v3) frame alike."""
+        from repro.sz.compressor import SZCompressor
+
+        data = np.asarray(dataset_cache("nyx", size=size))
+        comp = SZCompressor(1e-4)
+        frame = comp.compress(data)
+        assert comp.parse_meta(frame.sections["meta"])["version"] == version
+        mask = predictability_mask(data, 1e-4)
+        assert int((~mask).sum()) == frame.stats.unpredictable_count > 0
+
     def test_mask_tracks_bound(self):
         data = dataset_cache("nyx", size="tiny")
         tight = mask_summary(predictability_mask(np.asarray(data), 1e-7))

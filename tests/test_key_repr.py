@@ -1,7 +1,6 @@
 """No dataclass that carries AES key material prints it in its repr."""
 
 from repro.crypto.keyschedule import expand_key
-from repro.parallel.chunked import _Config
 from repro.service.server import ServiceConfig
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -11,8 +10,6 @@ def test_reprs_hide_key_and_schedule():
     schedule = expand_key(KEY)
     reprs = [
         repr(schedule),
-        repr(_Config(scheme="encr_huffman", error_bound=1e-3, key=KEY,
-                     cipher_mode="ctr")),
         repr(ServiceConfig(key=KEY)),
     ]
     # Words 0-3 of the schedule are the key itself; a tuple field
