@@ -3,7 +3,9 @@
 Standalone (no pytest plugins): times single-stream decode
 (``huffman.decode``, which sends a stream this long through the lane
 kernel by self-synchronization) against the scalar loop it replaced
-for long streams and against the vectorized multi-lane kernel, the
+for long streams (``huffman._scan_ranks``, which still reads streams
+of fewer than ``SELF_SYNC_MIN_VALUES`` symbols) and against the
+vectorized multi-lane kernel, the
 reference bit-plane packer (``pack_codes_ref``) against the word-packed
 encode kernel, the symbol histogram ``huffman_build`` takes
 (``quantizer.code_histogram``) against the ``np.unique`` sort it
@@ -257,14 +259,16 @@ def main() -> dict:
 
     # ------------------------------------------------------------------
     # Decode: one stream through huffman.decode (the self-synchronizing
-    # kernel route at this length) and through the scalar loop, vs the
-    # lane kernel on v3 layouts, which returns stream-ordered symbol
-    # ranks (the form the SZ reader consumes).
+    # kernel route at this length) and through the scalar loop, both
+    # resolving ranks to values, vs the lane kernel on v3 layouts,
+    # which returns stream-ordered symbol ranks (the form the SZ reader
+    # consumes).
     # ------------------------------------------------------------------
-    scalar = huffman.decoder_for(code)
+    codec = huffman.codec_for(code)
     for name, decode in (
         ("single_stream", lambda: huffman.decode(packed, code, n)),
-        ("single_stream_scalar", lambda: scalar.decode(packed, n)),
+        ("single_stream_scalar",
+         lambda: code.symbols.take(huffman._scan_ranks(codec, packed, n))),
     ):
         assert np.array_equal(decode(), flat_codes)
         secs = _median_cpu_seconds(decode)

@@ -62,6 +62,33 @@ def test_kernel_huffman_decode(benchmark, skewed_values):
     assert np.array_equal(out, skewed_values)
 
 
+def test_kernel_huffman_decode_short(benchmark):
+    """The scalar route: many streams shaped like an archive log's LZ7H
+    token streams (a few hundred symbols under their own small code),
+    each below ``SELF_SYNC_MIN_VALUES`` and so read by the scalar loop.
+    An archive extract decodes more such streams than the codec cache
+    holds, so every round builds each stream's decode table afresh."""
+    text = b"".join(
+        b"2026-08-08T12:00:%02d INFO worker-%d step=%d loss=%.6f\n"
+        % (i % 60, i % 8, i, (i * 0.37) % 1) for i in range(600)
+    )
+    streams = []
+    for k in range(0, len(text), 1024):
+        tokens = np.frombuffer(text[k : k + 1024], dtype=np.uint8)[::4]
+        symbols, counts = np.unique(tokens.astype(np.int64),
+                                    return_counts=True)
+        code = huffman.build_code(symbols, counts)
+        streams.append((huffman.encode(tokens, code), code, tokens))
+    assert all(t.size < huffman.SELF_SYNC_MIN_VALUES for *_, t in streams)
+
+    def decode_all():
+        huffman.codec_cache_clear()
+        return [huffman.decode(p, c, t.size) for p, c, t in streams]
+
+    out = benchmark(decode_all)
+    assert all(np.array_equal(o, t) for o, (*_, t) in zip(out, streams))
+
+
 def test_kernel_aes_batch_ecb(benchmark):
     blocks = RNG.integers(0, 256, size=(4096, 16), dtype=np.uint8)
     enc = benchmark(batch.encrypt_blocks, blocks, EK)

@@ -7,10 +7,16 @@ completes.  :func:`write_secm` and :func:`read_secm` are the one
 writer and reader of the SECM multi-chunk framing (FORMAT.md §9).
 The chunk-length table is back-patched after the last slab, so
 compression needs only one slab of working memory.
+
+Both directions write to a sibling temp file and move it onto the
+output path only once the last slab is written and synced, so a
+failed run (a truncated SECM file, a wrong key, a full disk) leaves
+no partial output and an existing file at the output path untouched.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import struct
@@ -74,6 +80,24 @@ def read_secm(inp: BinaryIO) -> Iterator[bytes]:
         raise ValueError("trailing bytes after SECM payload")
 
 
+@contextlib.contextmanager
+def _replace_on_success(out_path: str | os.PathLike) -> Iterator[BinaryIO]:
+    """A new file beside ``out_path`` to write; flushed, synced and
+    moved onto ``out_path`` if the block completes, removed if it
+    raises."""
+    tmp = f"{os.fspath(out_path)}.{os.urandom(4).hex()}.tmp"
+    out = open(tmp, "xb")
+    try:
+        with out:
+            yield out
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, out_path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def compress_file(
     in_path: str | os.PathLike,
     out_path: str | os.PathLike,
@@ -118,7 +142,7 @@ def compress_file(
         )).container
         for s in range(n_slabs)
     )
-    with open(out_path, "wb") as out:
+    with _replace_on_success(out_path) as out:
         write_secm(out, n_slabs, containers)
     return n_slabs
 
@@ -128,7 +152,8 @@ def decompress_file(
     out_path: str | os.PathLike,
     **compressor_kwargs,
 ) -> tuple[int, ...]:
-    """Invert :func:`compress_file`, streaming slabs to ``out_path``.
+    """Invert :func:`compress_file`, streaming slabs to ``out_path``,
+    which appears only if every slab decodes.
 
     Returns the shape of the restored field (axis 0 is the slab
     concatenation; trailing axes come from the first slab).
@@ -136,7 +161,7 @@ def decompress_file(
     sc = SecureCompressor(**compressor_kwargs)
     rows = 0
     tail_shape: tuple[int, ...] | None = None
-    with open(in_path, "rb") as inp, open(out_path, "wb") as out:
+    with open(in_path, "rb") as inp, _replace_on_success(out_path) as out:
         for container in read_secm(inp):
             slab = sc.decompress(container)
             if tail_shape is None:

@@ -2,15 +2,22 @@
 
 A one-shot ``secz compress`` pays its setup every call: AES key
 expansion, predictor selection, and a cold canonical-codec cache.  The
-daemon amortizes all three.  The pool pre-builds one
-:class:`~repro.core.pipeline.SecureCompressor` per executor thread and
-(scheme, eb) configuration — the AES-128 key schedule is expanded once
-per thread and reused for every job — and every compression runs in
+daemon amortizes all three.  The pool holds one
+:class:`~repro.core.protect.Sealer` per scheme — the AES-128 key
+schedule is expanded once per scheme and shared by every thread and
+job — and one :class:`~repro.core.pipeline.SecureCompressor` per
+(scheme, eb) configuration built on it, and every compression runs in
 the one process whose ``huffman.codec_for`` cache stays warm, so
 statistically similar fields reuse each other's canonical Huffman
 codecs instead of rebuilding them.  A CTR job makes its keystream
 when its scheme encrypts, exactly as a one-shot call does, against the
 already-expanded schedule; no job starts a thread.
+
+Sharing across executor threads is safe: the expanded ``AES128`` is
+immutable, a CTR seal wraps it in a fresh one-shot view, an unseeded
+IV comes from OS entropy, and a compress keeps its working state in
+locals, not on the compressor.  A seeded pool's one IV stream is a sequence, so its
+callers serialize jobs (``secz serve --workers 1``).
 
 :meth:`CompressorPool.compress_many` is the batcher: a worker hands it
 every compatible job it managed to drain from the queue and the batch
@@ -58,14 +65,15 @@ class BatchResult:
 
 
 class CompressorPool:
-    """Thread-local :class:`SecureCompressor` instances, shared policy.
+    """One :class:`SecureCompressor` per ``(scheme, eb)``, shared by
+    every thread, on one :class:`Sealer` per scheme.
 
-    Parameters mirror the compressor's; ``seed`` builds *one* shared
-    compressor with a seeded IV stream (deterministic containers for
-    reproducible experiments — callers must then serialize jobs, which
-    ``secz serve --workers 1`` does).  The default policy (scheme, key,
-    cipher mode, seeded CTR) is checked here, at construction, rather
-    than in every job.
+    Parameters mirror the compressor's; ``seed`` draws every IV from
+    one seeded stream (deterministic containers for reproducible
+    experiments — callers must then serialize jobs, which
+    ``secz serve --workers 1`` does).  The default scheme's sealer is
+    built here, so a bad default policy (scheme, key, cipher mode,
+    seeded CTR) fails at construction rather than in every job.
     """
 
     def __init__(
@@ -77,51 +85,41 @@ class CompressorPool:
         cipher_mode: str = "cbc",
         seed: int | None = None,
     ) -> None:
-        # One shared seeded IV stream: it is a sequence, so it must not
-        # fork across threads (seeded compressors are shared).
+        # One seeded IV stream for every sealer: it is a sequence, so
+        # it must not fork.
         self._seed_rng = (
             np.random.default_rng(seed) if seed is not None else None
         )
-        # A Sealer checks the scheme, the key, the cipher mode and the
-        # seeded-CTR policy, so a bad policy fails here, not every job.
-        Sealer(scheme, key=key, cipher_mode=cipher_mode,
-               random_state=self._seed_rng)
         self.scheme = scheme
         self.error_bound = float(error_bound)
         self.key = key
         self.cipher_mode = cipher_mode
         self.seed = seed
-        self._tls = threading.local()
-        self._shared: dict[tuple[str, float], SecureCompressor] = {}
+        self._lock = threading.Lock()
+        self._sealers = {scheme: self._sealer(scheme)}
+        self._compressors: dict[tuple[str, float], SecureCompressor] = {}
         self._stats_lock = threading.Lock()
         #: Jobs compressed, for STAT.
         self.jobs_compressed = 0
 
     # -- compressor construction ---------------------------------------
 
-    def _build(self, scheme: str, eb: float) -> SecureCompressor:
-        return SecureCompressor(
-            scheme=scheme,
-            error_bound=eb,
-            key=self.key,
-            cipher_mode=self.cipher_mode,
-            random_state=self._seed_rng,
-        )
+    def _sealer(self, scheme: str) -> Sealer:
+        return Sealer(scheme, key=self.key, cipher_mode=self.cipher_mode,
+                      random_state=self._seed_rng)
 
     def compressor_for(self, scheme: str, eb: float) -> SecureCompressor:
-        """The calling thread's warm compressor for ``(scheme, eb)``."""
+        """The pool's warm compressor for ``(scheme, eb)``."""
         key = (scheme, float(eb))
-        if self.seed is not None:
-            # Seeded compressors are shared (single IV stream).
-            if key not in self._shared:
-                self._shared[key] = self._build(scheme, eb)
-            return self._shared[key]
-        cache = getattr(self._tls, "compressors", None)
-        if cache is None:
-            cache = self._tls.compressors = {}
-        if key not in cache:
-            cache[key] = self._build(scheme, eb)
-        return cache[key]
+        with self._lock:
+            sc = self._compressors.get(key)
+            if sc is None:
+                if scheme not in self._sealers:
+                    self._sealers[scheme] = self._sealer(scheme)
+                sc = self._compressors[key] = SecureCompressor.from_sealer(
+                    self._sealers[scheme], eb
+                )
+            return sc
 
     def resolve(self, scheme: str | None, eb: float) -> tuple[str, float]:
         """Apply server policy: fall back to the configured defaults."""

@@ -13,11 +13,12 @@ code depth and segment layout:
   lazy byte-strided window (:func:`~repro.sz.bitstream.sliding_window_u64`),
   which holds ``k = 57 // max_len`` consecutive codewords after any
   in-byte phase (3 x 16-bit or 2 x 21-bit lookups);
-* each lookup is one gather into the decoder's packed two-level table
-  (:meth:`repro.sz.huffman._Decoder.lane_table`): codes of up to 16
-  bits resolve in the root, and the few segments whose root entry is a
-  sub-table link take one more gather on the next ``max_len - 16``
-  bits.  No window can miss, so there is no search fallback;
+* each lookup is one gather into the code's packed two-level table
+  (:meth:`repro.sz.huffman.CanonicalCodec.decode_table`, the one the
+  scalar loop walks too): codes of up to 16 bits resolve in the root,
+  and the few segments whose root entry is a sub-table link take one
+  more gather on the next ``max_len - 16`` bits.  No window can miss,
+  so there is no search fallback;
 * packed table entries are staged in a small cache-resident block and
   stored into a ``(segments, max_q)`` matrix :data:`_STAGE_COLUMNS`
   columns at a time, touching each output row once per block rather
@@ -26,9 +27,10 @@ code depth and segment layout:
 Segments are sorted by quota so the set still holding symbols at any
 iteration is a prefix; a segment that ends mid-group simply stops
 being sliced in.  Both decoders return symbol *ranks* (positions in
-``code.symbols``, int32), not symbol values: the SZ reader gathers its
-residuals straight from the ranks (:func:`repro.sz.predictors.reconstruct`),
-and ``huffman.decode`` resolves them to values in one gather.
+``code.symbols``, int32), not symbol values, as the scalar loop does:
+the SZ reader gathers its residuals straight from the ranks
+(:func:`repro.sz.predictors.reconstruct`), and ``huffman.decode``
+resolves them to values in one gather.
 :func:`decode_lanes` writes them in stream order by copying each run
 of consecutive full segments with one shift, then each short segment
 (the last one of a lane, or a lane shorter than the stride).
@@ -50,7 +52,9 @@ segment starts every ~64 symbols' worth of bits, decoded by the same
 kernel and corrected by self-synchronization until every segment
 starts where its predecessor ended.  ``huffman.decode`` routes a
 stream here from :data:`repro.sz.huffman.SELF_SYNC_MIN_VALUES` symbols
-up; below that the scalar loop's lower fixed cost wins.
+up; below that the scalar loop's lower fixed cost wins.  The scalar
+loop and this kernel are tested against one table-free bit-serial
+decoder (``tests/oracles.py``), not against each other.
 """
 
 from __future__ import annotations
@@ -144,9 +148,7 @@ def decode_lanes(
     """
     if n_values == 0:
         return np.empty(0, dtype=np.int32)
-    codec = huffman.codec_for(code)
-    dec = codec.decoder
-    tab, root_bits = codec.lane_table()
+    tab, root_bits, max_len = huffman.codec_for(code).decode_table()
 
     start, seg_end, quota = _segment_layout(table, n_values, len(codes))
     trace.count_many({
@@ -163,7 +165,7 @@ def decode_lanes(
     active = quota.size - np.searchsorted(
         ascending, np.arange(max_q, dtype=np.int64), side="right"
     )
-    out = _decode_staged(codes, tab, root_bits, dec.max_len, cur, active, max_q)
+    out = _decode_staged(codes, tab, root_bits, max_len, cur, active, max_q)
     if not np.array_equal(cur, seg_end[order]):
         raise ValueError(
             "corrupt huffman lane stream: segment did not end on its "
@@ -229,14 +231,13 @@ def decode_stream(
     start does not.
     """
     codec = huffman.codec_for(code)
-    dec = codec.decoder
+    tab, root_bits, max_len = codec.decode_table()
     n_bits = packed.n_bits
-    if not n_values <= n_bits <= dec.max_len * n_values:
+    if not n_values <= n_bits <= max_len * n_values:
         raise ValueError(
             f"{n_bits} bits cannot hold {n_values} codewords of this code"
         )
     codes = packed.data
-    tab, root_bits = codec.lane_table()
     # At least _SYNC_SEGMENT_SYMBOLS bits per segment, more than any
     # codeword, so a start never lies past its own segment's end.
     n_seg = max(1, min(-(-n_values // _SYNC_SEGMENT_SYMBOLS),
@@ -249,7 +250,7 @@ def decode_stream(
     todo = np.arange(n_seg, dtype=np.int64)
     for _ in range(_SYNC_ROUNDS):
         count[todo], end[todo], got = _run_past(
-            codes, tab, root_bits, dec.max_len, start[todo], guess[todo + 1]
+            codes, tab, root_bits, max_len, start[todo], guess[todo + 1]
         )
         if got.shape[1] > rows.shape[1]:
             rows = np.pad(rows, ((0, 0), (0, got.shape[1] - rows.shape[1])))
@@ -274,9 +275,9 @@ def decode_stream(
     head = int(count[:first].sum())
     if head > n_values:
         raise ValueError("huffman bitstream holds more than n_values symbols")
-    tail = dec.decode(packed, n_values - head, start=int(start[first]))
-    return np.concatenate([_ranks(rows[:first], count[:first]),
-                           huffman.symbol_ranks(code, tail)])
+    tail = huffman._scan_ranks(codec, packed, n_values - head,
+                               start=int(start[first]))
+    return np.concatenate([_ranks(rows[:first], count[:first]), tail])
 
 
 def _ranks(rows: np.ndarray, count: np.ndarray) -> np.ndarray:

@@ -23,26 +23,26 @@ Implementation notes
   heap's exact pop order, so emitted frames and checked-in digests are
   unchanged.
 * Code lengths are limited to :data:`MAX_CODE_LEN` with a Kraft-sum
-  fix-up (the zlib approach).  This keeps the decoder's primary lookup
-  table small and bounds the encoder's bit-scatter passes; the rate
-  loss versus unrestricted Huffman is negligible for the skewed
+  fix-up (the zlib approach).  This bounds the decode table at
+  ``2^16 + 2^24`` entries and the encoder's bit-scatter passes; the
+  rate loss versus unrestricted Huffman is negligible for the skewed
   residual histograms SZ produces.
-* :func:`decode` reads every single stream (v2 frames, LZ7H, the image
-  and multilevel codecs).  From :data:`SELF_SYNC_MIN_VALUES` symbols up
-  it sends the stream through the lane kernel by self-synchronization
-  (:func:`repro.sz.fastdecode.decode_stream`); shorter streams, such as
-  LZ7H's token and distance streams, stay on the scalar loop
-  (:meth:`_Decoder.decode`), which is also the kernel's test oracle.
-  The scalar loop uses a flat ``2^TABLE_BITS``-entry table: one lookup
-  per symbol for all codes up to :data:`TABLE_BITS` bits (the common
-  case); longer codes resolve through a canonical first-code search.
-  The lane kernel (:mod:`repro.sz.fastdecode`: v3 frames and long
-  single streams) uses one packed two-level table
-  (:meth:`_Decoder.lane_table`) that no code misses.
-* Everything derived from one code table — decoder tables, the dense
-  encode LUT — hangs off a :class:`CanonicalCodec`, cached process-wide
-  by table digest (:func:`codec_for`), so lanes and repeated
-  ``compress``/``decompress`` calls all share one build.
+* Every decoder walks one packed two-level table per code
+  (:meth:`CanonicalCodec.decode_table`) and returns symbol *ranks*
+  (int32 positions in ``code.symbols``).  :func:`decode` reads every
+  single stream (v2 frames, LZ7H, the image and multilevel codecs):
+  from :data:`SELF_SYNC_MIN_VALUES` symbols up it sends the stream
+  through the lane kernel by self-synchronization
+  (:func:`repro.sz.fastdecode.decode_stream`); shorter streams, such
+  as LZ7H's token and distance streams, take the scalar loop
+  (:func:`_scan_ranks`), one table lookup per codeword.  The lane
+  kernel also reads v3 frames (:mod:`repro.sz.fastdecode`).  The
+  differential oracle for both routes is a table-free bit-serial
+  decoder in ``tests/oracles.py``.
+* Everything derived from one code table — the decode table, the
+  dense encode LUT — hangs off a :class:`CanonicalCodec`, cached
+  process-wide by table digest (:func:`codec_for`), so lanes and
+  repeated ``compress``/``decompress`` calls all share one build.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ __all__ = [
     "encode_lanes",
     "decode",
     "decode_ranks",
-    "symbol_ranks",
     "codec_for",
     "codec_cache_clear",
     "codec_cache_stats",
@@ -80,7 +79,6 @@ __all__ = [
     "lane_sizes",
     "choose_lane_params",
     "MAX_CODE_LEN",
-    "TABLE_BITS",
     "DEPTH_LIMIT_BITS",
     "MAX_LANES",
     "SELF_SYNC_MIN_VALUES",
@@ -88,9 +86,7 @@ __all__ = [
 
 #: Hard cap on codeword length (keeps tables and bit passes bounded).
 MAX_CODE_LEN = 24
-#: Primary decode-table width in bits.
-TABLE_BITS = 12
-#: The lane decode table's root width: codes of at most this many bits
+#: The decode table's root width: codes of at most this many bits
 #: resolve in the root (at most 64 Ki int32 entries, 256 KB); longer
 #: codes take one sub-table gather.  Frames carrying the depth-limit
 #: flag (no current writer sets it) promise every code length fits
@@ -356,8 +352,8 @@ def deserialize_tree(data: bytes) -> HuffmanCode:
     )
     if kraft > 1 << int(max_len):
         raise ValueError("serialized tree violates the Kraft inequality")
-    # The codec cache short-circuits codeword recomputation (and any
-    # decoder tables built later) for repeat decodes under one table.
+    # The codec cache short-circuits codeword recomputation (and the
+    # decode table built later) for repeat decodes under one table.
     return codec_from_table(symbols.copy(), lengths.copy()).code
 
 
@@ -582,108 +578,95 @@ def deserialize_lane_tree(data: bytes, n_values: int) -> tuple[HuffmanCode, Lane
     return code, table
 
 
-def _primary_table(
-    symbols: np.ndarray,
-    lengths: np.ndarray,
-    codewords: np.ndarray,
-    t_bits: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fill a ``2^t_bits`` primary decode table, vectorized.
+def _table_digest(symbols: np.ndarray, lengths: np.ndarray) -> bytes:
+    """Digest of a canonical table — equivalent to hashing the
+    serialized tree (lengths + symbols fully determine it), without
+    paying the varint re-serialization per call."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.ascontiguousarray(symbols).tobytes())
+    h.update(np.ascontiguousarray(lengths).tobytes())
+    return h.digest()
 
-    Codeword ``i`` (of length ``<= t_bits``) owns the contiguous run of
-    ``2^(t_bits - len)`` windows that start with it.  The runs are
-    written with one ``np.repeat`` scatter: ``idx`` enumerates every
-    covered window by adding a within-run ramp to each run's base.
+
+def _code_digest(code: HuffmanCode) -> bytes:
+    return _table_digest(code.symbols, code.lengths)
+
+
+#: Above this span-to-alphabet ratio the offset-indexed encode LUT
+#: would be mostly holes; fall back to ``searchsorted``.  Quantization
+#: codes are a dense integer band around the midpoint, so real frames
+#: essentially always take the LUT path.
+_DENSE_SLACK = 4096
+
+
+class CanonicalCodec:
+    """Everything derived from one canonical code table, built lazily.
+
+    One instance bundles the :class:`HuffmanCode` with its decode table
+    and the encode-side lookup structures, so the expensive derived
+    state is constructed at most once per distinct table in the
+    process — shared across lanes and repeated compress/decompress
+    calls.  Instances are obtained via :func:`codec_for` /
+    :func:`codec_from_table` and are internally locked, so sharing
+    across encode threads is safe.
     """
-    size = 1 << t_bits
-    tab_sym = np.zeros(size, dtype=np.int64)
-    tab_len = np.zeros(size, dtype=np.uint8)
-    if symbols.size:
-        shift = t_bits - lengths
-        base = codewords.astype(np.int64) << shift
-        span = np.int64(1) << shift
-        starts = np.cumsum(span) - span
-        idx = np.repeat(base - starts, span) + np.arange(
-            int(span.sum()), dtype=np.int64
-        )
-        tab_sym[idx] = np.repeat(symbols, span)
-        tab_len[idx] = np.repeat(lengths, span).astype(np.uint8)
-    return tab_sym, tab_len
 
+    __slots__ = ("code", "digest", "_lock", "_table", "_enc", "_charged")
 
-class _Decoder:
-    """Table-driven canonical decoder (see module docstring)."""
-
-    def __init__(self, code: HuffmanCode) -> None:
-        if code.n_symbols == 0:
-            raise ValueError("cannot decode with an empty code")
+    def __init__(self, code: HuffmanCode, digest: bytes | None = None) -> None:
         self.code = code
-        lengths = code.lengths.astype(np.int64)
-        self.max_len = int(lengths.max())
-        t_bits = min(TABLE_BITS, self.max_len)
-        self.t_bits = t_bits
-        short = lengths <= t_bits
-        self.tab_sym, self.tab_len = _primary_table(
-            code.symbols[short],
-            lengths[short],
-            code.codewords[short],
-            t_bits,
-        )
-        # Long codes: canonical (first_code, first_index, count) per length.
-        # A window of `ln` bits is a valid codeword of that length iff
-        # 0 <= window - first_code < count; canonical assignment puts
-        # every extension of a shorter codeword *below* first_code, so
-        # scanning lengths ascending and taking the first in-range hit
-        # is exact.
-        self.long_codes: dict[int, tuple[int, int, int]] = {}
-        self.sorted_symbols = np.empty(0, dtype=np.int64)
-        if (~short).any():
-            order = np.lexsort((np.arange(len(lengths), dtype=np.int64), lengths))
-            sorted_lengths = lengths[order]
-            sorted_cw = code.codewords[order]
-            self.sorted_symbols = code.symbols[order]
-            for ln in range(t_bits + 1, self.max_len + 1):
-                where = np.nonzero(sorted_lengths == ln)[0]
-                if where.size:
-                    self.long_codes[ln] = (
-                        int(sorted_cw[where[0]]),
-                        int(where[0]),
-                        int(where.size),
-                    )
+        self.digest = _code_digest(code) if digest is None else digest
+        self._lock = threading.Lock()
+        self._table: tuple[np.ndarray, int, int] | None = None
+        self._enc = None
+        #: Bytes this codec counts for in the cache's byte total.
+        self._charged = 0
 
-    def lane_table(self) -> tuple[np.ndarray, int]:
-        """Packed two-level table ``(tab, root_bits)`` for the lane kernel.
+    def decode_table(self) -> tuple[np.ndarray, int, int]:
+        """The code's one decode table ``(tab, root_bits, max_len)``,
+        which the scalar loop and the lane kernel both walk.
 
         Every int32 entry is ``(symbol_rank << 5) | code_length``, so a
-        single gather turns a window into a symbol and a bit advance;
-        ranks resolve to symbol values in one gather after decoding.
+        single lookup turns a window into a symbol rank and a bit
+        advance; ranks resolve to symbol values in one gather after
+        decoding.
 
         ``tab[:2^r]`` is the root, indexed by the next ``r = min(max_len,
         DEPTH_LIMIT_BITS)`` stream bits.  A code of at most ``r`` bits
         fills its run of root entries directly, so codes of up to 16
         bits never leave the root.  A root prefix that starts a longer
-        code holds a negative link ``-start``: the kernel then reads the
-        next ``s = max_len - r`` bits and gathers ``tab[start + bits]``.
-        In canonical order the long codes all sit above the short ones,
-        so the sub-tables are exactly the slice of the would-be
-        ``2^max_len`` full table those codes cover, stored contiguously
-        after the root.  Kraft holes stay 0 at both levels: a corrupt
-        cursor freezes there (length 0) and trips the kernel's
+        code holds a negative link ``-start``: the decoder then reads
+        the next ``s = max_len - r`` bits and looks up
+        ``tab[start + bits]``.  In canonical order the long codes all
+        sit above the short ones, so the sub-tables are exactly the
+        slice of the would-be ``2^max_len`` full table those codes
+        cover, stored contiguously after the root.  Kraft holes stay 0
+        at both levels: a window there decodes to length 0, which the
+        scalar loop rejects at once and the lane kernel by its
         segment-boundary check.
 
         The table never exceeds ``2^r + 2^max_len`` entries, no worse
-        than a one-level table at ``max_len``.  It is filled one code
-        length at a time: codes of one length are consecutive canonical
-        codewords, so each length is one broadcast into a contiguous
-        slice and the build allocates no table-sized temporaries.  Built
-        once per code, amortized by the process-wide codec cache.
+        than a one-level table at ``max_len``.  It is built on first
+        use and charged once to the cache's byte budget.
         """
-        try:
-            return self._lane_table
-        except AttributeError:
-            pass
+        table = self._table
+        if table is None:
+            with self._lock:
+                table = self._table
+                if table is None:
+                    table = self._table = self._build_decode_table()
+            _codec_cache_fit(self)
+        return table
+
+    def _build_decode_table(self) -> tuple[np.ndarray, int, int]:
+        """Fill the table one code length at a time: codes of one
+        length are consecutive canonical codewords, so each length is
+        one broadcast into a contiguous slice and the build allocates
+        no table-sized temporaries."""
         lengths = self.code.lengths
-        max_len = self.max_len
+        if not lengths.size:
+            raise ValueError("cannot decode with an empty code")
+        max_len = int(lengths.max())
         root_bits = min(max_len, DEPTH_LIMIT_BITS)
         sub_bits = max_len - root_bits
         counts = np.bincount(lengths, minlength=max_len + 1)
@@ -719,220 +702,14 @@ class _Decoder:
             tab[start : start + (n << span)].reshape(n, 1 << span)[:] = (
                 entries[:, None]
             )
-        self._lane_table = (tab, root_bits)
-        return self._lane_table
-
-    def nbytes(self) -> int:
-        """Bytes of the NumPy tables this decoder holds."""
-        held = self.tab_sym.nbytes + self.tab_len.nbytes + self.sorted_symbols.nbytes
-        lane = getattr(self, "_lane_table", None)
-        return held + (lane[0].nbytes if lane is not None else 0)
-
-    def _build_fast_table(self) -> None:
-        """Multi-symbol lookup: for every t_bits window, the run of
-        *complete* codewords it contains and their total bit length.
-
-        By the prefix property, a codeword whose length fits inside the
-        window's known bits is fully determined by them — the padding
-        beyond cannot change the table entry it spans.  One lookup then
-        yields several symbols at once (for skewed SZ histograms the
-        average is 3-5 symbols per 12-bit window).
-        """
-        tab_sym = self.tab_sym.tolist()
-        tab_len = self.tab_len.tolist()
-        t_bits = self.t_bits
-        fast_syms: list[tuple[int, ...]] = []
-        fast_bits: list[int] = []
-        for w in range(1 << t_bits):
-            syms: list[int] = []
-            rem = t_bits
-            known = w
-            while True:
-                window = known << (t_bits - rem)
-                ln = tab_len[window]
-                if ln == 0 or ln > rem:
-                    break
-                syms.append(tab_sym[window])
-                rem -= ln
-                known &= (1 << rem) - 1
-            fast_syms.append(tuple(syms))
-            fast_bits.append(t_bits - rem)
-        self._fast_syms = fast_syms
-        self._fast_bits = fast_bits
-
-    def decode(
-        self, packed: PackedBits, n_values: int, start: int = 0
-    ) -> np.ndarray:
-        """Decode ``n_values`` symbols from bit ``start`` of ``packed``;
-        the last codeword must end exactly at ``packed.n_bits``."""
-        # Hot loop notes (profile-driven, see the HPC guides): plain
-        # Python lists beat ndarray scalar indexing ~4x here, the
-        # buffer refills eight bytes per int.from_bytes call, and the
-        # multi-symbol fast table drains several codewords per window
-        # lookup (see _build_fast_table).
-        # The multi-symbol table only pays when windows typically hold
-        # several codewords; the stream itself tells us the average
-        # bits/symbol.  Above the threshold, skip both the build cost
-        # and the per-iteration fast-path overhead.
-        n_bits = packed.n_bits
-        use_fast = (
-            n_values > 0 and (n_bits - start) / n_values <= self.t_bits / 2
-        )
-        if use_fast and not hasattr(self, "_fast_syms"):
-            self._build_fast_table()
-        fast_syms = self._fast_syms if use_fast else None
-        fast_bits = self._fast_bits if use_fast else None
-        out = [0] * n_values
-        data = packed.data
-        tab_sym = self.tab_sym.tolist()
-        tab_len = self.tab_len.tolist()
-        t_bits = self.t_bits
-        t_mask = (1 << t_bits) - 1
-        max_len = self.max_len
-        long_codes = self.long_codes
-        pos = start >> 3
-        buf = 0
-        buf_len = -start & 7
-        if buf_len:  # enter mid-byte: keep the start byte's low bits
-            buf = data[pos] & ((1 << buf_len) - 1)
-            pos += 1
-        consumed = start
-        n_bytes = len(data)
-        i = 0
-        while i < n_values:
-            if buf_len < max_len and pos < n_bytes:
-                take = n_bytes - pos
-                if take > 8:
-                    take = 8
-                buf = (buf << (take << 3)) | int.from_bytes(
-                    data[pos : pos + take], "big"
-                )
-                pos += take
-                buf_len += take << 3
-            if buf_len >= t_bits:
-                window = (buf >> (buf_len - t_bits)) & t_mask
-                if fast_syms is not None:
-                    syms = fast_syms[window]
-                    k = len(syms)
-                    if k > 1 and i + k <= n_values:
-                        out[i : i + k] = syms
-                        i += k
-                        used = fast_bits[window]
-                        consumed += used
-                        if consumed > n_bits:
-                            raise ValueError(
-                                "huffman bitstream ended mid-codeword"
-                            )
-                        buf_len -= used
-                        buf &= (1 << buf_len) - 1
-                        continue
-            else:
-                window = (buf << (t_bits - buf_len)) & t_mask
-            ln = tab_len[window]
-            if ln:
-                out[i] = tab_sym[window]
-            else:
-                # Long code: widen the window one bit at a time.
-                sym = None
-                for try_len in range(t_bits + 1, max_len + 1):
-                    if buf_len < try_len:
-                        break
-                    entry = long_codes.get(try_len)
-                    if entry is None:
-                        continue
-                    cw = (buf >> (buf_len - try_len)) & ((1 << try_len) - 1)
-                    first_code, first_idx, count = entry
-                    offset = cw - first_code
-                    if 0 <= offset < count:
-                        sym = self.sorted_symbols[first_idx + offset]
-                        ln = try_len
-                        break
-                if sym is None:
-                    raise ValueError("corrupt huffman bitstream")
-                out[i] = int(sym)
-            consumed += ln
-            if consumed > n_bits:
-                raise ValueError("huffman bitstream ended mid-codeword")
-            buf_len -= ln
-            buf &= (1 << buf_len) - 1
-            i += 1
-        if consumed != n_bits:
-            raise ValueError("huffman bitstream does not end at n_bits")
-        return np.array(out, dtype=np.int64)
-
-
-def _table_digest(symbols: np.ndarray, lengths: np.ndarray) -> bytes:
-    """Digest of a canonical table — equivalent to hashing the
-    serialized tree (lengths + symbols fully determine it), without
-    paying the varint re-serialization per call."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.ascontiguousarray(symbols).tobytes())
-    h.update(np.ascontiguousarray(lengths).tobytes())
-    return h.digest()
-
-
-def _code_digest(code: HuffmanCode) -> bytes:
-    return _table_digest(code.symbols, code.lengths)
-
-
-#: Above this span-to-alphabet ratio the offset-indexed encode LUT
-#: would be mostly holes; fall back to ``searchsorted``.  Quantization
-#: codes are a dense integer band around the midpoint, so real frames
-#: essentially always take the LUT path.
-_DENSE_SLACK = 4096
-
-
-class CanonicalCodec:
-    """Everything derived from one canonical code table, built lazily.
-
-    One instance bundles the :class:`HuffmanCode` with its decoder
-    tables and the encode-side lookup structures, so the expensive
-    derived state is constructed at most once per distinct table in
-    the process — shared across lanes and repeated compress/decompress
-    calls.  Instances are obtained via :func:`codec_for` /
-    :func:`codec_from_table` and are internally locked, so sharing
-    across encode threads is safe.
-    """
-
-    __slots__ = ("code", "digest", "_lock", "_decoder", "_enc", "_charged")
-
-    def __init__(self, code: HuffmanCode, digest: bytes | None = None) -> None:
-        self.code = code
-        self.digest = _code_digest(code) if digest is None else digest
-        self._lock = threading.Lock()
-        self._decoder: _Decoder | None = None
-        self._enc = None
-        #: Bytes this codec counts for in the cache's byte total.
-        self._charged = 0
-
-    @property
-    def decoder(self) -> _Decoder:
-        dec = self._decoder
-        if dec is None:
-            with self._lock:
-                dec = self._decoder
-                if dec is None:
-                    dec = _Decoder(self.code)
-                    self._decoder = dec
-            _codec_cache_fit(self)
-        return dec
-
-    def lane_table(self) -> tuple[np.ndarray, int]:
-        """The decoder's lane-kernel table (:meth:`_Decoder.lane_table`).
-        A table built here counts against the cache's byte budget."""
-        dec = self.decoder
-        built = hasattr(dec, "_lane_table")
-        table = dec.lane_table()
-        if not built:
-            _codec_cache_fit(self)
-        return table
+        return tab, root_bits, max_len
 
     def nbytes(self) -> int:
         """Bytes of the code and every derived NumPy table held."""
         code = self.code
         held = code.symbols.nbytes + code.lengths.nbytes + code.codewords.nbytes
-        if self._decoder is not None:
-            held += self._decoder.nbytes()
+        if self._table is not None:
+            held += self._table[0].nbytes
         if self._enc is not None:
             held += sum(a.nbytes for a in self._enc[1:] if a is not None)
         return held
@@ -994,9 +771,9 @@ class CanonicalCodec:
 #: Process-wide codec cache.  Keyed by table digest; an LRU bounded by
 #: entry count and by the bytes of the tables its codecs hold.  The
 #: derived state per entry is at most 1.4 MB for the stand-in fields
-#: (lane tables of 0.26-1.35 MB at small and medium, 1e-2..1e-6), so
+#: (decode tables of 0.26-1.35 MB at small and medium, 1e-2..1e-6), so
 #: the bounds still let daemon-style workloads with many distinct
-#: error bounds all hit.  A deliberately deep tree can force a lane
+#: error bounds all hit.  A deliberately deep tree can force a decode
 #: table of up to ``2^16 + 2^24`` int32 entries (67 MB): a codec over
 #: the whole byte budget is not kept at all, so one hostile frame
 #: neither pins that memory nor flushes the other codecs.
@@ -1106,14 +883,9 @@ def codec_cache_stats() -> dict:
         }
 
 
-def decoder_for(code: HuffmanCode) -> _Decoder:
-    """Fetch (or build and cache) the table-driven decoder for ``code``."""
-    return codec_for(code).decoder
-
-
 #: From this many symbols up, :func:`decode` sends a single stream
 #: through the lane kernel by self-synchronization
-#: (:func:`repro.sz.fastdecode.decode_stream`); shorter streams stay on
+#: (:func:`repro.sz.fastdecode.decode_stream`); shorter streams take
 #: the scalar loop, whose fixed cost per call is far lower.  Set at the
 #: measured crossover: from 16,384 symbols every serve stand-in decoded
 #: faster through the kernel (1.1-1.6x at 1-2 bits per symbol, 2.7x
@@ -1130,30 +902,74 @@ def decode(packed: PackedBits, code: HuffmanCode, n_values: int) -> np.ndarray:
     kernel (:data:`SELF_SYNC_MIN_VALUES`), short ones through the
     scalar loop.
     """
-    if n_values >= SELF_SYNC_MIN_VALUES:
-        return code.symbols.take(decode_ranks(packed, code, n_values))
-    if n_values == 0:
-        if packed.n_bits:
-            raise ValueError("huffman bitstream does not end at n_bits")
-        return np.empty(0, dtype=np.int64)
-    return decoder_for(code).decode(packed, n_values)
+    return code.symbols.take(decode_ranks(packed, code, n_values))
 
 
 def decode_ranks(packed: PackedBits, code: HuffmanCode, n_values: int) -> np.ndarray:
     """:func:`decode` as symbol ranks: int32 positions in
-    ``code.symbols``, the form the lane kernel produces and the SZ
-    reader gathers its residuals by."""
+    ``code.symbols``, the form both routes produce and the SZ reader
+    gathers its residuals by."""
     if n_values >= SELF_SYNC_MIN_VALUES:
         from repro.sz import fastdecode  # fastdecode imports this module
 
         return fastdecode.decode_stream(packed, code, n_values)
-    return symbol_ranks(code, decode(packed, code, n_values))
+    if n_values == 0:
+        if packed.n_bits:
+            raise ValueError("huffman bitstream does not end at n_bits")
+        return np.empty(0, dtype=np.int32)
+    return _scan_ranks(codec_for(code), packed, n_values)
 
 
-def symbol_ranks(code: HuffmanCode, values: np.ndarray) -> np.ndarray:
-    """Positions in ``code.symbols`` of ``values``, which must all be
-    symbols of ``code`` (int32).  A deserialized table need not list
-    its symbols in order, so the lookup goes through a sort."""
-    order = np.argsort(code.symbols, kind="stable")
-    found = np.searchsorted(code.symbols, values, sorter=order)
-    return order.take(found).astype(np.int32)
+def _scan_ranks(
+    codec: CanonicalCodec, packed: PackedBits, n_values: int, start: int = 0
+) -> np.ndarray:
+    """The scalar loop: decode ``n_values`` symbol ranks (int32) from
+    bit ``start`` of ``packed``, one decode-table lookup per codeword
+    (two for a code longer than the table's root).  The last codeword
+    must end exactly at ``packed.n_bits``; a Kraft hole, or a chain
+    that ends anywhere else, raises ``ValueError``.
+
+    The table is read through a ``memoryview``, never copied: a hostile
+    deep tree makes it tens of MB, which a stream of a few hundred
+    symbols must not pay for.  Hot loop notes: the bit buffer is a
+    plain int that refills eight bytes per ``int.from_bytes`` call and
+    is trimmed to its live bits only on refill.  The stream gets eight
+    zero bytes of padding, so a refill never straddles its end and a
+    lookup always sees ``max_len`` bits; a chain that overran into the
+    padding fails the final bit-count check.
+    """
+    tab, root_bits, max_len = codec.decode_table()
+    view = memoryview(tab)
+    # Every lookup lands in the table: a root window has root_bits
+    # bits, and each link points at a whole sub-table after the root.
+    if len(view) < 1 << root_bits:
+        raise ValueError("decode table shorter than its root")
+    root_mask = (1 << root_bits) - 1
+    sub_mask = (1 << (max_len - root_bits)) - 1
+    data = packed.data + bytes(8)
+    # Bits above buf_len are spent; lookups mask them off, and the
+    # refill trims them.  So entering mid-byte just counts the start
+    # byte's leading bits as spent.
+    pos = (start >> 3) + 8
+    buf = int.from_bytes(data[pos - 8 : pos], "big")
+    buf_len = 64 - (start & 7)
+    out = [0] * n_values
+    for i in range(n_values):
+        if buf_len < max_len:
+            buf = ((buf & ((1 << buf_len) - 1)) << 64) | int.from_bytes(
+                data[pos : pos + 8], "big"
+            )
+            pos += 8
+            buf_len += 64
+        entry = view[(buf >> (buf_len - root_bits)) & root_mask]
+        if entry < 0:  # a sub-table link
+            entry = view[((buf >> (buf_len - max_len)) & sub_mask) - entry]
+        ln = entry & 31
+        if not ln:
+            raise ValueError("corrupt huffman bitstream: Kraft hole")
+        buf_len -= ln
+        out[i] = entry >> 5
+    # Every bit read so far, less the ones still buffered.
+    if 8 * pos - buf_len != packed.n_bits:
+        raise ValueError("huffman bitstream does not end at n_bits")
+    return np.array(out, dtype=np.int32)

@@ -214,8 +214,8 @@ class TestPipelineTrace:
         code = huffman.build_code(symbols, counts)
         huffman.codec_cache_clear()
         before = trace.counters_snapshot()
-        huffman.decoder_for(code)
-        huffman.decoder_for(code)
+        huffman.codec_for(code)
+        huffman.codec_for(code)
         after = trace.counters_snapshot()
         assert after.get("huffman.codec_cache_misses", 0) - before.get(
             "huffman.codec_cache_misses", 0) == 1

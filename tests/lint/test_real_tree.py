@@ -77,6 +77,32 @@ def test_every_contract_entry_point_resolves():
         "entry_points"]
 
 
+def test_lz77_entry_point_reaches_the_scalar_huffman_loop():
+    """LZ7H's token and distance streams decode through the scalar
+    Huffman loop, so the loop must stay inside the analysis of the
+    ``lz77.decompress`` entry point, not behind a call the graph cannot
+    resolve."""
+    from repro.lint.callgraph import build_callgraph
+    from repro.lint.rules.contracts import DEFAULT_CONTRACTS
+    from repro.lint.walker import FileContext
+
+    graph = build_callgraph(
+        FileContext(path, path.relative_to(REPO).as_posix(),
+                    path.read_text(encoding="utf-8"))
+        for path in sorted((REPO / "src").rglob("*.py"))
+    )
+    entry = "repro.sz.lz77.decompress"
+    assert entry in DEFAULT_CONTRACTS["entry_points"]
+    reached, todo = set(), [entry]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [site.callee for site in graph.callees(name)
+                     if site.callee]
+    assert "repro.sz.huffman._scan_ranks" in reached
+
+
 def test_full_repo_analysis_fits_time_budget():
     """Acceptance: whole-program analysis over src/ stays under the
     30 s CI budget, and the profile accounts for every rule."""

@@ -9,6 +9,9 @@ demand exact equality with it.  None of it runs on a production path.
   (``huffman._huffman_lengths`` is the two-queue build);
 * :func:`pack_codes_ref` — the byte-per-bit packer
   (``bitstream.pack_codes`` is the word-packed kernel);
+* :func:`decode_ranks_ref` — a table-free, bit-serial canonical
+  decoder (``huffman.decode_ranks``'s scalar loop and the
+  ``fastdecode`` lane kernel both walk the packed two-level table);
 * :func:`residuals_from_codes`, :func:`lorenzo_reconstruct`,
   :func:`mean_reconstruct` and :func:`decompress_ref` — the whole-array
   SZ reader (``SZCompressor.decompress`` is the slab-wise one,
@@ -28,6 +31,7 @@ from repro.sz.bitstream import PackedBits, _check_code_table
 __all__ = [
     "huffman_lengths_ref",
     "pack_codes_ref",
+    "decode_ranks_ref",
     "residuals_from_codes",
     "lorenzo_reconstruct",
     "mean_reconstruct",
@@ -92,6 +96,55 @@ def pack_codes_ref(codes: np.ndarray, lengths: np.ndarray) -> PackedBits:
             np.uint8
         )
     return PackedBits(data=np.packbits(bits).tobytes(), n_bits=total_bits)
+
+
+def decode_ranks_ref(packed: PackedBits, code: huffman.HuffmanCode,
+                     n_values: int) -> np.ndarray:
+    """Decode ``n_values`` symbol ranks (int32 positions in
+    ``code.symbols``) one bit at a time, from the canonical first code
+    and count per length alone.
+
+    Codes of one length are consecutive canonical codewords, and every
+    extension of a shorter codeword lies below that length's first
+    code.  So a prefix of ``l`` bits that no shorter code matched is
+    the codeword of rank ``first[l] <= v < first[l] + count[l]`` or no
+    codeword of that length.  A prefix that matches at no length up to
+    the longest is a Kraft hole.  Raises ``ValueError`` on a hole, on
+    a codeword cut by ``packed.n_bits``, and when the last codeword
+    does not end exactly there.
+    """
+    if n_values and not code.n_symbols:
+        raise ValueError("cannot decode with an empty code")
+    lengths = code.lengths.astype(np.int64)
+    max_len = int(lengths.max()) if lengths.size else 0
+    count = np.bincount(lengths, minlength=max_len + 1).tolist()
+    # Symbol positions in canonical (length, position) order.
+    canonical = np.argsort(lengths, kind="stable").tolist()
+    first = [0] * (max_len + 1)  # first codeword of each length
+    index = [0] * (max_len + 1)  # its place in canonical order
+    for ln in range(1, max_len + 1):
+        first[ln] = (first[ln - 1] + count[ln - 1]) << 1
+        index[ln] = index[ln - 1] + count[ln - 1]
+    bits = np.unpackbits(
+        np.frombuffer(packed.data, dtype=np.uint8)
+    )[: packed.n_bits].tolist()
+    pos = 0
+    ranks = []
+    for _ in range(n_values):
+        v = 0
+        for ln in range(1, max_len + 1):
+            if pos == len(bits):
+                raise ValueError("huffman bitstream ended mid-codeword")
+            v = (v << 1) | bits[pos]
+            pos += 1
+            if 0 <= v - first[ln] < count[ln]:
+                ranks.append(canonical[index[ln] + v - first[ln]])
+                break
+        else:
+            raise ValueError("corrupt huffman bitstream: Kraft hole")
+    if pos != len(bits):
+        raise ValueError("huffman bitstream does not end at n_bits")
+    return np.array(ranks, dtype=np.int32)
 
 
 def residuals_from_codes(codes: np.ndarray, radius: int,

@@ -74,6 +74,13 @@ class TestLaneRoundTrip:
         assert int(code.lengths.max()) > huffman.DEPTH_LIMIT_BITS
         out = _roundtrip(values, 16, 512)
         assert np.array_equal(out, values)
+        # A stream this short takes the scalar loop, which resolves
+        # the same long codes through the same sub-tables.
+        short = values[code.lengths[np.searchsorted(code.symbols, values)]
+                       > huffman.DEPTH_LIMIT_BITS][:3000]
+        assert short.size == 3000
+        packed = huffman.encode(short, code)
+        assert np.array_equal(huffman.decode(packed, code, short.size), short)
 
     def test_matches_scalar_decoder(self, skewed_values):
         values = skewed_values[:30_000]
@@ -81,10 +88,11 @@ class TestLaneRoundTrip:
         # One lane, no anchors: the lane stream is byte-identical to
         # the single-stream format the scalar decoder reads.
         packed = enc.lanes[0]
-        scalar = huffman._Decoder(code).decode(packed, values.size)
+        scalar = huffman._scan_ranks(huffman.codec_for(code), packed,
+                                     values.size)
         table = enc.table
         kernel = fastdecode.decode_lanes(codes, code, table, values.size)
-        assert np.array_equal(scalar, code.symbols[kernel])
+        assert np.array_equal(scalar, kernel)
 
 
 class TestLaneTableSerialization:
@@ -286,14 +294,16 @@ class TestCodecCache:
         code_a = huffman.build_code(symbols, counts)
         code_b = huffman.build_code(symbols, counts)
         # Distinct HuffmanCode objects with equal tables share one codec
-        # (and therefore one decoder) process-wide.
+        # (and therefore one decode table) process-wide.
         assert huffman.codec_for(code_a) is huffman.codec_for(code_b)
-        assert huffman.decoder_for(code_a) is huffman.decoder_for(code_b)
+        assert (huffman.codec_for(code_a).decode_table()
+                is huffman.codec_for(code_b).decode_table())
 
     def test_distinct_codes_get_distinct_decoders(self):
         code_a = huffman.build_code(np.array([1, 2]), np.array([3, 5]))
         code_b = huffman.build_code(np.array([1, 3]), np.array([3, 5]))
-        assert huffman.decoder_for(code_a) is not huffman.decoder_for(code_b)
+        assert (huffman.codec_for(code_a).decode_table()
+                is not huffman.codec_for(code_b).decode_table())
 
     def test_deserialized_tree_hits_cache(self, skewed_values):
         values = skewed_values[:5000]
@@ -310,7 +320,7 @@ class TestCodecCache:
             code = huffman.build_code(
                 np.array([i, i + 1]), np.array([3, 5])
             )
-            huffman.decoder_for(code)
+            huffman.codec_for(code).decode_table()
         assert len(huffman._codec_cache) <= huffman._CODEC_CACHE_SIZE
 
     def test_cache_clear(self):
@@ -368,7 +378,7 @@ class TestCodecCache:
         huffman.codec_cache_clear()
         comp.decompress(frame)
         (codec,) = huffman._codec_cache.values()
-        tab, _ = codec.lane_table()
+        tab = codec.decode_table()[0]
         assert tab.nbytes > 1 << 18
         assert huffman._codec_cache.get(codec.digest) is codec
 

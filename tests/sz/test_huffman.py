@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sz import huffman, intcodec
+from repro.sz import fastdecode, huffman, intcodec
 from repro.sz.bitstream import PackedBits
+from tests.oracles import decode_ranks_ref
 
 
 def _code_for(values: np.ndarray) -> huffman.HuffmanCode:
@@ -109,15 +110,16 @@ class TestEncodeDecode:
         assert np.array_equal(huffman.decode(packed, code, values.size), values)
 
     def test_long_codes_beyond_table_bits(self):
-        # Force codeword lengths above TABLE_BITS so the scalar
-        # decoder's canonical long-code scan decodes too.
-        n = 1 << 14  # enough leaves to exceed 12-bit codes
-        freqs = np.ones(n, dtype=np.int64)
-        freqs[0] = 10_000_000
+        # Halving frequencies make a chain of codes 1..21 bits long,
+        # past DEPTH_LIMIT_BITS, so the scalar loop resolves the
+        # longest through the decode table's sub-tables.
+        n = 22
+        freqs = np.int64(1) << np.maximum(np.arange(n)[::-1] - 1, 0)
         code = huffman.build_code(np.arange(n), freqs)
-        assert int(code.lengths.max()) > huffman.TABLE_BITS
+        assert int(code.lengths.max()) > huffman.DEPTH_LIMIT_BITS
         rng = np.random.default_rng(4)
         values = rng.integers(0, n, size=3000).astype(np.int64)
+        assert values.size < huffman.SELF_SYNC_MIN_VALUES
         packed = huffman.encode(values, code)
         assert np.array_equal(huffman.decode(packed, code, values.size), values)
 
@@ -258,33 +260,24 @@ def test_huffman_roundtrip_property(seed, n_symbols, n_values):
 
 
 class TestFastDecodeTable:
+    """The one decode table, as both single-stream routes walk it."""
+
     def _roundtrip_both_paths(self, values):
-        """Decode once via the gated fast path and once with it forced
-        off; both must reproduce the input exactly."""
+        """Decode once through the scalar loop and once through the
+        self-synchronizing kernel; both must reproduce the input and
+        the bit-serial oracle exactly."""
         code = _code_for(values)
         packed = huffman.encode(values, code)
-        # The scalar loop itself: huffman.decode sends streams this
-        # long through the lane kernel.
-        fast = huffman._Decoder(code).decode(packed, values.size)
-
-        decoder = huffman._Decoder(code)
-        # Force the slow path by making the gate condition false.
-        original = huffman.PackedBits if False else None  # noqa: F841
-        import types
-
-        slow_out = None
-        real_decode = huffman._Decoder.decode
-
-        def patched(self, pck, n):
-            # Temporarily raise t_bits gate: emulate by monkeypatching
-            # the fast attributes to empty tuples (k is never > 1).
-            self._fast_syms = [()] * (1 << self.t_bits)
-            self._fast_bits = [0] * (1 << self.t_bits)
-            return real_decode(self, pck, n)
-
-        slow_out = patched(decoder, packed, values.size)
-        assert np.array_equal(fast, values)
-        assert np.array_equal(slow_out, values)
+        # Called directly: huffman.decode sends streams this long
+        # through the kernel only.
+        scalar = huffman._scan_ranks(huffman.codec_for(code), packed,
+                                     values.size)
+        kernel = fastdecode.decode_stream(packed, code, values.size)
+        oracle = decode_ranks_ref(packed, code, values.size)
+        for ranks in (scalar, kernel):
+            assert ranks.dtype == np.int32
+            assert np.array_equal(ranks, oracle)
+        assert np.array_equal(code.symbols[oracle], values)
 
     def test_paths_agree_highly_skewed(self):
         rng = np.random.default_rng(11)
@@ -299,26 +292,12 @@ class TestFastDecodeTable:
         self._roundtrip_both_paths(values)
 
     def test_fast_table_contents(self):
-        # Two 1-bit symbols: a 12-bit window holds 12 of them.
-        values = np.array([0, 1] * 100, dtype=np.int64)
-        code = _code_for(values)
-        decoder = huffman._Decoder(code)
-        decoder._build_fast_table()
-        for w, (syms, bits) in enumerate(
-            zip(decoder._fast_syms, decoder._fast_bits)
-        ):
-            assert len(syms) == decoder.t_bits
-            assert bits == decoder.t_bits
-
-    def test_gate_uses_stream_density(self):
-        # A stream whose bits/symbol exceeds t_bits/2 must not build
-        # the fast table.
-        rng = np.random.default_rng(13)
-        values = rng.integers(0, 1 << 14, size=5000).astype(np.int64)
-        code = _code_for(values)
-        packed = huffman.encode(values, code)
-        decoder = huffman._Decoder(code)
-        assert packed.n_bits / values.size > decoder.t_bits / 2
-        out = decoder.decode(packed, values.size)
-        assert np.array_equal(out, values)
-        assert not hasattr(decoder, "_fast_syms")
+        # Codewords 0, 10, 11 (ranks 0, 1, 2): a 2-bit root whose
+        # entries are (rank << 5) | length for every window.
+        code = huffman.build_code(np.array([5, 6, 7]), np.array([9, 4, 3]))
+        assert code.lengths.tolist() == [1, 2, 2]
+        tab, root_bits, max_len = huffman.codec_for(code).decode_table()
+        assert (root_bits, max_len) == (2, 2)
+        assert tab.tolist() == [
+            (0 << 5) | 1, (0 << 5) | 1, (1 << 5) | 2, (2 << 5) | 2
+        ]

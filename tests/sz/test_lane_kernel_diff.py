@@ -1,21 +1,27 @@
-"""Differential tests: the lane kernel against the scalar decoder.
+"""Differential tests: both Huffman decode routes against one oracle.
 
-``fastdecode.decode_lanes`` decodes every v3 frame through one
-two-level packed table (``_Decoder.lane_table``) and one staged-output
-loop, and ``fastdecode.decode_stream`` sends single (v2) streams of at
-least ``huffman.SELF_SYNC_MIN_VALUES`` symbols through the same loop
-by self-synchronization.  The scalar loop, ``huffman._Decoder.decode``
-called directly — with its own 12-bit table and canonical long-code
-scan — is the oracle: each lane of a v3 encoding is a self-contained
-stream it can read, so the kernel's output must equal the scalar
-decode of every lane, concatenated, and ``huffman.decode`` must equal
-it on either side of the threshold.  Codes are drawn at the depths
-where the table's shape changes (one level up to 16 bits; root plus
-1- to 8-bit sub-tables above) and at shallow depths that pack up to 9
-symbols per gather, in uniform and ragged segment layouts; incomplete
-codes check that both table levels keep their Kraft holes fail-closed.
+Every decoder walks the code's one packed two-level table
+(``CanonicalCodec.decode_table``).  ``fastdecode.decode_lanes`` decodes
+every v3 frame through it in one staged-output loop,
+``fastdecode.decode_stream`` sends single (v2) streams of at least
+``huffman.SELF_SYNC_MIN_VALUES`` symbols through the same loop by
+self-synchronization, and the scalar loop (``huffman._scan_ranks``)
+reads shorter streams.  The oracle is ``decode_ranks_ref`` in
+``tests/oracles.py``: a table-free, bit-serial decoder that knows only
+each length's first canonical code and count.  Each lane of a v3
+encoding is a self-contained stream, so the kernel's output, and the
+scalar loop's reading of each lane, must equal the oracle's decode of
+every lane, concatenated.  On single streams, on either side of the
+threshold, every route must return the oracle's symbols and accept or
+reject exactly the streams it does.  Codes are drawn
+at the depths where the table's shape changes (one level up to 16
+bits; root plus 1- to 8-bit sub-tables above) and at shallow depths
+that pack up to 9 symbols per gather, in uniform and ragged segment
+layouts; incomplete codes check that both table levels keep their
+Kraft holes fail-closed.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -26,6 +32,7 @@ from hypothesis import strategies as st
 from repro.sz import fastdecode, huffman
 from repro.sz.bitstream import PackedBits, concat_streams
 from repro.sz.huffman import DEPTH_LIMIT_BITS, LaneTable
+from tests.oracles import decode_ranks_ref
 
 DEPTHS = (6, 12, 16, 17, 19, 20, 21, 24)
 THRESHOLD = huffman.SELF_SYNC_MIN_VALUES
@@ -81,18 +88,31 @@ def _values(code: huffman.HuffmanCode, n: int, seed: int) -> np.ndarray:
     return rng.choice(code.symbols, size=n, p=p / p.sum())
 
 
-def _kernel_and_scalar(code, values, n_lanes, stride):
+def _scalar(packed, code, n):
+    """The scalar loop called directly, whatever the stream's length."""
+    return huffman._scan_ranks(huffman.codec_for(code), packed, n)
+
+
+def _kernel_scalar_oracle(code, values, n_lanes, stride):
+    """One v3 encoding of ``values`` read by the lane kernel, and each
+    of its lanes read by the scalar loop and by the oracle, as
+    symbol values."""
     enc = huffman.encode_lanes(values, code, n_lanes, stride)
-    kernel = code.symbols[fastdecode.decode_lanes(
+    kernel = fastdecode.decode_lanes(
         concat_streams(list(enc.lanes)), code, enc.table, values.size
-    )]
-    sizes = huffman.lane_sizes(values.size, n_lanes)
-    oracle = huffman._Decoder(code)
-    scalar = np.concatenate([
-        oracle.decode(lane, int(size))
-        for lane, size in zip(enc.lanes, sizes)
-    ])
-    return kernel, scalar
+    )
+    sizes = huffman.lane_sizes(values.size, n_lanes).tolist()
+    scalar, oracle = (
+        np.concatenate([decode(lane, code, size)
+                        for lane, size in zip(enc.lanes, sizes)])
+        for decode in (_scalar, decode_ranks_ref)
+    )
+    return tuple(code.symbols[ranks] for ranks in (kernel, scalar, oracle))
+
+
+def _assert_all_equal(outputs, values):
+    for out in outputs:
+        np.testing.assert_array_equal(out, values)
 
 
 class TestKernelMatchesScalar:
@@ -104,9 +124,9 @@ class TestKernelMatchesScalar:
         assert int(code.lengths.max()) == max_len
         n, n_lanes, stride = data.draw(layouts())
         values = _values(code, n, data.draw(st.integers(0, 2**32 - 1)))
-        kernel, scalar = _kernel_and_scalar(code, values, n_lanes, stride)
-        np.testing.assert_array_equal(kernel, scalar)
-        np.testing.assert_array_equal(kernel, values)
+        _assert_all_equal(
+            _kernel_scalar_oracle(code, values, n_lanes, stride), values
+        )
 
     @pytest.mark.parametrize("max_len", DEPTHS)
     @pytest.mark.parametrize(
@@ -124,18 +144,19 @@ class TestKernelMatchesScalar:
             list(range(1, max_len + 1)) + [max_len], seed=max_len
         )
         values = _values(code, n, seed=n)
-        kernel, scalar = _kernel_and_scalar(code, values, n_lanes, stride)
-        np.testing.assert_array_equal(kernel, scalar)
-        np.testing.assert_array_equal(kernel, values)
+        _assert_all_equal(
+            _kernel_scalar_oracle(code, values, n_lanes, stride), values
+        )
 
 
 def _routes(code, packed, n):
-    """Every way to read one stream: ``huffman.decode``, and the scalar
-    loop and the kernel route called directly."""
+    """Every way to read one stream: ``huffman.decode``, the scalar
+    loop and the kernel route called directly, and the oracle."""
     return (
         lambda: huffman.decode(packed, code, n),
-        lambda: huffman._Decoder(code).decode(packed, n),
+        lambda: code.symbols[_scalar(packed, code, n)],
         lambda: code.symbols[fastdecode.decode_stream(packed, code, n)],
+        lambda: code.symbols[decode_ranks_ref(packed, code, n)],
     )
 
 
@@ -199,18 +220,18 @@ class TestSingleStreamFailClosed:
         values = _values(code, n, seed=3)
         packed = huffman.encode(values, code)
         rounds, tails = [], []
-        real_run, real_scalar = fastdecode._run_past, huffman._Decoder.decode
+        real_run, real_scalar = fastdecode._run_past, huffman._scan_ranks
 
         def run_spy(*args):
             rounds.append(args[4].size)
             return real_run(*args)
 
-        def scalar_spy(self, packed, n_values, start=0):
+        def scalar_spy(codec, packed, n_values, start=0):
             tails.append((start, n_values))
-            return real_scalar(self, packed, n_values, start)
+            return real_scalar(codec, packed, n_values, start)
 
         monkeypatch.setattr(fastdecode, "_run_past", run_spy)
-        monkeypatch.setattr(huffman._Decoder, "decode", scalar_spy)
+        monkeypatch.setattr(huffman, "_scan_ranks", scalar_spy)
         np.testing.assert_array_equal(huffman.decode(packed, code, n), values)
         assert len(rounds) == fastdecode._SYNC_ROUNDS
         assert all(size > 1 for size in rounds)
@@ -251,7 +272,8 @@ class TestTableShape:
     @pytest.mark.parametrize("max_len", DEPTHS)
     def test_root_width_and_size_bound(self, max_len):
         code = _code_from_lengths(list(range(1, max_len + 1)) + [max_len])
-        tab, root_bits = huffman._Decoder(code).lane_table()
+        tab, root_bits, depth = huffman.CanonicalCodec(code).decode_table()
+        assert depth == max_len
         assert tab.dtype == np.int32
         assert root_bits == min(max_len, DEPTH_LIMIT_BITS)
         assert tab.size <= (1 << root_bits) + (1 << max_len)
@@ -274,7 +296,7 @@ class TestTableShape:
         assert code.n_symbols == 294_913
         tracemalloc.start()
         try:
-            tab, root_bits = huffman._Decoder(code).lane_table()
+            tab, root_bits, _ = huffman.CanonicalCodec(code).decode_table()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -285,10 +307,45 @@ class TestTableShape:
         rng = np.random.default_rng(0)
         values = rng.choice(code.symbols, size=3000)
         try:
-            kernel, scalar = _kernel_and_scalar(code, values, 3, 64)
+            outputs = _kernel_scalar_oracle(code, values, 3, 64)
         finally:
             huffman.codec_cache_clear()  # drop the cached 34 MB table
-        np.testing.assert_array_equal(kernel, scalar)
+        _assert_all_equal(outputs, values)
+
+    def test_hostile_tree_scalar_route_memory_is_one_table(self):
+        # One 1-bit code, 2 * (2^15 - 1) 17-bit codes, then 17..24, 24:
+        # 65,544 symbols with a Kraft sum of exactly 1.  Every prefix
+        # of the root's upper half links to a full 256-entry sub-table,
+        # a 33.8 MB table.  A short stream read through the scalar loop
+        # must cost about that one table, not a copy of it.
+        lengths = np.array(
+            [1] + [17] * (2 * (2**15 - 1)) + list(range(17, 25)) + [24],
+            dtype=np.uint8,
+        )
+        assert lengths.size == 65_544
+        assert (2.0 ** -lengths.astype(np.float64)).sum() == 1.0
+        code = huffman.codec_from_table(
+            np.arange(lengths.size, dtype=np.int64), lengths
+        ).code
+        assert len(huffman.serialize_tree(code)) > 130_000
+        values = np.random.default_rng(1).choice(code.symbols, size=200)
+        packed = huffman.encode(values, code)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = huffman.decode(packed, code, values.size)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            tab = huffman.codec_for(code).decode_table()[0]
+        finally:
+            tracemalloc.stop()
+            huffman.codec_cache_clear()  # drop the cached 34 MB table
+        assert tab.size == (1 << 16) + (1 << 15) * (1 << 8) == 8_454_144
+        assert peak <= 1.2 * tab.nbytes, peak / tab.nbytes
+        np.testing.assert_array_equal(out, values)
+        np.testing.assert_array_equal(
+            out, code.symbols[decode_ranks_ref(packed, code, values.size)]
+        )
 
 
 class TestKraftHoles:
@@ -318,8 +375,7 @@ class TestKraftHoles:
             data=codes[: len(enc.lanes[0].data)],
             n_bits=enc.lanes[0].n_bits,
         )
-        with pytest.raises(ValueError):
-            huffman.decode(lane0, code, values.size // 2)
+        _assert_rejected(code, lane0, values.size // 2)
 
     @pytest.mark.parametrize("n", [THRESHOLD - 1, THRESHOLD])
     @pytest.mark.parametrize("where", ["first", "middle"])
@@ -363,10 +419,12 @@ class TestKraftHoles:
         out = huffman.decode(packed, code, values.size)
         np.testing.assert_array_equal(out, values)
         assert frozen[0] > 0
+        for decode in _routes(code, packed, values.size):
+            np.testing.assert_array_equal(decode(), values)
 
     def test_holes_are_zero_at_both_levels(self):
         code = _code_from_lengths(self.LENGTHS, seed=5)
-        tab, root_bits = huffman._Decoder(code).lane_table()
+        tab, root_bits, _ = huffman.CanonicalCodec(code).decode_table()
         assert tab[0xFFFF] == 0
         link = -int(tab[0xFFFE])
         assert link >= 1 << root_bits
@@ -391,7 +449,17 @@ class TestKraftHoles:
         except ValueError:
             return
         assert out.shape == (n,) and out.dtype == np.int32
-        assert ((out >= 0) & (out < code.n_symbols)).all()
+        # Anchors pin every segment boundary, so a stream the kernel
+        # accepts is one that each lane's bit-serial decode accepts,
+        # with the same symbols.
+        oracle, offset = [], 0
+        for lane, size in zip(enc.lanes,
+                              huffman.lane_sizes(n, n_lanes).tolist()):
+            end = offset + len(lane.data)
+            flipped = PackedBits(bytes(codes[offset:end]), lane.n_bits)
+            oracle.append(decode_ranks_ref(flipped, code, size))
+            offset = end
+        np.testing.assert_array_equal(out, np.concatenate(oracle))
 
 
     @pytest.mark.parametrize("max_len", (6, 17, 24))
@@ -411,12 +479,12 @@ class TestKraftHoles:
             stream[pick % len(stream)] ^= 1 << (pick >> 20) % 8
         flipped = PackedBits(bytes(stream), packed.n_bits)
         outcomes = []
-        for decode in _routes(code, flipped, n)[1:]:
+        for decode in _routes(code, flipped, n):
             try:
                 outcomes.append(decode().tolist())
             except ValueError:
                 outcomes.append(None)
-        assert outcomes[0] == outcomes[1]
+        assert outcomes == [outcomes[-1]] * len(outcomes)
 
 
 def test_segment_layout_rejects_inconsistent_table():

@@ -98,3 +98,64 @@ class TestFileStream:
             with pytest.raises(ValueError, match="truncated"):
                 decompress_file(str(path), str(tmp_path / "o"),
                                 scheme="none")
+
+
+class TestNoPartialOutput:
+    """A failed decompress leaves no output file, and a file already at
+    the output path keeps its bytes."""
+
+    @staticmethod
+    def _truncated_secm(tmp_path):
+        field = np.arange(1024, dtype=np.float32).reshape(4, 16, 16)
+        raw = tmp_path / "field.bin"
+        field.tofile(raw)
+        secm = tmp_path / "field.secm"
+        assert compress_file(str(raw), str(secm), field.shape, slab_rows=1,
+                             scheme="none", error_bound=1e-3) == 4
+        cut = tmp_path / "cut.secm"
+        cut.write_bytes(secm.read_bytes()[:-10])
+        return str(cut)
+
+    def test_failed_decompress_leaves_no_output(self, tmp_path):
+        cut = self._truncated_secm(tmp_path)
+        out = tmp_path / "out.bin"
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(ValueError, match="truncated"):
+            decompress_file(cut, str(out), scheme="none")
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_failed_decompress_keeps_existing_output(self, tmp_path):
+        cut = self._truncated_secm(tmp_path)
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"previous result")
+        with pytest.raises(ValueError):
+            decompress_file(cut, str(out), scheme="none")
+        assert out.read_bytes() == b"previous result"
+
+    def test_failed_compress_keeps_existing_output(self, tmp_path,
+                                                  monkeypatch):
+        from repro.core.pipeline import SecureCompressor
+
+        real = SecureCompressor.compress
+        slabs = []
+
+        def fail_third_slab(self, data, **kwargs):
+            slabs.append(data.shape)
+            if len(slabs) == 3:
+                raise OSError("disk full")
+            return real(self, data, **kwargs)
+
+        monkeypatch.setattr(SecureCompressor, "compress", fail_third_slab)
+        raw = tmp_path / "field.bin"
+        np.zeros((4, 16, 16), dtype=np.float32).tofile(raw)
+        out = tmp_path / "out.secm"
+        out.write_bytes(b"previous result")
+        with pytest.raises(OSError, match="disk full"):
+            compress_file(str(raw), str(out), (4, 16, 16), slab_rows=1,
+                          scheme="none", error_bound=1e-3)
+        assert len(slabs) == 3
+        assert out.read_bytes() == b"previous result"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "field.bin", "out.secm"
+        ]
