@@ -44,7 +44,6 @@ from provenance import header
 from repro.core import trace
 from repro.core.pipeline import SecureCompressor
 from repro.crypto import batch, modes
-from repro.crypto.block import encrypt_block
 from repro.crypto.keyschedule import expand_key
 from repro.datasets import generate
 
@@ -81,7 +80,7 @@ def _padded_ciphertext(ek, iv: bytes, n_bytes: int) -> bytes:
         0, 256, n_bytes - 16, dtype=np.uint8).tobytes()
     prev = raw[-16:] if raw else iv
     last = bytes(a ^ b for a, b in zip(bytes(15) + b"\x01", prev))
-    return raw + encrypt_block(last, ek)
+    return raw + batch.encrypt_blocks(batch.to_blocks(last), ek).tobytes()
 
 
 def _is_batch_chain(ct: bytes, plaintext: bytes, ek, iv: bytes) -> bool:

@@ -65,9 +65,9 @@ def main() -> None:
 
     print(
         "\nEvery codec encrypted only its (deflated) Huffman tree — tens\n"
-        "of bytes to a few KiB — yet none of the three streams can be\n"
-        "decoded without the key: recovering Huffman-coded data without\n"
-        "its code table is NP-hard (paper Sec. IV-C)."
+        "of bytes to a few KiB. Recovering Huffman-coded data without\n"
+        "its code table is NP-hard in the worst case (paper Sec. IV-C);\n"
+        "a small alphabet leaves little to guess (docs/SECURITY.md)."
     )
 
 

@@ -40,9 +40,10 @@ def main() -> None:
     print(f"max abs error  : {err:.2e} (bound 1e-3 -> "
           f"{'OK' if err <= 1e-3 else 'VIOLATED'})")
 
-    # Without the key, the container is useless: the tree is ciphertext
-    # and recovering Huffman-coded data without its code table is
-    # NP-hard.
+    # Without the key, the wrong-key reader fails: the tree is
+    # ciphertext, and recovering Huffman-coded data without its code
+    # table is NP-hard in the worst case (not for tiny alphabets; see
+    # docs/SECURITY.md, limitation 2).
     thief = SecureCompressor(scheme="encr_huffman", error_bound=1e-3,
                              key=derive_key("wrong password"))
     try:

@@ -5,8 +5,8 @@ SP800-22 suite — the paper's Table VI experiment as a utility.
 A security office asks: "if this archive leaks, does it *look* like
 ciphertext?"  For Cmpr-Encr the answer is yes; for the white-box
 schemes the answer is deliberately no (they trade full-stream
-randomness for bandwidth, relying on the NP-hardness of decoding
-Huffman data without its tree).
+randomness for bandwidth, relying on the worst-case NP-hardness of
+decoding Huffman data without its tree).
 
 Run:  python examples/randomness_audit.py        (~1 minute)
 """

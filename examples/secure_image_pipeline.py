@@ -44,8 +44,8 @@ def main() -> None:
         f"\nencr_huffman encrypted only the token-tree section: "
         f"{result.encrypted_bytes} bytes "
         f"({stats.tree_fraction_of_quant:.1%} of the token stream), "
-        f"yet without it an attacker faces an NP-hard decoding problem "
-        f"for all {stats.n_tokens} tokens."
+        f"yet without it an attacker faces a decoding problem that is "
+        f"NP-hard in the worst case for all {stats.n_tokens} tokens."
     )
 
     thief = SecureImageCompressor("encr_huffman", quality=80,

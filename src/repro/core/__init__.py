@@ -11,7 +11,11 @@ Three strategies for combining SZ with AES-128-CBC (paper Sec. IV):
     unpredictable/regression side channels stay plaintext.
 ``encr_huffman``
     White-box, light-weight: only the serialized Huffman tree is
-    encrypted; without it, recovering the codeword stream is NP-hard.
+    encrypted; without it, recovering the codeword stream is NP-hard
+    in the worst case.  A small alphabet hides little: at bound 1e-2
+    the qi and cloudf48 stand-ins compress to a one-symbol code, which
+    leaves at most log2(2·radius) bits to guess (docs/SECURITY.md,
+    limitation 2).
 ``none``
     Plain SZ, the no-encryption baseline every overhead table
     normalizes against.

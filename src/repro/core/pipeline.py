@@ -32,8 +32,10 @@ class CompressResult:
         The inner compressor's statistics (predictable fraction,
         section sizes — Figs. 2–4).
     encrypted_bytes:
-        How many plaintext bytes went through AES (Sec. V-D's
-        encryption-effort comparison).
+        Bytes of the frame sections whose content the scheme encrypts
+        (Sec. V-D's encryption-effort comparison;
+        :meth:`~repro.core.schemes.Scheme.encrypted_bytes`).  Not the
+        AES input: Cmpr-Encr and Encr-Huffman encrypt a zlib output.
     scheme:
         Registry name of the scheme used.
     """

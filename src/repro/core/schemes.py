@@ -1,5 +1,5 @@
 """The three combination strategies (paper Sec. IV) plus the plain-SZ
-baseline, all sharing one section-level code path.
+baseline: five rows of one :class:`Scheme`, run by one code path.
 
 A scheme is a pair of byte-level transforms between an
 :class:`~repro.sz.compressor.SZFrame`'s sections and the container's
@@ -16,12 +16,15 @@ The placement differences are exactly the paper's Figure 1 dashed
 lines: Cmpr-Encr encrypts *after* the lossless stage, the two
 white-box schemes encrypt *before* it, which is why Encr-Quant's
 randomized quantization array hurts the zlib pass while Encr-Huffman's
-tiny randomized tree barely registers.
+tiny randomized tree barely registers.  So a row says only where AES
+sits: which sections it seals before zlib (``sealed``), whether they
+are deflated first (``deflate_sealed``), and whether it runs over the
+zlib output (``encrypt_outer``).
 """
 
 from __future__ import annotations
 
-import abc
+from dataclasses import dataclass
 
 from repro.core import container as cont
 from repro.core import trace
@@ -29,21 +32,87 @@ from repro.crypto.aes import AES128
 from repro.sz import lossless
 from repro.sz.compressor import SECTION_ORDER
 
-__all__ = ["Scheme", "SCHEMES", "get_scheme", "NoEncryption", "CmprEncr",
-           "EncrQuant", "EncrHuffman"]
+__all__ = ["Scheme", "SCHEMES", "get_scheme"]
 
 
-class Scheme(abc.ABC):
-    """A secure-compression strategy over frame sections."""
+def _take(sections: dict[str, bytes], name: str) -> bytes:
+    """Fetch a section an attacker-controlled container must carry.
+
+    A corrupted section *name* parses fine but leaves the expected key
+    absent; that must surface as the parse-failure ValueError the
+    fuzzing contract promises, not a KeyError.
+    """
+    try:
+        return sections[name]
+    except KeyError:
+        raise ValueError(
+            f"container is missing required section {name!r}"
+        ) from None
+
+
+def _deflate(tr: trace.Tracer, data: bytes) -> bytes:
+    with tr.span("lossless", bytes_in=len(data)) as sp:
+        out = lossless.compress(data)
+        sp.bytes_out = len(out)
+    return out
+
+
+def _inflate(tr: trace.Tracer, data: bytes) -> bytes:
+    with tr.span("lossless", bytes_in=len(data)) as sp:
+        out = lossless.decompress(data)
+        sp.bytes_out = len(out)
+    return out
+
+
+def _encrypt(tr: trace.Tracer, cipher: AES128, data: bytes, iv: bytes,
+             mode: str) -> bytes:
+    with tr.span("encrypt", bytes_in=len(data), mode=mode) as sp:
+        out = cipher.encrypt(data, mode=mode, iv=iv).ciphertext
+        sp.bytes_out = len(out)
+    return out
+
+
+def _decrypt(tr: trace.Tracer, cipher: AES128, data: bytes, iv: bytes,
+             mode: str) -> bytes:
+    with tr.span("decrypt", bytes_in=len(data), mode=mode) as sp:
+        out = cipher.decrypt(data, iv, mode=mode)
+        sp.bytes_out = len(out)
+    return out
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """A secure-compression strategy over frame sections.
+
+    ``protect`` encrypts the ``sealed`` frame sections (deflated first
+    if ``deflate_sealed``; several are framed with
+    :func:`~repro.core.container.pack_sections`, one goes as is), packs
+    the ciphertext as ``cipher`` followed by the rest of
+    :data:`~repro.sz.compressor.SECTION_ORDER`, runs zlib over that,
+    and runs AES over the zlib output if ``encrypt_outer``.
+    """
 
     #: Registry name (also the CLI name).
     name: str
     #: Wire id stored in the container header.
     scheme_id: int
-    #: False only for the plain-SZ baseline.
-    requires_key: bool = True
+    #: Frame sections encrypted before the zlib pass.
+    sealed: tuple[str, ...] = ()
+    #: Deflate the sealed bytes before encrypting them.
+    deflate_sealed: bool = False
+    #: Encrypt the whole zlib output (the container holds ``cipher``,
+    #: not ``zblob``).
+    encrypt_outer: bool = False
 
-    @abc.abstractmethod
+    @property
+    def requires_key(self) -> bool:
+        """Whether the row encrypts anything (False only for ``none``)."""
+        return bool(self.sealed) or self.encrypt_outer
+
+    def _check_key(self, cipher: AES128 | None) -> None:
+        if cipher is None and self.requires_key:
+            raise ValueError("this scheme requires an AES key")
+
     def protect(
         self,
         frame_sections: dict[str, bytes],
@@ -57,8 +126,26 @@ class Scheme(abc.ABC):
         ``tracer`` records one stage span per ``lossless`` /
         ``encrypt`` pass.
         """
+        tr = tracer or trace.NULL_TRACER
+        self._check_key(cipher)
+        outer = {}
+        if self.sealed:
+            if len(self.sealed) == 1:
+                inner = frame_sections[self.sealed[0]]
+            else:
+                inner = cont.pack_sections(
+                    {k: frame_sections[k] for k in self.sealed}
+                )
+            if self.deflate_sealed:
+                inner = _deflate(tr, inner)
+            outer["cipher"] = _encrypt(tr, cipher, inner, iv, mode)
+        outer.update({k: frame_sections[k] for k in SECTION_ORDER
+                      if k not in self.sealed})
+        z = _deflate(tr, cont.pack_sections(outer))
+        if self.encrypt_outer:
+            return {"cipher": _encrypt(tr, cipher, z, iv, mode)}
+        return {"zblob": z}
 
-    @abc.abstractmethod
     def unprotect(
         self,
         sections: dict[str, bytes],
@@ -68,272 +155,86 @@ class Scheme(abc.ABC):
         tracer: trace.Tracer | None = None,
     ) -> dict[str, bytes]:
         """Invert :meth:`protect` back to frame sections."""
+        tr = tracer or trace.NULL_TRACER
+        self._check_key(cipher)
+        if self.encrypt_outer:
+            z = _decrypt(tr, cipher, _take(sections, "cipher"), iv, mode)
+        else:
+            z = _take(sections, "zblob")
+        outer = cont.unpack_sections(_inflate(tr, z))
+        if not self.sealed:
+            return outer
+        inner = _decrypt(tr, cipher, _take(outer, "cipher"), iv, mode)
+        if self.deflate_sealed:
+            inner = _inflate(tr, inner)
+        if len(self.sealed) == 1:
+            frame_sections = {self.sealed[0]: inner}
+        else:
+            frame_sections = cont.unpack_sections(inner)
+        frame_sections.update({k: _take(outer, k) for k in SECTION_ORDER
+                               if k not in self.sealed})
+        return frame_sections
 
     def encrypted_bytes(self, frame_sections: dict[str, bytes]) -> int:
-        """Plaintext byte count this scheme would feed to AES.
+        """Frame-section bytes whose content this scheme encrypts.
 
         Used by the bandwidth analysis (paper Sec. V-D compares the 8.8
         MB Encr-Quant encrypts against Cmpr-Encr's 5.3 MB compressed
-        stream for CLOUDf48).  For ``cmpr_encr`` this is an upper bound
-        (pre-zlib size); the post-zlib number is in the result stats.
+        stream for CLOUDf48); for Encr-Huffman it is Fig. 4's "size of
+        the Huffman tree".  It is not the AES input: Cmpr-Encr
+        encrypts the zlib output of these sections, Encr-Huffman the
+        deflated tree, Encr-Quant the sections in their
+        ``pack_sections`` framing.  A traced compress's ``encrypt``
+        spans record the AES input as ``bytes_in``.
         """
-        return 0
-
-    # -- shared helpers -------------------------------------------------
-
-    @staticmethod
-    def _check_cipher(cipher: AES128 | None) -> AES128:
-        if cipher is None:
-            raise ValueError("this scheme requires an AES key")
-        return cipher
-
-    @staticmethod
-    def _frame_blob(frame_sections: dict[str, bytes]) -> bytes:
-        ordered = {k: frame_sections[k] for k in SECTION_ORDER}
-        return cont.pack_sections(ordered)
-
-    @staticmethod
-    def _take(sections: dict[str, bytes], name: str) -> bytes:
-        """Fetch a section an attacker-controlled container must carry.
-
-        A corrupted section *name* parses fine but leaves the expected
-        key absent; that must surface as the parse-failure ValueError
-        the fuzzing contract promises, not a KeyError.
-        """
-        try:
-            return sections[name]
-        except KeyError:
-            raise ValueError(
-                f"container is missing required section {name!r}"
-            ) from None
-
-
-class NoEncryption(Scheme):
-    """Plain SZ — the normalization baseline of every table."""
-
-    name = "none"
-    scheme_id = 0
-    requires_key = False
-
-    def protect(self, frame_sections, cipher, iv, mode, tracer=None):
-        tr = tracer or trace.NULL_TRACER
-        blob = self._frame_blob(frame_sections)
-        with tr.span("lossless", bytes_in=len(blob)) as sp:
-            z = lossless.compress(blob)
-            sp.bytes_out = len(z)
-        return {"zblob": z}
-
-    def unprotect(self, sections, cipher, iv, mode, tracer=None):
-        tr = tracer or trace.NULL_TRACER
-        z = self._take(sections, "zblob")
-        with tr.span("lossless", bytes_in=len(z)) as sp:
-            blob = lossless.decompress(z)
-            sp.bytes_out = len(blob)
-        return cont.unpack_sections(blob)
-
-
-class CmprEncr(Scheme):
-    """Black-box compress-then-encrypt (paper Sec. IV-A).
-
-    The whole zlib output is ciphertext, so the stream passes every
-    randomness test — at the price of encrypting the *largest* possible
-    buffer, which dominates overhead on hard-to-compress data.
-    """
-
-    name = "cmpr_encr"
-    scheme_id = 1
-
-    def protect(self, frame_sections, cipher, iv, mode, tracer=None):
-        tr = tracer or trace.NULL_TRACER
-        cipher = self._check_cipher(cipher)
-        blob = self._frame_blob(frame_sections)
-        with tr.span("lossless", bytes_in=len(blob)) as sp:
-            z = lossless.compress(blob)
-            sp.bytes_out = len(z)
-        with tr.span("encrypt", bytes_in=len(z), mode=mode) as sp:
-            ct = cipher.encrypt(z, mode=mode, iv=iv).ciphertext
-            sp.bytes_out = len(ct)
-        return {"cipher": ct}
-
-    def unprotect(self, sections, cipher, iv, mode, tracer=None):
-        tr = tracer or trace.NULL_TRACER
-        cipher = self._check_cipher(cipher)
-        ct = self._take(sections, "cipher")
-        with tr.span("decrypt", bytes_in=len(ct), mode=mode) as sp:
-            z = cipher.decrypt(ct, iv, mode=mode)
-            sp.bytes_out = len(z)
-        with tr.span("lossless", bytes_in=len(z)) as sp:
-            blob = lossless.decompress(z)
-            sp.bytes_out = len(blob)
-        return cont.unpack_sections(blob)
-
-    def encrypted_bytes(self, frame_sections):
-        # Pre-zlib upper bound; see the docstring on the base class.
-        return sum(len(frame_sections[k]) for k in SECTION_ORDER)
-
-
-class EncrQuant(Scheme):
-    """Encrypt the quantization array before the lossless pass
-    (paper Sec. IV-B).
-
-    "We decided to encrypt the quantization array, which includes the
-    Huffman tree, Huffman codewords and other metadata before lossless
-    compression."  The AES-randomized bytes then flow *into* zlib,
-    which is exactly why this scheme can collapse the compression
-    ratio of highly-compressible datasets (paper Fig. 5).
-
-    For multi-lane (frame v3) streams the ``tree`` section also
-    carries the lane/anchor table, so the decode entry points are
-    encrypted together with the tree and codewords — an attacker
-    cannot even segment the ciphertext into lanes.
-    """
-
-    name = "encr_quant"
-    scheme_id = 2
-
-    _ENCRYPTED = ("meta", "tree", "codes")
-    _PLAIN = ("unpred", "coeffs", "exact", "aux")
-
-    def protect(self, frame_sections, cipher, iv, mode, tracer=None):
-        tr = tracer or trace.NULL_TRACER
-        cipher = self._check_cipher(cipher)
-        quant_blob = cont.pack_sections(
-            {k: frame_sections[k] for k in self._ENCRYPTED}
-        )
-        with tr.span("encrypt", bytes_in=len(quant_blob), mode=mode) as sp:
-            ct = cipher.encrypt(quant_blob, mode=mode, iv=iv).ciphertext
-            sp.bytes_out = len(ct)
-        outer = {"cipher": ct}
-        outer.update({k: frame_sections[k] for k in self._PLAIN})
-        packed = cont.pack_sections(outer)
-        with tr.span("lossless", bytes_in=len(packed)) as sp:
-            z = lossless.compress(packed)
-            sp.bytes_out = len(z)
-        return {"zblob": z}
-
-    def unprotect(self, sections, cipher, iv, mode, tracer=None):
-        tr = tracer or trace.NULL_TRACER
-        cipher = self._check_cipher(cipher)
-        z = self._take(sections, "zblob")
-        with tr.span("lossless", bytes_in=len(z)) as sp:
-            blob = lossless.decompress(z)
-            sp.bytes_out = len(blob)
-        outer = cont.unpack_sections(blob)
-        ct = self._take(outer, "cipher")
-        with tr.span("decrypt", bytes_in=len(ct), mode=mode) as sp:
-            quant_blob = cipher.decrypt(ct, iv, mode=mode)
-            sp.bytes_out = len(quant_blob)
-        frame_sections = cont.unpack_sections(quant_blob)
-        frame_sections.update(
-            {k: self._take(outer, k) for k in self._PLAIN}
-        )
-        return frame_sections
-
-    def encrypted_bytes(self, frame_sections):
-        return sum(len(frame_sections[k]) for k in self._ENCRYPTED)
-
-
-class EncrHuffman(Scheme):
-    """Encrypt only the serialized Huffman tree (paper Sec. IV-C).
-
-    Without the tree, inverting the codeword stream is NP-hard
-    (refs [56], [57]), so this keys the whole quantization array while
-    encrypting at most a few percent of it (paper Fig. 4) — the
-    light-weight scheme the paper recommends.
-
-    For multi-lane (frame v3) streams the ``tree`` section is the
-    lane/anchor table *followed by* the serialized code table
-    (:func:`repro.sz.huffman.serialize_lane_tree`), so encrypting the
-    section keeps both secret: the security argument is unchanged, and
-    the lane boundaries/anchors leak nothing in the clear.
-    """
-
-    name = "encr_huffman"
-    scheme_id = 3
-
-    _PLAIN = ("meta", "codes", "unpred", "coeffs", "exact", "aux")
-    #: Deflate the tree before encrypting it (False only for
-    #: :class:`EncrHuffmanRaw`).
-    _DEFLATE_TREE = True
-
-    def protect(self, frame_sections, cipher, iv, mode, tracer=None):
-        cipher = self._check_cipher(cipher)
-        # Deflate the tree *before* encrypting it: ciphertext is
-        # incompressible, so encrypting the raw serialization would
-        # charge the final zlib pass for every byte of the tree.  At
-        # the paper's 100-500 MB scale the tree is a negligible stream
-        # fraction either way; at this repo's scaled-down sizes the
-        # pre-compression is what preserves the paper's ">99 % of the
-        # original CR" observation (see DESIGN.md §5).
-        tr = tracer or trace.NULL_TRACER
-        tree = frame_sections["tree"]
-        if self._DEFLATE_TREE:
-            with tr.span("lossless", bytes_in=len(tree)) as sp:
-                tree = lossless.compress(tree)
-                sp.bytes_out = len(tree)
-        with tr.span("encrypt", bytes_in=len(tree), mode=mode) as sp:
-            ct = cipher.encrypt(tree, mode=mode, iv=iv).ciphertext
-            sp.bytes_out = len(ct)
-        outer = {"cipher": ct}
-        outer.update({k: frame_sections[k] for k in self._PLAIN})
-        packed = cont.pack_sections(outer)
-        with tr.span("lossless", bytes_in=len(packed)) as sp:
-            z = lossless.compress(packed)
-            sp.bytes_out = len(z)
-        return {"zblob": z}
-
-    def unprotect(self, sections, cipher, iv, mode, tracer=None):
-        tr = tracer or trace.NULL_TRACER
-        cipher = self._check_cipher(cipher)
-        z = self._take(sections, "zblob")
-        with tr.span("lossless", bytes_in=len(z)) as sp:
-            blob = lossless.decompress(z)
-            sp.bytes_out = len(blob)
-        outer = cont.unpack_sections(blob)
-        ct = self._take(outer, "cipher")
-        with tr.span("decrypt", bytes_in=len(ct), mode=mode) as sp:
-            tree = cipher.decrypt(ct, iv, mode=mode)
-            sp.bytes_out = len(tree)
-        if self._DEFLATE_TREE:
-            with tr.span("lossless", bytes_in=len(tree)) as sp:
-                tree = lossless.decompress(tree)
-                sp.bytes_out = len(tree)
-        frame_sections = {k: self._take(outer, k) for k in self._PLAIN}
-        frame_sections["tree"] = tree
-        return frame_sections
-
-    def encrypted_bytes(self, frame_sections):
-        # The deflated tree is what AES sees; report the pre-deflate
-        # size as the conservative upper bound (matches Fig. 4's
-        # "size of the Huffman tree" accounting).
-        return len(frame_sections["tree"])
-
-
-class EncrHuffmanRaw(EncrHuffman):
-    """Encr-Huffman exactly as Algorithm 1 writes it: the *raw*
-    serialized tree goes straight to AES, with no pre-deflate.
-
-    At the paper's data scale the tree is a negligible stream fraction
-    and this variant behaves identically to :class:`EncrHuffman`; at
-    this repo's scaled-down sizes it trades a few percent of CR for
-    the paper's "zlib runs faster over the ciphertext tree" effect.
-    The tree-deflate ablation benchmark quantifies both.
-    """
-
-    name = "encr_huffman_raw"
-    scheme_id = 4
-    _DEFLATE_TREE = False
+        names = SECTION_ORDER if self.encrypt_outer else self.sealed
+        return sum(len(frame_sections[k]) for k in names)
 
 
 #: Registry, paper order (plus the raw-tree ablation variant).
 SCHEMES: dict[str, Scheme] = {
     s.name: s
     for s in (
-        NoEncryption(),
-        CmprEncr(),
-        EncrQuant(),
-        EncrHuffman(),
-        EncrHuffmanRaw(),
+        # Plain SZ: the normalization baseline of every table.
+        Scheme("none", 0),
+        # Black-box compress-then-encrypt (Sec. IV-A).  The whole zlib
+        # output is ciphertext, so the stream passes every randomness
+        # test, at the price of encrypting the *largest* possible
+        # buffer, which dominates overhead on hard-to-compress data.
+        Scheme("cmpr_encr", 1, encrypt_outer=True),
+        # Encrypt the quantization array (Huffman tree, codewords and
+        # metadata) before the lossless pass (Sec. IV-B).  The
+        # AES-randomized bytes flow *into* zlib, which is why this
+        # scheme can collapse the CR of highly-compressible data
+        # (Fig. 5).  In a multi-lane (frame v3) stream ``tree`` also
+        # carries the lane/anchor table, so an attacker cannot even
+        # segment the ciphertext into lanes.
+        Scheme("encr_quant", 2, sealed=("meta", "tree", "codes")),
+        # Encrypt only the serialized Huffman tree (Sec. IV-C), the
+        # light-weight scheme the paper recommends: it encrypts at most
+        # a few percent of the quantization array (Fig. 4).  Decoding
+        # ``codes`` without the tree is NP-hard only in the worst case
+        # (refs [56], [57]).  A small alphabet leaves little to guess:
+        # at bound 1e-2 the qi and cloudf48 stand-ins code with one
+        # symbol, and with ``meta`` in the clear that leaves at most
+        # log2(2·radius) <= 16 bits (docs/SECURITY.md limitation 2).
+        # In a v3 frame ``tree`` is the lane/anchor table followed by
+        # the code table (:func:`repro.sz.huffman.serialize_lane_tree`),
+        # so the lane boundaries and anchors are sealed too.  The tree
+        # is deflated *before* it is encrypted: ciphertext is
+        # incompressible, so encrypting the raw serialization would
+        # charge the final zlib pass for every byte of the tree.  At
+        # the paper's 100-500 MB scale the tree is a negligible stream
+        # fraction either way; at this repo's scaled-down sizes the
+        # pre-deflate is what keeps the paper's ">99 % of the original
+        # CR" (DESIGN.md §5).
+        Scheme("encr_huffman", 3, sealed=("tree",), deflate_sealed=True),
+        # Encr-Huffman exactly as Algorithm 1 writes it: the raw tree
+        # goes straight to AES.  It trades a few percent of CR at this
+        # repo's sizes for the paper's "zlib runs faster over the
+        # ciphertext tree" effect; the tree-deflate ablation benchmark
+        # quantifies both.
+        Scheme("encr_huffman_raw", 4, sealed=("tree",)),
     )
 }
 

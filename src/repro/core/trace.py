@@ -64,6 +64,7 @@ __all__ = [
     "count",
     "count_many",
     "counters_snapshot",
+    "thread_count",
     "reset_counters",
 ]
 
@@ -111,12 +112,16 @@ _JSON_SCALARS = (str, int, float, bool, type(None))
 
 _counters: dict[str, int] = {}
 _counters_lock = threading.Lock()
+#: Each thread's own running totals, in its ``__dict__`` (no lock).
+_thread_tally = threading.local()
 
 
 def count(name: str, n: int = 1) -> None:
     """Add ``n`` to the process-wide counter ``name`` (thread-safe)."""
     with _counters_lock:
         _counters[name] = _counters.get(name, 0) + int(n)
+    tally = _thread_tally.__dict__
+    tally[name] = tally.get(name, 0) + int(n)
 
 
 def count_many(increments: dict[str, int]) -> None:
@@ -124,6 +129,19 @@ def count_many(increments: dict[str, int]) -> None:
     with _counters_lock:
         for name, n in increments.items():
             _counters[name] = _counters.get(name, 0) + int(n)
+    tally = _thread_tally.__dict__
+    for name, n in increments.items():
+        tally[name] = tally.get(name, 0) + int(n)
+
+
+def thread_count(name: str) -> int:
+    """What the calling thread alone has added to counter ``name``.
+
+    A running total that :func:`reset_counters` leaves alone: diff it
+    around a call to credit that call with its own thread's counts,
+    which the process-wide counters mix with every other thread's.
+    """
+    return _thread_tally.__dict__.get(name, 0)
 
 
 def counters_snapshot() -> dict[str, int]:

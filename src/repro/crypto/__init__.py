@@ -17,9 +17,8 @@ Layout
     FIPS-197 key expansion for AES-128, plus the InvMixColumns'd round
     keys of the equivalent inverse cipher (FIPS-197 §5.3.5).
 ``block``
-    Scalar single-block cipher (T-table encryption path plus a
-    plain state-matrix implementation of both directions); the oracle
-    the batched engine is tested against.
+    The scalar CBC chain kernel on T-tables (CBC encryption, which
+    must run block by block).
 ``batch``
     NumPy-vectorized ECB engine on ``(4, n) uint32`` column words: each
     round is two gathers from paired 16-bit T-tables over the whole

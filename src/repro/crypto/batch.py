@@ -8,7 +8,7 @@ FIPS-197) of every block, so each row is one contiguous array and the
 per-round Python overhead is paid 10 times per batch, not per block.
 
 Rounds 1-9 are the T-table rounds of :func:`repro.crypto.block.
-encrypt_block` with the four byte lookups fused pairwise:
+cbc_encrypt_words` with the four byte lookups fused pairwise:
 ``T01[b0 << 8 | b1] == T0[b0] ^ T1[b1]`` and ``T23`` likewise
 (:mod:`repro.crypto.sbox`), so one round is two ``np.take`` gathers
 over the whole batch.  Their 16-bit indices come from masking the
@@ -22,8 +22,8 @@ input size; callers with long inputs run it over bounded windows
 (``modes.CTR_SEGMENT_BLOCKS`` blocks), which also keeps the working
 set in cache.  Table lookups are not constant-time (docs/SECURITY.md).
 
-The batch engine and the scalar engine in :mod:`repro.crypto.block`
-are cross-checked against each other and against FIPS-197 / SP 800-38A
+The batch engine is cross-checked against the scalar one-block
+oracles in ``tests/oracles.py`` and against FIPS-197 / SP 800-38A
 vectors in the test suite.
 """
 

@@ -1,20 +1,15 @@
-"""Scalar AES-128 block cipher.
+"""Scalar AES-128 block cipher: the CBC chain kernel.
 
-Two implementations live here:
-
-* :func:`cbc_encrypt_words` — the CBC chain kernel on the classic
-  four-T-table formulation.  Each round of the cipher collapses into
-  16 table lookups and 20 XORs on 32-bit column words, which is the
-  fastest thing pure Python can do per block.  CBC *encryption* must
-  run block-by-block (ciphertext chaining), so this loop is the
-  paper's Algorithm-1 path: it takes a window of plaintext words,
-  keeps the chain value in four ints and packs the ciphertext once.
-  :func:`encrypt_block` is its one-block call on a zero chain, so there
-  is one scalar forward cipher.
-* :func:`decrypt_block` — a plain state-matrix inverse cipher.  Bulk
-  decryption goes through the vectorized :mod:`repro.crypto.batch`
-  engine instead; this scalar version exists for small inputs and for
-  cross-checking the batch engine in tests.
+:func:`cbc_encrypt_words` runs the classic four-T-table formulation.
+Each round of the cipher collapses into 16 table lookups and 20 XORs
+on 32-bit column words, which is the fastest thing pure Python can do
+per block.  CBC *encryption* must run block-by-block (ciphertext
+chaining), so this loop is the paper's Algorithm-1 path: it takes a
+window of plaintext words, keeps the chain value in four ints and
+packs the ciphertext once.  Everything else (CBC decryption, CTR)
+runs on the vectorized :mod:`repro.crypto.batch` engine; the scalar
+one-block oracles both engines are tested against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,26 +17,13 @@ from __future__ import annotations
 import struct
 
 from repro.crypto.keyschedule import ROUNDS, ExpandedKey
-from repro.crypto.sbox import (
-    INV_SBOX,
-    INV_SHIFT_ROWS,
-    MUL9,
-    MUL11,
-    MUL13,
-    MUL14,
-    SBOX,
-    T0,
-    T1,
-    T2,
-    T3,
-)
+from repro.crypto.sbox import SBOX, T0, T1, T2, T3
 
-__all__ = ["cbc_encrypt_words", "encrypt_block", "decrypt_block", "BLOCK_BYTES"]
+__all__ = ["cbc_encrypt_words", "BLOCK_BYTES"]
 
 BLOCK_BYTES = 16
 #: One block as four big-endian column words (FIPS-197 ``w[i]`` order).
 _BLOCK_WORDS = struct.Struct(">4I")
-_ZERO_CHAIN = bytes(BLOCK_BYTES)
 
 
 def cbc_encrypt_words(words: list[int], key: ExpandedKey, chain: bytes) -> bytes:
@@ -96,48 +78,3 @@ def cbc_encrypt_words(words: list[int], key: ExpandedKey, chain: bytes) -> bytes
         ) ^ f3
         words[4 * i : 4 * i + 4] = c0, c1, c2, c3
     return struct.pack(f">{len(words)}I", *words)
-
-
-def encrypt_block(block: bytes, key: ExpandedKey) -> bytes:
-    """Encrypt one 16-byte block: the chain kernel on a zero chain."""
-    if len(block) != BLOCK_BYTES:
-        raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
-    return cbc_encrypt_words(list(_BLOCK_WORDS.unpack(block)), key, _ZERO_CHAIN)
-
-
-def _add_round_key(state: list[int], key: ExpandedKey, r: int) -> None:
-    rk = key.round_keys[r]
-    for i in range(BLOCK_BYTES):
-        state[i] ^= rk[i]
-
-
-def _inv_shift_rows(state: list[int]) -> list[int]:
-    return [state[INV_SHIFT_ROWS[i]] for i in range(BLOCK_BYTES)]
-
-
-def _inv_mix_columns(state: list[int]) -> list[int]:
-    out = [0] * BLOCK_BYTES
-    for c in range(4):
-        s0, s1, s2, s3 = state[4 * c : 4 * c + 4]
-        out[4 * c + 0] = MUL14[s0] ^ MUL11[s1] ^ MUL13[s2] ^ MUL9[s3]
-        out[4 * c + 1] = MUL9[s0] ^ MUL14[s1] ^ MUL11[s2] ^ MUL13[s3]
-        out[4 * c + 2] = MUL13[s0] ^ MUL9[s1] ^ MUL14[s2] ^ MUL11[s3]
-        out[4 * c + 3] = MUL11[s0] ^ MUL13[s1] ^ MUL9[s2] ^ MUL14[s3]
-    return out
-
-
-def decrypt_block(block: bytes, key: ExpandedKey) -> bytes:
-    """Decrypt one 16-byte block (straight inverse cipher, FIPS-197 5.3)."""
-    if len(block) != BLOCK_BYTES:
-        raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
-    state = list(block)
-    _add_round_key(state, key, ROUNDS)
-    for r in range(ROUNDS - 1, 0, -1):
-        state = _inv_shift_rows(state)
-        state = [INV_SBOX[b] for b in state]
-        _add_round_key(state, key, r)
-        state = _inv_mix_columns(state)
-    state = _inv_shift_rows(state)
-    state = [INV_SBOX[b] for b in state]
-    _add_round_key(state, key, 0)
-    return bytes(state)

@@ -129,7 +129,7 @@ def _build_t_tables() -> tuple[tuple[int, ...], ...]:
     T0[x] packs the MixColumns column produced by an S-boxed byte in
     row 0: (2·S[x], S[x], S[x], 3·S[x]) big-endian; T1..T3 are byte
     rotations of T0.  One AES round for an output column then collapses
-    to four table lookups and four XORs (see ``block.encrypt_block``).
+    to four table lookups and four XORs (see ``block.cbc_encrypt_words``).
     """
     t0 = []
     for x in range(256):
@@ -168,12 +168,6 @@ def _build_inv_mix_tables() -> tuple[tuple[int, ...], ...]:
 #: schedule and the inverse T-tables of the batched engine derive from
 #: them.
 IMC0, IMC1, IMC2, IMC3 = _build_inv_mix_tables()
-
-#: ShiftRows as a flat-index permutation: ``out[i] = state[SHIFT_ROWS[i]]``
-#: for the FIPS column-major byte layout (state[r][c] == flat[r + 4c]).
-SHIFT_ROWS = tuple((i % 4) + 4 * (((i // 4) + (i % 4)) % 4) for i in range(16))
-#: Inverse permutation for InvShiftRows.
-INV_SHIFT_ROWS = tuple(SHIFT_ROWS.index(i) for i in range(16))
 
 
 def _pair_table(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ run — no imports are executed; resolution is purely syntactic:
 * every ``def`` (module-level or method) becomes a
   :class:`FunctionInfo` keyed by its dotted qualname
   (``repro.sz.huffman.deserialize_tree``,
-  ``repro.core.schemes.EncrHuffman.unprotect``);
+  ``repro.core.schemes.Scheme.unprotect``);
 * calls are resolved through the file's import aliases
   (``from repro.sz import huffman as h; h.decode`` →
   ``repro.sz.huffman.decode``), module-level names, ``self.``/``cls.``
@@ -246,7 +246,7 @@ class CallGraph:
         if candidate in self.classes:
             return self.classes[candidate].methods.get("__init__")
         # One more hop: "mod.Class.method" written through an alias of
-        # the *package* ("schemes.EncrHuffman.unprotect").
+        # the *package* ("schemes.Scheme.unprotect").
         resolved_cls = self._resolve_class(module, candidate.rsplit(".", 1)[0])
         if resolved_cls is not None:
             return self.method_resolution(

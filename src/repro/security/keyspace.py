@@ -102,10 +102,17 @@ def huffman_tree_guess_space(n_symbols: int, max_len: int = 24) -> float:
     """log2 of a loose lower bound on the Huffman-tree search space.
 
     Recovering Huffman-coded data without the code table is NP-hard
-    (paper refs [56], [57]); this gives the log2 count of distinct
-    length-limited canonical codes an attacker would have to consider
-    (#compositions of symbols into length classes), as a rough
-    quantitative companion to the hardness claim.
+    in the worst case (paper refs [56], [57]); this gives the log2
+    count of distinct length-limited canonical codes an attacker would
+    have to consider (#compositions of symbols into length classes),
+    as a rough quantitative companion to the hardness claim.  It is
+    not a bound on a given stream's security.  It falls with the
+    alphabet (1 symbol: 4.6 bits; under 128 bits below 435 symbols),
+    and with ``meta`` in the clear a one-symbol code (qi and cloudf48
+    at bound 1e-2) leaves at most log2(2·radius) ≤ 16 bits.  Nor does
+    an attacker with same-class public data need to search: a
+    surrogate tree from another seed decoded 10 of 30 stand-in cells
+    to the whole field (docs/SECURITY.md, limitation 2).
     """
     if n_symbols < 1:
         raise ValueError("need at least one symbol")

@@ -24,7 +24,9 @@ every compatible job it managed to drain from the queue and the batch
 compresses back to back on one warm compressor.  Each field whose
 canonical codec is served from the process-wide cache counts one
 ``service.batch_reuse_hits`` — the daemon's measurable win over
-one-shot calls.
+one-shot calls.  The hit is read from the compressing thread's own
+tally (:func:`repro.core.trace.thread_count`), so a hit on another
+worker thread is never credited to this job.
 """
 
 from __future__ import annotations
@@ -138,13 +140,11 @@ class CompressorPool:
         results = []
         sc = self.compressor_for(items[0].scheme, items[0].eb)
         for item in items:
-            hits_before = trace.counters_snapshot().get(
-                "huffman.codec_cache_hits", 0
-            )
+            # This thread's own lookups only: another worker's hit in
+            # the meantime is that worker's job's.
+            hits_before = trace.thread_count("huffman.codec_cache_hits")
             container = sc.compress(item.field).container
-            if trace.counters_snapshot().get(
-                "huffman.codec_cache_hits", 0
-            ) > hits_before:
+            if trace.thread_count("huffman.codec_cache_hits") > hits_before:
                 trace.count("service.batch_reuse_hits")
             with self._stats_lock:
                 self.jobs_compressed += 1

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import trace
-from repro.core.schemes import SCHEMES, get_scheme
+from repro.core.schemes import get_scheme
 from repro.service import jobs as jobstates
 from repro.service import protocol
 from repro.service.jobs import Job, JobQueue
@@ -48,8 +48,6 @@ __all__ = ["ServiceConfig", "CompressionService", "STAT_SCHEMA"]
 
 #: Schema identifier stamped into every STAT response document.
 STAT_SCHEMA = "secp-stat/1"
-
-_SCHEME_BY_ID = {scheme.scheme_id: name for name, scheme in SCHEMES.items()}
 
 
 @dataclass(frozen=True)
@@ -300,14 +298,13 @@ class CompressionService:
             )
             return
         scheme_id = spec["scheme_id"]
-        if scheme_id == protocol.SCHEME_DEFAULT:
-            scheme_name = None
-        elif scheme_id in _SCHEME_BY_ID:
-            scheme_name = _SCHEME_BY_ID[scheme_id]
-        else:
+        try:
+            scheme_name = (None if scheme_id == protocol.SCHEME_DEFAULT
+                           else get_scheme(scheme_id).name)
+        except ValueError as exc:
             await protocol.write_frame(
                 writer, frame.verb, status=protocol.ERR_PAYLOAD,
-                payload=f"unknown scheme id {scheme_id}".encode(),
+                payload=str(exc).encode(),
             )
             return
         scheme, eb = self.pool.resolve(scheme_name, spec["eb"])

@@ -23,7 +23,6 @@ from repro.core import trace
 __all__ = [
     "PackedBits",
     "pack_codes",
-    "unpack_bits",
     "concat_streams",
     "lane_byte_lengths",
     "sliding_window_u32",
@@ -218,14 +217,6 @@ def _scatter_or_sorted(
     run_last = np.concatenate([run_ends, [targets.size - 1]])
     sums = np.diff(csum[run_last], prepend=np.uint64(0))
     words[targets[run_last]] |= sums
-
-
-def unpack_bits(packed: PackedBits) -> np.ndarray:
-    """Expand a :class:`PackedBits` back into a 0/1 ``uint8`` array."""
-    if packed.n_bits == 0:
-        return np.empty(0, dtype=np.uint8)
-    bits = np.unpackbits(np.frombuffer(packed.data, dtype=np.uint8))
-    return bits[: packed.n_bits]
 
 
 def lane_byte_lengths(lane_bits: np.ndarray) -> np.ndarray:

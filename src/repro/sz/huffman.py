@@ -3,9 +3,12 @@
 This stage produces the two byte sections at the heart of the paper:
 
 * the **serialized tree** — what *Encr-Huffman* encrypts.  Recovering
-  Huffman-coded data without the code table is NP-hard (paper Sec. IV-C,
-  refs [56], [57]), so encrypting only this small section already keys
-  the whole quantization array.
+  Huffman-coded data without the code table is NP-hard in the worst
+  case (paper Sec. IV-C, refs [56], [57]), so encrypting only this
+  small section keys the whole quantization array when the alphabet
+  is large.  A small one hides little: the qi and cloudf48 stand-ins
+  at bound 1e-2 code with one symbol (a 7-byte tree), q2 with three
+  (docs/SECURITY.md, limitation 2).
 * the **codeword bitstream** — together with the tree it forms the
   "quantization array" that *Encr-Quant* encrypts.
 

@@ -18,9 +18,6 @@ def _max_err(a, b):
 class _EncryptsTwice(schemes.Scheme):
     """A scheme that breaks the nonce rule: two sections, one nonce."""
 
-    name = "encrypts_twice"
-    scheme_id = 250
-
     def protect(self, frame_sections, cipher, iv, mode, tracer=None):
         return {
             name: cipher.encrypt(
@@ -128,7 +125,7 @@ class TestCtrNonceReuseGuard:
         # one-shot view of the cipher, so a second encryption under
         # the compress's nonce fails and no container comes back.
         monkeypatch.setitem(schemes.SCHEMES, "encrypts_twice",
-                            _EncryptsTwice())
+                            _EncryptsTwice("encrypts_twice", 250))
         sc = SecureCompressor("encrypts_twice", 1e-3, key=key,
                               cipher_mode="ctr")
         with pytest.raises(RuntimeError, match="already consumed"):

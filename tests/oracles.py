@@ -1,9 +1,11 @@
-"""Reference implementations the fast paths of ``repro.sz`` replaced.
+"""Reference implementations the fast paths of ``repro.sz`` and
+``repro.crypto`` replaced.
 
 Each function here is the original, simpler code a faster one took
 over from, kept outside ``src/`` as a differential-test oracle: the
-``tests/sz/*_diff.py`` suites and ``benchmarks/bench_huffman_lanes.py``
-demand exact equality with it.  None of it runs on a production path.
+``tests/sz/*_diff.py`` and ``tests/crypto`` suites and
+``benchmarks/bench_huffman_lanes.py`` demand exact equality with it.
+None of it runs on a production path.
 
 * :func:`huffman_lengths_ref` — the heapq tree build
   (``huffman._huffman_lengths`` is the two-queue build);
@@ -15,15 +17,24 @@ demand exact equality with it.  None of it runs on a production path.
 * :func:`residuals_from_codes`, :func:`lorenzo_reconstruct`,
   :func:`mean_reconstruct` and :func:`decompress_ref` — the whole-array
   SZ reader (``SZCompressor.decompress`` is the slab-wise one,
-  ``predictors.reconstruct``).
+  ``predictors.reconstruct``);
+* :func:`unpack_bits` — a packed stream as one byte per bit;
+* :func:`encrypt_block` and :func:`decrypt_block` — one AES-128 block
+  each way: the CBC chain kernel on a zero chain, and the plain
+  state-matrix inverse cipher of FIPS-197 5.3 (CBC decryption and CTR
+  run on the batched engine, ``repro.crypto.batch``).
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
 
 import numpy as np
 
+from repro.crypto.block import BLOCK_BYTES, cbc_encrypt_words
+from repro.crypto.keyschedule import ROUNDS, ExpandedKey
+from repro.crypto.sbox import INV_SBOX, MUL9, MUL11, MUL13, MUL14
 from repro.sz import compressor as szc
 from repro.sz import fastdecode, huffman, ieee754, intcodec, predictors, quantizer
 from repro.sz.bitstream import PackedBits, _check_code_table
@@ -37,6 +48,11 @@ __all__ = [
     "mean_reconstruct",
     "decode_codes_ref",
     "decompress_ref",
+    "unpack_bits",
+    "SHIFT_ROWS",
+    "INV_SHIFT_ROWS",
+    "encrypt_block",
+    "decrypt_block",
 ]
 
 
@@ -238,3 +254,64 @@ def decompress_ref(frame: szc.SZFrame) -> np.ndarray:
     if info["pw_rel"]:
         out = szc._pwrel_inverse(out, frame.sections["aux"], info["dtype"])
     return out
+
+
+def unpack_bits(packed: PackedBits) -> np.ndarray:
+    """Expand a :class:`PackedBits` back into a 0/1 ``uint8`` array."""
+    if packed.n_bits == 0:
+        return np.empty(0, dtype=np.uint8)
+    bits = np.unpackbits(np.frombuffer(packed.data, dtype=np.uint8))
+    return bits[: packed.n_bits]
+
+
+#: ShiftRows as a flat-index permutation: ``out[i] = state[SHIFT_ROWS[i]]``
+#: for the FIPS column-major byte layout (state[r][c] == flat[r + 4c]).
+SHIFT_ROWS = tuple((i % 4) + 4 * (((i // 4) + (i % 4)) % 4) for i in range(16))
+#: Inverse permutation for InvShiftRows.
+INV_SHIFT_ROWS = tuple(SHIFT_ROWS.index(i) for i in range(16))
+
+
+def encrypt_block(block: bytes, key: ExpandedKey) -> bytes:
+    """Encrypt one 16-byte block: the chain kernel on a zero chain."""
+    if len(block) != BLOCK_BYTES:
+        raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
+    return cbc_encrypt_words(list(struct.unpack(">4I", block)), key,
+                             bytes(BLOCK_BYTES))
+
+
+def _add_round_key(state: list[int], key: ExpandedKey, r: int) -> None:
+    rk = key.round_keys[r]
+    for i in range(BLOCK_BYTES):
+        state[i] ^= rk[i]
+
+
+def _inv_shift_rows(state: list[int]) -> list[int]:
+    return [state[INV_SHIFT_ROWS[i]] for i in range(BLOCK_BYTES)]
+
+
+def _inv_mix_columns(state: list[int]) -> list[int]:
+    out = [0] * BLOCK_BYTES
+    for c in range(4):
+        s0, s1, s2, s3 = state[4 * c : 4 * c + 4]
+        out[4 * c + 0] = MUL14[s0] ^ MUL11[s1] ^ MUL13[s2] ^ MUL9[s3]
+        out[4 * c + 1] = MUL9[s0] ^ MUL14[s1] ^ MUL11[s2] ^ MUL13[s3]
+        out[4 * c + 2] = MUL13[s0] ^ MUL9[s1] ^ MUL14[s2] ^ MUL11[s3]
+        out[4 * c + 3] = MUL11[s0] ^ MUL13[s1] ^ MUL9[s2] ^ MUL14[s3]
+    return out
+
+
+def decrypt_block(block: bytes, key: ExpandedKey) -> bytes:
+    """Decrypt one 16-byte block (straight inverse cipher, FIPS-197 5.3)."""
+    if len(block) != BLOCK_BYTES:
+        raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
+    state = list(block)
+    _add_round_key(state, key, ROUNDS)
+    for r in range(ROUNDS - 1, 0, -1):
+        state = _inv_shift_rows(state)
+        state = [INV_SBOX[b] for b in state]
+        _add_round_key(state, key, r)
+        state = _inv_mix_columns(state)
+    state = _inv_shift_rows(state)
+    state = [INV_SBOX[b] for b in state]
+    _add_round_key(state, key, 0)
+    return bytes(state)

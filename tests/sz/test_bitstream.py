@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sz.bitstream import PackedBits, pack_codes, unpack_bits
+from repro.sz.bitstream import PackedBits, pack_codes
+from tests.oracles import unpack_bits
 
 
 class TestPackCodes:

@@ -40,9 +40,11 @@ GOLDEN = {
     "cmpr_encr": "fbd5f077f2e64de09086f69a218575a5aba394a42b1b6c20e7a1245000b44186",
     "encr_quant": "76daac4a28c44fd553c25ae378093924c01db0d760033b1c996866d980ed2768",
     "encr_huffman": "7756ef88aa7abb42d73186f6ba4cdcacc10bd25b5d58570182ca01b39a4b097d",
+    "encr_huffman_raw": "d9cad882ff72a1bda03ff597236ca313a7020d609ca850ae647d41257b5e9100",
     "ctr:cmpr_encr": "c5b517971d0999d4af7dcb38dc3faa08f0a842b2e9c27739a4468e4acbe8a52c",
     "ctr:encr_quant": "4ca752fa1ac5b8175ff0d1ccc0c4846355b4be6bc152234bc163c79df1a9637e",
     "ctr:encr_huffman": "08df1304d3e01dabbf4477659db361bf2e0b9cbc96186ea8640bd2ca137734dd",
+    "ctr:encr_huffman_raw": "cd2f41fdd6a8655bc15bac077c8f74dacb7d94429875ee33cc21e92167bfb896",
     "section:meta": "d9e5455248ea886e83f3905ff6df41a1ed7d4229560f03a3d88feeb7a6f6765a",
     "section:tree": "bf2b2cd9704e1ad88546bbe244680c8f61ae09811b37718d0db324496c1bb2b5",
     "section:codes": "6fad7bfe1771cda737f157da1f566e0764784de818fc57d01a79af76b822ab66",
@@ -79,7 +81,7 @@ def reference_data():
 
 
 @pytest.mark.parametrize("scheme", ["none", "cmpr_encr", "encr_quant",
-                                    "encr_huffman"])
+                                    "encr_huffman", "encr_huffman_raw"])
 def test_container_digest_stable(scheme, reference_data):
     sc = SecureCompressor(
         scheme, 1e-4, key=KEY, random_state=np.random.default_rng(42)
@@ -93,7 +95,7 @@ def test_container_digest_stable(scheme, reference_data):
 
 
 @pytest.mark.parametrize("scheme", ["cmpr_encr", "encr_quant",
-                                    "encr_huffman"])
+                                    "encr_huffman", "encr_huffman_raw"])
 def test_ctr_container_digest_stable(scheme, reference_data):
     """Pin CTR frames too: the keystream is a pure function of (key,
     nonce, counter), so a seeded nonce fixes every ciphertext byte."""
@@ -153,8 +155,9 @@ def _decoded_digest(out: np.ndarray) -> str:
 
 
 @pytest.mark.parametrize("golden", [
-    "none", "cmpr_encr", "encr_quant", "encr_huffman",
+    "none", "cmpr_encr", "encr_quant", "encr_huffman", "encr_huffman_raw",
     "ctr:cmpr_encr", "ctr:encr_quant", "ctr:encr_huffman",
+    "ctr:encr_huffman_raw",
 ])
 def test_golden_container_decodes_to_pinned_field(golden, reference_data):
     """Each GOLDEN container (CBC and CTR) decodes to the pinned field
