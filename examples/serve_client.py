@@ -2,8 +2,8 @@
 """Round-trip the ``secz serve`` daemon with the SECP client.
 
 Boots an in-process daemon on a unix socket (the same code path
-``secz serve`` runs), submits a batch of statistically similar fields,
-waits for the containers, verifies a decompression round trip against
+``secz serve`` runs), submits statistically similar fields one job
+each, waits for the containers, verifies a decompression round trip against
 the error bound, and prints the STAT document — the codec-cache hit
 rate shows the daemon's warm-state win over one-shot CLI calls.
 

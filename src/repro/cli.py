@@ -273,11 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--queue-limit", type=int, default=256,
                      help="max queued jobs before SUBMIT gets "
                           "ERR_QUEUE_FULL (default 256)")
-    p_s.add_argument("--batch-limit", type=int, default=8,
-                     help="max jobs one worker drains into a single "
-                          "warm-codec batch (default 8)")
     p_s.add_argument("--job-timeout", type=float, default=None,
-                     help="seconds before a running batch is failed")
+                     help="seconds before a running job is failed")
     p_s.add_argument("--seed", type=int, default=None,
                      help="seed the IV stream for reproducible containers "
                           "(CBC only; one shared compressor per config)")
@@ -477,7 +474,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cipher_mode=args.mode,
         workers=args.workers,
         queue_limit=args.queue_limit,
-        batch_limit=args.batch_limit,
         job_timeout=args.job_timeout,
         seed=args.seed,
     )

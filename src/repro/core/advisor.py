@@ -5,7 +5,9 @@ with the dataset's properties and requires cautious selection", while
 Encr-Huffman is broadly safe and Cmpr-Encr buys full-stream randomness
 at bandwidth cost.  This module operationalizes that guidance: given a
 (sampled) trial compression of the data, it scores each scheme against
-the user's stated requirements and explains the choice.
+the user's stated requirements and explains the choice.  Encr-Huffman
+hides only the code table, so a small trial alphabet rules it out
+(docs/SECURITY.md, limitation 2).
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ import numpy as np
 
 from repro.sz.compressor import SZCompressor
 
-__all__ = ["SchemeRecommendation", "recommend_scheme"]
+__all__ = ["SchemeRecommendation", "recommend_scheme", "MIN_TREE_GUESS_BITS"]
+
+#: Below this many bits of Huffman-tree guess space, hiding the tree is
+#: not worth calling encryption: the AES-128 key's own strength.
+MIN_TREE_GUESS_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -61,12 +67,22 @@ def recommend_scheme(
 
     * full-stream randomness required → ``cmpr_encr`` (only scheme that
       passes all NIST tests unconditionally);
+    * a trial alphabet whose tree guess space
+      (:func:`~repro.security.keyspace.huffman_tree_guess_space`) is
+      under :data:`MIN_TREE_GUESS_BITS` (under 435 symbols) →
+      ``cmpr_encr``: the hidden tree leaves too little to guess (qi and
+      cloudf48 at bound 1e-2 code with one symbol, 4.6 bits);
     * highly predictable data + strict ratio → ``encr_huffman``
       (Encr-Quant cratered QI/Q2 to 5–20 % of the original CR);
     * mostly-unpredictable data (Nyx-like) → the three schemes cost
       about the same; ``encr_huffman`` still wins slightly on time;
     * otherwise → ``encr_huffman`` (the paper's overall recommendation).
     """
+    # Imported here, not at module level: the ``repro.security`` package
+    # loads scipy.stats for its NIST suite, which would add about a
+    # second to every ``import repro``.
+    from repro.security.keyspace import huffman_tree_guess_space
+
     sample = np.ravel(data)
     if sample.size > sample_elements:
         sample = sample[:: sample.size // sample_elements]
@@ -77,12 +93,22 @@ def recommend_scheme(
     quant_fraction = (
         stats.quant_array_bytes / frame.payload_bytes if frame.payload_bytes else 0.0
     )
+    guess_bits = huffman_tree_guess_space(stats.n_symbols)
 
     reasons: list[str] = []
     if require_full_randomness:
         reasons.append(
             "full-stream randomness required: only Cmpr-Encr passes all "
             "NIST SP800-22 tests regardless of data (paper Sec. V-F)"
+        )
+        scheme = "cmpr_encr"
+    elif guess_bits < MIN_TREE_GUESS_BITS:
+        reasons.append(
+            f"the trial code has {stats.n_symbols} symbol(s): hiding its "
+            f"Huffman tree leaves {guess_bits:.1f} bits to guess, under "
+            f"{MIN_TREE_GUESS_BITS}, so Encr-Huffman hides little; "
+            "Cmpr-Encr encrypts the whole stream (docs/SECURITY.md, "
+            "limitation 2)"
         )
         scheme = "cmpr_encr"
     elif stats.predictable_fraction > 0.95 and ratio_critical:

@@ -65,7 +65,6 @@ __all__ = [
     "count_many",
     "counters_snapshot",
     "thread_count",
-    "reset_counters",
 ]
 
 #: Schema identifier stamped into every exported trace document.
@@ -137,9 +136,9 @@ def count_many(increments: dict[str, int]) -> None:
 def thread_count(name: str) -> int:
     """What the calling thread alone has added to counter ``name``.
 
-    A running total that :func:`reset_counters` leaves alone: diff it
-    around a call to credit that call with its own thread's counts,
-    which the process-wide counters mix with every other thread's.
+    A running total: diff it around a call to credit that call with its
+    own thread's counts, which the process-wide counters mix with every
+    other thread's.
     """
     return _thread_tally.__dict__.get(name, 0)
 
@@ -148,12 +147,6 @@ def counters_snapshot() -> dict[str, int]:
     """A copy of every process-wide counter's current value."""
     with _counters_lock:
         return dict(_counters)
-
-
-def reset_counters() -> None:
-    """Zero every process-wide counter (tests and long-lived services)."""
-    with _counters_lock:
-        _counters.clear()
 
 
 # ----------------------------------------------------------------------

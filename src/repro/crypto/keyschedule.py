@@ -1,11 +1,11 @@
 """FIPS-197 key expansion for AES-128.
 
 The 16-byte cipher key is expanded to 44 32-bit words (11 round keys).
-The schedule is exposed in three forms so every execution engine can
+The schedule is exposed in two forms so every execution engine can
 consume it without re-deriving anything:
 
-* ``words``      — 44 ints, the raw FIPS-197 ``w[i]`` array,
-* ``round_keys`` — 11 × 16 ``bytes`` objects (scalar path),
+* ``words``      — 44 ints, the raw FIPS-197 ``w[i]`` array; round key
+  ``r`` is ``words[4r:4r+4]``,
 * ``dec_words``  — 44 ints, the FIPS-197 §5.3.5 ``dw[i]`` array of the
   equivalent inverse cipher (batched decryption).
 
@@ -48,20 +48,11 @@ class ExpandedKey:
     """An AES-128 key schedule in all the layouts the engines need."""
 
     words: tuple[int, ...] = field(repr=False)
-    round_keys: tuple[bytes, ...] = field(repr=False, default=())
     dec_words: tuple[int, ...] = field(repr=False, default=())
 
     def __post_init__(self) -> None:
         if len(self.words) != WORDS:
             raise ValueError(f"expected {WORDS} schedule words, got {len(self.words)}")
-        if not self.round_keys:
-            rks = []
-            for r in range(ROUNDS + 1):
-                chunk = b"".join(
-                    w.to_bytes(4, "big") for w in self.words[4 * r : 4 * r + 4]
-                )
-                rks.append(chunk)
-            object.__setattr__(self, "round_keys", tuple(rks))
         if not self.dec_words:
             # dw = w for the first and last round keys; rounds 1-9 get
             # InvMixColumns so the inverse rounds keep the T-table shape.

@@ -8,8 +8,8 @@ The package splits the daemon along its natural seams:
   priority queue.
 * :mod:`repro.service.store` — the sqlite durability layer (payloads,
   results, restart/resume).
-* :mod:`repro.service.pool` — the warm compressor pool and the
-  ``compress_many`` batcher.
+* :mod:`repro.service.pool` — the warm compressor pool that runs each
+  job's compress.
 * :mod:`repro.service.server` — the asyncio daemon tying them together.
 * :mod:`repro.service.client` — the blocking client used by examples,
   tests, and the README quickstart.

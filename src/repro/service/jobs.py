@@ -71,7 +71,7 @@ class Job:
     """In-memory view of one submitted job (payload lives in the store).
 
     ``done_event`` fires on entry into any terminal state — WAIT verbs
-    and the drain logic block on it.  ``owner`` is an opaque connection
+    block on it.  ``owner`` is an opaque connection
     token for non-detached jobs (a disconnect cancels them while they
     are still cancellable).
     """
@@ -134,14 +134,6 @@ class JobQueue:
     async def get(self) -> bytes:
         """Dequeue the next job id (lowest priority value first)."""
         _, _, job_id = await self._queue.get()
-        return job_id
-
-    def get_nowait(self) -> bytes | None:
-        """Dequeue without blocking; ``None`` when the queue is empty."""
-        try:
-            _, _, job_id = self._queue.get_nowait()
-        except asyncio.QueueEmpty:
-            return None
         return job_id
 
     def qsize(self) -> int:

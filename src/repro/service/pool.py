@@ -1,4 +1,4 @@
-"""Shared compressor pool and the ``compress_many`` batcher.
+"""Shared compressor pool: one job, one compress, on warm state.
 
 A one-shot ``secz compress`` pays its setup every call: AES key
 expansion, predictor selection, and a cold canonical-codec cache.  The
@@ -19,13 +19,11 @@ IV comes from OS entropy, and a compress keeps its working state in
 locals, not on the compressor.  A seeded pool's one IV stream is a sequence, so its
 callers serialize jobs (``secz serve --workers 1``).
 
-:meth:`CompressorPool.compress_many` is the batcher: a worker hands it
-every compatible job it managed to drain from the queue and the batch
-compresses back to back on one warm compressor.  Each field whose
-canonical codec is served from the process-wide cache counts one
-``service.batch_reuse_hits`` — the daemon's measurable win over
-one-shot calls.  The hit is read from the compressing thread's own
-tally (:func:`repro.core.trace.thread_count`), so a hit on another
+:meth:`CompressorPool.compress` runs one job on an executor thread.  A
+job whose canonical codec is served from the process-wide cache counts
+one ``service.batch_reuse_hits`` — the warm daemon's measurable win
+over one-shot calls.  The hit is read from the compressing thread's
+own tally (:func:`repro.core.trace.thread_count`), so a hit on another
 worker thread is never credited to this job.
 """
 
@@ -40,30 +38,7 @@ from repro.core.pipeline import SecureCompressor
 from repro.core.protect import Sealer
 from repro.sz import huffman
 
-__all__ = ["CompressorPool", "BatchItem", "BatchResult"]
-
-
-class BatchItem:
-    """One job's compression input, as the worker hands it over."""
-
-    __slots__ = ("job_id", "field", "scheme", "eb")
-
-    def __init__(self, job_id: bytes, field: np.ndarray, scheme: str,
-                 eb: float) -> None:
-        self.job_id = job_id
-        self.field = field
-        self.scheme = scheme
-        self.eb = eb
-
-
-class BatchResult:
-    """One job's compression output."""
-
-    __slots__ = ("job_id", "container")
-
-    def __init__(self, job_id: bytes, container: bytes) -> None:
-        self.job_id = job_id
-        self.container = container
+__all__ = ["CompressorPool"]
 
 
 class CompressorPool:
@@ -127,29 +102,21 @@ class CompressorPool:
         """Apply server policy: fall back to the configured defaults."""
         return (scheme or self.scheme, eb if eb > 0.0 else self.error_bound)
 
-    # -- the batcher ---------------------------------------------------
+    # -- one job -------------------------------------------------------
 
-    def compress_many(self, items: list[BatchItem]) -> list[BatchResult]:
-        """Compress a drained batch back to back on warm state.
-
-        All items must share one ``(scheme, eb)`` — the worker groups
-        before calling.  Runs on an executor thread.
-        """
-        if not items:
-            return []
-        results = []
-        sc = self.compressor_for(items[0].scheme, items[0].eb)
-        for item in items:
-            # This thread's own lookups only: another worker's hit in
-            # the meantime is that worker's job's.
-            hits_before = trace.thread_count("huffman.codec_cache_hits")
-            container = sc.compress(item.field).container
-            if trace.thread_count("huffman.codec_cache_hits") > hits_before:
-                trace.count("service.batch_reuse_hits")
-            with self._stats_lock:
-                self.jobs_compressed += 1
-            results.append(BatchResult(item.job_id, container))
-        return results
+    def compress(self, field: np.ndarray, scheme: str, eb: float) -> bytes:
+        """One job's container, from the warm compressor for
+        ``(scheme, eb)``.  Runs on an executor thread."""
+        sc = self.compressor_for(scheme, eb)
+        # This thread's own lookups only: another worker's hit in the
+        # meantime is that worker's job's.
+        hits_before = trace.thread_count("huffman.codec_cache_hits")
+        container = sc.compress(field).container
+        if trace.thread_count("huffman.codec_cache_hits") > hits_before:
+            trace.count("service.batch_reuse_hits")
+        with self._stats_lock:
+            self.jobs_compressed += 1
+        return container
 
     # -- observability -------------------------------------------------
 

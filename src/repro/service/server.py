@@ -3,8 +3,8 @@
 One event loop owns everything except the compression itself: a
 stream server (unix socket or TCP) parses SECP frames and routes
 verbs, a bounded :class:`~repro.service.jobs.JobQueue` orders work by
-priority, ``workers`` asyncio tasks pull jobs, drain compatible
-neighbors into batches, and run them on a thread-pool executor through
+priority, and ``workers`` asyncio tasks each take one job at a time
+and run its compress as one call on a thread-pool executor through
 the shared :class:`~repro.service.pool.CompressorPool`.  The sqlite
 :class:`~repro.service.store.JobStore` is written before a SUBMIT is
 acknowledged, so every accepted job survives a crash, a SIGTERM, or a
@@ -41,7 +41,7 @@ from repro.core.schemes import get_scheme
 from repro.service import jobs as jobstates
 from repro.service import protocol
 from repro.service.jobs import Job, JobQueue
-from repro.service.pool import BatchItem, CompressorPool
+from repro.service.pool import CompressorPool
 from repro.service.store import JobStore
 
 __all__ = ["ServiceConfig", "CompressionService", "STAT_SCHEMA"]
@@ -59,8 +59,8 @@ class ServiceConfig:
     policy (the per-job override exists for mixed workloads).  ``seed``
     makes IVs deterministic for reproducible experiments (use with
     ``workers=1``); seeded CTR is refused at construction.
-    ``job_timeout`` bounds one *batch* of jobs on the executor;
-    timed-out jobs fail, their executor thread is left to finish
+    ``job_timeout`` bounds one job's compress on the executor; a
+    timed-out job fails, its executor thread is left to finish
     cooperatively (pure-Python compression cannot be killed mid-kernel)
     and its result is discarded.
     """
@@ -71,7 +71,6 @@ class ServiceConfig:
     cipher_mode: str = "cbc"
     workers: int = 2
     queue_limit: int = 256
-    batch_limit: int = 8
     job_timeout: float | None = None
     max_payload: int = 64 * 1024 * 1024
     seed: int | None = None
@@ -89,8 +88,6 @@ class CompressionService:
     ) -> None:
         if config.workers < 0:
             raise ValueError("workers must be >= 0")
-        if config.batch_limit < 1:
-            raise ValueError("batch_limit must be positive")
         self.config = config
         # The pool first: it checks the policy (scheme, key, cipher
         # mode, seeded CTR), so a refused one creates no store.
@@ -107,7 +104,7 @@ class CompressionService:
         self._executor: ThreadPoolExecutor | None = None
         self._server: asyncio.base_events.Server | None = None
         self._workers: list[asyncio.Task] = []
-        self._running_batches = 0
+        self._running_jobs = 0
         self._stopping = asyncio.Event()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._started_at = 0.0
@@ -173,9 +170,9 @@ class CompressionService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Let running batches reach a terminal state; queued jobs are
+        # Let running jobs reach a terminal state; queued jobs are
         # already persisted as `queued` and will resume on restart.
-        while self._running_batches > 0:
+        while self._running_jobs > 0:
             await asyncio.sleep(0.01)
         for task in self._workers:
             task.cancel()
@@ -447,81 +444,55 @@ class CompressionService:
 
     async def _worker(self, index: int) -> None:
         while True:
-            job_id = await self.queue.get()
-            job = self.jobs.get(job_id)
-            if job is None or job.state != jobstates.QUEUED:
-                continue  # cancelled while queued; the row is terminal
-            batch = [job]
-            while len(batch) < self.config.batch_limit:
-                extra_id = self.queue.get_nowait()
-                if extra_id is None:
-                    break
-                extra = self.jobs.get(extra_id)
-                if extra is None or extra.state != jobstates.QUEUED:
-                    continue
-                if (extra.scheme, extra.eb) != (job.scheme, job.eb):
-                    # Not batchable with this group; run it next round.
-                    self.queue.put_nowait(extra)
-                    break
-                batch.append(extra)
-            await self._run_batch(batch)
+            job = self.jobs.get(await self.queue.get())
+            # A job cancelled while queued left its id behind; its row
+            # is already terminal.
+            if job is not None and job.state == jobstates.QUEUED:
+                await self._run_job(job)
 
-    async def _run_batch(self, batch: list[Job]) -> None:
-        items = []
-        now = time.time()
-        for job in batch:
-            payload = self.store.payload(job.job_id)
-            job.started_at = now
-            job.transition(jobstates.RUNNING)
-            self.store.mark_running(job)
-            trace.count(
-                "service.queue_wait_ms",
-                max(1, round((job.started_at - job.submitted_at) * 1e3)),
-            )
-            if payload is None:
-                self._finish_job(job, jobstates.FAILED, None,
-                                 "payload missing from store")
-                continue
-            dtype = np.float32 if job.dtype == "float32" else np.float64
-            field = np.frombuffer(payload, dtype=dtype).reshape(job.shape)
-            items.append(BatchItem(job.job_id, field, job.scheme, job.eb))
-        if not items:
+    async def _run_job(self, job: Job) -> None:
+        payload = self.store.payload(job.job_id)
+        job.started_at = time.time()
+        job.transition(jobstates.RUNNING)
+        self.store.mark_running(job)
+        trace.count(
+            "service.queue_wait_ms",
+            max(1, round((job.started_at - job.submitted_at) * 1e3)),
+        )
+        if payload is None:
+            self._finish_job(job, jobstates.FAILED, None,
+                             "payload missing from store")
             return
-        live = {job.job_id: job for job in batch if not job.terminal}
-        self._running_batches += 1
+        dtype = np.float32 if job.dtype == "float32" else np.float64
+        field = np.frombuffer(payload, dtype=dtype).reshape(job.shape)
+        self._running_jobs += 1
         try:
             future = asyncio.get_running_loop().run_in_executor(
-                self._executor, self.pool.compress_many, items
+                self._executor, self.pool.compress, field, job.scheme, job.eb
             )
             if self.config.job_timeout is not None:
-                results = await asyncio.wait_for(
+                container = await asyncio.wait_for(
                     asyncio.shield(future), self.config.job_timeout
                 )
             else:
-                results = await future
+                container = await future
         except asyncio.TimeoutError:
-            for job in live.values():
-                self._finish_job(
-                    job, jobstates.FAILED, None,
-                    f"job timed out after {self.config.job_timeout}s",
-                )
+            self._finish_job(
+                job, jobstates.FAILED, None,
+                f"job timed out after {self.config.job_timeout}s",
+            )
             return
-        except Exception as exc:  # compression errors fail the batch
-            for job in live.values():
-                self._finish_job(job, jobstates.FAILED, None,
-                                 f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # a compression error fails this job
+            self._finish_job(job, jobstates.FAILED, None,
+                             f"{type(exc).__name__}: {exc}")
             return
         finally:
-            self._running_batches -= 1
-        for result in results:
-            job = live.get(result.job_id)
-            if job is None:
-                continue
-            if job.cancel_requested:
-                self._finish_job(job, jobstates.CANCELLED, None,
-                                 "cancelled while running")
-            else:
-                self._finish_job(job, jobstates.DONE, result.container, "")
+            self._running_jobs -= 1
+        if job.cancel_requested:
+            self._finish_job(job, jobstates.CANCELLED, None,
+                             "cancelled while running")
+        else:
+            self._finish_job(job, jobstates.DONE, container, "")
 
     def _finish_job(
         self,

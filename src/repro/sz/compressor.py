@@ -85,6 +85,8 @@ class CompressionStats:
     #: Points stored verbatim because no grid value meets the bound in
     #: the output dtype (nonzero only when eb is below the data's ulp).
     exact_count: int = 0
+    #: Distinct quantization codes, i.e. the Huffman alphabet size.
+    n_symbols: int = 0
 
     @property
     def predictable_count(self) -> int:
@@ -250,7 +252,8 @@ class SZCompressor:
                 flat_codes = np.ravel(codes)
                 symbols, counts = quantizer.code_histogram(flat_codes)
                 code = huffman.build_code(symbols, counts)
-                sp.annotate(n_symbols=int(symbols.size))
+                n_symbols = int(symbols.size)
+                sp.annotate(n_symbols=n_symbols)
 
             with tr.span("huffman_encode") as sp:
                 total_bits = int(
@@ -334,6 +337,7 @@ class SZCompressor:
             unpredictable_count=int(unpred_mask.sum()),
             section_bytes={k: len(v) for k, v in sections.items()},
             exact_count=int(exact_idx.size),
+            n_symbols=n_symbols,
         )
         return SZFrame(sections=sections, stats=stats)
 
@@ -482,14 +486,17 @@ class SZCompressor:
                     sentinel=int(zero[0]) if zero.size else None,
                     unpredictable=unpred, model=model,
                 )
+                exact_idx, exact_vals = _unpack_exact(
+                    frame.sections["exact"], work_dtype
+                )
+                if exact_idx.size:
+                    if int(exact_idx.max()) >= out.size:
+                        raise ValueError("exact channel index out of range")
+                    out.reshape(-1)[exact_idx] = exact_vals
+                if info["pw_rel"]:
+                    out = _pwrel_inverse(out, frame.sections["aux"],
+                                         info["dtype"])
             dz_span.bytes_out = out.nbytes
-        exact_idx, exact_vals = _unpack_exact(frame.sections["exact"], work_dtype)
-        if exact_idx.size:
-            if int(exact_idx.max()) >= out.size:
-                raise ValueError("exact channel index out of range")
-            out.reshape(-1)[exact_idx] = exact_vals
-        if info["pw_rel"]:
-            out = _pwrel_inverse(out, frame.sections["aux"], info["dtype"])
         return out
 
 

@@ -32,12 +32,6 @@ class TestExpandKey:
     def test_word_count(self):
         assert len(expand_key(FIPS_KEY).words) == 44
 
-    def test_round_keys_layout(self):
-        ek = expand_key(FIPS_KEY)
-        assert len(ek.round_keys) == 11
-        assert all(len(rk) == 16 for rk in ek.round_keys)
-        assert ek.round_keys[0] == FIPS_KEY
-
     def test_dec_words_are_inv_mix_columns_of_round_keys(self):
         # FIPS-197 5.3.5: dw equals w for round keys 0 and 10 and
         # InvMixColumns(w) for rounds 1-9, computed here from gf_mul.

@@ -280,7 +280,7 @@ def encrypt_block(block: bytes, key: ExpandedKey) -> bytes:
 
 
 def _add_round_key(state: list[int], key: ExpandedKey, r: int) -> None:
-    rk = key.round_keys[r]
+    rk = struct.pack(">4I", *key.words[4 * r : 4 * r + 4])
     for i in range(BLOCK_BYTES):
         state[i] ^= rk[i]
 

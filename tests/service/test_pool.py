@@ -6,7 +6,7 @@ import threading
 import numpy as np
 
 from repro.core.pipeline import SecureCompressor
-from repro.service.pool import BatchItem, CompressorPool
+from repro.service.pool import CompressorPool
 
 KEY = bytes(range(16))
 
@@ -16,19 +16,15 @@ def _field(seed: int) -> np.ndarray:
     return gen.standard_normal((8, 8, 8)).cumsum(axis=0).astype(np.float32)
 
 
-def _batch(pool: CompressorPool, eb: float, seed: int,
-           out: dict) -> None:
-    (result,) = pool.compress_many(
-        [BatchItem(b"job-%d" % seed, _field(seed), "encr_huffman", eb)]
-    )
-    out[seed] = (eb, result.container)
+def _job(pool: CompressorPool, eb: float, seed: int, out: dict) -> None:
+    out[seed] = (eb, pool.compress(_field(seed), "encr_huffman", eb))
 
 
 class TestSharedSealer:
     def test_key_expanded_once_per_scheme(self, monkeypatch):
-        """Construction, three one-job batches at three error bounds on
-        one thread, and one batch on each of two more threads expand
-        the pool's key once."""
+        """Construction, three jobs at three error bounds on one
+        thread, and one job on each of two more threads expand the
+        pool's key once."""
         from repro.crypto import aes
 
         expanded = []
@@ -40,9 +36,9 @@ class TestSharedSealer:
                               cipher_mode="ctr")
         containers: dict = {}
         for seed, eb in enumerate((1e-2, 1e-3, 1e-4)):
-            _batch(pool, eb, seed, containers)
+            _job(pool, eb, seed, containers)
         threads = [
-            threading.Thread(target=_batch,
+            threading.Thread(target=_job,
                              args=(pool, 1e-3, 10 + i, containers))
             for i in range(2)
         ]
@@ -70,7 +66,7 @@ class TestSharedSealer:
         def worker(i: int) -> None:
             for eb in ebs[i % 3:] + ebs[: i % 3]:
                 got.append((eb, pool.compressor_for("encr_huffman", eb)))
-            _batch(pool, ebs[i % 3], 20 + i, containers)
+            _job(pool, ebs[i % 3], 20 + i, containers)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -102,7 +98,7 @@ class TestBatchReuseHits:
 
         pool = CompressorPool(key=KEY)
         huffman.codec_cache_clear()
-        _batch(pool, 1e-3, 1, {})  # warms the codec of field 1
+        _job(pool, 1e-3, 1, {})  # warms the codec of field 1
         looked_up, release = threading.Event(), threading.Event()
         real = huffman.codec_for
         held: list = []
@@ -116,12 +112,12 @@ class TestBatchReuseHits:
 
         monkeypatch.setattr(huffman, "codec_for", codec_for)
         before = trace.counters_snapshot()
-        cold = threading.Thread(target=_batch, args=(pool, 1e-3, 2, {}),
+        cold = threading.Thread(target=_job, args=(pool, 1e-3, 2, {}),
                                 name="cold")
         cold.start()
         try:
             assert looked_up.wait(timeout=60)
-            _batch(pool, 1e-3, 1, {})
+            _job(pool, 1e-3, 1, {})
         finally:
             release.set()
             cold.join(timeout=60)

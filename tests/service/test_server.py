@@ -196,6 +196,54 @@ class TestQueueSemantics:
         assert stat["counters"]["service.jobs_failed"] == 1
 
 
+class TestOneJobPerCall:
+    """An ingest-only daemon queues the jobs, then a one-worker daemon
+    resumes the same store, so every job is queued when the worker
+    starts and a worker that grouped queued jobs would group these."""
+
+    @staticmethod
+    def _ingest(endpoint, submissions):
+        with serve(ServiceConfig(key=KEY, workers=0), endpoint):
+            with ServiceClient(endpoint[0]) as client:
+                return [client.submit(field, eb=eb, detached=True)
+                        for field, eb in submissions]
+
+    def test_bad_field_fails_only_its_own_job(self, endpoint, smooth_field):
+        # A NaN is a valid SECP payload that the compressor refuses.
+        bad = small_field()
+        bad[1, 2, 3] = np.nan
+        bad_id, good_id = self._ingest(
+            endpoint, [(bad, 1e-3), (smooth_field, 1e-3)]
+        )
+        with serve(ServiceConfig(key=KEY, workers=1), endpoint):
+            with ServiceClient(endpoint[0]) as client:
+                with pytest.raises(ServiceError) as exc:
+                    client.wait(bad_id)
+                container = client.wait(good_id)
+                stat = client.stat()
+        assert exc.value.code == protocol.ERR_JOB_FAILED
+        assert "non-finite" in str(exc.value)
+        assert stat["counters"]["service.jobs_failed"] == 1
+        restored = SecureCompressor(key=KEY, error_bound=1e-3).decompress(
+            container
+        )
+        assert np.abs(restored - smooth_field).max() <= 1e-3
+
+    def test_same_priority_jobs_start_in_submission_order(self, endpoint):
+        ebs = (1e-3, 1e-4, 1e-3, 1e-5)
+        job_ids = self._ingest(
+            endpoint, [(small_field(i), eb) for i, eb in enumerate(ebs)]
+        )
+        with serve(ServiceConfig(key=KEY, workers=1), endpoint) as service:
+            with ServiceClient(endpoint[0]) as client:
+                for job_id in job_ids:
+                    client.wait(job_id)
+            started = [service.jobs[job_id].started_at for job_id in job_ids]
+        # One worker runs one job at a time: each start is strictly
+        # after the one submitted before it.
+        assert all(a < b for a, b in zip(started, started[1:])), started
+
+
 class TestProtocolErrors:
     def test_unknown_job(self, endpoint):
         config = ServiceConfig(key=KEY)

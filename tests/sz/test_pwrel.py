@@ -118,3 +118,34 @@ def test_pw_rel_property(seed, r):
     assert _max_rel(data, out) <= r
     zeros = data == 0
     assert np.array_equal(out[zeros], data[zeros])
+
+
+class TestPwRelTrace:
+    def test_exact_and_pwrel_run_inside_reconstruct(self, monkeypatch):
+        """The exact channel and the pw_rel inverse are timed by the
+        ``reconstruct`` stage, and ``sz.decompress``'s ``bytes_out``
+        counts the output dtype, not the float64 working copy."""
+        from repro.core import trace
+        from repro.sz import compressor as szc
+
+        tracer = trace.Tracer()
+        seen = []
+
+        def spy(real):
+            def wrapped(*args):
+                stack = tracer._span_stack()
+                seen.append((real.__name__,
+                             stack[-1].name if stack else None))
+                return real(*args)
+            return wrapped
+
+        for name in ("_unpack_exact", "_pwrel_inverse"):
+            monkeypatch.setattr(szc, name, spy(getattr(szc, name)))
+        comp = SZCompressor(ErrorBound(1e-2, "pw_rel"))
+        out = comp.decompress(comp.compress(_mixed_field()), tracer=tracer)
+        assert seen == [("_unpack_exact", "reconstruct"),
+                        ("_pwrel_inverse", "reconstruct")]
+        (root,) = tracer.roots
+        assert root.name == "sz.decompress"
+        assert out.dtype == np.float32
+        assert root.bytes_out == out.nbytes

@@ -220,6 +220,40 @@ def test_docs_actually_document_secz_invocations():
     assert any(flags for _, _, _, flags in invocations)
 
 
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_OTHER_SECZ_COMMAND = re.compile(r"\bsecz\s+(?!serve\b)[a-z]")
+
+
+def collect_service_prose_flags():
+    """Every backticked ``--flag`` in docs/SERVICE.md outside fenced
+    blocks (the invocation audit reads those), except in spans that
+    name another subcommand, such as `secz compress --seed N`."""
+    with open(os.path.join(REPO, "docs", "SERVICE.md"),
+              encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    prose, fenced = [], False
+    for line in lines:
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            prose.append(line)
+    return {
+        flag
+        for span in _CODE_SPAN.findall("\n".join(prose))
+        if not _OTHER_SECZ_COMMAND.search(span)
+        for flag in _FLAG.findall(span)
+    }
+
+
+def test_service_prose_flags_are_serve_options():
+    """Every flag SERVICE.md names in prose is an option of ``secz
+    serve``, so a removed flag cannot outlive its description."""
+    documented = collect_service_prose_flags()
+    assert {"--workers", "--job-timeout", "--queue-limit"} <= documented
+    unknown = sorted(documented - _parser_flags()["serve"])
+    assert not unknown, f"docs/SERVICE.md names no-such serve flags: {unknown}"
+
+
 def test_flag_audit_sees_nested_archive_verbs():
     """The walker must cover ``secz archive <verb>`` subparsers."""
     parser_flags = _parser_flags()
