@@ -51,7 +51,6 @@ import tracemalloc
 import numpy as np
 from provenance import header
 
-from repro.core import trace
 from repro.datasets import generate
 from repro.sz import fastdecode, huffman, quantizer
 from repro.sz.bitstream import concat_streams, pack_codes
@@ -134,7 +133,6 @@ def main() -> dict:
         "decode_timing": "median process_time",
         "histogram_ms": {},
         "tree_build_ms": {},
-        "codec_cache": {},
         "encode_mb_per_s": {},
         "encode_peak_alloc_mb": {},
         "decode_mb_per_s": {},
@@ -188,31 +186,11 @@ def main() -> dict:
     result["tree_build_ms"]["huffman_build_span"] = round(secs * 1e3, 3)
 
     # ------------------------------------------------------------------
-    # Codec cache: cold-vs-warm full compress, plus the frame-drift
-    # guard CI relies on — a warm cache must not change a single frame
-    # byte.
+    # The frame-drift guard CI relies on: a repeat compress must not
+    # change a single frame byte.
     # ------------------------------------------------------------------
-    huffman.codec_cache_clear()
-    before = trace.counters_snapshot()
-    cold = comp.compress(field)
-    warm = comp.compress(field)
-    after = trace.counters_snapshot()
-    hits = after.get("huffman.codec_cache_hits", 0) - before.get(
-        "huffman.codec_cache_hits", 0
-    )
-    misses = after.get("huffman.codec_cache_misses", 0) - before.get(
-        "huffman.codec_cache_misses", 0
-    )
-    assert cold.sections == warm.sections, (
-        "frame drift: warm codec cache changed the emitted bytes"
-    )
-    assert cold.sections == frame.sections, (
+    assert comp.compress(field).sections == frame.sections, (
         "frame drift: repeat compress changed the emitted bytes"
-    )
-    result["codec_cache"]["hits"] = int(hits)
-    result["codec_cache"]["misses"] = int(misses)
-    result["codec_cache"]["hit_rate"] = round(
-        hits / max(hits + misses, 1), 4
     )
 
     # ------------------------------------------------------------------
@@ -264,11 +242,10 @@ def main() -> dict:
     # which returns stream-ordered symbol ranks (the form the SZ reader
     # consumes).
     # ------------------------------------------------------------------
-    codec = huffman.codec_for(code)
     for name, decode in (
         ("single_stream", lambda: huffman.decode(packed, code, n)),
         ("single_stream_scalar",
-         lambda: code.symbols.take(huffman._scan_ranks(codec, packed, n))),
+         lambda: code.symbols.take(huffman._scan_ranks(code, packed, n))),
     ):
         assert np.array_equal(decode(), flat_codes)
         secs = _median_cpu_seconds(decode)

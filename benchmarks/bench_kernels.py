@@ -67,7 +67,8 @@ def test_kernel_huffman_decode_short(benchmark):
     token streams (a few hundred symbols under their own small code),
     each below ``SELF_SYNC_MIN_VALUES`` and so read by the scalar loop.
     An archive extract decodes more such streams than the codec cache
-    holds, so every round builds each stream's decode table afresh."""
+    holds, so every round parses each stream's tree and builds its
+    decode table afresh."""
     text = b"".join(
         b"2026-08-08T12:00:%02d INFO worker-%d step=%d loss=%.6f\n"
         % (i % 60, i % 8, i, (i * 0.37) % 1) for i in range(600)
@@ -78,12 +79,14 @@ def test_kernel_huffman_decode_short(benchmark):
         symbols, counts = np.unique(tokens.astype(np.int64),
                                     return_counts=True)
         code = huffman.build_code(symbols, counts)
-        streams.append((huffman.encode(tokens, code), code, tokens))
+        streams.append((huffman.encode(tokens, code),
+                        huffman.serialize_tree(code), tokens))
     assert all(t.size < huffman.SELF_SYNC_MIN_VALUES for *_, t in streams)
 
     def decode_all():
         huffman.codec_cache_clear()
-        return [huffman.decode(p, c, t.size) for p, c, t in streams]
+        return [huffman.decode(p, huffman.deserialize_tree(tree), t.size)
+                for p, tree, t in streams]
 
     out = benchmark(decode_all)
     assert all(np.array_equal(o, t) for o, (*_, t) in zip(out, streams))

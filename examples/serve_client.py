@@ -4,8 +4,7 @@
 Boots an in-process daemon on a unix socket (the same code path
 ``secz serve`` runs), submits statistically similar fields one job
 each, waits for the containers, verifies a decompression round trip against
-the error bound, and prints the STAT document — the codec-cache hit
-rate shows the daemon's warm-state win over one-shot CLI calls.
+the error bound, and prints the STAT document.
 
 Point ``--socket`` at an already-running daemon to use this as a real
 client instead (the daemon must then hold the same passphrase):
@@ -65,14 +64,8 @@ def main() -> None:
         client = stack.enter_context(ServiceClient(socket_path))
 
         client.ping()
-        # Two rounds over the same fields model a steady-state stream
-        # of statistically similar data: round one warms the canonical
-        # codec cache, round two is served from it.
-        warmup_ids = [client.submit(field) for field in fields]
-        for jid in warmup_ids:
-            client.wait(jid)
         job_ids = [client.submit(field) for field in fields]
-        print(f"submitted {len(warmup_ids) + len(job_ids)} jobs: "
+        print(f"submitted {len(job_ids)} jobs: "
               + ", ".join(jid.hex() for jid in job_ids))
 
         containers = [client.wait(jid) for jid in job_ids]
@@ -97,11 +90,7 @@ def main() -> None:
               f"(bound {ERROR_BOUND:.0e})")
         assert worst <= ERROR_BOUND
         assert stat["jobs"]["failed"] == 0
-
-        cache = stat["codec_cache"]
-        print(f"codec cache: {cache['hits']} hits / {cache['misses']} "
-              f"misses (hit rate {cache['hit_rate']:.0%}) — similar "
-              "fields reused each other's canonical codecs.")
+        print(f"jobs compressed by the pool: {stat['pool']['jobs_compressed']}")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ from repro.crypto.aes import derive_key
 from repro.datasets import generate
 from repro.datasets.io import load_field, save_field
 from repro.datasets.registry import DATASETS
-from repro.security.nist import run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -307,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="restore a .secz image container")
     p_id.add_argument("input")
     p_id.add_argument("output", help=".npy output path")
-    p_id.add_argument("--quality", type=int, default=75,
-                      help="quality used at compression time")
     p_id.add_argument("--key-hex")
     p_id.add_argument("--passphrase")
     return parser
@@ -495,6 +492,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_nist(args: argparse.Namespace) -> int:
+    # Only this subcommand needs the suite, and it imports scipy.stats.
+    from repro.security.nist import run_suite
+
     with open(args.input, "rb") as fh:
         blob = fh.read()
     result = run_suite(blob, n_streams=args.streams)
@@ -654,9 +654,8 @@ def _cmd_img_decompress(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
         blob = fh.read()
     scheme = get_scheme(read_header(blob)[0].scheme_id)
-    sic = SecureImageCompressor(
-        scheme.name, args.quality, key=_key_from_args(args)
-    )
+    # The decoder reads the quality from the container's meta.
+    sic = SecureImageCompressor(scheme.name, key=_key_from_args(args))
     image = sic.decompress(blob)
     np.save(args.output, image)
     print(f"{args.input}: restored {image.shape} image -> {args.output}")

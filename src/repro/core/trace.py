@@ -64,7 +64,6 @@ __all__ = [
     "count",
     "count_many",
     "counters_snapshot",
-    "thread_count",
 ]
 
 #: Schema identifier stamped into every exported trace document.
@@ -76,8 +75,8 @@ SCHEMA = "repro-trace/1"
 KNOWN_COUNTERS = (
     "fastdecode.lanes",            # Huffman lanes decoded (v3 frames)
     "fastdecode.segments",         # independent decode segments (lanes + anchors)
-    "huffman.codec_cache_hits",    # codec cache served a cached canonical codec
-    "huffman.codec_cache_misses",  # canonical codec had to be built
+    "huffman.codec_cache_hits",    # a parsed tree's code came from the decoder cache
+    "huffman.codec_cache_misses",  # a parsed tree's code had to be built and cached
     "huffman.encode_lanes",        # Huffman lanes encoded (v2 counts as 1)
     "huffman.packed_words",        # uint64 words written by the pack kernel
     "predict.sample_points",       # points sampled per predictor-selection estimate
@@ -99,7 +98,6 @@ KNOWN_COUNTERS = (
     "service.jobs_submitted",      # jobs accepted (persisted + acked) by secz serve
     "service.jobs_failed",         # serve jobs that ended in the failed state
     "service.queue_wait_ms",       # wall ms serve jobs spent queued before a worker start
-    "service.batch_reuse_hits",    # serve jobs whose canonical codec came from the warm cache
 )
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
@@ -111,16 +109,12 @@ _JSON_SCALARS = (str, int, float, bool, type(None))
 
 _counters: dict[str, int] = {}
 _counters_lock = threading.Lock()
-#: Each thread's own running totals, in its ``__dict__`` (no lock).
-_thread_tally = threading.local()
 
 
 def count(name: str, n: int = 1) -> None:
     """Add ``n`` to the process-wide counter ``name`` (thread-safe)."""
     with _counters_lock:
         _counters[name] = _counters.get(name, 0) + int(n)
-    tally = _thread_tally.__dict__
-    tally[name] = tally.get(name, 0) + int(n)
 
 
 def count_many(increments: dict[str, int]) -> None:
@@ -128,19 +122,6 @@ def count_many(increments: dict[str, int]) -> None:
     with _counters_lock:
         for name, n in increments.items():
             _counters[name] = _counters.get(name, 0) + int(n)
-    tally = _thread_tally.__dict__
-    for name, n in increments.items():
-        tally[name] = tally.get(name, 0) + int(n)
-
-
-def thread_count(name: str) -> int:
-    """What the calling thread alone has added to counter ``name``.
-
-    A running total: diff it around a call to credit that call with its
-    own thread's counts, which the process-wide counters mix with every
-    other thread's.
-    """
-    return _thread_tally.__dict__.get(name, 0)
 
 
 def counters_snapshot() -> dict[str, int]:

@@ -147,6 +147,6 @@ class ServiceClient:
         self._roundtrip(protocol.VERB_CANCEL, job_id=job_id)
 
     def stat(self) -> dict:
-        """The server's STAT document (``secp-stat/1``)."""
+        """The server's STAT document (``secp-stat/2``)."""
         frame = self._roundtrip(protocol.VERB_STAT)
         return json.loads(frame.payload.decode())

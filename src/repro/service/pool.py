@@ -1,17 +1,16 @@
 """Shared compressor pool: one job, one compress, on warm state.
 
-A one-shot ``secz compress`` pays its setup every call: AES key
-expansion, predictor selection, and a cold canonical-codec cache.  The
-daemon amortizes all three.  The pool holds one
+What a warm daemon saves over a one-shot ``secz compress`` is the
+process: interpreter start-up and the package imports, paid once.  The
+jobs themselves share little.  The pool holds one
 :class:`~repro.core.protect.Sealer` per scheme — the AES-128 key
 schedule is expanded once per scheme and shared by every thread and
-job — and one :class:`~repro.core.pipeline.SecureCompressor` per
-(scheme, eb) configuration built on it, and every compression runs in
-the one process whose ``huffman.codec_for`` cache stays warm, so
-statistically similar fields reuse each other's canonical Huffman
-codecs instead of rebuilding them.  A CTR job makes its keystream
-when its scheme encrypts, exactly as a one-shot call does, against the
-already-expanded schedule; no job starts a thread.
+job, though an expansion takes only tens of microseconds — and one
+:class:`~repro.core.pipeline.SecureCompressor` per (scheme, eb)
+configuration built on it.  Every compress selects its predictor and
+builds its canonical Huffman code afresh, exactly as a one-shot call
+does.  A CTR job makes its keystream when its scheme encrypts, against
+the already-expanded schedule; no job starts a thread.
 
 Sharing across executor threads is safe: the expanded ``AES128`` is
 immutable, a CTR seal wraps it in a fresh one-shot view, an unseeded
@@ -19,12 +18,7 @@ IV comes from OS entropy, and a compress keeps its working state in
 locals, not on the compressor.  A seeded pool's one IV stream is a sequence, so its
 callers serialize jobs (``secz serve --workers 1``).
 
-:meth:`CompressorPool.compress` runs one job on an executor thread.  A
-job whose canonical codec is served from the process-wide cache counts
-one ``service.batch_reuse_hits`` — the warm daemon's measurable win
-over one-shot calls.  The hit is read from the compressing thread's
-own tally (:func:`repro.core.trace.thread_count`), so a hit on another
-worker thread is never credited to this job.
+:meth:`CompressorPool.compress` runs one job on an executor thread.
 """
 
 from __future__ import annotations
@@ -33,10 +27,8 @@ import threading
 
 import numpy as np
 
-from repro.core import trace
 from repro.core.pipeline import SecureCompressor
 from repro.core.protect import Sealer
-from repro.sz import huffman
 
 __all__ = ["CompressorPool"]
 
@@ -107,13 +99,7 @@ class CompressorPool:
     def compress(self, field: np.ndarray, scheme: str, eb: float) -> bytes:
         """One job's container, from the warm compressor for
         ``(scheme, eb)``.  Runs on an executor thread."""
-        sc = self.compressor_for(scheme, eb)
-        # This thread's own lookups only: another worker's hit in the
-        # meantime is that worker's job's.
-        hits_before = trace.thread_count("huffman.codec_cache_hits")
-        container = sc.compress(field).container
-        if trace.thread_count("huffman.codec_cache_hits") > hits_before:
-            trace.count("service.batch_reuse_hits")
+        container = self.compressor_for(scheme, eb).compress(field).container
         with self._stats_lock:
             self.jobs_compressed += 1
         return container
@@ -124,7 +110,9 @@ class CompressorPool:
         """Aggregate pool statistics for the STAT verb.
 
         No job waits on background keystream, so both ``keystream_*``
-        keys are always 0.0; they stay for ``secp-stat/1`` readers.
+        keys are always 0.0; they stay in ``secp-stat/2`` for its
+        readers (the benchmark's ``serve`` workload reads
+        ``keystream_wait_ms``).
         """
         with self._stats_lock:
             return {
@@ -132,18 +120,3 @@ class CompressorPool:
                 "keystream_overlap_ms": 0.0,
                 "keystream_wait_ms": 0.0,
             }
-
-    @staticmethod
-    def codec_cache_stats() -> dict:
-        """The process-wide canonical-codec cache, hit rate included."""
-        counters = trace.counters_snapshot()
-        hits = counters.get("huffman.codec_cache_hits", 0)
-        misses = counters.get("huffman.codec_cache_misses", 0)
-        total = hits + misses
-        stats = huffman.codec_cache_stats()
-        stats.update({
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": round(hits / total, 4) if total else 0.0,
-        })
-        return stats

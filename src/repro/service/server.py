@@ -47,7 +47,7 @@ from repro.service.store import JobStore
 __all__ = ["ServiceConfig", "CompressionService", "STAT_SCHEMA"]
 
 #: Schema identifier stamped into every STAT response document.
-STAT_SCHEMA = "secp-stat/1"
+STAT_SCHEMA = "secp-stat/2"
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,9 @@ class ServiceConfig:
     makes IVs deterministic for reproducible experiments (use with
     ``workers=1``); seeded CTR is refused at construction.
     ``job_timeout`` bounds one job's compress on the executor; a
-    timed-out job fails, its executor thread is left to finish
-    cooperatively (pure-Python compression cannot be killed mid-kernel)
-    and its result is discarded.
+    timed-out job fails at once, but its executor thread is left to
+    finish (pure-Python compression cannot be killed mid-kernel): its
+    worker takes no next job until then, and the result is discarded.
     """
 
     scheme: str = "encr_huffman"
@@ -481,6 +481,11 @@ class CompressionService:
                 job, jobstates.FAILED, None,
                 f"job timed out after {self.config.job_timeout}s",
             )
+            # The compress runs on: hold this worker until its thread is
+            # free, or the next job's timeout would run while it waits
+            # behind this one.  Its late result or error is dropped.
+            await asyncio.wait([future])
+            future.exception()
             return
         except Exception as exc:  # a compression error fails this job
             self._finish_job(job, jobstates.FAILED, None,
@@ -512,7 +517,7 @@ class CompressionService:
 
     def stats(self) -> dict:
         """The STAT document (docs/SERVICE.md §7): queue, counters,
-        codec cache, pool."""
+        pool."""
         now = trace.counters_snapshot()
         delta = {
             name: now[name] - self._counters0.get(name, 0)
@@ -531,6 +536,5 @@ class CompressionService:
             "store": {"path": self.store.path,
                       "jobs": self.store.counts_by_state()},
             "counters": delta,
-            "codec_cache": self.pool.codec_cache_stats(),
             "pool": self.pool.stats(),
         }

@@ -14,7 +14,7 @@ code depth and segment layout:
   which holds ``k = 57 // max_len`` consecutive codewords after any
   in-byte phase (3 x 16-bit or 2 x 21-bit lookups);
 * each lookup is one gather into the code's packed two-level table
-  (:meth:`repro.sz.huffman.CanonicalCodec.decode_table`, the one the
+  (:meth:`repro.sz.huffman.HuffmanCode.decode_table`, the one the
   scalar loop walks too): codes of up to 16 bits resolve in the root,
   and the few segments whose root entry is a sub-table link take one
   more gather on the next ``max_len - 16`` bits.  No window can miss,
@@ -148,7 +148,7 @@ def decode_lanes(
     """
     if n_values == 0:
         return np.empty(0, dtype=np.int32)
-    tab, root_bits, max_len = huffman.codec_for(code).decode_table()
+    tab, root_bits, max_len = code.decode_table()
 
     start, seg_end, quota = _segment_layout(table, n_values, len(codes))
     trace.count_many({
@@ -230,8 +230,7 @@ def decode_stream(
     A Kraft hole on the true chain raises; one met only from a guessed
     start does not.
     """
-    codec = huffman.codec_for(code)
-    tab, root_bits, max_len = codec.decode_table()
+    tab, root_bits, max_len = code.decode_table()
     n_bits = packed.n_bits
     if not n_values <= n_bits <= max_len * n_values:
         raise ValueError(
@@ -275,7 +274,7 @@ def decode_stream(
     head = int(count[:first].sum())
     if head > n_values:
         raise ValueError("huffman bitstream holds more than n_values symbols")
-    tail = huffman._scan_ranks(codec, packed, n_values - head,
+    tail = huffman._scan_ranks(code, packed, n_values - head,
                                start=int(start[first]))
     return np.concatenate([_ranks(rows[:first], count[:first]), tail])
 

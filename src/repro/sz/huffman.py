@@ -31,7 +31,7 @@ Implementation notes
   rate loss versus unrestricted Huffman is negligible for the skewed
   residual histograms SZ produces.
 * Every decoder walks one packed two-level table per code
-  (:meth:`CanonicalCodec.decode_table`) and returns symbol *ranks*
+  (:meth:`HuffmanCode.decode_table`) and returns symbol *ranks*
   (int32 positions in ``code.symbols``).  :func:`decode` reads every
   single stream (v2 frames, LZ7H, the image and multilevel codecs):
   from :data:`SELF_SYNC_MIN_VALUES` symbols up it sends the stream
@@ -42,10 +42,12 @@ Implementation notes
   kernel also reads v3 frames (:mod:`repro.sz.fastdecode`).  The
   differential oracle for both routes is a table-free bit-serial
   decoder in ``tests/oracles.py``.
-* Everything derived from one code table — the decode table, the
-  dense encode LUT — hangs off a :class:`CanonicalCodec`, cached
-  process-wide by table digest (:func:`codec_for`), so lanes and
-  repeated ``compress``/``decompress`` calls all share one build.
+* A :class:`HuffmanCode` builds its encode LUT and its decode table
+  on first use and keeps them, so every lane of one compress shares
+  one build.  Encoders never hash a code.  Decoders do, once per tree
+  they parse: :func:`deserialize_tree` returns the process-wide
+  cached code for that table digest (:func:`codec_from_table`), so
+  repeat decodes of one tree share its codewords and decode table.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from repro.sz.bitstream import PackedBits, pack_codes
 
 __all__ = [
     "HuffmanCode",
-    "CanonicalCodec",
     "LaneEncoding",
     "LaneTable",
     "build_code",
@@ -72,9 +73,8 @@ __all__ = [
     "encode_lanes",
     "decode",
     "decode_ranks",
-    "codec_for",
+    "codec_from_table",
     "codec_cache_clear",
-    "codec_cache_stats",
     "serialize_tree",
     "deserialize_tree",
     "serialize_lane_tree",
@@ -105,9 +105,16 @@ _LANE_HEADER = struct.Struct("<4sHII")
 _LANE_MAGIC = b"HLT1"
 
 
-@dataclass(frozen=True)
+#: Above this span-to-alphabet ratio the offset-indexed encode LUT
+#: would be mostly holes; fall back to ``searchsorted``.  Quantization
+#: codes are a dense integer band around the midpoint, so real frames
+#: essentially always take the LUT path.
+_DENSE_SLACK = 4096
+
+
 class HuffmanCode:
-    """A canonical Huffman code over an integer alphabet.
+    """A canonical Huffman code over an integer alphabet, and the
+    tables derived from it.
 
     Attributes
     ----------
@@ -118,17 +125,33 @@ class HuffmanCode:
     codewords:
         Canonical codeword values (uint64), assigned in
         ``(length, symbol)`` order.
+
+    The encode LUT (:meth:`lookup`) and the decode table
+    (:meth:`decode_table`) are built on first use and kept.  A code
+    that :func:`codec_from_table` cached is shared by every thread that
+    parses its tree, so each table is built once, under the code's
+    lock.
     """
 
-    symbols: np.ndarray
-    lengths: np.ndarray
-    codewords: np.ndarray
+    __slots__ = ("symbols", "lengths", "codewords", "_lock", "_decode",
+                 "_encode", "_digest", "_charged")
 
-    def __post_init__(self) -> None:
-        if not (len(self.symbols) == len(self.lengths) == len(self.codewords)):
+    def __init__(self, symbols: np.ndarray, lengths: np.ndarray,
+                 codewords: np.ndarray) -> None:
+        if not (len(symbols) == len(lengths) == len(codewords)):
             raise ValueError("symbols/lengths/codewords must align")
-        if len(self.symbols) and int(self.lengths.max()) > MAX_CODE_LEN:
+        if len(symbols) and int(lengths.max()) > MAX_CODE_LEN:
             raise ValueError("code length exceeds MAX_CODE_LEN")
+        self.symbols = symbols
+        self.lengths = lengths
+        self.codewords = codewords
+        self._lock = threading.Lock()
+        self._decode: tuple[np.ndarray, int, int] | None = None
+        self._encode = None
+        #: The table digest, once the decoder cache holds this code.
+        self._digest: bytes | None = None
+        #: Bytes this code counts for in the cache's byte total.
+        self._charged = 0
 
     @property
     def n_symbols(self) -> int:
@@ -140,6 +163,145 @@ class HuffmanCode:
         if total == 0:
             return 0.0
         return float((frequencies * self.lengths).sum() / total)
+
+    def _derived(self, slot: str, build):
+        """The table in ``slot``, built by ``build`` on first use (once,
+        under the lock) and charged to the decoder cache if it holds
+        this code."""
+        table = getattr(self, slot)
+        if table is None:
+            with self._lock:
+                table = getattr(self, slot)
+                if table is None:
+                    table = build()
+                    setattr(self, slot, table)
+            _codec_cache_fit(self)
+        return table
+
+    def decode_table(self) -> tuple[np.ndarray, int, int]:
+        """The code's one decode table ``(tab, root_bits, max_len)``,
+        which the scalar loop and the lane kernel both walk.
+
+        Every int32 entry is ``(symbol_rank << 5) | code_length``, so a
+        single lookup turns a window into a symbol rank and a bit
+        advance; ranks resolve to symbol values in one gather after
+        decoding.
+
+        ``tab[:2^r]`` is the root, indexed by the next ``r = min(max_len,
+        DEPTH_LIMIT_BITS)`` stream bits.  A code of at most ``r`` bits
+        fills its run of root entries directly, so codes of up to 16
+        bits never leave the root.  A root prefix that starts a longer
+        code holds a negative link ``-start``: the decoder then reads
+        the next ``s = max_len - r`` bits and looks up
+        ``tab[start + bits]``.  In canonical order the long codes all
+        sit above the short ones, so the sub-tables are exactly the
+        slice of the would-be ``2^max_len`` full table those codes
+        cover, stored contiguously after the root.  Kraft holes stay 0
+        at both levels: a window there decodes to length 0, which the
+        scalar loop rejects at once and the lane kernel by its
+        segment-boundary check.
+
+        The table never exceeds ``2^r + 2^max_len`` entries, no worse
+        than a one-level table at ``max_len``.
+        """
+        return self._derived("_decode", self._build_decode_table)
+
+    def _build_decode_table(self) -> tuple[np.ndarray, int, int]:
+        """Fill the table one code length at a time: codes of one
+        length are consecutive canonical codewords, so each length is
+        one broadcast into a contiguous slice and the build allocates
+        no table-sized temporaries."""
+        lengths = self.lengths
+        if not lengths.size:
+            raise ValueError("cannot decode with an empty code")
+        max_len = int(lengths.max())
+        root_bits = min(max_len, DEPTH_LIMIT_BITS)
+        sub_bits = max_len - root_bits
+        counts = np.bincount(lengths, minlength=max_len + 1)
+        # Ranks in canonical (length, symbol) order.
+        ranks = np.argsort(lengths, kind="stable").astype(np.int32)
+        first = [0] * (max_len + 1)  # first canonical codeword per length
+        for ln in range(1, max_len + 1):
+            first[ln] = (first[ln - 1] + int(counts[ln - 1])) << 1
+        # Full-table span [lo, hi) of the codes longer than root_bits,
+        # and the count of root prefixes it touches (ceil division).
+        lo = (first[root_bits] + int(counts[root_bits])) << sub_bits
+        hi = first[max_len] + int(counts[max_len])
+        n_links = -((lo - hi) >> sub_bits)
+        root_size = 1 << root_bits
+        tab = np.zeros(root_size + (n_links << sub_bits), dtype=np.int32)
+        if n_links:
+            tab[lo >> sub_bits : (lo >> sub_bits) + n_links] = -(
+                root_size + (np.arange(n_links, dtype=np.int32) << sub_bits)
+            )
+        pos = 0
+        for ln in range(1, max_len + 1):
+            n = int(counts[ln])
+            if not n:
+                continue
+            entries = (ranks[pos : pos + n] << 5) | np.int32(ln)
+            pos += n
+            if ln <= root_bits:
+                span = root_bits - ln
+                start = first[ln] << span
+            else:
+                span = max_len - ln
+                start = root_size + (first[ln] << span) - lo
+            tab[start : start + (n << span)].reshape(n, 1 << span)[:] = (
+                entries[:, None]
+            )
+        return tab, root_bits, max_len
+
+    def _build_encode_tables(self):
+        lengths64 = self.lengths.astype(np.int64)
+        base = int(self.symbols[0])
+        span = int(self.symbols[-1]) - base + 1
+        if span > 4 * self.n_symbols + _DENSE_SLACK:
+            return ("sparse", lengths64, None, None)
+        # Offset-indexed LUT: holes keep length 0, which doubles as the
+        # unknown-symbol detector (real codewords never have length 0).
+        lut_cw = np.zeros(span, dtype=np.uint64)
+        lut_ln = np.zeros(span, dtype=np.int64)
+        off = self.symbols - base
+        lut_cw[off] = self.codewords
+        lut_ln[off] = lengths64
+        return ("dense", lengths64, lut_cw, lut_ln)
+
+    def lookup(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-value ``(codewords, lengths)`` for ``values``.
+
+        Dense integer alphabets (the quantization-code common case) go
+        through a direct offset-indexed gather; sparse alphabets fall
+        back to ``searchsorted``.  Raises ``ValueError`` when any value
+        is outside the code's alphabet.
+        """
+        kind, lengths64, lut_cw, lut_ln = self._derived(
+            "_encode", self._build_encode_tables
+        )
+        if kind == "dense":
+            off = values - int(self.symbols[0])
+            if off.size and (
+                int(off.min()) < 0 or int(off.max()) >= lut_ln.size
+            ):
+                raise ValueError("value outside the code's alphabet")
+            ln = lut_ln[off]
+            if not ln.all():
+                raise ValueError("value outside the code's alphabet")
+            return lut_cw[off], ln
+        idx = np.searchsorted(self.symbols, values)
+        idx = np.clip(idx, 0, self.n_symbols - 1)
+        if not np.array_equal(self.symbols[idx], values):
+            raise ValueError("value outside the code's alphabet")
+        return self.codewords[idx], lengths64[idx]
+
+    def _nbytes(self) -> int:
+        """Bytes of the code and every derived NumPy table held."""
+        held = self.symbols.nbytes + self.lengths.nbytes + self.codewords.nbytes
+        if self._decode is not None:
+            held += self._decode[0].nbytes
+        if self._encode is not None:
+            held += sum(a.nbytes for a in self._encode[1:] if a is not None)
+        return held
 
 
 def _huffman_lengths(freqs: np.ndarray) -> np.ndarray:
@@ -305,7 +467,7 @@ def encode(values: np.ndarray, code: HuffmanCode) -> PackedBits:
     values = np.ravel(np.asarray(values, dtype=np.int64))
     if values.size == 0:
         return PackedBits(data=b"", n_bits=0)
-    codewords, lengths = codec_for(code).lookup(values)
+    codewords, lengths = code.lookup(values)
     trace.count("huffman.encode_lanes", 1)
     return pack_codes(codewords, lengths)
 
@@ -355,9 +517,7 @@ def deserialize_tree(data: bytes) -> HuffmanCode:
     )
     if kraft > 1 << int(max_len):
         raise ValueError("serialized tree violates the Kraft inequality")
-    # The codec cache short-circuits codeword recomputation (and the
-    # decode table built later) for repeat decodes under one table.
-    return codec_from_table(symbols.copy(), lengths.copy()).code
+    return codec_from_table(symbols, lengths.copy())
 
 
 # ----------------------------------------------------------------------
@@ -473,14 +633,13 @@ def encode_lanes(
             anchors=(np.empty(0, dtype=np.int64),),
         )
         return LaneEncoding(lanes=(PackedBits(data=b"", n_bits=0),), table=table)
-    codec = codec_for(code)
 
     bounds = np.concatenate([[0], np.cumsum(lane_sizes(values.size, n_lanes))])
     lanes, anchors = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         # One lane's codewords at a time: no full-size codeword or
         # length array is ever built.
-        lane_cw, lane_lens = codec.lookup(values[lo:hi])
+        lane_cw, lane_lens = code.lookup(values[lo:hi])
         lanes.append(pack_codes(lane_cw, lane_lens))
         # Bit offset where codeword anchor_stride, 2*anchor_stride, ...
         # begins: the boundary *after* the preceding codeword.  Only every
@@ -591,241 +750,39 @@ def _table_digest(symbols: np.ndarray, lengths: np.ndarray) -> bytes:
     return h.digest()
 
 
-def _code_digest(code: HuffmanCode) -> bytes:
-    return _table_digest(code.symbols, code.lengths)
-
-
-#: Above this span-to-alphabet ratio the offset-indexed encode LUT
-#: would be mostly holes; fall back to ``searchsorted``.  Quantization
-#: codes are a dense integer band around the midpoint, so real frames
-#: essentially always take the LUT path.
-_DENSE_SLACK = 4096
-
-
-class CanonicalCodec:
-    """Everything derived from one canonical code table, built lazily.
-
-    One instance bundles the :class:`HuffmanCode` with its decode table
-    and the encode-side lookup structures, so the expensive derived
-    state is constructed at most once per distinct table in the
-    process — shared across lanes and repeated compress/decompress
-    calls.  Instances are obtained via :func:`codec_for` /
-    :func:`codec_from_table` and are internally locked, so sharing
-    across encode threads is safe.
-    """
-
-    __slots__ = ("code", "digest", "_lock", "_table", "_enc", "_charged")
-
-    def __init__(self, code: HuffmanCode, digest: bytes | None = None) -> None:
-        self.code = code
-        self.digest = _code_digest(code) if digest is None else digest
-        self._lock = threading.Lock()
-        self._table: tuple[np.ndarray, int, int] | None = None
-        self._enc = None
-        #: Bytes this codec counts for in the cache's byte total.
-        self._charged = 0
-
-    def decode_table(self) -> tuple[np.ndarray, int, int]:
-        """The code's one decode table ``(tab, root_bits, max_len)``,
-        which the scalar loop and the lane kernel both walk.
-
-        Every int32 entry is ``(symbol_rank << 5) | code_length``, so a
-        single lookup turns a window into a symbol rank and a bit
-        advance; ranks resolve to symbol values in one gather after
-        decoding.
-
-        ``tab[:2^r]`` is the root, indexed by the next ``r = min(max_len,
-        DEPTH_LIMIT_BITS)`` stream bits.  A code of at most ``r`` bits
-        fills its run of root entries directly, so codes of up to 16
-        bits never leave the root.  A root prefix that starts a longer
-        code holds a negative link ``-start``: the decoder then reads
-        the next ``s = max_len - r`` bits and looks up
-        ``tab[start + bits]``.  In canonical order the long codes all
-        sit above the short ones, so the sub-tables are exactly the
-        slice of the would-be ``2^max_len`` full table those codes
-        cover, stored contiguously after the root.  Kraft holes stay 0
-        at both levels: a window there decodes to length 0, which the
-        scalar loop rejects at once and the lane kernel by its
-        segment-boundary check.
-
-        The table never exceeds ``2^r + 2^max_len`` entries, no worse
-        than a one-level table at ``max_len``.  It is built on first
-        use and charged once to the cache's byte budget.
-        """
-        table = self._table
-        if table is None:
-            with self._lock:
-                table = self._table
-                if table is None:
-                    table = self._table = self._build_decode_table()
-            _codec_cache_fit(self)
-        return table
-
-    def _build_decode_table(self) -> tuple[np.ndarray, int, int]:
-        """Fill the table one code length at a time: codes of one
-        length are consecutive canonical codewords, so each length is
-        one broadcast into a contiguous slice and the build allocates
-        no table-sized temporaries."""
-        lengths = self.code.lengths
-        if not lengths.size:
-            raise ValueError("cannot decode with an empty code")
-        max_len = int(lengths.max())
-        root_bits = min(max_len, DEPTH_LIMIT_BITS)
-        sub_bits = max_len - root_bits
-        counts = np.bincount(lengths, minlength=max_len + 1)
-        # Ranks in canonical (length, symbol) order.
-        ranks = np.argsort(lengths, kind="stable").astype(np.int32)
-        first = [0] * (max_len + 1)  # first canonical codeword per length
-        for ln in range(1, max_len + 1):
-            first[ln] = (first[ln - 1] + int(counts[ln - 1])) << 1
-        # Full-table span [lo, hi) of the codes longer than root_bits,
-        # and the count of root prefixes it touches (ceil division).
-        lo = (first[root_bits] + int(counts[root_bits])) << sub_bits
-        hi = first[max_len] + int(counts[max_len])
-        n_links = -((lo - hi) >> sub_bits)
-        root_size = 1 << root_bits
-        tab = np.zeros(root_size + (n_links << sub_bits), dtype=np.int32)
-        if n_links:
-            tab[lo >> sub_bits : (lo >> sub_bits) + n_links] = -(
-                root_size + (np.arange(n_links, dtype=np.int32) << sub_bits)
-            )
-        pos = 0
-        for ln in range(1, max_len + 1):
-            n = int(counts[ln])
-            if not n:
-                continue
-            entries = (ranks[pos : pos + n] << 5) | np.int32(ln)
-            pos += n
-            if ln <= root_bits:
-                span = root_bits - ln
-                start = first[ln] << span
-            else:
-                span = max_len - ln
-                start = root_size + (first[ln] << span) - lo
-            tab[start : start + (n << span)].reshape(n, 1 << span)[:] = (
-                entries[:, None]
-            )
-        return tab, root_bits, max_len
-
-    def nbytes(self) -> int:
-        """Bytes of the code and every derived NumPy table held."""
-        code = self.code
-        held = code.symbols.nbytes + code.lengths.nbytes + code.codewords.nbytes
-        if self._table is not None:
-            held += self._table[0].nbytes
-        if self._enc is not None:
-            held += sum(a.nbytes for a in self._enc[1:] if a is not None)
-        return held
-
-    def _encode_tables(self):
-        enc = self._enc
-        if enc is None:
-            with self._lock:
-                enc = self._enc
-                if enc is None:
-                    enc = self._build_encode_tables()
-                    self._enc = enc
-            _codec_cache_fit(self)
-        return enc
-
-    def _build_encode_tables(self):
-        code = self.code
-        lengths64 = code.lengths.astype(np.int64)
-        base = int(code.symbols[0])
-        span = int(code.symbols[-1]) - base + 1
-        if span > 4 * code.n_symbols + _DENSE_SLACK:
-            return ("sparse", lengths64, None, None)
-        # Offset-indexed LUT: holes keep length 0, which doubles as the
-        # unknown-symbol detector (real codewords never have length 0).
-        lut_cw = np.zeros(span, dtype=np.uint64)
-        lut_ln = np.zeros(span, dtype=np.int64)
-        off = code.symbols - base
-        lut_cw[off] = code.codewords
-        lut_ln[off] = lengths64
-        return ("dense", lengths64, lut_cw, lut_ln)
-
-    def lookup(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-value ``(codewords, lengths)`` for ``values``.
-
-        Dense integer alphabets (the quantization-code common case) go
-        through a direct offset-indexed gather; sparse alphabets fall
-        back to the original ``searchsorted``.  Raises ``ValueError``
-        when any value is outside the code's alphabet.
-        """
-        code = self.code
-        kind, lengths64, lut_cw, lut_ln = self._encode_tables()
-        if kind == "dense":
-            off = values - int(code.symbols[0])
-            if off.size and (
-                int(off.min()) < 0 or int(off.max()) >= lut_ln.size
-            ):
-                raise ValueError("value outside the code's alphabet")
-            ln = lut_ln[off]
-            if not ln.all():
-                raise ValueError("value outside the code's alphabet")
-            return lut_cw[off], ln
-        idx = np.searchsorted(code.symbols, values)
-        idx = np.clip(idx, 0, code.n_symbols - 1)
-        if not np.array_equal(code.symbols[idx], values):
-            raise ValueError("value outside the code's alphabet")
-        return code.codewords[idx], lengths64[idx]
-
-
-#: Process-wide codec cache.  Keyed by table digest; an LRU bounded by
-#: entry count and by the bytes of the tables its codecs hold.  The
-#: derived state per entry is at most 1.4 MB for the stand-in fields
-#: (decode tables of 0.26-1.35 MB at small and medium, 1e-2..1e-6), so
-#: the bounds still let daemon-style workloads with many distinct
-#: error bounds all hit.  A deliberately deep tree can force a decode
-#: table of up to ``2^16 + 2^24`` int32 entries (67 MB): a codec over
-#: the whole byte budget is not kept at all, so one hostile frame
-#: neither pins that memory nor flushes the other codecs.
+#: The decoder cache: parsed trees' codes, keyed by table digest; an
+#: LRU bounded by entry count and by the bytes of the tables its codes
+#: hold.  The derived state per entry is at most 1.4 MB for the
+#: stand-in fields (decode tables of 0.26-1.35 MB at small and medium,
+#: 1e-2..1e-6), so the bounds still let daemon-style workloads with
+#: many distinct error bounds all hit.  A deliberately deep tree can
+#: force a decode table of up to ``2^16 + 2^24`` int32 entries (67 MB):
+#: a code over the whole byte budget is not kept at all, so one hostile
+#: frame neither pins that memory nor flushes the other codes.
 _CODEC_CACHE_SIZE = 64
 _CODEC_CACHE_MAX_BYTES = 64 << 20
-_codec_cache: OrderedDict[bytes, CanonicalCodec] = OrderedDict()
+_codec_cache: OrderedDict[bytes, HuffmanCode] = OrderedDict()
 _codec_cache_lock = threading.Lock()
-#: Sum of the cached codecs' ``_charged`` bytes (under the lock).
+#: Sum of the cached codes' ``_charged`` bytes (under the lock).
 _codec_cache_bytes = 0
 
 
-def _codec_cached(digest: bytes) -> CanonicalCodec | None:
-    with _codec_cache_lock:
-        codec = _codec_cache.get(digest)
-        if codec is not None:
-            _codec_cache.move_to_end(digest)
-            trace.count("huffman.codec_cache_hits")
-        return codec
-
-
-def _codec_insert(codec: CanonicalCodec) -> CanonicalCodec:
-    trace.count("huffman.codec_cache_misses")
-    with _codec_cache_lock:
-        existing = _codec_cache.get(codec.digest)
-        if existing is not None:
-            # Raced with another thread: keep the first instance so its
-            # lazily built tables stay shared.
-            _codec_cache.move_to_end(codec.digest)
-            return existing
-        _codec_cache[codec.digest] = codec
-    _codec_cache_fit(codec)
-    return codec
-
-
-def _codec_cache_fit(grown: CanonicalCodec) -> None:
+def _codec_cache_fit(grown: HuffmanCode) -> None:
     """Charge ``grown``'s current table bytes to the cache, then evict
-    least-recently-used codecs until at most :data:`_CODEC_CACHE_SIZE`
+    least-recently-used codes until at most :data:`_CODEC_CACHE_SIZE`
     remain, holding at most :data:`_CODEC_CACHE_MAX_BYTES`.  Called on
-    insert and whenever a codec builds a table; a codec over the whole
-    budget leaves the cache instead."""
+    insert and whenever a code builds a table; a code the cache does
+    not hold is left alone, and one over the whole budget leaves the
+    cache."""
     global _codec_cache_bytes
     with _codec_cache_lock:
-        if _codec_cache.get(grown.digest) is not grown:
-            return  # evicted already, or lost an insert race
-        size = grown.nbytes()
+        if _codec_cache.get(grown._digest) is not grown:
+            return  # never cached, evicted already, or lost an insert race
+        size = grown._nbytes()
         _codec_cache_bytes += size - grown._charged
         grown._charged = size
         if size > _CODEC_CACHE_MAX_BYTES:
-            del _codec_cache[grown.digest]
+            del _codec_cache[grown._digest]
             _codec_cache_bytes -= size
         while (len(_codec_cache) > _CODEC_CACHE_SIZE
                or _codec_cache_bytes > _CODEC_CACHE_MAX_BYTES):
@@ -833,57 +790,42 @@ def _codec_cache_fit(grown: CanonicalCodec) -> None:
             _codec_cache_bytes -= oldest._charged
 
 
-def codec_for(code: HuffmanCode) -> CanonicalCodec:
-    """Fetch (or build and cache) the process-wide codec for ``code``."""
-    key = _code_digest(code)
-    codec = _codec_cached(key)
-    if codec is not None:
-        return codec
-    return _codec_insert(CanonicalCodec(code, digest=key))
+def codec_from_table(symbols: np.ndarray, lengths: np.ndarray) -> HuffmanCode:
+    """The code for a parsed ``(symbols, lengths)`` table, from the
+    process-wide decoder cache.
 
-
-def codec_from_table(symbols: np.ndarray, lengths: np.ndarray) -> CanonicalCodec:
-    """Codec for a deserialized ``(symbols, lengths)`` table.
-
-    Hitting the cache here skips the canonical-codeword recomputation
-    entirely on repeated decodes of frames sharing one code table.
+    The table is hashed here, once per parse.  A hit returns the cached
+    code, so a repeat decode of one tree skips the canonical-codeword
+    recomputation and reuses the decode table already built.
     """
-    key = _table_digest(symbols, lengths)
-    codec = _codec_cached(key)
-    if codec is not None:
-        return codec
-    code = HuffmanCode(
-        symbols=symbols,
-        lengths=lengths,
-        codewords=_canonical_codewords(lengths.astype(np.int64)),
-    )
-    return _codec_insert(CanonicalCodec(code, digest=key))
+    digest = _table_digest(symbols, lengths)
+    with _codec_cache_lock:
+        code = _codec_cache.get(digest)
+        if code is not None:
+            _codec_cache.move_to_end(digest)
+            trace.count("huffman.codec_cache_hits")
+            return code
+    trace.count("huffman.codec_cache_misses")
+    code = HuffmanCode(symbols, lengths, _canonical_codewords(lengths))
+    with _codec_cache_lock:
+        existing = _codec_cache.get(digest)
+        if existing is not None:
+            # Raced with another thread: keep the first instance so its
+            # lazily built tables stay shared.
+            _codec_cache.move_to_end(digest)
+            return existing
+        code._digest = digest
+        _codec_cache[digest] = code
+    _codec_cache_fit(code)
+    return code
 
 
 def codec_cache_clear() -> None:
-    """Drop every cached codec (tests and fixture regeneration)."""
+    """Drop every cached code (tests and fixture regeneration)."""
     global _codec_cache_bytes
     with _codec_cache_lock:
         _codec_cache.clear()
         _codec_cache_bytes = 0
-
-
-def codec_cache_stats() -> dict:
-    """Introspect the process-wide codec cache (no counters here —
-    hit/miss totals live in ``trace.counters_snapshot()``).
-
-    Long-lived services (``secz serve``'s STAT verb) report this next
-    to the counter-derived hit rate: ``size``/``capacity`` say how much
-    of the LRU is populated, ``digests`` identifies the resident code
-    tables (hex, LRU order, oldest first) so repeated fields are
-    visibly sharing canonical codecs.
-    """
-    with _codec_cache_lock:
-        return {
-            "size": len(_codec_cache),
-            "capacity": _CODEC_CACHE_SIZE,
-            "digests": [key.hex() for key in _codec_cache],
-        }
 
 
 #: From this many symbols up, :func:`decode` sends a single stream
@@ -920,11 +862,11 @@ def decode_ranks(packed: PackedBits, code: HuffmanCode, n_values: int) -> np.nda
         if packed.n_bits:
             raise ValueError("huffman bitstream does not end at n_bits")
         return np.empty(0, dtype=np.int32)
-    return _scan_ranks(codec_for(code), packed, n_values)
+    return _scan_ranks(code, packed, n_values)
 
 
 def _scan_ranks(
-    codec: CanonicalCodec, packed: PackedBits, n_values: int, start: int = 0
+    code: HuffmanCode, packed: PackedBits, n_values: int, start: int = 0
 ) -> np.ndarray:
     """The scalar loop: decode ``n_values`` symbol ranks (int32) from
     bit ``start`` of ``packed``, one decode-table lookup per codeword
@@ -941,7 +883,7 @@ def _scan_ranks(
     lookup always sees ``max_len`` bits; a chain that overran into the
     padding fails the final bit-count check.
     """
-    tab, root_bits, max_len = codec.decode_table()
+    tab, root_bits, max_len = code.decode_table()
     view = memoryview(tab)
     # Every lookup lands in the table: a root window has root_bits
     # bits, and each link points at a whole sub-table after the root.

@@ -1,72 +1,29 @@
-"""IEEE-754 binary-representation analysis for float arrays.
+"""IEEE-754 byte planes for float arrays.
 
 Algorithm 1's "Compress the unpredictable array using IEEE 754 binary
 representation analysis" / "Compress regression coefficients" step.
-The idea (SZ-1.4's float handling): given a required absolute precision
-``eb``, every mantissa bit whose place value is guaranteed below the
-precision threshold carries no information the consumer may rely on —
-zero it out.  The masked words are then stored as byte planes, where
-the cleared trailing mantissa bytes become long zero runs that the
-final zlib stage removes.
-
-The truncation guarantee: for a value with unbiased exponent ``e``,
-keeping mantissa bits down to place value ``2^(e-K)`` bounds the error
-by ``2^(e-K)`` < ``eb`` when ``K > e - log2(eb)``.
+The floats are stored verbatim, as SZ-1.4 stores its unpredictable
+points: every bit is kept.  The words are stored as byte planes (each
+byte position across all values), so the highly redundant
+sign/exponent/high-mantissa bytes of scientific data become long runs
+for the final zlib stage.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
 
-__all__ = ["float_truncate", "ieee754_encode", "ieee754_decode"]
+__all__ = ["ieee754_encode", "ieee754_decode"]
 
-_MANTISSA_BITS = 23
-_EXP_BIAS = 127
 _HEADER = struct.Struct("<QB")  # (n_values, itemsize)
 
 
-def float_truncate(values: np.ndarray, eb: float) -> np.ndarray:
-    """Zero out mantissa bits of float32 values below precision ``eb``.
-
-    Returns a float32 array with ``|out - values| < eb`` elementwise.
-    ``eb <= 0`` (or non-finite) means lossless: the input is returned
-    unchanged.
-    """
-    v = np.ascontiguousarray(values, dtype=np.float32)
-    if not (eb > 0.0) or not math.isfinite(eb):
-        return v.copy()
-    bits = v.view(np.uint32)
-    exps = ((bits >> np.uint32(_MANTISSA_BITS)) & np.uint32(0xFF)).astype(
-        np.int64
-    ) - _EXP_BIAS
-    # Keep mantissa bits with place value >= 2^floor(log2(eb)); the sum
-    # of all dropped bits is then < 2^floor(log2(eb)) <= eb.
-    eb_exp = math.floor(math.log2(eb))
-    drop = np.clip(_MANTISSA_BITS - (exps - eb_exp), 0, _MANTISSA_BITS)
-    mask = (np.uint32(0xFFFFFFFF) << drop.astype(np.uint32)).astype(np.uint32)
-    # Values entirely below eb collapse to (signed) zero.
-    below = exps - eb_exp < 0
-    out_bits = np.where(below, bits & np.uint32(0x80000000), bits & mask)
-    return out_bits.astype(np.uint32).view(np.float32)
-
-
-def ieee754_encode(values: np.ndarray, eb: float = 0.0) -> bytes:
-    """Byte-plane-pack a float array (float32 or float64).
-
-    For float32 input with ``eb > 0``, mantissa bits below the
-    precision threshold are zeroed first (see :func:`float_truncate`);
-    float64 input is always stored losslessly.  Byte-plane transposition
-    groups each byte position across all values, turning the highly
-    redundant sign/exponent/high-mantissa bytes of scientific data into
-    long runs for the final zlib stage — this is the verbatim
-    "unpredictable array" representation of SZ-1.4.
-    """
+def ieee754_encode(values: np.ndarray) -> bytes:
+    """Byte-plane-pack a float array (float32 or float64), losslessly."""
     v = np.ravel(values)
     if v.dtype == np.float32:
-        v = float_truncate(v, eb)
         words = v.view(np.uint32).astype("<u4")
     elif v.dtype == np.float64:
         words = np.ascontiguousarray(v).view(np.uint64).astype("<u8")

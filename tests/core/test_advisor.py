@@ -68,16 +68,30 @@ class TestRecommendScheme:
         assert rec.scheme in ("encr_huffman", "cmpr_encr")
 
 
-def test_import_repro_leaves_scipy_unloaded():
-    """The advisor loads the guess-space count when it runs: importing
-    the package must not load ``repro.security``, whose NIST suite
-    imports scipy.stats (about a second of start-up)."""
+def _loaded_after(module: str, names: set[str]) -> str:
+    """Which of ``names`` a fresh interpreter holds after importing
+    ``module``, as the printed sorted list."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
-    code = ("import sys, repro; "
-            "print(sorted({'scipy', 'repro.security'} & set(sys.modules)))")
+    code = (f"import sys, {module}; "
+            f"print(sorted({names!r} & set(sys.modules)))")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=os.path.abspath(src)), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_repro_leaves_scipy_unloaded():
+    """The advisor loads the guess-space count when it runs: importing
+    the package must not load ``repro.security``, whose NIST suite
+    imports scipy.stats (about a second of start-up)."""
+    assert _loaded_after("repro", {"scipy", "repro.security"}) == "[]"
+
+
+def test_import_cli_leaves_nist_unloaded():
+    """Only ``secz nist`` runs the NIST suite, so importing the CLI
+    (``secz serve`` included) must load neither it nor scipy.stats."""
+    assert _loaded_after(
+        "repro.cli", {"scipy.stats", "repro.security.nist"}
+    ) == "[]"

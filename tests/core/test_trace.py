@@ -214,8 +214,10 @@ class TestPipelineTrace:
         code = huffman.build_code(symbols, counts)
         huffman.codec_cache_clear()
         before = trace.counters_snapshot()
-        huffman.codec_for(code)
-        huffman.codec_for(code)
+        huffman.encode(symbols, code)  # encoders never look a code up
+        tree = huffman.serialize_tree(code)
+        huffman.deserialize_tree(tree)
+        huffman.deserialize_tree(tree)
         after = trace.counters_snapshot()
         assert after.get("huffman.codec_cache_misses", 0) - before.get(
             "huffman.codec_cache_misses", 0) == 1

@@ -99,7 +99,7 @@ def test_huffman_decode_garbage_bits_above_threshold(seed, extra_bytes,
         code = huffman.codec_from_table(
             np.arange(6, dtype=np.int64),
             np.array([1, 2, 3, 5, 5, 5], dtype=np.uint8),
-        ).code
+        )
     else:
         values = np.arange(16, dtype=np.int64).repeat(4)
         code = huffman.build_code(*np.unique(values, return_counts=True))

@@ -86,47 +86,3 @@ class TestSharedSealer:
                 id(pool.compressor_for("encr_huffman", eb))
             }
         assert pool.jobs_compressed == len(containers) == 6
-
-
-class TestBatchReuseHits:
-    def test_hit_on_another_thread_not_credited(self, monkeypatch):
-        """Thread A compresses a cold field and is held just after its
-        codec lookup while this thread compresses a warm field: only
-        the warm job counts one ``service.batch_reuse_hits``."""
-        from repro.core import trace
-        from repro.sz import huffman
-
-        pool = CompressorPool(key=KEY)
-        huffman.codec_cache_clear()
-        _job(pool, 1e-3, 1, {})  # warms the codec of field 1
-        looked_up, release = threading.Event(), threading.Event()
-        real = huffman.codec_for
-        held: list = []
-
-        def codec_for(code):
-            codec = real(code)
-            if threading.current_thread().name == "cold":
-                looked_up.set()
-                held.append(release.wait(timeout=60))
-            return codec
-
-        monkeypatch.setattr(huffman, "codec_for", codec_for)
-        before = trace.counters_snapshot()
-        cold = threading.Thread(target=_job, args=(pool, 1e-3, 2, {}),
-                                name="cold")
-        cold.start()
-        try:
-            assert looked_up.wait(timeout=60)
-            _job(pool, 1e-3, 1, {})
-        finally:
-            release.set()
-            cold.join(timeout=60)
-        assert not cold.is_alive() and held == [True]
-        after = trace.counters_snapshot()
-
-        def rise(name):
-            return after.get(name, 0) - before.get(name, 0)
-
-        assert rise("huffman.codec_cache_misses") == 1
-        assert rise("huffman.codec_cache_hits") == 1
-        assert rise("service.batch_reuse_hits") == 1

@@ -88,8 +88,7 @@ class TestLaneRoundTrip:
         # One lane, no anchors: the lane stream is byte-identical to
         # the single-stream format the scalar decoder reads.
         packed = enc.lanes[0]
-        scalar = huffman._scan_ranks(huffman.codec_for(code), packed,
-                                     values.size)
+        scalar = huffman._scan_ranks(code, packed, values.size)
         table = enc.table
         kernel = fastdecode.decode_lanes(codes, code, table, values.size)
         assert np.array_equal(scalar, kernel)
@@ -291,43 +290,84 @@ class TestCodecCache:
     def test_decoder_reused_for_same_code(self, skewed_values):
         values = skewed_values[:5000]
         symbols, counts = np.unique(values, return_counts=True)
-        code_a = huffman.build_code(symbols, counts)
-        code_b = huffman.build_code(symbols, counts)
-        # Distinct HuffmanCode objects with equal tables share one codec
-        # (and therefore one decode table) process-wide.
-        assert huffman.codec_for(code_a) is huffman.codec_for(code_b)
-        assert (huffman.codec_for(code_a).decode_table()
-                is huffman.codec_for(code_b).decode_table())
+        tree = huffman.serialize_tree(huffman.build_code(symbols, counts))
+        # Two parses of one tree return one cached code, and therefore
+        # one decode table process-wide.
+        code_a = huffman.deserialize_tree(tree)
+        code_b = huffman.deserialize_tree(tree)
+        assert code_a is code_b
+        assert code_a.decode_table() is code_b.decode_table()
 
     def test_distinct_codes_get_distinct_decoders(self):
-        code_a = huffman.build_code(np.array([1, 2]), np.array([3, 5]))
-        code_b = huffman.build_code(np.array([1, 3]), np.array([3, 5]))
-        assert (huffman.codec_for(code_a).decode_table()
-                is not huffman.codec_for(code_b).decode_table())
+        lengths = np.array([1, 1], dtype=np.uint8)
+        code_a = huffman.codec_from_table(np.array([1, 2]), lengths)
+        code_b = huffman.codec_from_table(np.array([1, 3]), lengths)
+        assert code_a.decode_table() is not code_b.decode_table()
 
     def test_deserialized_tree_hits_cache(self, skewed_values):
         values = skewed_values[:5000]
         symbols, counts = np.unique(values, return_counts=True)
         code = huffman.build_code(symbols, counts)
-        codec = huffman.codec_for(code)
-        restored = huffman.deserialize_tree(huffman.serialize_tree(code))
-        # Same table digest: the deserialized frame reuses the cached
-        # codec's HuffmanCode instead of recomputing codewords.
-        assert restored is codec.code
+        huffman.codec_cache_clear()
+        huffman.encode(values, code)
+        tree = huffman.serialize_tree(code)
+        # Encoding caches nothing: the first parse builds the code,
+        # and a repeat parse gets that code back from the cache.
+        first = huffman.deserialize_tree(tree)
+        assert first is not code
+        assert huffman.deserialize_tree(tree) is first
 
     def test_cache_bounded(self):
+        lengths = np.array([1, 1], dtype=np.uint8)
         for i in range(3 * huffman._CODEC_CACHE_SIZE):
-            code = huffman.build_code(
-                np.array([i, i + 1]), np.array([3, 5])
-            )
-            huffman.codec_for(code).decode_table()
-        assert len(huffman._codec_cache) <= huffman._CODEC_CACHE_SIZE
+            huffman.codec_from_table(np.array([i, i + 1]), lengths).decode_table()
+        assert len(huffman._codec_cache) == huffman._CODEC_CACHE_SIZE
 
     def test_cache_clear(self):
-        code = huffman.build_code(np.array([1, 2]), np.array([3, 5]))
-        huffman.codec_for(code)
+        huffman.codec_from_table(np.array([1, 2]), np.array([1, 1], np.uint8))
         huffman.codec_cache_clear()
         assert len(huffman._codec_cache) == 0
+
+    @pytest.mark.parametrize("name, size, version",
+                             [("q2", "tiny", 2), ("nyx", "small", 3)])
+    def test_secure_round_trip_hashes_each_tree_once(self, monkeypatch,
+                                                     name, size, version):
+        """A compress hashes no table; a decompress hashes its tree
+        once, and a repeat decompress rebuilds no decode table."""
+        from repro.core import trace
+        from repro.core.pipeline import SecureCompressor
+        from repro.datasets import generate
+
+        hashed, built = [], []
+        real_digest = huffman._table_digest
+
+        def digest(symbols, lengths):
+            hashed.append(symbols.size)
+            return real_digest(symbols, lengths)
+
+        monkeypatch.setattr(huffman, "_table_digest", digest)
+        field = np.asarray(generate(name, size=size), dtype=np.float32)
+        sc = SecureCompressor(scheme="encr_huffman", error_bound=1e-4,
+                              key=bytes(16))
+        huffman.codec_cache_clear()
+        tr = trace.Tracer()
+        container = sc.compress(field, tracer=tr).container
+        assert {span.attrs["frame_version"] for root in tr.roots
+                for span in root.walk()
+                if "frame_version" in span.attrs} == {version}
+        assert hashed == []
+        sc.decompress(container)
+        assert len(hashed) == 1
+        real_build = huffman.HuffmanCode._build_decode_table
+
+        def build(code):
+            built.append(code.n_symbols)
+            return real_build(code)
+
+        monkeypatch.setattr(huffman.HuffmanCode, "_build_decode_table", build)
+        restored = sc.decompress(container)
+        assert len(hashed) == 2 and built == []
+        assert np.abs(restored - field).max() <= 1e-4
 
     @staticmethod
     def _deep_code(offset: int) -> huffman.HuffmanCode:
@@ -337,7 +377,7 @@ class TestCodecCache:
             [1], np.tile(np.r_[np.arange(17, 22), 21], 1 << 15)
         ]).astype(np.uint8)
         symbols = np.arange(lengths.size, dtype=np.int64) + offset
-        return huffman.codec_from_table(symbols, lengths).code
+        return huffman.codec_from_table(symbols, lengths)
 
     @pytest.mark.parametrize("budget_mb", [16, 4])
     def test_deep_codes_retain_at_most_the_byte_budget(self, monkeypatch,
@@ -377,10 +417,9 @@ class TestCodecCache:
         frame = comp.compress(np.asarray(generate("nyx", size="small")))
         huffman.codec_cache_clear()
         comp.decompress(frame)
-        (codec,) = huffman._codec_cache.values()
-        tab = codec.decode_table()[0]
+        (code,) = huffman._codec_cache.values()
+        tab = code.decode_table()[0]
         assert tab.nbytes > 1 << 18
-        assert huffman._codec_cache.get(codec.digest) is codec
 
 
 class TestSlidingWindow:

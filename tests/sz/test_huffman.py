@@ -270,8 +270,7 @@ class TestFastDecodeTable:
         packed = huffman.encode(values, code)
         # Called directly: huffman.decode sends streams this long
         # through the kernel only.
-        scalar = huffman._scan_ranks(huffman.codec_for(code), packed,
-                                     values.size)
+        scalar = huffman._scan_ranks(code, packed, values.size)
         kernel = fastdecode.decode_stream(packed, code, values.size)
         oracle = decode_ranks_ref(packed, code, values.size)
         for ranks in (scalar, kernel):
@@ -296,7 +295,7 @@ class TestFastDecodeTable:
         # entries are (rank << 5) | length for every window.
         code = huffman.build_code(np.array([5, 6, 7]), np.array([9, 4, 3]))
         assert code.lengths.tolist() == [1, 2, 2]
-        tab, root_bits, max_len = huffman.codec_for(code).decode_table()
+        tab, root_bits, max_len = code.decode_table()
         assert (root_bits, max_len) == (2, 2)
         assert tab.tolist() == [
             (0 << 5) | 1, (0 << 5) | 1, (1 << 5) | 2, (2 << 5) | 2

@@ -154,10 +154,9 @@ class TestEncodeLookup:
         symbols = np.arange(-500, 500, dtype=np.int64)  # contiguous → dense
         f = rng.integers(1, 100, size=symbols.size).astype(np.int64)
         code = build_code(symbols, f)
-        codec = huffman.codec_for(code)
-        assert codec._encode_tables()[0] == "dense"
         values = rng.choice(symbols, size=5000)
-        cw, ln = codec.lookup(values)
+        cw, ln = code.lookup(values)
+        assert code._encode[0] == "dense"
         rcw, rln = self._reference_lookup(code, values)
         np.testing.assert_array_equal(cw, rcw)
         np.testing.assert_array_equal(ln, rln)
@@ -167,10 +166,9 @@ class TestEncodeLookup:
         symbols = np.unique(rng.integers(-10**9, 10**9, size=400))
         f = rng.integers(1, 100, size=symbols.size).astype(np.int64)
         code = build_code(symbols, f)
-        codec = huffman.codec_for(code)
-        assert codec._encode_tables()[0] == "sparse"
         values = rng.choice(symbols, size=5000)
-        cw, ln = codec.lookup(values)
+        cw, ln = code.lookup(values)
+        assert code._encode[0] == "sparse"
         rcw, rln = self._reference_lookup(code, values)
         np.testing.assert_array_equal(cw, rcw)
         np.testing.assert_array_equal(ln, rln)
@@ -182,10 +180,10 @@ class TestEncodeLookup:
         else:
             symbols = np.arange(16, dtype=np.int64) * 10**6
         f = np.arange(1, 17, dtype=np.int64)
-        codec = huffman.codec_for(build_code(symbols, f))
+        code = build_code(symbols, f)
         bad = np.array([int(symbols[0]) + 1 if not dense else 999])
         with pytest.raises(ValueError, match="alphabet"):
-            codec.lookup(bad)
+            code.lookup(bad)
 
 
 class TestDepthLimitedFrames:

@@ -5,51 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sz.ieee754 import float_truncate, ieee754_decode, ieee754_encode
+from repro.sz.ieee754 import ieee754_decode, ieee754_encode
 
 floats32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
-
-
-class TestFloatTruncate:
-    def test_lossless_when_eb_zero(self):
-        vals = np.array([1.5, -2.25, 1e-30], dtype=np.float32)
-        assert np.array_equal(float_truncate(vals, 0.0), vals)
-
-    def test_error_bounded(self):
-        rng = np.random.default_rng(3)
-        vals = (rng.standard_normal(1000) * 100).astype(np.float32)
-        for eb in (1e-1, 1e-3, 1e-5):
-            out = float_truncate(vals, eb)
-            assert np.abs(out.astype(np.float64) - vals.astype(np.float64)).max() < eb
-
-    def test_small_values_collapse_to_zero(self):
-        vals = np.array([1e-8, -1e-8], dtype=np.float32)
-        out = float_truncate(vals, 1e-3)
-        assert (out == 0).all()
-        assert np.signbit(out[1])  # sign preserved
-
-    def test_zeros_reduce_trailing_bits(self):
-        vals = np.array([123.456], dtype=np.float32)
-        out = float_truncate(vals, 1e-1)
-        bits = out.view(np.uint32)[0]
-        # The low mantissa bits must be cleared.
-        assert bits & 0x3FF == 0
-
-    def test_specials_preserved(self):
-        vals = np.array([np.inf, -np.inf, np.nan], dtype=np.float32)
-        out = float_truncate(vals, 1e-3)
-        assert np.isinf(out[0]) and out[0] > 0
-        assert np.isinf(out[1]) and out[1] < 0
-        assert np.isnan(out[2])
-
-    @given(values=st.lists(floats32, min_size=1, max_size=50),
-           eb=st.sampled_from([1e-1, 1e-2, 1e-4, 1e-6]))
-    @settings(max_examples=50, deadline=None)
-    def test_truncation_bound_property(self, values, eb):
-        vals = np.array(values, dtype=np.float32)
-        out = float_truncate(vals, eb)
-        err = np.abs(out.astype(np.float64) - vals.astype(np.float64))
-        assert (err < eb).all()
 
 
 class TestCodec:

@@ -1,7 +1,7 @@
 """Differential tests: both Huffman decode routes against one oracle.
 
 Every decoder walks the code's one packed two-level table
-(``CanonicalCodec.decode_table``).  ``fastdecode.decode_lanes`` decodes
+(``HuffmanCode.decode_table``).  ``fastdecode.decode_lanes`` decodes
 every v3 frame through it in one staged-output loop,
 ``fastdecode.decode_stream`` sends single (v2) streams of at least
 ``huffman.SELF_SYNC_MIN_VALUES`` symbols through the same loop by
@@ -45,7 +45,7 @@ def _code_from_lengths(lengths, seed: int = 0) -> huffman.HuffmanCode:
     symbols = np.cumsum(rng.integers(1, 5, lengths.size)) - 40
     return huffman.codec_from_table(
         symbols.astype(np.int64), rng.permutation(lengths)
-    ).code
+    )
 
 
 @st.composite
@@ -90,7 +90,7 @@ def _values(code: huffman.HuffmanCode, n: int, seed: int) -> np.ndarray:
 
 def _scalar(packed, code, n):
     """The scalar loop called directly, whatever the stream's length."""
-    return huffman._scan_ranks(huffman.codec_for(code), packed, n)
+    return huffman._scan_ranks(code, packed, n)
 
 
 def _kernel_scalar_oracle(code, values, n_lanes, stride):
@@ -272,7 +272,7 @@ class TestTableShape:
     @pytest.mark.parametrize("max_len", DEPTHS)
     def test_root_width_and_size_bound(self, max_len):
         code = _code_from_lengths(list(range(1, max_len + 1)) + [max_len])
-        tab, root_bits, depth = huffman.CanonicalCodec(code).decode_table()
+        tab, root_bits, depth = code.decode_table()
         assert depth == max_len
         assert tab.dtype == np.int32
         assert root_bits == min(max_len, DEPTH_LIMIT_BITS)
@@ -296,7 +296,7 @@ class TestTableShape:
         assert code.n_symbols == 294_913
         tracemalloc.start()
         try:
-            tab, root_bits, _ = huffman.CanonicalCodec(code).decode_table()
+            tab, root_bits, _ = code.decode_table()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -326,7 +326,7 @@ class TestTableShape:
         assert (2.0 ** -lengths.astype(np.float64)).sum() == 1.0
         code = huffman.codec_from_table(
             np.arange(lengths.size, dtype=np.int64), lengths
-        ).code
+        )
         assert len(huffman.serialize_tree(code)) > 130_000
         values = np.random.default_rng(1).choice(code.symbols, size=200)
         packed = huffman.encode(values, code)
@@ -336,7 +336,7 @@ class TestTableShape:
             out = huffman.decode(packed, code, values.size)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-            tab = huffman.codec_for(code).decode_table()[0]
+            tab = code.decode_table()[0]
         finally:
             tracemalloc.stop()
             huffman.codec_cache_clear()  # drop the cached 34 MB table
@@ -424,7 +424,7 @@ class TestKraftHoles:
 
     def test_holes_are_zero_at_both_levels(self):
         code = _code_from_lengths(self.LENGTHS, seed=5)
-        tab, root_bits, _ = huffman.CanonicalCodec(code).decode_table()
+        tab, root_bits, _ = code.decode_table()
         assert tab[0xFFFF] == 0
         link = -int(tab[0xFFFE])
         assert link >= 1 << root_bits

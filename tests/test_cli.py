@@ -142,7 +142,7 @@ class TestImageCommands:
         assert cli.main(["img-compress", str(src), out,
                          "--quality", "80", "--passphrase", "pw"]) == 0
         assert cli.main(["img-decompress", out, back,
-                         "--quality", "80", "--passphrase", "pw"]) == 0
+                         "--passphrase", "pw"]) == 0
         restored = np.load(back)
         codec = ImageCodec(80)
         sections, _ = codec.encode(img)
@@ -220,8 +220,8 @@ class TestAuthenticatedContainers:
         path = tmp_path / "img.secz"
         path.write_bytes(sic.compress(img).container)
         back = str(tmp_path / "back.npy")
-        assert cli.main(["img-decompress", str(path), back, "--quality",
-                         "80", "--key-hex", self.KEY_HEX]) == 0
+        assert cli.main(["img-decompress", str(path), back,
+                         "--key-hex", self.KEY_HEX]) == 0
         codec = ImageCodec(80)
         sections, _ = codec.encode(img)
         assert np.array_equal(np.load(back), codec.decode(sections))

@@ -73,6 +73,6 @@ def test_serve_client_example_runs(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "secp-stat/1" in proc.stdout
+    assert "secp-stat/2" in proc.stdout
     assert "round trip max error" in proc.stdout
-    assert "hit rate" in proc.stdout
+    assert "jobs compressed by the pool: 3" in proc.stdout
