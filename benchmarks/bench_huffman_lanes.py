@@ -11,17 +11,20 @@ encode kernel, the symbol histogram ``huffman_build`` takes
 (``quantizer.code_histogram``) against the ``np.unique`` sort it
 replaced, the tree build, both its length computation alone and
 all the work of the traced ``huffman_build`` span, and the whole
-``SZCompressor.decompress`` of the frame (CPU ms and its tracemalloc
-peak over the field's bytes), on a >= 4 MB float32 field.  The
-reference implementations come from ``tests/oracles.py``.  Writes
-``BENCH_huffman.json`` at the repo root (or ``REPRO_BENCH_OUT``).  CI
-runs this at full size; the acceptance bars are a >= 5x decode speedup
-at K = 16 over the scalar loop, a >= 5x single-stream decode speedup
-over the scalar loop and a decompress peak of at most 3.5x the field
-(both asserted at full size: a ratio of two timings on one host, and
-a ratio of bytes, so they gate every change whatever the runner's
-speed), and a >= 2x `huffman_encode` throughput with ~8x lower peak
-allocation over the reference packer.  The file opens with the
+``SZCompressor.compress`` of the field and ``SZCompressor.decompress``
+of its frame (CPU ms and the tracemalloc peak over the field's bytes),
+on a >= 4 MB float32 field.  The reference implementations come from
+``tests/oracles.py``.  Writes ``BENCH_huffman.json`` at the repo root
+(or ``REPRO_BENCH_OUT``).  CI runs this at full size; the acceptance
+bars are a >= 5x decode speedup at K = 16 over the scalar loop, a
+>= 5x single-stream decode speedup over the scalar loop, a compress
+peak of at most 3x the field plus 8 bytes per padded point (``auto``
+fits the regression candidate's float64 block matrix) and a
+decompress peak of at most 3.5x the field (all three asserted at full
+size: a ratio of two timings on one host, and ratios of bytes, so they
+gate every change whatever the runner's speed), and a >= 2x
+`huffman_encode` throughput with ~8x lower peak allocation over the
+reference packer.  The file opens with the
 ``repro-bench/1`` provenance header (:mod:`provenance`).
 
 Decode columns are the median of ``time.process_time`` over the runs
@@ -52,7 +55,7 @@ import numpy as np
 from provenance import header
 
 from repro.datasets import generate
-from repro.sz import fastdecode, huffman, quantizer
+from repro.sz import blocks, fastdecode, huffman, quantizer
 from repro.sz.bitstream import concat_streams, pack_codes
 from repro.sz.compressor import SZCompressor
 
@@ -137,6 +140,7 @@ def main() -> dict:
         "encode_peak_alloc_mb": {},
         "decode_mb_per_s": {},
         "decode_msym_per_s": {},
+        "compress": {},
         "decompress": {},
     }
 
@@ -276,6 +280,27 @@ def main() -> dict:
         assert result["speedup_single_vs_scalar"] >= 5, (
             "single-stream decode must run >= 5x the scalar loop, read "
             f"{result['speedup_single_vs_scalar']}x"
+        )
+
+    # ------------------------------------------------------------------
+    # Compress: the whole SZCompressor.compress of the field, in CPU ms,
+    # and its tracemalloc peak over the field's bytes.  The bar is the
+    # int64 grid and uint16 codes (3x a float32 field with slack) plus
+    # the regression candidate's fit, one float64 per padded point.
+    # ------------------------------------------------------------------
+    secs = _median_cpu_seconds(lambda: comp.compress(field))
+    result["compress"]["cpu_ms"] = round(secs * 1e3, 3)
+    result["compress"]["mb_per_cpu_s"] = round(field_mb / secs, 2)
+    result["compress"]["peak_over_field"] = round(
+        _peak_mb(lambda: comp.compress(field)) / field_mb, 3
+    )
+    padded = int(np.prod(blocks.padded_shape(field.shape, comp.block_size)))
+    bar = 3 + 8 * padded / field.nbytes
+    result["compress"]["peak_bar"] = round(bar, 3)
+    if "REPRO_BENCH_DIMS" not in os.environ:
+        assert result["compress"]["peak_over_field"] <= bar, (
+            f"compress must peak at <= {bar:.3f}x the field under "
+            f"tracemalloc, read {result['compress']['peak_over_field']}x"
         )
 
     # ------------------------------------------------------------------

@@ -7,12 +7,16 @@ of bytes produce identical chunks no matter where they sit in the
 stream — which is what makes the store-once blob table catch a
 checkpoint shard added twice under different names.
 
-The hash is a gear hash (as in FastCDC): each position mixes the
+The hash is a gear hash (as in FastCDC): each position sums the
 previous 32 bytes as ``h[i] = sum_{k<32} GEAR[b[i-k]] << k``, with a
 fixed random 256-entry table.  A position is a cut candidate when the
 low ``chunk_bits`` bits of ``h`` are zero (expected spacing
 ``2**chunk_bits``); min/max bounds are enforced greedily afterwards so
-adversarial content can neither starve nor flood the chunker.
+adversarial content can neither starve nor flood the chunker.  The
+test reads only those low bits, and a term ``GEAR[b] << k`` with
+``k >= chunk_bits`` has none there (carries only move up), so a cut
+depends on the last ``min(chunk_bits, 32)`` bytes alone: 12 at the
+default, not 32.
 
 The table is seeded constant: chunk boundaries are part of the
 archive's deduplication behaviour and must be stable across runs and

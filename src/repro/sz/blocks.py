@@ -1,14 +1,15 @@
 """Block decomposition helpers for the regression predictor.
 
-SZ splits the domain into equal-size blocks (paper Sec. II-A).  These
-helpers pad an N-d array to a block multiple (edge replication), expose
-a ``(n_blocks, block_elems)`` flattened view for vectorized per-block
-math, and invert both operations.  Pure reshape/transpose — no copies
-beyond the pad itself.
+SZ splits the domain into equal-size blocks (paper Sec. II-A), padding
+a partial block at the far edge of an axis by replicating the edge
+value.  :func:`block_matrix` lays the padded grid out as one row per
+block for the vectorized per-block fit, straight from the unpadded
+array: the padding is a broadcast of the edge planes, not a copy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -16,10 +17,7 @@ import numpy as np
 __all__ = [
     "padded_shape",
     "n_blocks",
-    "pad_to_blocks",
-    "block_view",
-    "unblock_view",
-    "crop",
+    "block_matrix",
 ]
 
 
@@ -35,60 +33,41 @@ def n_blocks(shape: tuple[int, ...], block_size: int) -> int:
     return int(np.prod([s // block_size for s in padded_shape(shape, block_size)]))
 
 
-def pad_to_blocks(data: np.ndarray, block_size: int) -> np.ndarray:
-    """Edge-replicate ``data`` up to a block-multiple shape."""
-    target = padded_shape(data.shape, block_size)
-    pad = [(0, t - s) for s, t in zip(data.shape, target)]
-    if all(p == (0, 0) for p in pad):
-        return data
-    return np.pad(data, pad, mode="edge")
-
-
-def block_view(padded: np.ndarray, block_size: int,
-               dtype: np.dtype | None = None) -> np.ndarray:
-    """Reshape a padded array to ``(n_blocks, block_size**ndim)``.
+def block_matrix(data: np.ndarray, block_size: int) -> np.ndarray:
+    """The edge-padded blocks of ``data`` as a float64
+    ``(n_blocks, block_size**ndim)`` matrix.
 
     Blocks are ordered C-style over the block grid, and elements within
-    a block are C-ordered over local coordinates — the same convention
-    :func:`unblock_view` inverts.  ``dtype`` casts in the same copy.
+    a block are C-ordered over local coordinates.  The matrix is written
+    through a view that interleaves block and local axes, ``(b0, l0,
+    b1, l1, ...)``.  Along each axis, that view splits into whole
+    blocks, the real part of a partial last block, and its padding.
+    The padding reads the axis's last index with length 1, so it
+    broadcasts.  One strided copy per combination of those parts fills
+    the matrix, and no padded copy of ``data`` is made.
     """
-    ndim = padded.ndim
-    for axis, s in enumerate(padded.shape):
-        if s % block_size:
-            raise ValueError(f"axis {axis} size {s} not a block multiple")
-    # (b0, s0, b1, s1, ...) split, then bring block axes first.
-    split_shape: list[int] = []
-    for s in padded.shape:
-        split_shape.extend([s // block_size, block_size])
-    arr = padded.reshape(split_shape)
-    order = list(range(0, 2 * ndim, 2)) + list(range(1, 2 * ndim, 2))
-    arr = arr.transpose(order)
-    if dtype is None:
-        return arr.reshape(-1, block_size**ndim)
-    out = np.empty((padded.size // block_size**ndim, block_size**ndim), dtype)
-    out.reshape(arr.shape)[...] = arr
+    bs = block_size
+    grid = [s // bs for s in padded_shape(data.shape, bs)]
+    out = np.empty((math.prod(grid), bs ** data.ndim), dtype=np.float64)
+    order = [i for axis in range(data.ndim) for i in (axis, data.ndim + axis)]
+    view = out.reshape(grid + [bs] * data.ndim).transpose(order)
+    # Per axis: (target block and local slices, source slice, source
+    # split into (blocks, locals)).
+    parts = []
+    for s in data.shape:
+        whole, rest = divmod(s, bs)
+        axis_parts = []
+        if whole:
+            axis_parts.append(((slice(0, whole), slice(None)),
+                               slice(0, whole * bs), (whole, bs)))
+        if rest:
+            last = slice(whole, whole + 1)
+            axis_parts.append(((last, slice(0, rest)),
+                               slice(whole * bs, s), (1, rest)))
+            axis_parts.append(((last, slice(rest, bs)), slice(s - 1, s), (1, 1)))
+        parts.append(axis_parts)
+    for combo in itertools.product(*parts):
+        target = view[tuple(sl for dst, _, _ in combo for sl in dst)]
+        source = data[tuple(src for _, src, _ in combo)]
+        target[...] = source.reshape([n for _, _, split in combo for n in split])
     return out
-
-
-def unblock_view(blocked: np.ndarray, target_shape: tuple[int, ...],
-                 block_size: int) -> np.ndarray:
-    """Invert :func:`block_view` back to ``target_shape`` (padded)."""
-    ndim = len(target_shape)
-    grid = [s // block_size for s in target_shape]
-    if blocked.shape != (int(np.prod(grid)), block_size**ndim):
-        raise ValueError(
-            f"blocked array {blocked.shape} does not tile {target_shape} "
-            f"with block size {block_size}"
-        )
-    arr = blocked.reshape(grid + [block_size] * ndim)
-    order: list[int] = []
-    for axis in range(ndim):
-        order.extend([axis, ndim + axis])
-    arr = arr.transpose(order)
-    return arr.reshape(target_shape)
-
-
-def crop(data: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Crop a padded array back to the original ``shape``."""
-    slices = tuple(slice(0, s) for s in shape)
-    return data[slices]

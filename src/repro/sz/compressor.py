@@ -239,25 +239,29 @@ class SZCompressor:
             data = work
 
             with tr.span("predict") as sp:
-                predictor_name, residuals, model, modal = self._predict(q)
+                pred = self._predict(q)
                 radius = quantizer.choose_radius(
-                    residuals, coverage=self.coverage
+                    pred.sample, coverage=self.coverage
                 )
-                codes, unpred_mask = quantizer.codes_from_residuals(
-                    residuals, radius
+                coded = quantizer.codes_from_residuals(
+                    predictors.residual_slabs(
+                        q, pred.name, model=pred.model, modal=pred.modal
+                    ),
+                    q.size, radius,
                 )
-                sp.annotate(predictor=predictor_name, radius=radius)
+                # The grid was the one whole-grid array; from here on
+                # the encoder reads the uint16 codes.
+                del q
+                sp.annotate(predictor=pred.name, radius=radius)
 
             with tr.span("huffman_build") as sp:
-                flat_codes = np.ravel(codes)
-                symbols, counts = quantizer.code_histogram(flat_codes)
-                code = huffman.build_code(symbols, counts)
-                n_symbols = int(symbols.size)
+                code = huffman.build_code(coded.symbols, coded.counts)
+                n_symbols = int(coded.symbols.size)
                 sp.annotate(n_symbols=n_symbols)
 
             with tr.span("huffman_encode") as sp:
                 total_bits = int(
-                    (counts * code.lengths.astype(np.int64)).sum()
+                    (coded.counts * code.lengths.astype(np.int64)).sum()
                 )
                 auto_format = (self.huffman_lanes == "auto"
                                and self.anchor_stride == "auto")
@@ -267,7 +271,7 @@ class SZCompressor:
                     # nothing, so emit the legacy v2 single-stream
                     # frame (byte-identical to the pre-lane format, and
                     # still decoded by every reader).
-                    packed = huffman.encode(flat_codes, code)
+                    packed = huffman.encode(coded.codes, code)
                     tree_bytes = huffman.serialize_tree(code)
                     codes_bytes = packed.data
                     n_code_bits = packed.n_bits
@@ -275,9 +279,9 @@ class SZCompressor:
                     sp.annotate(frame_version=2, lanes=1)
                 else:
                     n_lanes, stride = self._lane_params(
-                        flat_codes.size, total_bits
+                        coded.codes.size, total_bits
                     )
-                    enc = huffman.encode_lanes(flat_codes, code, n_lanes, stride)
+                    enc = huffman.encode_lanes(coded.codes, code, n_lanes, stride)
                     tree_bytes = huffman.serialize_lane_tree(code, enc.table)
                     codes_bytes = concat_streams(list(enc.lanes))
                     n_code_bits = enc.n_bits
@@ -294,15 +298,15 @@ class SZCompressor:
                 # decode pointwise, so unpredictable points are stored
                 # as verbatim floats (SZ-1.4's representation) and
                 # scattered straight into the output.
-                if predictor_name == "lorenzo":
-                    unpred_bytes = intcodec.byteplane_encode(
-                        residuals[unpred_mask]
-                    )
+                if pred.name == "lorenzo":
+                    unpred_bytes = intcodec.byteplane_encode(coded.outliers)
                 else:
-                    unpred_bytes = ieee754.ieee754_encode(data[unpred_mask])
+                    unpred_bytes = ieee754.ieee754_encode(
+                        np.ravel(data)[coded.unpredictable]
+                    )
                 coeff_bytes = (
-                    ieee754.ieee754_encode(model.coefficients)
-                    if model is not None
+                    ieee754.ieee754_encode(pred.model.coefficients)
+                    if pred.model is not None
                     else b""
                 )
                 exact_bytes = _pack_exact(
@@ -316,9 +320,10 @@ class SZCompressor:
                 + len(coeff_bytes) + len(exact_bytes) + len(aux_bytes)
             )
 
+        n_unpred = int(coded.unpredictable.size)
         meta = self._pack_meta(
-            data, out_dtype, eb, predictor_name, radius, modal, n_code_bits,
-            int(unpred_mask.sum()), frame_version,
+            data, out_dtype, eb, pred.name, radius, pred.modal,
+            n_code_bits, n_unpred, frame_version,
         )
         sections = {
             "meta": meta,
@@ -332,9 +337,9 @@ class SZCompressor:
         stats = CompressionStats(
             n_elements=int(data.size),
             eb_abs=eb,
-            predictor=predictor_name,
+            predictor=pred.name,
             radius=radius,
-            unpredictable_count=int(unpred_mask.sum()),
+            unpredictable_count=n_unpred,
             section_bytes={k: len(v) for k, v in sections.items()},
             exact_count=int(exact_idx.size),
             n_symbols=n_symbols,
@@ -342,11 +347,17 @@ class SZCompressor:
         return SZFrame(sections=sections, stats=stats)
 
     def _predict(self, q: np.ndarray) -> predictors.Prediction:
-        """Select a predictor (if auto) and compute its residuals."""
+        """The predictor (selected first if auto) at the sample points
+        :func:`~repro.sz.quantizer.choose_radius` reads."""
+        stride = predictors.sample_stride(q.size)
         if self.predictor != "auto":
-            return predictors.predict(q, self.predictor, self.block_size)
-        lorenzo = predictors.lorenzo_residuals(q)
-        probe_radius = quantizer.choose_radius(lorenzo, coverage=self.coverage)
+            return predictors.predict_sampled(
+                q, self.predictor, self.block_size, stride
+            )
+        lorenzo = predictors.predict_sampled(q, "lorenzo", self.block_size,
+                                             stride)
+        probe_radius = quantizer.choose_radius(lorenzo.sample,
+                                               coverage=self.coverage)
         return predictors.select_predictor(
             q, probe_radius, self.block_size, lorenzo=lorenzo
         )
@@ -486,6 +497,7 @@ class SZCompressor:
                     sentinel=int(zero[0]) if zero.size else None,
                     unpredictable=unpred, model=model,
                 )
+                del ranks  # before the pw_rel inverse's output exists
                 exact_idx, exact_vals = _unpack_exact(
                     frame.sections["exact"], work_dtype
                 )
@@ -568,7 +580,13 @@ def _pwrel_forward(data: np.ndarray) -> tuple[np.ndarray, bytes]:
 
 
 def _pwrel_inverse(y: np.ndarray, aux: bytes, dtype: np.dtype) -> np.ndarray:
-    """Invert :func:`_pwrel_forward`: ``x = ±2^y``, zeros restored."""
+    """Invert :func:`_pwrel_forward`: ``x = ±2^y``, zeros restored.
+
+    Runs over :data:`~repro.sz.quantizer.SLAB_POINTS`-point slabs (a
+    multiple of 8, so each slab starts on a byte of both bit planes)
+    straight into the ``dtype`` output; every value is computed and
+    cast exactly as the whole-array inverse does.
+    """
     if len(aux) < 8:
         raise ValueError("pw_rel aux section shorter than its header")
     (n,) = struct.unpack_from("<Q", aux)
@@ -577,16 +595,19 @@ def _pwrel_inverse(y: np.ndarray, aux: bytes, dtype: np.dtype) -> np.ndarray:
     plane = (n + 7) // 8
     if len(aux) != 8 + 2 * plane:
         raise ValueError("truncated pw_rel aux section")
-    signs = np.unpackbits(
-        np.frombuffer(aux, dtype=np.uint8, offset=8, count=plane)
-    )[:n].astype(bool)
-    zeros = np.unpackbits(
-        np.frombuffer(aux, dtype=np.uint8, offset=8 + plane, count=plane)
-    )[:n].astype(bool)
-    mag = np.exp2(np.ravel(y).astype(np.float64))
-    out = np.where(signs, -mag, mag)
-    out[zeros] = 0.0
-    return out.reshape(y.shape).astype(dtype)
+    signs = np.frombuffer(aux, dtype=np.uint8, offset=8, count=plane)
+    zeros = np.frombuffer(aux, dtype=np.uint8, offset=8 + plane, count=plane)
+    out = np.empty(y.shape, dtype=dtype)
+    flat_y, flat_out = np.ravel(y), out.reshape(-1)
+    for lo in range(0, n, quantizer.SLAB_POINTS):
+        hi = min(lo + quantizer.SLAB_POINTS, n)
+        bits = slice(lo // 8, -(-hi // 8))
+        mag = np.exp2(flat_y[lo:hi].astype(np.float64, copy=False))
+        x = np.where(np.unpackbits(signs[bits], count=hi - lo).astype(bool),
+                     -mag, mag)
+        x[np.unpackbits(zeros[bits], count=hi - lo).astype(bool)] = 0.0
+        flat_out[lo:hi] = x
+    return out
 
 
 def _pack_exact(indices: np.ndarray, values: np.ndarray) -> bytes:

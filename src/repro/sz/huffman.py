@@ -272,14 +272,17 @@ class HuffmanCode:
 
         Dense integer alphabets (the quantization-code common case) go
         through a direct offset-indexed gather; sparse alphabets fall
-        back to ``searchsorted``.  Raises ``ValueError`` when any value
-        is outside the code's alphabet.
+        back to ``searchsorted``.  ``values`` may have any integer dtype
+        (the compressor's codes are ``uint16``): the offsets are taken
+        in ``intp``, so a value below the alphabet cannot wrap into
+        range.  Raises ``ValueError`` when any value is outside the
+        code's alphabet.
         """
         kind, lengths64, lut_cw, lut_ln = self._derived(
             "_encode", self._build_encode_tables
         )
         if kind == "dense":
-            off = values - int(self.symbols[0])
+            off = np.subtract(values, int(self.symbols[0]), dtype=np.intp)
             if off.size and (
                 int(off.min()) < 0 or int(off.max()) >= lut_ln.size
             ):
@@ -464,7 +467,7 @@ def build_code(symbols: np.ndarray, frequencies: np.ndarray) -> HuffmanCode:
 
 def encode(values: np.ndarray, code: HuffmanCode) -> PackedBits:
     """Huffman-encode an int array (vectorized lookup + bit pack)."""
-    values = np.ravel(np.asarray(values, dtype=np.int64))
+    values = np.ravel(values)
     if values.size == 0:
         return PackedBits(data=b"", n_bits=0)
     codewords, lengths = code.lookup(values)
@@ -616,9 +619,10 @@ def encode_lanes(
 
     Every lane is a self-contained stream under the shared canonical
     code, padded to a byte boundary so the concatenated ``codes``
-    section keeps lanes byte-aligned.
+    section keeps lanes byte-aligned.  ``values`` are read in their own
+    integer dtype, one lane at a time (:meth:`HuffmanCode.lookup`).
     """
-    values = np.ravel(np.asarray(values, dtype=np.int64))
+    values = np.ravel(values)
     if not 1 <= n_lanes <= MAX_LANES:
         raise ValueError(f"n_lanes must be in 1..{MAX_LANES}")
     if values.size and n_lanes > values.size:

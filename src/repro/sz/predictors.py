@@ -9,30 +9,32 @@ Working on the grid (int64 indices ``q``) rather than on decompressed
 floats is what makes everything vectorizable *and* exact:
 
 * The N-d Lorenzo residual is precisely the composition of first
-  differences along every axis (with zero ghost layers), so
-  ``residuals = diff_axis0(diff_axis1(...))``, and the inverse is the
-  composition of cumulative sums.  Both run over cache-sized slabs of
-  axis-0 planes; the inverse carries the last reconstructed plane of
-  one slab into the next.
+  differences along every axis (with zero ghost layers), and the
+  inverse is the composition of cumulative sums.  Both run over
+  cache-sized slabs of axis-0 planes; a slab's axis-0 difference reads
+  the plane before it, and the inverse carries the last reconstructed
+  plane of one slab into the next.
 * The mean predictor is a constant (the modal grid value), so residual
   and reconstruction are elementwise.
 * Regression predicts from transmitted per-block plane coefficients;
-  both sides round the same float32 coefficients through the same
-  float64 expression, so encoder and decoder agree bit-for-bit.
+  both sides evaluate the same float32 coefficients through the same
+  float64 sum (:func:`regression_predict_planes`), so encoder and
+  decoder agree bit-for-bit.
 
-Every predictor returns plain residual arrays; the quantizer decides
-which residuals are unpredictable.  The decoder's way back is one
-slab-wise pass, :func:`reconstruct`: Huffman symbol ranks to residuals,
-through the inverse predictor, to the output field.  Selection is sample-first, like
-SZ's: candidates are scored on a strided sample of their residuals,
-and on large grids mean and regression are evaluated at the sampled
-points alone, so only the winner is computed over the whole grid
-(:func:`select_predictor`).
+The encoder never holds a whole residual array.  Selection is
+sample-first, like SZ's: every candidate is scored on its residuals at
+the strided sample points alone (:func:`predict_sampled`,
+:func:`select_predictor`), and the winner's residuals are then made one
+slab at a time (:func:`residual_slabs`) for the code map.  The
+decoder's way back is one slab-wise pass, :func:`reconstruct`: Huffman
+symbol ranks to residuals, through the inverse predictor, to the output
+field.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,69 +46,21 @@ from repro.sz import quantizer
 
 __all__ = [
     "PREDICTORS",
-    "lorenzo_residuals",
     "modal_value",
-    "mean_residuals",
     "RegressionModel",
     "regression_fit",
-    "regression_predict",
-    "regression_predict_at",
+    "regression_predict_planes",
+    "residual_slabs",
+    "sample_stride",
     "estimate_code_entropy",
     "Prediction",
-    "predict",
     "predict_sampled",
     "select_predictor",
-    "SAMPLE_SCORE_MIN_POINTS",
     "reconstruct",
 ]
 
 #: Registry of predictor names (wire ids are their indices).
 PREDICTORS = ("lorenzo", "mean", "regression")
-
-
-# ---------------------------------------------------------------------------
-# Lorenzo
-# ---------------------------------------------------------------------------
-
-def lorenzo_residuals(q: np.ndarray) -> np.ndarray:
-    """N-dimensional Lorenzo residuals of a grid-index array.
-
-    For 3-D this equals ``q[i,j,k] - (q[i-1,j,k] + q[i,j-1,k] + q[i,j,k-1]
-    - q[i-1,j-1,k] - q[i-1,j,k-1] - q[i,j-1,k-1] + q[i-1,j-1,k-1])`` with
-    zero ghost values outside the domain — the classic 7-point Lorenzo
-    stencil, computed as a separable first difference per axis.
-
-    The pass runs over slabs of whole planes along axis 0, about
-    :data:`~repro.sz.quantizer.SLAB_POINTS` points each (one plane if a
-    plane is larger): a slab takes its axis-0 difference against the
-    plane before it, then the differences along the other axes in
-    place, so it stays in cache and no full-size temporary is made.
-    """
-    q = np.asarray(q, dtype=np.int64)
-    out = np.empty(q.shape, dtype=np.int64)
-    if q.size == 0:
-        return out
-    planes = q.shape[0]
-    step = max(1, quantizer.SLAB_POINTS // (q.size // planes))
-    for lo in range(0, planes, step):
-        hi = min(lo + step, planes)
-        slab = out[lo:hi]
-        if lo:
-            np.subtract(q[lo:hi], q[lo - 1 : hi - 1], out=slab)
-        else:
-            slab[0] = q[0]
-            np.subtract(q[1:hi], q[: hi - 1], out=slab[1:])
-        for axis in range(1, q.ndim):
-            later = [slice(None)] * q.ndim
-            earlier = [slice(None)] * q.ndim
-            later[axis] = slice(1, None)
-            earlier[axis] = slice(None, -1)
-            # NumPy buffers the overlapping operand, so this is the
-            # difference of the values before the call.
-            np.subtract(slab[tuple(later)], slab[tuple(earlier)],
-                        out=slab[tuple(later)])
-    return out
-
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +77,9 @@ def modal_value(q: np.ndarray, *, sample_limit: int = 65536) -> int:
     flat = np.ravel(q)
     if flat.size == 0:
         return 0
-    flat = flat[:: _sample_stride(flat.size, sample_limit)]
+    flat = flat[:: sample_stride(flat.size, sample_limit)]
     values, counts = np.unique(flat, return_counts=True)
     return int(values[np.argmax(counts)])
-
-
-def mean_residuals(q: np.ndarray, mode: int) -> np.ndarray:
-    """Residuals against the constant modal predictor."""
-    return np.asarray(q, dtype=np.int64) - np.int64(mode)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +123,18 @@ def _design_pinv(block_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def regression_fit(q: np.ndarray, block_size: int) -> RegressionModel:
-    """Fit a plane per block (vectorized over all blocks at once)."""
+    """Fit a plane per block (vectorized over all blocks at once).
+
+    The fit is one matmul over the whole float64 block matrix
+    (:func:`~repro.sz.blocks.block_matrix`, 8 bytes per padded point):
+    BLAS may sum a block's values in an order that depends on the
+    matrix's row count (OpenBLAS does for chunks under 512 rows), so a
+    fit over chunks of blocks could change the coefficients and with
+    them the frame.
+    """
     q = np.asarray(q)
-    padded = blk.pad_to_blocks(q, block_size)
-    # (n_blocks, bs^ndim), cast to float64 in the blocking copy.
-    blocked = blk.block_view(padded, block_size, np.float64)
     _, pinv = _design_pinv((block_size,) * q.ndim)
-    coefs = blocked @ pinv.T  # (n_blocks, ndim+1)
+    coefs = blk.block_matrix(q, block_size) @ pinv.T  # (n_blocks, ndim+1)
     return RegressionModel(
         shape=q.shape,
         block_size=block_size,
@@ -188,53 +142,122 @@ def regression_fit(q: np.ndarray, block_size: int) -> RegressionModel:
     )
 
 
-def regression_predict(model: RegressionModel) -> np.ndarray:
-    """Predicted grid values (int64, rounded) for the full domain.
-
-    Uses the float32 coefficients exactly as transmitted, so encoder
-    and decoder compute identical predictions.
-    """
-    ndim = len(model.shape)
-    x, _ = _design_pinv((model.block_size,) * ndim)
-    coefs = model.coefficients.astype(np.float64)
-    pred_blocks = coefs @ x.T  # (n_blocks, bs^ndim)
-    padded_shape = blk.padded_shape(model.shape, model.block_size)
-    pred = blk.unblock_view(pred_blocks, padded_shape, model.block_size)
-    pred = blk.crop(pred, model.shape)
-    return np.rint(pred).astype(np.int64)
-
-
-def regression_predict_at(model: RegressionModel,
-                          flat_idx: np.ndarray) -> np.ndarray:
-    """:func:`regression_predict` at the C-order flat indices ``flat_idx``.
+def regression_predict_planes(model: RegressionModel, lo: int,
+                              hi: int) -> np.ndarray:
+    """The unrounded float64 prediction of axis-0 planes ``lo:hi``.
 
     Each point's block row ``c`` is evaluated as ``c0 + c1·l0 + c2·l1
     + ...`` over its local block coordinates ``l``, summed left to
-    right as the matmul in :func:`regression_predict` accumulates.
-    Every product is a float32 coefficient times a small integer, exact
-    in float64, so the rounded sums and predictions match it bit for
-    bit.
+    right.  Every product is a float32 coefficient times a small
+    integer, exact in float64, so only the sums round.  The planes'
+    coefficient rows, shaped ``(planes, g1, 1, g2, 1, ...)`` over the
+    block grid, take one local axis at a time by broadcasting, so the
+    sum grows to the blocks' full ``(planes, g1, bs, g2, bs, ...)``
+    layout in its last step alone.  Returns a ``(hi - lo, *shape[1:])``
+    view of the padded planes.
     """
     bs = model.block_size
-    coords = np.unravel_index(flat_idx, model.shape)
-    grid = blk.padded_shape(model.shape, bs)
-    block = np.zeros(np.shape(flat_idx), dtype=np.int64)
-    for axis, i in enumerate(coords):
-        block = block * (grid[axis] // bs) + i // bs
-    coefs = model.coefficients.astype(np.float64)[block]
-    pred = coefs[:, 0].copy()
-    for axis, i in enumerate(coords):
-        pred += coefs[:, axis + 1] * (i % bs)
-    return np.rint(pred).astype(np.int64)
+    shape = model.shape
+    grid = [s // bs for s in blk.padded_shape(shape, bs)]
+    ndim = len(shape)
+    planes = np.arange(lo, hi)
+    rows = model.coefficients.reshape(*grid, ndim + 1)[planes // bs]
+    coarse = (hi - lo,) + tuple(n for g in grid[1:] for n in (g, 1))
+
+    def column(j: int) -> np.ndarray:
+        return rows[..., j].astype(np.float64).reshape(coarse)
+
+    pred = column(0) + column(1) * (planes % bs).reshape(
+        (-1,) + (1,) * (2 * ndim - 2)
+    )
+    for axis in range(1, ndim):
+        local = [1] * (2 * ndim - 1)
+        local[2 * axis] = bs
+        pred = pred + column(axis + 1) * np.arange(bs).reshape(local)
+    pred = pred.reshape((hi - lo,) + tuple(g * bs for g in grid[1:]))
+    return pred[(slice(None),) + tuple(slice(0, s) for s in shape[1:])]
+
+
+# ---------------------------------------------------------------------------
+# Residuals, slab by slab
+# ---------------------------------------------------------------------------
+
+def residual_slabs(q: np.ndarray, name: str, *,
+                   model: RegressionModel | None = None,
+                   modal: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """The residuals of ``q`` under predictor ``name``, one slab of
+    whole axis-0 planes at a time.
+
+    Yields ``(offset, residuals)``: the flat C-order residuals of the
+    points from ``offset`` on, about
+    :data:`~repro.sz.quantizer.SLAB_POINTS` of them (one plane if a
+    plane is larger), in one int64 buffer every slab reuses.  Regression
+    needs ``model``, mean its ``modal`` value.
+
+    For 3-D, Lorenzo's residual is ``q[i,j,k] - (q[i-1,j,k] + q[i,j-1,k]
+    + q[i,j,k-1] - q[i-1,j-1,k] - q[i-1,j,k-1] - q[i,j-1,k-1] +
+    q[i-1,j-1,k-1])`` with zero ghost values outside the domain — the
+    classic 7-point stencil.  A slab computes it as a separable first
+    difference per axis: the axis-0 difference against the plane
+    before the slab, then the differences along the other axes in
+    place.  Regression subtracts the rounded
+    :func:`regression_predict_planes` of the slab's planes.
+    """
+    if name not in PREDICTORS:
+        raise ValueError(f"unknown predictor {name!r}")
+    q = np.asarray(q, dtype=np.int64)
+    if q.size == 0:
+        return
+    planes = q.shape[0]
+    plane = q.size // planes
+    step = max(1, quantizer.SLAB_POINTS // plane)
+    buf = np.empty((min(step, planes),) + q.shape[1:], dtype=np.int64)
+    for lo in range(0, planes, step):
+        hi = min(lo + step, planes)
+        slab = buf[: hi - lo]
+        if name == "mean":
+            np.subtract(q[lo:hi], np.int64(modal), out=slab)
+        elif name == "regression":
+            np.copyto(slab, np.rint(regression_predict_planes(model, lo, hi)),
+                      casting="unsafe")
+            np.subtract(q[lo:hi], slab, out=slab)
+        else:
+            _lorenzo_slab(q, lo, hi, slab)
+        yield lo * plane, slab.reshape(-1)
+
+
+def _lorenzo_slab(q: np.ndarray, lo: int, hi: int, slab: np.ndarray) -> None:
+    """Lorenzo residuals of planes ``lo:hi`` into ``slab``."""
+    if lo:
+        np.subtract(q[lo:hi], q[lo - 1 : hi - 1], out=slab)
+    else:
+        slab[0] = q[0]
+        np.subtract(q[1:hi], q[: hi - 1], out=slab[1:])
+    for axis in range(1, q.ndim):
+        later = [slice(None)] * q.ndim
+        earlier = [slice(None)] * q.ndim
+        later[axis] = slice(1, None)
+        earlier[axis] = slice(None, -1)
+        # NumPy buffers the overlapping operand, so this is the
+        # difference of the values before the call.
+        np.subtract(slab[tuple(later)], slab[tuple(earlier)],
+                    out=slab[tuple(later)])
 
 
 # ---------------------------------------------------------------------------
 # Sampling-based predictor selection
 # ---------------------------------------------------------------------------
 
-def _sample_stride(n: int, sample_limit: int = 65536) -> int:
+def sample_stride(n: int, sample_limit: int = 65536) -> int:
     """Stride of the sample selection reads: ``flat[::stride]`` keeps
-    every point up to ``sample_limit`` and about ``sample_limit`` above."""
+    every point up to ``sample_limit`` and about ``sample_limit`` above.
+
+    :func:`~repro.sz.quantizer.choose_radius` and
+    :func:`estimate_code_entropy` sample with this stride too, and a
+    sample of at most ``2·sample_limit`` points resamples at stride 1,
+    so either reads the same points from a sample as from the whole
+    residual array.
+    """
     return n // sample_limit if n > sample_limit else 1
 
 
@@ -251,7 +274,7 @@ def estimate_code_entropy(residuals: np.ndarray, radius: int,
     flat = np.ravel(residuals)
     if flat.size == 0:
         return 0.0
-    flat = flat[:: _sample_stride(flat.size, sample_limit)]
+    flat = flat[:: sample_stride(flat.size, sample_limit)]
     trace.count("predict.sample_points", flat.size)
     unpred = np.abs(flat) >= radius
     frac_unpred = float(unpred.mean())
@@ -272,109 +295,68 @@ UNPREDICTABLE_COST_BITS = {"lorenzo": 38.0, "mean": 22.0, "regression": 22.0}
 
 
 class Prediction(NamedTuple):
-    """A predictor's residuals plus the side info its frame carries."""
+    """A predictor's residuals at the sample points plus the side info
+    its frame carries."""
 
     name: str
-    residuals: np.ndarray
+    #: Residuals at the flat indices ``0, stride, 2·stride, ...``.
+    sample: np.ndarray
     model: RegressionModel | None = None
     modal: int = 0
 
 
-def predict(q: np.ndarray, name: str, block_size: int, *,
-            model: RegressionModel | None = None,
-            modal: int | None = None) -> Prediction:
-    """Residuals of ``q`` under the predictor called ``name``.
-
-    ``model`` or ``modal`` reuse a regression fit or modal value already
-    made on ``q`` (by :func:`predict_sampled`) instead of recomputing it.
-    """
-    if name == "lorenzo":
-        return Prediction(name, lorenzo_residuals(q))
-    if name == "mean":
-        if modal is None:
-            modal = modal_value(q)
-        return Prediction(name, mean_residuals(q, modal), modal=modal)
-    if name == "regression":
-        if model is None:
-            model = regression_fit(q, block_size)
-        residuals = np.asarray(q, dtype=np.int64) - regression_predict(model)
-        return Prediction(name, residuals, model=model)
-    raise ValueError(f"unknown predictor {name!r}")
-
-
 def predict_sampled(q: np.ndarray, name: str, block_size: int,
                     stride: int) -> Prediction:
-    """:func:`predict` for mean or regression, with residuals only at
-    the flat indices ``0, stride, 2·stride, ...`` of ``q``.
+    """The predictor ``name`` on ``q``, with residuals only at the flat
+    indices ``0, stride, 2·stride, ...`` of ``q``.
 
-    Mean is ``q - modal`` there.  Regression fits every block as
-    :func:`predict` does, then evaluates only the sampled points
-    (:func:`regression_predict_at`).  Lorenzo has no sampled form: its
-    ``2^d`` gathers per point cost about as much as the whole slabbed
-    pass, so selection always computes it in full.
+    Mean takes its modal value and regression fits every block; then one
+    pass of :func:`residual_slabs` keeps the sampled points alone, so the
+    sample holds exactly the residuals the code map reads there.  The
+    pass evaluates regression at ~5 ns a point, against ~140 ns to
+    gather one sampled point's block row (medium nyx, 1e-4), so it is
+    the cheaper way to a sample up to a stride of about 25 and costs
+    one more pass over the grid beyond that.
     """
-    flat = np.ravel(np.asarray(q, dtype=np.int64))
-    if name == "mean":
-        modal = modal_value(q)
-        return Prediction(name, flat[::stride] - np.int64(modal), modal=modal)
-    if name == "regression":
-        model = regression_fit(q, block_size)
-        at = np.arange(0, flat.size, stride)
-        return Prediction(name, flat[at] - regression_predict_at(model, at),
-                          model=model)
-    raise ValueError(f"predictor {name!r} has no sampled form")
-
-
-#: From this many grid points up, :func:`select_predictor` scores mean
-#: and regression on their sampled values alone and computes only the
-#: winner over the full grid.  Below it, every candidate runs over the
-#: whole grid, whose arrays then fit in cache.  Regression scoring on
-#: nyx/t/cloudf48 at 1e-4 (fit included, CPU ms, best of 7, 2-vCPU
-#: VM): at strides of 3-4 (small fields) 4.1-10.0 whole-grid against
-#: 8.8-12.0 sampled; at strides of 32-35 (medium) 44-56 against 16-33.
-#: Fields of up to 65,536 points are their own sample, so they never
-#: pay for a gather.
-SAMPLE_SCORE_MIN_POINTS = 8 * 65536
+    modal = modal_value(q) if name == "mean" else 0
+    model = regression_fit(q, block_size) if name == "regression" else None
+    sample = np.empty(-(-np.size(q) // stride), dtype=np.int64)
+    for offset, residuals in residual_slabs(q, name, model=model, modal=modal):
+        first = -offset % stride
+        kept = residuals[first::stride]
+        at = (offset + first) // stride
+        sample[at : at + kept.size] = kept
+    return Prediction(name, sample, model=model, modal=modal)
 
 
 def select_predictor(q: np.ndarray, radius: int, block_size: int,
                      candidates: tuple[str, ...] = PREDICTORS,
-                     *, lorenzo: np.ndarray | None = None) -> Prediction:
+                     *, lorenzo: Prediction | None = None) -> Prediction:
     """Pick the cheapest predictor by sampled entropy estimate.
 
     Mirrors SZ's "sampling approach to pick the best predictor among
     classical Lorenzo, mean-integrated Lorenzo and linear regression"
     (paper Sec. II-A).  Ties go to the earlier candidate, i.e. Lorenzo.
-    Every candidate is scored on the points :func:`estimate_code_entropy`
-    samples, and the winner is returned whole; ``lorenzo`` passes in
-    residuals the caller already has.  Lorenzo always runs over the
-    full grid.  From :data:`SAMPLE_SCORE_MIN_POINTS` up, mean and
-    regression are evaluated at the sampled points only, and the
-    winner's residuals are computed afterwards, reusing its modal value
-    or fit; below it each runs once over the whole grid.
+    Every candidate is evaluated at the :func:`sample_stride` points
+    alone (:func:`predict_sampled`) and scored there by
+    :func:`estimate_code_entropy`; ``lorenzo`` passes in the Lorenzo
+    sample the caller already has.  The winner keeps its sample, fit
+    and modal value.
     """
-    n = int(np.size(q))
-    stride = _sample_stride(n) if n >= SAMPLE_SCORE_MIN_POINTS else 0
+    stride = sample_stride(int(np.size(q)))
 
     def scored(name: str) -> tuple[float, Prediction]:
-        if name == "lorenzo":
-            cand = Prediction(name, lorenzo_residuals(q) if lorenzo is None
-                              else lorenzo)
-        elif stride:
-            cand = predict_sampled(q, name, block_size, stride)
+        if name == "lorenzo" and lorenzo is not None:
+            cand = lorenzo
         else:
-            cand = predict(q, name, block_size)
+            cand = predict_sampled(q, name, block_size, stride)
         return estimate_code_entropy(
-            cand.residuals, radius,
+            cand.sample, radius,
             unpredictable_penalty_bits=UNPREDICTABLE_COST_BITS[name],
         ), cand
 
     # min() over a lazy map holds only the best candidate so far.
-    best = min(map(scored, candidates), key=lambda pair: pair[0])[1]
-    if stride and best.name != "lorenzo":
-        best = predict(q, best.name, block_size, model=best.model,
-                       modal=best.modal)
-    return best
+    return min(map(scored, candidates), key=lambda pair: pair[0])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +382,12 @@ def reconstruct(ranks: np.ndarray, table: np.ndarray, shape: tuple[int, ...],
     :data:`~repro.sz.quantizer.SLAB_POINTS` points each, in one reused
     int64 buffer: gather the residuals, invert the predictor in place
     (Lorenzo: a cumulative sum per axis, with the previous slab's last
-    plane carried in as plane 0; regression: add its slab of
-    :func:`regression_predict`), and write ``q·2eb`` straight into the
-    output.  The result equals the whole-array chain bit for bit:
-    integer sums wrap alike in any order, and each value makes the
-    same int64 → float64 → ``dtype`` roundings as
-    :func:`~repro.sz.quantizer.grid_reconstruct`.
+    plane carried in as plane 0; regression: add the rounded
+    :func:`regression_predict_planes` of the slab, the encoder's own
+    prediction), and write ``q·2eb`` straight into the output.  The
+    result equals the whole-array chain bit for bit: integer sums wrap
+    alike in any order, and each value makes the same int64 → float64
+    → ``dtype`` roundings as :func:`~repro.sz.quantizer.grid_reconstruct`.
 
     Raises
     ------
@@ -421,7 +403,6 @@ def reconstruct(ranks: np.ndarray, table: np.ndarray, shape: tuple[int, ...],
     if out.size == 0:
         return out
     ranks = np.ravel(ranks)
-    pred = regression_predict(model) if name == "regression" else None
     step = 2.0 * eb
     plane = out.size // shape[0]
     per = max(1, quantizer.SLAB_POINTS // plane)
@@ -452,8 +433,8 @@ def reconstruct(ranks: np.ndarray, table: np.ndarray, shape: tuple[int, ...],
                 _cumsum_in_place(g, axis)
             _cumsum_in_place(buf[: hi - lo + 1], 0)
             buf[0] = buf[hi - lo]
-        elif pred is not None:
-            g += pred[lo:hi]
+        elif name == "regression":
+            g += np.rint(regression_predict_planes(model, lo, hi)).astype(np.int64)
         np.multiply(g, step, out=out[lo:hi], casting="unsafe")
         if name != "lorenzo":
             flat_out[a + hits] = stored

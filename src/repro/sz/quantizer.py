@@ -15,11 +15,15 @@ The code layout matches SZ: code ``0`` is the *unpredictable* sentinel
 number of quantization intervals (SZ's ``quantization_intervals``),
 chosen adaptively from a residual sample like SZ's interval optimizer.
 
-The elementwise compress passes (:func:`grid_quantize_verified`,
-:func:`codes_from_residuals`) run over :data:`SLAB_POINTS`-point slabs
-so their temporaries stay in cache; their results equal the
-whole-array computations exactly.  The decoder inverts the code map
-inside its slab-wise reconstruction
+The elementwise compress passes run over :data:`SLAB_POINTS`-point
+slabs so their temporaries stay in cache, and their results equal the
+whole-array computations exactly.  :func:`grid_quantize_verified` makes
+the int64 grid, the one whole-grid array a compress holds.
+:func:`codes_from_residuals` takes the winning predictor's residuals
+one slab at a time and keeps only ``uint16`` codes (a quarter of the
+grid's bytes), the code histogram and the unpredictable points, so no
+whole residual or int64 code array exists.  The decoder inverts the
+code map inside its slab-wise reconstruction
 (:func:`repro.sz.predictors.reconstruct`): a code's residual is
 ``code - radius``, looked up per Huffman symbol.
 """
@@ -27,7 +31,9 @@ inside its slab-wise reconstruction
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +44,7 @@ __all__ = [
     "grid_quantize",
     "grid_quantize_verified",
     "grid_reconstruct",
+    "CodeMap",
     "codes_from_residuals",
     "code_histogram",
     "choose_radius",
@@ -56,8 +63,8 @@ MIN_RADIUS = 1 << 4
 _GRID_LIMIT = float(1 << 58)
 
 #: Points per slab of the elementwise compress passes
-#: (:func:`grid_quantize_verified`, :func:`codes_from_residuals`, the
-#: Lorenzo residuals) and of the decoder's reconstruction
+#: (:func:`grid_quantize_verified`, the residual slabs
+#: :func:`codes_from_residuals` reads) and of the decoder's reconstruction
 #: (:func:`repro.sz.predictors.reconstruct`).  A slab's
 #: float64 temporaries are 256 KB each and stay in cache; whole-array,
 #: the same dozen temporaries of a medium field (2.1-2.3 M points,
@@ -287,35 +294,60 @@ def choose_radius(residuals: np.ndarray, *, coverage: float = 0.995,
     return MAX_RADIUS
 
 
-def codes_from_residuals(residuals: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map residuals to quantization codes.
+class CodeMap(NamedTuple):
+    """A residual grid's quantization codes and what the frame needs
+    besides them."""
 
-    Returns
-    -------
-    codes:
-        int64 array; ``0`` marks unpredictable points, predictable
-        residual ``r`` becomes ``r + radius`` (1 .. 2·radius - 1).
-    unpredictable:
-        Boolean mask of the sentinel positions (paper Fig. 3's gray
-        points).
+    #: One code per point, in C order: ``0`` marks an unpredictable
+    #: point, predictable residual ``r`` becomes ``r + radius``.
+    codes: np.ndarray
+    #: The distinct codes and their counts, as :func:`code_histogram`.
+    symbols: np.ndarray
+    counts: np.ndarray
+    #: Flat indices of the unpredictable points (paper Fig. 3's gray
+    #: points), ascending, and their residuals.
+    unpredictable: np.ndarray
+    outliers: np.ndarray
 
-    Runs over :data:`SLAB_POINTS`-point slabs.  Residuals must satisfy
+
+def codes_from_residuals(slabs: Iterable[tuple[int, np.ndarray]], n: int,
+                         radius: int) -> CodeMap:
+    """Map residuals to quantization codes, slab by slab.
+
+    ``slabs`` yields ``(offset, residuals)`` pairs that tile the ``n``
+    flat C-order positions in order, as
+    :func:`repro.sz.predictors.residual_slabs` does; the slabs are only
+    read.  The codes go into one ``uint16`` array: every code is below
+    ``2·radius <= 2·MAX_RADIUS = 65,536``.  Residuals must satisfy
     ``|r| < 2^62``, as every grid residual does (a 4-D Lorenzo sum of
     16 grid values below ``2^58``).
     """
-    r = np.asarray(residuals, dtype=np.int64)
-    codes = np.empty(r.shape, dtype=np.int64)
-    unpredictable = np.empty(r.shape, dtype=bool)
-    flat_r, flat_c, flat_u = r.reshape(-1), codes.reshape(-1), unpredictable.reshape(-1)
-    for lo in range(0, r.size, SLAB_POINTS):
-        c = flat_c[lo : lo + SLAB_POINTS]
-        u = flat_u[lo : lo + SLAB_POINTS]
-        np.add(flat_r[lo : lo + SLAB_POINTS], radius, out=c)
+    if not 1 <= radius <= MAX_RADIUS:
+        raise ValueError(f"radius must be in 1..{MAX_RADIUS}, got {radius}")
+    codes = np.empty(n, dtype=np.uint16)
+    hist = np.zeros(2 * radius, dtype=np.int64)
+    scratch = np.empty(0, dtype=np.int64)
+    where: list[np.ndarray] = []
+    outliers: list[np.ndarray] = []
+    for lo, r in slabs:
+        if scratch.size < r.size:
+            scratch = np.empty(r.size, dtype=np.int64)
+        c = np.add(r, radius, out=scratch[: r.size])
         # |r| >= radius exactly when r + radius - 1 falls outside
         # [0, 2·radius - 2]; as uint64 that is one comparison.
-        np.greater_equal((c - 1).view(np.uint64), 2 * radius - 1, out=u)
-        c[u] = 0
-    return codes, unpredictable
+        hits = np.flatnonzero((c - 1).view(np.uint64) >= 2 * radius - 1)
+        if hits.size:
+            where.append(hits + lo)
+            outliers.append(r[hits])
+            c[hits] = 0
+        hist += np.bincount(c, minlength=2 * radius)
+        codes[lo : lo + r.size] = c
+    symbols = np.flatnonzero(hist)
+    unpredictable = np.concatenate(where) if where else np.empty(0, np.int64)
+    return CodeMap(
+        codes, symbols, hist[symbols], unpredictable,
+        np.concatenate(outliers) if outliers else np.empty(0, np.int64),
+    )
 
 
 def code_histogram(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

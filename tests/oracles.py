@@ -15,9 +15,22 @@ None of it runs on a production path.
   decoder (``huffman.decode_ranks``'s scalar loop and the
   ``fastdecode`` lane kernel both walk the packed two-level table);
 * :func:`residuals_from_codes`, :func:`lorenzo_reconstruct`,
-  :func:`mean_reconstruct` and :func:`decompress_ref` — the whole-array
-  SZ reader (``SZCompressor.decompress`` is the slab-wise one,
+  :func:`mean_reconstruct`, :func:`pwrel_inverse_ref` and
+  :func:`decompress_ref` — the whole-array SZ reader
+  (``SZCompressor.decompress`` is the slab-wise one,
   ``predictors.reconstruct``);
+* :func:`lorenzo_residuals_ref`, :func:`predict_ref`,
+  :func:`select_predictor_ref` and :func:`compress_ref` — the
+  whole-grid SZ writer: every candidate's residuals over the full grid,
+  int64 codes, ``np.unique`` histogram (``SZCompressor.compress`` keeps
+  the grid, samples and ``uint16`` codes, ``predictors.residual_slabs``
+  and ``quantizer.codes_from_residuals``);
+* :func:`pad_to_blocks`, :func:`block_view`, :func:`unblock_view`,
+  :func:`crop`, :func:`regression_predict` and
+  :func:`regression_predict_at` — the padded block layout, and the
+  regression prediction by one full-grid matmul and point by point
+  (``blocks.block_matrix`` fills the fit's matrix from the unpadded
+  grid, ``predictors.regression_predict_planes`` evaluates slabs);
 * :func:`unpack_bits` — a packed stream as one byte per bit;
 * :func:`encrypt_block` and :func:`decrypt_block` — one AES-128 block
   each way: the CBC chain kernel on a zero chain, and the plain
@@ -28,7 +41,9 @@ None of it runs on a production path.
 from __future__ import annotations
 
 import heapq
+import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +51,8 @@ from repro.crypto.block import BLOCK_BYTES, cbc_encrypt_words
 from repro.crypto.keyschedule import ROUNDS, ExpandedKey
 from repro.crypto.sbox import INV_SBOX, MUL9, MUL11, MUL13, MUL14
 from repro.sz import compressor as szc
-from repro.sz import fastdecode, huffman, ieee754, intcodec, predictors, quantizer
-from repro.sz.bitstream import PackedBits, _check_code_table
+from repro.sz import blocks, fastdecode, huffman, ieee754, intcodec, predictors, quantizer
+from repro.sz.bitstream import PackedBits, _check_code_table, concat_streams
 
 __all__ = [
     "huffman_lengths_ref",
@@ -47,7 +62,19 @@ __all__ = [
     "lorenzo_reconstruct",
     "mean_reconstruct",
     "decode_codes_ref",
+    "pwrel_inverse_ref",
     "decompress_ref",
+    "pad_to_blocks",
+    "block_view",
+    "unblock_view",
+    "crop",
+    "regression_predict",
+    "regression_predict_at",
+    "lorenzo_residuals_ref",
+    "PredictionRef",
+    "predict_ref",
+    "select_predictor_ref",
+    "compress_ref",
     "unpack_bits",
     "SHIFT_ROWS",
     "INV_SHIFT_ROWS",
@@ -244,7 +271,7 @@ def decompress_ref(frame: szc.SZFrame) -> np.ndarray:
             block_size=info["block_size"],
             coefficients=coefs.reshape(-1, len(shape) + 1),
         )
-        q = residuals + predictors.regression_predict(model)
+        q = residuals + regression_predict(model)
     out = quantizer.grid_reconstruct(q, info["eb"], work_dtype)
     if verbatim is not None and n_unpred:
         out.reshape(-1)[np.ravel(flat_codes == 0)] = verbatim
@@ -252,8 +279,222 @@ def decompress_ref(frame: szc.SZFrame) -> np.ndarray:
     if exact_idx.size:
         out.reshape(-1)[exact_idx] = exact_vals
     if info["pw_rel"]:
-        out = szc._pwrel_inverse(out, frame.sections["aux"], info["dtype"])
+        out = pwrel_inverse_ref(out, frame.sections["aux"], info["dtype"])
     return out
+
+
+def pwrel_inverse_ref(y: np.ndarray, aux: bytes, dtype: np.dtype) -> np.ndarray:
+    """The whole-array pw_rel inverse, ``x = ±2^y`` with zeros restored
+    (``compressor._pwrel_inverse`` runs it slab by slab)."""
+    if len(aux) < 8:
+        raise ValueError("pw_rel aux section shorter than its header")
+    (n,) = struct.unpack_from("<Q", aux)
+    if y.size != n:
+        raise ValueError("pw_rel aux section does not match the data size")
+    plane = (n + 7) // 8
+    if len(aux) != 8 + 2 * plane:
+        raise ValueError("truncated pw_rel aux section")
+    signs = np.unpackbits(
+        np.frombuffer(aux, dtype=np.uint8, offset=8, count=plane)
+    )[:n].astype(bool)
+    zeros = np.unpackbits(
+        np.frombuffer(aux, dtype=np.uint8, offset=8 + plane, count=plane)
+    )[:n].astype(bool)
+    mag = np.exp2(np.ravel(y).astype(np.float64))
+    out = np.where(signs, -mag, mag)
+    out[zeros] = 0.0
+    return out.reshape(y.shape).astype(dtype)
+
+
+# ---------------------------------------------------------------------------
+# The padded block layout and the full-grid regression prediction
+# ---------------------------------------------------------------------------
+
+def pad_to_blocks(data: np.ndarray, block_size: int) -> np.ndarray:
+    """Edge-replicate ``data`` up to a block-multiple shape."""
+    target = blocks.padded_shape(data.shape, block_size)
+    pad = [(0, t - s) for s, t in zip(data.shape, target)]
+    if all(p == (0, 0) for p in pad):
+        return data
+    return np.pad(data, pad, mode="edge")
+
+
+def block_view(padded: np.ndarray, block_size: int) -> np.ndarray:
+    """Reshape a padded array to ``(n_blocks, block_size**ndim)``:
+    blocks C-ordered over the block grid, elements C-ordered within a
+    block (the layout :func:`unblock_view` inverts)."""
+    ndim = padded.ndim
+    for axis, s in enumerate(padded.shape):
+        if s % block_size:
+            raise ValueError(f"axis {axis} size {s} not a block multiple")
+    split_shape: list[int] = []
+    for s in padded.shape:
+        split_shape.extend([s // block_size, block_size])
+    order = list(range(0, 2 * ndim, 2)) + list(range(1, 2 * ndim, 2))
+    arr = padded.reshape(split_shape).transpose(order)
+    return arr.reshape(-1, block_size**ndim)
+
+
+def unblock_view(blocked: np.ndarray, target_shape: tuple[int, ...],
+                 block_size: int) -> np.ndarray:
+    """Invert :func:`block_view` back to ``target_shape`` (padded)."""
+    ndim = len(target_shape)
+    grid = [s // block_size for s in target_shape]
+    if blocked.shape != (math.prod(grid), block_size**ndim):
+        raise ValueError(
+            f"blocked array {blocked.shape} does not tile {target_shape} "
+            f"with block size {block_size}"
+        )
+    arr = blocked.reshape(grid + [block_size] * ndim)
+    order: list[int] = []
+    for axis in range(ndim):
+        order.extend([axis, ndim + axis])
+    return arr.transpose(order).reshape(target_shape)
+
+
+def crop(data: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Crop a padded array back to the original ``shape``."""
+    return data[tuple(slice(0, s) for s in shape)]
+
+
+def regression_predict(model: predictors.RegressionModel) -> np.ndarray:
+    """Predicted grid values (int64, rounded) for the full domain: the
+    float32 coefficients times the block design matrix in one matmul,
+    unblocked and cropped."""
+    ndim = len(model.shape)
+    x, _ = predictors._design_pinv((model.block_size,) * ndim)
+    pred_blocks = model.coefficients.astype(np.float64) @ x.T
+    padded = blocks.padded_shape(model.shape, model.block_size)
+    pred = crop(unblock_view(pred_blocks, padded, model.block_size),
+                model.shape)
+    return np.rint(pred).astype(np.int64)
+
+
+def regression_predict_at(model: predictors.RegressionModel,
+                          flat_idx: np.ndarray) -> np.ndarray:
+    """:func:`regression_predict` at the C-order flat indices
+    ``flat_idx``, each point's block row gathered and summed as
+    ``c0 + c1·l0 + c2·l1 + ...`` left to right."""
+    bs = model.block_size
+    coords = np.unravel_index(flat_idx, model.shape)
+    grid = blocks.padded_shape(model.shape, bs)
+    block = np.zeros(np.shape(flat_idx), dtype=np.int64)
+    for axis, i in enumerate(coords):
+        block = block * (grid[axis] // bs) + i // bs
+    coefs = model.coefficients.astype(np.float64)[block]
+    pred = coefs[:, 0].copy()
+    for axis, i in enumerate(coords):
+        pred += coefs[:, axis + 1] * (i % bs)
+    return np.rint(pred).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# The whole-grid SZ writer
+# ---------------------------------------------------------------------------
+
+def lorenzo_residuals_ref(q: np.ndarray) -> np.ndarray:
+    """Lorenzo residuals as one ``np.diff`` per axis over the grid."""
+    r = np.asarray(q, dtype=np.int64)
+    for axis in range(r.ndim):
+        r = np.diff(r, axis=axis, prepend=np.int64(0))
+    return r
+
+
+class PredictionRef(NamedTuple):
+    """A predictor's residuals over the whole grid, and its side info."""
+
+    name: str
+    residuals: np.ndarray
+    model: predictors.RegressionModel | None = None
+    modal: int = 0
+
+
+def predict_ref(q: np.ndarray, name: str, block_size: int) -> PredictionRef:
+    """The residuals of ``q`` under ``name`` over the whole grid."""
+    q = np.asarray(q, dtype=np.int64)
+    if name == "lorenzo":
+        return PredictionRef(name, lorenzo_residuals_ref(q))
+    if name == "mean":
+        modal = predictors.modal_value(q)
+        return PredictionRef(name, q - np.int64(modal), modal=modal)
+    if name == "regression":
+        model = predictors.regression_fit(q, block_size)
+        return PredictionRef(name, q - regression_predict(model), model=model)
+    raise ValueError(f"unknown predictor {name!r}")
+
+
+def select_predictor_ref(q: np.ndarray, radius: int,
+                         block_size: int) -> PredictionRef:
+    """Every candidate over the full grid, then each residual array
+    scored on its sample; ties go to the earlier candidate."""
+    best = None
+    for name in predictors.PREDICTORS:
+        cand = predict_ref(q, name, block_size)
+        cost = predictors.estimate_code_entropy(
+            cand.residuals, radius,
+            unpredictable_penalty_bits=predictors.UNPREDICTABLE_COST_BITS[name],
+        )
+        if best is None or cost < best[0]:
+            best = (cost, cand)
+    return best[1]
+
+
+def compress_ref(comp: szc.SZCompressor, data: np.ndarray) -> szc.SZFrame:
+    """``comp.compress(data)`` the whole-grid way: full residual arrays
+    for the selection and the radius, int64 codes from ``np.where``,
+    the ``np.unique`` histogram and an encode of the int64 codes."""
+    data = np.ascontiguousarray(data)
+    eb = comp.error_bound.resolve(data)
+    if comp.error_bound.mode == "pw_rel":
+        work, aux_bytes = szc._pwrel_forward(data)
+    else:
+        work, aux_bytes = data, b""
+    q, exact_idx = quantizer.grid_quantize_verified(work, eb)
+    if comp.predictor == "auto":
+        probe = quantizer.choose_radius(lorenzo_residuals_ref(q),
+                                        coverage=comp.coverage)
+        pred = select_predictor_ref(q, probe, comp.block_size)
+    else:
+        pred = predict_ref(q, comp.predictor, comp.block_size)
+    radius = quantizer.choose_radius(pred.residuals, coverage=comp.coverage)
+    unpred = np.abs(pred.residuals) >= radius
+    codes = np.ravel(np.where(unpred, np.int64(0), pred.residuals + radius))
+    symbols, counts = np.unique(codes, return_counts=True)
+    code = huffman.build_code(symbols, counts)
+    total_bits = int((counts * code.lengths.astype(np.int64)).sum())
+    if (comp.huffman_lanes == comp.anchor_stride == "auto"
+            and total_bits < huffman.LANE_FORMAT_MIN_BITS):
+        packed = huffman.encode(codes, code)
+        tree, payload, n_bits, version = (huffman.serialize_tree(code),
+                                          packed.data, packed.n_bits, 2)
+    else:
+        lanes, stride = comp._lane_params(codes.size, total_bits)
+        enc = huffman.encode_lanes(codes, code, lanes, stride)
+        tree, payload, n_bits, version = (
+            huffman.serialize_lane_tree(code, enc.table),
+            concat_streams(list(enc.lanes)), enc.n_bits, 3,
+        )
+    n_unpred = int(unpred.sum())
+    sections = {
+        "meta": comp._pack_meta(work, data.dtype, eb, pred.name, radius,
+                                pred.modal, n_bits, n_unpred, version),
+        "tree": tree,
+        "codes": payload,
+        "unpred": (intcodec.byteplane_encode(pred.residuals[unpred])
+                   if pred.name == "lorenzo"
+                   else ieee754.ieee754_encode(work[unpred])),
+        "coeffs": (ieee754.ieee754_encode(pred.model.coefficients)
+                   if pred.model is not None else b""),
+        "exact": szc._pack_exact(exact_idx, np.ravel(work)[exact_idx]),
+        "aux": aux_bytes,
+    }
+    stats = szc.CompressionStats(
+        n_elements=int(data.size), eb_abs=eb, predictor=pred.name,
+        radius=radius, unpredictable_count=n_unpred,
+        section_bytes={k: len(v) for k, v in sections.items()},
+        exact_count=int(exact_idx.size), n_symbols=int(symbols.size),
+    )
+    return szc.SZFrame(sections=sections, stats=stats)
 
 
 def unpack_bits(packed: PackedBits) -> np.ndarray:

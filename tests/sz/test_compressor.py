@@ -1,6 +1,8 @@
 """The SZ compressor façade: roundtrips, the error-bound guarantee,
 frame structure and statistics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,40 +214,53 @@ class TestCompressionBehaviour:
         assert frame.stats.predictor in ("lorenzo", "mean", "regression")
 
 
-#: The full-grid pass each candidate predictor makes once.
-_FULL_PASS = {"lorenzo": "lorenzo_residuals", "mean": "modal_value",
-              "regression": "regression_fit"}
+def _count_passes(monkeypatch) -> Counter:
+    """Count each fit (modal value, regression coefficients) and each
+    slab pass over the full grid (``residual_slabs``, by predictor)."""
+    seen: Counter = Counter()
+
+    def watch(fn, key):
+        real = getattr(predictors, fn)
+
+        def spy(*args, **kw):
+            seen[key(args)] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(predictors, fn, spy)
+
+    watch("modal_value", lambda args: "modal_value")
+    watch("regression_fit", lambda args: "regression_fit")
+    watch("residual_slabs", lambda args: f"residual_slabs[{args[1]}]")
+    return seen
+
+
+def _expected_passes(candidates, winner) -> Counter:
+    """Each candidate fits once and keeps its sample from one slab
+    pass; the winner's residuals take one more, into the code map."""
+    expect = Counter({"modal_value": int("mean" in candidates),
+                      "regression_fit": int("regression" in candidates)})
+    expect.update(f"residual_slabs[{name}]" for name in candidates)
+    expect[f"residual_slabs[{winner}]"] += 1
+    return +expect
 
 
 @pytest.mark.parametrize("predictor", ["auto", *predictors.PREDICTORS])
 def test_each_candidate_predicts_once(monkeypatch, predictor):
-    """One compress runs each candidate over the full grid at most once:
-    the probe radius reuses Lorenzo's residuals and the winner's
-    residuals, model or modal value are quantized without a recompute.
-    ``auto`` still scores all three candidates on their samples."""
-    seen = dict.fromkeys(_FULL_PASS.values(), 0)
-    for fn in seen:
-        def spy(*args, _real=getattr(predictors, fn), _fn=fn, **kw):
-            seen[_fn] += 1
-            return _real(*args, **kw)
-        monkeypatch.setattr(predictors, fn, spy)
+    """One compress fits each candidate once and makes no full-grid
+    residual array: the probe radius reuses Lorenzo's sample, and the
+    winner's fit or modal value feeds its code-map pass.  ``auto`` still
+    scores all three candidates on their samples."""
+    seen = _count_passes(monkeypatch)
     data = np.asarray(generate("q2", size="tiny"))
     before = trace.counters_snapshot().get("predict.sample_points", 0)
-    SZCompressor(1e-4, predictor=predictor).compress(data)
+    frame = SZCompressor(1e-4, predictor=predictor).compress(data)
     after = trace.counters_snapshot().get("predict.sample_points", 0)
-    assert seen == {fn: int(predictor in ("auto", name))
-                    for name, fn in _FULL_PASS.items()}
+    candidates = predictors.PREDICTORS if predictor == "auto" else (predictor,)
+    assert seen == _expected_passes(candidates, frame.stats.predictor)
     assert after - before == (3 * data.size if predictor == "auto" else 0)
 
 
-#: Above 8 * 65,536 points ``auto`` scores mean and regression on their
-#: samples alone: each still fits once (modal value, regression
-#: coefficients), but only the winner makes a full-grid residual pass.
-#: Lorenzo's residuals are always made in full: they set the probe
-#: radius.
-_RESIDUAL_PASS = {"mean": "mean_residuals", "regression": "regression_predict"}
-
-
+#: Above 8 * 65,536 points the sample is a strided subset; the passes
+#: are the same.
 @pytest.mark.parametrize("name,eb,dims,winner", [
     ("nyx", 1e-4, (80, 80, 96), "mean"),
     ("q2", 1e-2, (11, 240, 240), "regression"),
@@ -253,22 +268,14 @@ _RESIDUAL_PASS = {"mean": "mean_residuals", "regression": "regression_predict"}
 ])
 def test_each_candidate_predicts_once_above_sample_size(monkeypatch, name, eb,
                                                         dims, winner):
-    watched = [*_FULL_PASS.values(), *_RESIDUAL_PASS.values()]
-    seen = dict.fromkeys(watched, 0)
-    for fn in seen:
-        def spy(*args, _real=getattr(predictors, fn), _fn=fn, **kw):
-            seen[_fn] += 1
-            return _real(*args, **kw)
-        monkeypatch.setattr(predictors, fn, spy)
+    seen = _count_passes(monkeypatch)
     data = np.asarray(generate(name, dims=dims))
     assert data.size >= 8 * 65536
     before = trace.counters_snapshot().get("predict.sample_points", 0)
     frame = SZCompressor(eb).compress(data)
     after = trace.counters_snapshot().get("predict.sample_points", 0)
     assert frame.stats.predictor == winner
-    assert seen == {**dict.fromkeys(_FULL_PASS.values(), 1),
-                    **{fn: int(winner == pred)
-                       for pred, fn in _RESIDUAL_PASS.items()}}
+    assert seen == _expected_passes(predictors.PREDICTORS, winner)
     stride = data.size // 65536
     assert after - before == 3 * -(-data.size // stride)  # three samples
 

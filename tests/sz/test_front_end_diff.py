@@ -1,11 +1,13 @@
 """Differential tests: the slabbed SZ compress front end against the
 whole-array originals it replaced.
 
-The oracles below are the pre-slab implementations, kept here (and
-nowhere in ``src/``): whole-array ``grid_quantize_verified``, the
-``np.diff`` Lorenzo residuals, the ``np.where`` code mapping and the
-full-grid predictor selection.  Every test demands exact equality —
-the front end must not change a single frame byte.
+The oracles are the pre-slab implementations, kept here and in
+``tests/oracles.py`` (and nowhere in ``src/``): whole-array
+``grid_quantize_verified``, the ``np.diff`` Lorenzo residuals, the
+``np.where`` code mapping, the full-grid regression prediction, the
+full-grid predictor selection and the whole-grid writer built from them
+(``compress_ref``).  Every test demands exact equality — the front end
+must not change a single frame byte.
 """
 
 from __future__ import annotations
@@ -17,9 +19,17 @@ import pytest
 
 from repro.core import trace
 from repro.datasets import generate
-from repro.sz import predictors, quantizer
+from repro.sz import SZCompressor, predictors, quantizer
 from repro.sz.quantizer import SLAB_POINTS
-from tests.oracles import lorenzo_reconstruct
+from tests.oracles import (
+    compress_ref,
+    lorenzo_reconstruct,
+    lorenzo_residuals_ref,
+    predict_ref,
+    regression_predict,
+    regression_predict_at,
+    select_predictor_ref,
+)
 
 # ---------------------------------------------------------------------------
 # Oracles: the whole-array front end
@@ -68,42 +78,25 @@ def grid_quantize_verified_ref(data, eb):
     return flat_q.reshape(q.shape), idx[best_err > eb]
 
 
-def lorenzo_residuals_ref(q):
-    r = np.asarray(q, dtype=np.int64)
-    for axis in range(r.ndim):
-        r = np.diff(r, axis=axis, prepend=np.int64(0))
-    return r
-
-
 def codes_from_residuals_ref(residuals, radius):
     r = np.asarray(residuals, dtype=np.int64)
     unpredictable = np.abs(r) >= radius
     return np.where(unpredictable, np.int64(0), r + np.int64(radius)), unpredictable
 
 
-def select_predictor_ref(q, radius, block_size, *, lorenzo):
-    """Every candidate over the full grid, then each residual array sampled."""
-    best = None
-    for name in predictors.PREDICTORS:
-        if name == "lorenzo":
-            cand = predictors.Prediction(name, lorenzo)
-        elif name == "mean":
-            modal = predictors.modal_value(q)
-            cand = predictors.Prediction(
-                name, np.asarray(q, np.int64) - np.int64(modal), modal=modal
-            )
-        else:
-            model = predictors.regression_fit(q, block_size)
-            cand = predictors.Prediction(
-                name, q - predictors.regression_predict(model), model=model
-            )
-        cost = predictors.estimate_code_entropy(
-            cand.residuals, radius,
-            unpredictable_penalty_bits=predictors.UNPREDICTABLE_COST_BITS[name],
-        )
-        if best is None or cost < best[0]:
-            best = (cost, cand)
-    return best[1]
+def full_residuals(q, name, **side):
+    """``predictors.residual_slabs`` gathered into one array."""
+    slabs = predictors.residual_slabs(q, name, **side)
+    return np.concatenate([r.copy() for _, r in slabs] or [np.empty(0, np.int64)]
+                          ).reshape(np.shape(q))
+
+
+def code_map(residuals, radius, slab=SLAB_POINTS):
+    """``codes_from_residuals`` over ``residuals`` cut into ``slab``-point
+    pieces."""
+    flat = np.ravel(residuals)
+    pieces = ((lo, flat[lo : lo + slab]) for lo in range(0, flat.size, slab))
+    return quantizer.codes_from_residuals(pieces, flat.size, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +235,7 @@ LORENZO_SHAPES = [
 def test_lorenzo_matches_diff(shape):
     rng = np.random.default_rng(sum(shape))
     q = rng.integers(-(2**40), 2**40, size=shape)
-    res = predictors.lorenzo_residuals(q)
+    res = full_residuals(q, "lorenzo")
     assert res.dtype == np.int64
     assert np.array_equal(res, lorenzo_residuals_ref(q))
     assert np.array_equal(lorenzo_reconstruct(res), q)
@@ -253,24 +246,34 @@ def test_lorenzo_accepts_views_and_other_ints():
     q = rng.integers(-1000, 1000, size=(30, 40, 50))
     for view in (q[:, ::2], q.T, q.astype(np.int32)):
         assert np.array_equal(
-            predictors.lorenzo_residuals(view), lorenzo_residuals_ref(view)
+            full_residuals(view, "lorenzo"), lorenzo_residuals_ref(view)
         )
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_codes_match_where(n):
+    """uint16 codes, the histogram and the unpredictable points agree
+    with the whole-array ``np.where`` map, however the residuals are
+    cut into slabs."""
     rng = np.random.default_rng(n)
     res = (rng.standard_normal(n) * 300).astype(np.int64)
     res[::97] = 2**62 - 1  # grid residuals stay below 2^62
     res[::89] = -(2**62 - 1)
+    before = res.copy()
     for radius in (1, 16, 256, 32768):
-        codes, unpred = quantizer.codes_from_residuals(res, radius)
         codes_ref, unpred_ref = codes_from_residuals_ref(res, radius)
-        assert np.array_equal(codes, codes_ref)
-        assert np.array_equal(unpred, unpred_ref)
-    shaped = res[: n - n % 4].reshape(4, -1) if n >= 4 else res.reshape(1, -1)
-    codes, unpred = quantizer.codes_from_residuals(shaped, 64)
-    assert codes.shape == unpred.shape == shaped.shape
+        symbols, counts = np.unique(codes_ref, return_counts=True)
+        for slab in (SLAB_POINTS, 1000):
+            got = code_map(res, radius, slab)
+            assert got.codes.dtype == np.uint16
+            assert np.array_equal(got.codes, codes_ref)
+            assert np.array_equal(got.unpredictable, np.flatnonzero(unpred_ref))
+            assert np.array_equal(got.outliers, res[unpred_ref])
+            assert np.array_equal(got.symbols, symbols)
+            assert np.array_equal(got.counts, counts)
+    assert np.array_equal(res, before)  # the slabs are only read
+    with pytest.raises(ValueError, match="radius"):
+        code_map(res, quantizer.MAX_RADIUS + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,43 +287,71 @@ SAMPLED_SHAPES = [(1001,), (101, 77), (37, 41, 23), (5, 7, 9, 11)]
 @pytest.mark.parametrize("block_size", [2, 3, 5, 8])
 def test_sampled_residuals_match_full_grid(shape, block_size):
     """Every shape here leaves partial (edge-padded) blocks at some
-    block size; the sampled residuals are the full ones, subsampled.
-    (Lorenzo has no sampled form: selection samples its full residuals.)"""
+    block size; the sampled residuals are the full ones, subsampled,
+    and so are the slab residuals of every predictor."""
     rng = np.random.default_rng(len(shape) * 10 + block_size)
     field = rng.standard_normal(shape)
     for axis in range(len(shape)):
         field = np.cumsum(field, axis=axis)
     q = quantizer.grid_quantize(field, 1e-3)
-    for name in ("mean", "regression"):
-        full = predictors.predict(q, name, block_size)
+    for name in predictors.PREDICTORS:
+        full = predict_ref(q, name, block_size)
         for stride in (1, 2, 3, 8, 32):
             got = predictors.predict_sampled(q, name, block_size, stride)
-            assert np.array_equal(got.residuals, np.ravel(full.residuals)[::stride])
+            assert np.array_equal(got.sample, np.ravel(full.residuals)[::stride])
             assert got.modal == full.modal
             if name == "regression":
                 assert np.array_equal(
                     got.model.coefficients, full.model.coefficients
                 )
+        assert np.array_equal(
+            full_residuals(q, name, model=full.model, modal=full.modal),
+            full.residuals,
+        )
 
 
-def test_lorenzo_has_no_sampled_form():
-    with pytest.raises(ValueError, match="no sampled form"):
-        predictors.predict_sampled(np.zeros((4, 4), np.int64), "lorenzo", 2, 2)
+def test_unknown_predictor_has_no_sampled_form():
+    for fn in (lambda: predictors.predict_sampled(np.zeros((4, 4), np.int64),
+                                                  "wavelet", 2, 2),
+               lambda: next(predictors.residual_slabs(np.zeros(4), "wavelet"))):
+        with pytest.raises(ValueError, match="unknown predictor"):
+            fn()
+
+
+# Every axis length leaves a partial block at some block size here.
+REGRESSION_SHAPES = [(1,), (37,), (3 * SLAB_POINTS + 5,), (19, 23), (2, 3 * SLAB_POINTS),
+                     (19, 23, 29), (3, 190, 201), (5, 7, 9, 11), (2, 3, 100, 130)]
 
 
 def test_regression_predict_at_matches_full_grid():
-    rng = np.random.default_rng(12)
-    q = rng.integers(-(2**20), 2**20, size=(19, 23, 29))
-    for block_size in (2, 4, 6, 8):
-        model = predictors.regression_fit(q, block_size)
-        full = np.ravel(predictors.regression_predict(model))
-        at = rng.choice(q.size, size=500, replace=False)
-        assert np.array_equal(predictors.regression_predict_at(model, at), full[at])
+    """The slab evaluator over the reader's and the writer's slabs, and
+    the point evaluator it took its sum from, equal the full-grid matmul
+    prediction, on every shape and block size here."""
+    for shape in REGRESSION_SHAPES:
+        rng = np.random.default_rng(sum(shape))
+        q = rng.integers(-(2**20), 2**20, size=shape)
+        planes = q.size // shape[0]
+        step = max(1, SLAB_POINTS // planes)
+        for block_size in (2, 3, 4, 6, 8):
+            model = predictors.regression_fit(q, block_size)
+            full = regression_predict(model)
+            at = rng.choice(q.size, size=min(500, q.size), replace=False)
+            assert np.array_equal(regression_predict_at(model, at),
+                                  np.ravel(full)[at])
+            for lo in range(0, shape[0], step):
+                hi = min(lo + step, shape[0])
+                got = predictors.regression_predict_planes(model, lo, hi)
+                assert got.shape == full[lo:hi].shape
+                assert np.array_equal(np.rint(got).astype(np.int64),
+                                      full[lo:hi]), (shape, block_size, lo)
+            assert np.array_equal(full_residuals(q, "regression", model=model),
+                                  q - full)
 
 
-#: Above SAMPLE_SCORE_MIN_POINTS (524,288) with the same winners as the
-#: presets: regression on wf48 at 1e-6 and q2 at 1e-2, mean on nyx and
-#: qi, Lorenzo elsewhere.
+#: Above 8 * 65,536 points with the same winners as the presets:
+#: regression on wf48 at 1e-6 and q2 at 1e-2, mean on nyx and qi,
+#: Lorenzo elsewhere.  The whole-grid writer scored mean and regression
+#: on their full residuals below that size and on samples above it.
 _LARGE_DIMS = {"wf48": (24, 160, 160), "q2": (11, 240, 240),
                "nyx": (80, 80, 96), "qi": (6, 16, 80, 80),
                "t": (6, 16, 80, 80), "cloudf48": (24, 160, 160)}
@@ -334,17 +365,22 @@ _SELECTION_CASES = [("wf48", 1e-6, "regression"), ("q2", 1e-2, "regression"),
 def test_selection_matches_full_grid(name, eb, winner, large):
     dims = _LARGE_DIMS[name] if large else None
     data = np.asarray(generate(name, dims=dims, size="small"))
-    assert (data.size >= predictors.SAMPLE_SCORE_MIN_POINTS) == large
+    assert (data.size >= 8 * 65536) == large
     q, _ = quantizer.grid_quantize_verified(data, eb)
-    lorenzo = predictors.lorenzo_residuals(q)
-    radius = quantizer.choose_radius(lorenzo)
+    stride = predictors.sample_stride(q.size)
+    lorenzo = predictors.predict_sampled(q, "lorenzo", 8, stride)
+    radius = quantizer.choose_radius(lorenzo.sample)
+    assert radius == quantizer.choose_radius(lorenzo_residuals_ref(q))
     got = predictors.select_predictor(q, radius, 8, lorenzo=lorenzo)
-    ref = select_predictor_ref(q, radius, 8, lorenzo=lorenzo)
+    ref = select_predictor_ref(q, radius, 8)
     assert got.name == ref.name == winner
-    assert np.array_equal(got.residuals, ref.residuals)
-    assert got.residuals.shape == q.shape
+    assert np.array_equal(got.sample, np.ravel(ref.residuals)[::stride])
     assert got.modal == ref.modal
     if winner == "regression":
         assert np.array_equal(got.model.coefficients, ref.model.coefficients)
     else:
         assert got.model is None
+    comp = SZCompressor(eb)
+    frame, frame_ref = comp.compress(data), compress_ref(comp, data)
+    assert frame.sections == frame_ref.sections
+    assert frame.stats == frame_ref.stats

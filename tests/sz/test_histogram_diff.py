@@ -15,7 +15,21 @@ from hypothesis import strategies as st
 
 from repro.datasets import generate
 from repro.sz import predictors, quantizer
-from repro.sz.quantizer import MAX_RADIUS, code_histogram, codes_from_residuals
+from repro.sz.quantizer import MAX_RADIUS, code_histogram
+from tests.oracles import predict_ref
+
+
+def codes_from_residuals(residuals: np.ndarray, radius: int):
+    """The code map of ``residuals`` in one slab; its own histogram
+    must be :func:`code_histogram`'s."""
+    flat = np.ravel(residuals)
+    mapped = quantizer.codes_from_residuals([(0, flat)], flat.size, radius)
+    symbols, counts = code_histogram(mapped.codes)
+    assert np.array_equal(mapped.symbols, symbols)
+    assert np.array_equal(mapped.counts, counts)
+    unpred = np.zeros(flat.size, dtype=bool)
+    unpred[mapped.unpredictable] = True
+    return mapped.codes.reshape(np.shape(residuals)), unpred.reshape(np.shape(residuals))
 
 
 def _assert_histogram_matches_unique(codes: np.ndarray) -> None:
@@ -106,9 +120,9 @@ class TestEntropyEstimate:
         """Real predictor residuals, down-sampled as in selection."""
         for name in ("nyx", "wf48", "qi"):
             q = quantizer.grid_quantize(generate(name, size="tiny"), 1e-4)
-            radius = quantizer.choose_radius(predictors.lorenzo_residuals(q))
+            radius = quantizer.choose_radius(predict_ref(q, "lorenzo", 8).residuals)
             for pred in predictors.PREDICTORS:
-                res = predictors.predict(q, pred, 8).residuals
+                res = predict_ref(q, pred, 8).residuals
                 got = predictors.estimate_code_entropy(
                     res, radius, sample_limit=4096
                 )

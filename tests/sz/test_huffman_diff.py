@@ -173,6 +173,23 @@ class TestEncodeLookup:
         np.testing.assert_array_equal(cw, rcw)
         np.testing.assert_array_equal(ln, rln)
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int32])
+    def test_narrow_codes_encode_as_int64(self, dtype):
+        """The compressor hands its ``uint16`` codes to the encoders
+        uncast: both streams equal the int64 ones, and a narrow value
+        below or above the alphabet is still rejected."""
+        rng = np.random.default_rng(13)
+        symbols = np.arange(3, 40000, dtype=np.int64)
+        code = build_code(symbols, rng.integers(1, 100, size=symbols.size))
+        wide = rng.choice(symbols, size=20000)
+        narrow = wide.astype(dtype)
+        assert huffman.encode(narrow, code) == huffman.encode(wide, code)
+        lanes = huffman.encode_lanes(narrow, code, 4, 256)
+        assert lanes.lanes == huffman.encode_lanes(wide, code, 4, 256).lanes
+        for bad in (0, 2, 40000):
+            with pytest.raises(ValueError, match="alphabet"):
+                code.lookup(np.array([5, bad], dtype=dtype))
+
     @pytest.mark.parametrize("dense", [True, False])
     def test_unknown_value_rejected(self, dense):
         if dense:

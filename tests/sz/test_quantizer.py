@@ -134,10 +134,20 @@ class TestChooseRadius:
             quantizer.choose_radius(np.zeros(4, np.int64), coverage=0.0)
 
 
+def _codes(res, radius):
+    """``codes_from_residuals`` on one slab, as (codes, unpredictable
+    mask); the outliers it keeps are the masked residuals."""
+    mapped = quantizer.codes_from_residuals([(0, res)], res.size, radius)
+    unpred = np.zeros(res.size, dtype=bool)
+    unpred[mapped.unpredictable] = True
+    assert np.array_equal(mapped.outliers, res[unpred])
+    return mapped.codes, unpred
+
+
 class TestCodes:
     def test_sentinel_layout(self):
         res = np.array([0, 5, -5, 31, -31, 32, -32, 1000], dtype=np.int64)
-        codes, unpred = quantizer.codes_from_residuals(res, 32)
+        codes, unpred = _codes(res, 32)
         assert list(unpred) == [False] * 5 + [True] * 3
         assert (codes[unpred] == 0).all()
         assert (codes[~unpred] == res[~unpred] + 32).all()
@@ -145,7 +155,7 @@ class TestCodes:
 
     def test_roundtrip(self):
         res = np.array([0, 5, -5, 100, -100], dtype=np.int64)
-        codes, unpred = quantizer.codes_from_residuals(res, 32)
+        codes, unpred = _codes(res, 32)
         back = residuals_from_codes(codes, 32, res[unpred])
         assert np.array_equal(back, res)
 
@@ -166,6 +176,6 @@ class TestCodes:
     def test_roundtrip_property(self, seed, radius):
         rng = np.random.default_rng(seed)
         res = (rng.standard_normal(500) * radius).astype(np.int64)
-        codes, unpred = quantizer.codes_from_residuals(res, radius)
+        codes, unpred = _codes(res, radius)
         back = residuals_from_codes(codes, radius, res[unpred])
         assert np.array_equal(back, res)
