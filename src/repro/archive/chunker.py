@@ -7,16 +7,17 @@ of bytes produce identical chunks no matter where they sit in the
 stream — which is what makes the store-once blob table catch a
 checkpoint shard added twice under different names.
 
-The hash is a gear hash (as in FastCDC): each position sums the
-previous 32 bytes as ``h[i] = sum_{k<32} GEAR[b[i-k]] << k``, with a
-fixed random 256-entry table.  A position is a cut candidate when the
-low ``chunk_bits`` bits of ``h`` are zero (expected spacing
-``2**chunk_bits``); min/max bounds are enforced greedily afterwards so
-adversarial content can neither starve nor flood the chunker.  The
-test reads only those low bits, and a term ``GEAR[b] << k`` with
-``k >= chunk_bits`` has none there (carries only move up), so a cut
-depends on the last ``min(chunk_bits, 32)`` bytes alone: 12 at the
-default, not 32.
+The hash is a gear hash (as in FastCDC) with a fixed random 256-entry
+table: ``h[i] = sum_k GEAR[b[i-k]] << k``.  A position is a cut
+candidate when the low ``chunk_bits`` bits of ``h`` are zero (expected
+spacing ``2**chunk_bits``); min/max bounds are enforced greedily
+afterwards so adversarial content can neither starve nor flood the
+chunker.  The test reads only those low bits, and a term with
+``k >= chunk_bits`` has none there (carries only move up), so the sum
+runs over ``k < chunk_bits`` — the last 12 bytes at the default — and
+in ``uint32``, whose wrap-around keeps every bit below 32.  The cuts
+are those of the 32-term ``uint64`` sum the format was defined with
+(``gear_candidates_ref`` in ``tests/oracles.py``).
 
 The table is seeded constant: chunk boundaries are part of the
 archive's deduplication behaviour and must be stable across runs and
@@ -35,10 +36,22 @@ DEFAULT_CHUNK_BITS = 12
 DEFAULT_MIN_SIZE = 1 << 10
 DEFAULT_MAX_SIZE = 1 << 15
 
-_WINDOW = 32
+#: The table's low 32 bits: all a cut test of at most 30 bits reads.
 _GEAR = np.random.default_rng(0x5EC2).integers(
     0, 1 << 64, size=256, dtype=np.uint64
-)
+).astype(np.uint32)
+
+
+def _candidates(data: bytes, chunk_bits: int) -> np.ndarray:
+    """Every cut candidate of ``data``: the positions after the bytes
+    where the low ``chunk_bits`` bits of the gear hash are zero."""
+    n = len(data)
+    g = _GEAR[np.frombuffer(data, dtype=np.uint8)]
+    h = np.zeros(n, dtype=np.uint32)
+    for k in range(chunk_bits):
+        h[k:] += g[: n - k] << np.uint32(k)
+    mask = np.uint32((1 << chunk_bits) - 1)
+    return np.flatnonzero((h & mask) == 0) + 1  # cut AFTER the byte
 
 
 def chunk_boundaries(
@@ -63,13 +76,7 @@ def chunk_boundaries(
         return [0]
     if n <= min_size:
         return [n]
-    b = np.frombuffer(data, dtype=np.uint8)
-    g = _GEAR[b]
-    h = np.zeros(n, dtype=np.uint64)
-    for k in range(_WINDOW):
-        h[k:] += g[: n - k] << np.uint64(k)
-    mask = np.uint64((1 << chunk_bits) - 1)
-    candidates = np.flatnonzero((h & mask) == 0) + 1  # cut AFTER the byte
+    candidates = _candidates(data, chunk_bits)
     cuts: list[int] = []
     start = 0
     idx = 0

@@ -15,9 +15,8 @@ AES).  The span tree is the one place a stage time lives:
 * :func:`stage_seconds` — the ``{stage: seconds}`` map the Fig. 7 /
   Tables III–V benchmarks read: the stages are the tree's leaves.
 * process-wide **counters** (:func:`count` / :func:`counters_snapshot`)
-  for the quantities that do not belong to any single span: decoder
-  LRU hits/misses, lanes and segments decoded, AES blocks processed,
-  zlib bytes in/out.
+  for the quantities that do not belong to any single span: lanes and
+  segments decoded, AES blocks processed, zlib bytes in/out.
 * exporters — :meth:`Tracer.export` (the ``repro-trace/1`` JSON
   document, see docs/OBSERVABILITY.md), :func:`chrome_trace` (Chrome
   ``chrome://tracing`` / Perfetto event format) and
@@ -75,8 +74,6 @@ SCHEMA = "repro-trace/1"
 KNOWN_COUNTERS = (
     "fastdecode.lanes",            # Huffman lanes decoded (v3 frames)
     "fastdecode.segments",         # independent decode segments (lanes + anchors)
-    "huffman.codec_cache_hits",    # a parsed tree's code came from the decoder cache
-    "huffman.codec_cache_misses",  # a parsed tree's code had to be built and cached
     "huffman.encode_lanes",        # Huffman lanes encoded (v2 counts as 1)
     "huffman.packed_words",        # uint64 words written by the pack kernel
     "predict.sample_points",       # points sampled per predictor-selection estimate

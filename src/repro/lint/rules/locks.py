@@ -1,9 +1,9 @@
 """Lock-discipline rule: guarded module state stays guarded.
 
-The codebase now has real concurrency — service workers and the
-process-wide codec cache touch shared state from multiple threads —
-and "every access holds the right lock" was a reviewed-by-hand
-invariant until this rule.  Two checks:
+The codebase has real concurrency — service workers and the trace
+counters touch shared state from multiple threads — and "every access
+holds the right lock" was a reviewed-by-hand invariant until this
+rule.  Two checks:
 
 1. **Declared state is dominated by its lock.**  The registry
    (``RepoContext.lock_registry``) maps a module relpath to
@@ -20,9 +20,8 @@ invariant until this rule.  Two checks:
    finding — shared mutable state must either be declared with its
    guarding lock or rewritten to not be shared.
 
-The default registry covers the two real guarded stores: the Huffman
-codec cache and the trace counters.  ALL-CAPS names are treated as
-constants and skipped.
+The default registry covers the one real guarded store, the trace
+counters.  ALL-CAPS names are treated as constants and skipped.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = ["LockDisciplineRule", "DEFAULT_LOCKS"]
 
 #: module relpath -> {module-level state name: guarding lock name}.
 DEFAULT_LOCKS: dict[str, dict[str, str]] = {
-    "src/repro/sz/huffman.py": {"_codec_cache": "_codec_cache_lock"},
     "src/repro/core/trace.py": {"_counters": "_counters_lock"},
 }
 

@@ -42,20 +42,18 @@ Implementation notes
   kernel also reads v3 frames (:mod:`repro.sz.fastdecode`).  The
   differential oracle for both routes is a table-free bit-serial
   decoder in ``tests/oracles.py``.
-* A :class:`HuffmanCode` builds its encode LUT and its decode table
-  on first use and keeps them, so every lane of one compress shares
-  one build.  Encoders never hash a code.  Decoders do, once per tree
-  they parse: :func:`deserialize_tree` returns the process-wide
-  cached code for that table digest (:func:`codec_from_table`), so
-  repeat decodes of one tree share its codewords and decode table.
+* Every stream carries the tree it was coded with, so a
+  :class:`HuffmanCode` belongs to the one compress or decompress that
+  built or parsed it: :func:`deserialize_tree` returns a fresh code,
+  and the module keeps no state between calls.  A code computes its
+  canonical codewords, encode LUT and decode table on first use and
+  keeps them, so every lane of one compress shares one build, and a
+  decoder never computes the codewords.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +71,6 @@ __all__ = [
     "encode_lanes",
     "decode",
     "decode_ranks",
-    "codec_from_table",
-    "codec_cache_clear",
     "serialize_tree",
     "deserialize_tree",
     "serialize_lane_tree",
@@ -122,61 +118,38 @@ class HuffmanCode:
         Sorted, distinct symbol values (int64).
     lengths:
         Code length per symbol (uint8), Kraft-complete-or-under.
-    codewords:
-        Canonical codeword values (uint64), assigned in
-        ``(length, symbol)`` order.
 
-    The encode LUT (:meth:`lookup`) and the decode table
-    (:meth:`decode_table`) are built on first use and kept.  A code
-    that :func:`codec_from_table` cached is shared by every thread that
-    parses its tree, so each table is built once, under the code's
-    lock.
+    The two determine the code, so they are all a tree serializes.
+    The canonical :attr:`codewords`, the encode LUT (:meth:`lookup`)
+    and the decode table (:meth:`decode_table`) are each built on
+    first use and kept: an encoder never builds a decode table, and a
+    decoder never computes the codewords.
     """
 
-    __slots__ = ("symbols", "lengths", "codewords", "_lock", "_decode",
-                 "_encode", "_digest", "_charged")
+    __slots__ = ("symbols", "lengths", "_codewords", "_decode", "_encode")
 
-    def __init__(self, symbols: np.ndarray, lengths: np.ndarray,
-                 codewords: np.ndarray) -> None:
-        if not (len(symbols) == len(lengths) == len(codewords)):
-            raise ValueError("symbols/lengths/codewords must align")
+    def __init__(self, symbols: np.ndarray, lengths: np.ndarray) -> None:
+        if len(symbols) != len(lengths):
+            raise ValueError("symbols/lengths must align")
         if len(symbols) and int(lengths.max()) > MAX_CODE_LEN:
             raise ValueError("code length exceeds MAX_CODE_LEN")
         self.symbols = symbols
         self.lengths = lengths
-        self.codewords = codewords
-        self._lock = threading.Lock()
+        self._codewords: np.ndarray | None = None
         self._decode: tuple[np.ndarray, int, int] | None = None
         self._encode = None
-        #: The table digest, once the decoder cache holds this code.
-        self._digest: bytes | None = None
-        #: Bytes this code counts for in the cache's byte total.
-        self._charged = 0
 
     @property
     def n_symbols(self) -> int:
         return len(self.symbols)
 
-    def mean_length(self, frequencies: np.ndarray) -> float:
-        """Average codeword length in bits under ``frequencies``."""
-        total = frequencies.sum()
-        if total == 0:
-            return 0.0
-        return float((frequencies * self.lengths).sum() / total)
-
-    def _derived(self, slot: str, build):
-        """The table in ``slot``, built by ``build`` on first use (once,
-        under the lock) and charged to the decoder cache if it holds
-        this code."""
-        table = getattr(self, slot)
-        if table is None:
-            with self._lock:
-                table = getattr(self, slot)
-                if table is None:
-                    table = build()
-                    setattr(self, slot, table)
-            _codec_cache_fit(self)
-        return table
+    @property
+    def codewords(self) -> np.ndarray:
+        """Canonical codeword values (uint64), assigned in
+        ``(length, symbol)`` order."""
+        if self._codewords is None:
+            self._codewords = _canonical_codewords(self.lengths)
+        return self._codewords
 
     def decode_table(self) -> tuple[np.ndarray, int, int]:
         """The code's one decode table ``(tab, root_bits, max_len)``,
@@ -204,52 +177,50 @@ class HuffmanCode:
         The table never exceeds ``2^r + 2^max_len`` entries, no worse
         than a one-level table at ``max_len``.
         """
-        return self._derived("_decode", self._build_decode_table)
+        if self._decode is None:
+            self._decode = self._build_decode_table()
+        return self._decode
 
     def _build_decode_table(self) -> tuple[np.ndarray, int, int]:
-        """Fill the table one code length at a time: codes of one
-        length are consecutive canonical codewords, so each length is
-        one broadcast into a contiguous slice and the build allocates
-        no table-sized temporaries."""
+        """Canonical codewords are consecutive in ``(length, symbol)``
+        order, so each code's run of entries starts where the previous
+        code's ends.  The root is then one ``np.repeat`` of the short
+        codes' entries, followed by the links; the sub-tables are
+        filled one code length at a time, each length one broadcast
+        into a contiguous slice, so the build allocates no table-sized
+        temporaries."""
         lengths = self.lengths
         if not lengths.size:
             raise ValueError("cannot decode with an empty code")
         max_len = int(lengths.max())
         root_bits = min(max_len, DEPTH_LIMIT_BITS)
         sub_bits = max_len - root_bits
-        counts = np.bincount(lengths, minlength=max_len + 1)
-        # Ranks in canonical (length, symbol) order.
+        counts = np.bincount(lengths, minlength=max_len + 1).tolist()
+        # Ranks, lengths and packed entries in canonical order.
         ranks = np.argsort(lengths, kind="stable").astype(np.int32)
-        first = [0] * (max_len + 1)  # first canonical codeword per length
-        for ln in range(1, max_len + 1):
-            first[ln] = (first[ln - 1] + int(counts[ln - 1])) << 1
-        # Full-table span [lo, hi) of the codes longer than root_bits,
-        # and the count of root prefixes it touches (ceil division).
-        lo = (first[root_bits] + int(counts[root_bits])) << sub_bits
-        hi = first[max_len] + int(counts[max_len])
-        n_links = -((lo - hi) >> sub_bits)
+        by_len = lengths[ranks].astype(np.int32)
+        entries = (ranks << 5) | by_len
+        n_short = sum(counts[: root_bits + 1])
+        root = np.repeat(entries[:n_short], 1 << (root_bits - by_len[:n_short]))
+        # Full-table entries the long codes cover, and the count of
+        # root prefixes they touch (ceil division).
+        long_span = sum(counts[ln] << (max_len - ln)
+                        for ln in range(root_bits + 1, max_len + 1))
+        n_links = -(-long_span >> sub_bits)
         root_size = 1 << root_bits
         tab = np.zeros(root_size + (n_links << sub_bits), dtype=np.int32)
-        if n_links:
-            tab[lo >> sub_bits : (lo >> sub_bits) + n_links] = -(
-                root_size + (np.arange(n_links, dtype=np.int32) << sub_bits)
+        tab[: root.size] = root
+        tab[root.size : root.size + n_links] = -(
+            root_size + (np.arange(n_links, dtype=np.int32) << sub_bits)
+        )
+        start, pos = root_size, n_short
+        for ln in range(root_bits + 1, max_len + 1):
+            n, span = counts[ln], 1 << (max_len - ln)
+            tab[start : start + n * span].reshape(n, span)[:] = (
+                entries[pos : pos + n, None]
             )
-        pos = 0
-        for ln in range(1, max_len + 1):
-            n = int(counts[ln])
-            if not n:
-                continue
-            entries = (ranks[pos : pos + n] << 5) | np.int32(ln)
+            start += n * span
             pos += n
-            if ln <= root_bits:
-                span = root_bits - ln
-                start = first[ln] << span
-            else:
-                span = max_len - ln
-                start = root_size + (first[ln] << span) - lo
-            tab[start : start + (n << span)].reshape(n, 1 << span)[:] = (
-                entries[:, None]
-            )
         return tab, root_bits, max_len
 
     def _build_encode_tables(self):
@@ -278,9 +249,9 @@ class HuffmanCode:
         range.  Raises ``ValueError`` when any value is outside the
         code's alphabet.
         """
-        kind, lengths64, lut_cw, lut_ln = self._derived(
-            "_encode", self._build_encode_tables
-        )
+        if self._encode is None:
+            self._encode = self._build_encode_tables()
+        kind, lengths64, lut_cw, lut_ln = self._encode
         if kind == "dense":
             off = np.subtract(values, int(self.symbols[0]), dtype=np.intp)
             if off.size and (
@@ -296,15 +267,6 @@ class HuffmanCode:
         if not np.array_equal(self.symbols[idx], values):
             raise ValueError("value outside the code's alphabet")
         return self.codewords[idx], lengths64[idx]
-
-    def _nbytes(self) -> int:
-        """Bytes of the code and every derived NumPy table held."""
-        held = self.symbols.nbytes + self.lengths.nbytes + self.codewords.nbytes
-        if self._decode is not None:
-            held += self._decode[0].nbytes
-        if self._encode is not None:
-            held += sum(a.nbytes for a in self._encode[1:] if a is not None)
-        return held
 
 
 def _huffman_lengths(freqs: np.ndarray) -> np.ndarray:
@@ -425,7 +387,6 @@ def _empty_code() -> HuffmanCode:
     return HuffmanCode(
         symbols=np.empty(0, dtype=np.int64),
         lengths=np.empty(0, dtype=np.uint8),
-        codewords=np.empty(0, dtype=np.uint64),
     )
 
 
@@ -457,12 +418,7 @@ def build_code(symbols: np.ndarray, frequencies: np.ndarray) -> HuffmanCode:
     lengths = _limit_lengths(
         _huffman_lengths(frequencies), frequencies, MAX_CODE_LEN
     )
-    codewords = _canonical_codewords(lengths)
-    return HuffmanCode(
-        symbols=symbols,
-        lengths=lengths.astype(np.uint8),
-        codewords=codewords,
-    )
+    return HuffmanCode(symbols=symbols, lengths=lengths.astype(np.uint8))
 
 
 def encode(values: np.ndarray, code: HuffmanCode) -> PackedBits:
@@ -508,7 +464,10 @@ def deserialize_tree(data: bytes) -> HuffmanCode:
     # varint_decode validates the stream itself.
     deltas = intcodec.varint_decode(body[: len(body) - n], n)
     symbols = np.cumsum(deltas).astype(np.int64)
-    if np.unique(symbols).size != n:
+    # Every decode parses its tree, and for a few thousand symbols a
+    # sort finds duplicates ~20x faster than np.unique (NumPy 2.4).
+    ordered = np.sort(symbols)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("serialized tree contains duplicate symbols")
     if lengths.min() < 1 or lengths.max() != max_len:
         raise ValueError("serialized tree lengths are inconsistent")
@@ -520,7 +479,7 @@ def deserialize_tree(data: bytes) -> HuffmanCode:
     )
     if kraft > 1 << int(max_len):
         raise ValueError("serialized tree violates the Kraft inequality")
-    return codec_from_table(symbols, lengths.copy())
+    return HuffmanCode(symbols, lengths)
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +544,7 @@ LANE_FORMAT_MIN_BITS = 1 << 19
 ANCHOR_SPACING_BITS = 1 << 12
 
 
-def choose_lane_params(n_values: int, total_bits: int | None = None) -> tuple[int, int]:
+def choose_lane_params(n_values: int, total_bits: int) -> tuple[int, int]:
     """Pick ``(n_lanes, anchor_stride)`` for ``n_values`` symbols whose
     encoding occupies ``total_bits``.
 
@@ -599,8 +558,6 @@ def choose_lane_params(n_values: int, total_bits: int | None = None) -> tuple[in
     """
     if n_values <= 0:
         return 1, 1024
-    if total_bits is None:
-        total_bits = 4 * n_values  # rough prior: skewed SZ histograms
     if total_bits < LANE_FORMAT_MIN_BITS:
         return 1, max(1024, n_values)
     n_lanes = min(MAX_LANES, 16, max(4, total_bits >> 18), n_values)
@@ -742,94 +699,6 @@ def deserialize_lane_tree(data: bytes, n_values: int) -> tuple[HuffmanCode, Lane
         anchors=tuple(anchors),
     )
     return code, table
-
-
-def _table_digest(symbols: np.ndarray, lengths: np.ndarray) -> bytes:
-    """Digest of a canonical table — equivalent to hashing the
-    serialized tree (lengths + symbols fully determine it), without
-    paying the varint re-serialization per call."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.ascontiguousarray(symbols).tobytes())
-    h.update(np.ascontiguousarray(lengths).tobytes())
-    return h.digest()
-
-
-#: The decoder cache: parsed trees' codes, keyed by table digest; an
-#: LRU bounded by entry count and by the bytes of the tables its codes
-#: hold.  The derived state per entry is at most 1.4 MB for the
-#: stand-in fields (decode tables of 0.26-1.35 MB at small and medium,
-#: 1e-2..1e-6), so the bounds still let daemon-style workloads with
-#: many distinct error bounds all hit.  A deliberately deep tree can
-#: force a decode table of up to ``2^16 + 2^24`` int32 entries (67 MB):
-#: a code over the whole byte budget is not kept at all, so one hostile
-#: frame neither pins that memory nor flushes the other codes.
-_CODEC_CACHE_SIZE = 64
-_CODEC_CACHE_MAX_BYTES = 64 << 20
-_codec_cache: OrderedDict[bytes, HuffmanCode] = OrderedDict()
-_codec_cache_lock = threading.Lock()
-#: Sum of the cached codes' ``_charged`` bytes (under the lock).
-_codec_cache_bytes = 0
-
-
-def _codec_cache_fit(grown: HuffmanCode) -> None:
-    """Charge ``grown``'s current table bytes to the cache, then evict
-    least-recently-used codes until at most :data:`_CODEC_CACHE_SIZE`
-    remain, holding at most :data:`_CODEC_CACHE_MAX_BYTES`.  Called on
-    insert and whenever a code builds a table; a code the cache does
-    not hold is left alone, and one over the whole budget leaves the
-    cache."""
-    global _codec_cache_bytes
-    with _codec_cache_lock:
-        if _codec_cache.get(grown._digest) is not grown:
-            return  # never cached, evicted already, or lost an insert race
-        size = grown._nbytes()
-        _codec_cache_bytes += size - grown._charged
-        grown._charged = size
-        if size > _CODEC_CACHE_MAX_BYTES:
-            del _codec_cache[grown._digest]
-            _codec_cache_bytes -= size
-        while (len(_codec_cache) > _CODEC_CACHE_SIZE
-               or _codec_cache_bytes > _CODEC_CACHE_MAX_BYTES):
-            _, oldest = _codec_cache.popitem(last=False)
-            _codec_cache_bytes -= oldest._charged
-
-
-def codec_from_table(symbols: np.ndarray, lengths: np.ndarray) -> HuffmanCode:
-    """The code for a parsed ``(symbols, lengths)`` table, from the
-    process-wide decoder cache.
-
-    The table is hashed here, once per parse.  A hit returns the cached
-    code, so a repeat decode of one tree skips the canonical-codeword
-    recomputation and reuses the decode table already built.
-    """
-    digest = _table_digest(symbols, lengths)
-    with _codec_cache_lock:
-        code = _codec_cache.get(digest)
-        if code is not None:
-            _codec_cache.move_to_end(digest)
-            trace.count("huffman.codec_cache_hits")
-            return code
-    trace.count("huffman.codec_cache_misses")
-    code = HuffmanCode(symbols, lengths, _canonical_codewords(lengths))
-    with _codec_cache_lock:
-        existing = _codec_cache.get(digest)
-        if existing is not None:
-            # Raced with another thread: keep the first instance so its
-            # lazily built tables stay shared.
-            _codec_cache.move_to_end(digest)
-            return existing
-        code._digest = digest
-        _codec_cache[digest] = code
-    _codec_cache_fit(code)
-    return code
-
-
-def codec_cache_clear() -> None:
-    """Drop every cached code (tests and fixture regeneration)."""
-    global _codec_cache_bytes
-    with _codec_cache_lock:
-        _codec_cache.clear()
-        _codec_cache_bytes = 0
 
 
 #: From this many symbols up, :func:`decode` sends a single stream

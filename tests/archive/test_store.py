@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from repro.archive import ArchiveCorrupt, ArchiveStore
-from repro.archive.chunker import chunk_boundaries, split
+from repro.archive.chunker import _candidates, chunk_boundaries, split
 from repro.core import trace
 
 from tests.fuzz import corpus
+from tests.oracles import gear_candidates_ref
 
 KEY = bytes(range(16))
 
@@ -57,6 +58,15 @@ class TestChunker:
     def test_deterministic(self):
         data = corpus.build("runs")
         assert chunk_boundaries(data) == chunk_boundaries(data)
+
+    @pytest.mark.parametrize("chunk_bits", [1, 5, 9, 12, 20, 30])
+    def test_candidates_match_the_32_byte_hash(self, chunk_bits):
+        noise = np.random.default_rng(5).bytes(1 << 20)
+        for data in [noise] + [corpus.build(name) for name in corpus.names()]:
+            np.testing.assert_array_equal(
+                _candidates(data, chunk_bits),
+                gear_candidates_ref(data, chunk_bits),
+            )
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

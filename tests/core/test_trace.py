@@ -206,24 +206,6 @@ class TestPipelineTrace:
         assert after.get("fastdecode.segments", 0) > before.get(
             "fastdecode.segments", 0)
 
-    def test_codec_cache_hit_and_miss_counters(self):
-        from repro.sz import huffman
-
-        symbols = np.arange(300, dtype=np.int64)
-        counts = np.arange(1, 301, dtype=np.int64)
-        code = huffman.build_code(symbols, counts)
-        huffman.codec_cache_clear()
-        before = trace.counters_snapshot()
-        huffman.encode(symbols, code)  # encoders never look a code up
-        tree = huffman.serialize_tree(code)
-        huffman.deserialize_tree(tree)
-        huffman.deserialize_tree(tree)
-        after = trace.counters_snapshot()
-        assert after.get("huffman.codec_cache_misses", 0) - before.get(
-            "huffman.codec_cache_misses", 0) == 1
-        assert after.get("huffman.codec_cache_hits", 0) - before.get(
-            "huffman.codec_cache_hits", 0) == 1
-
 
 # ----------------------------------------------------------------------
 # Counters API

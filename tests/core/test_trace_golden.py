@@ -27,7 +27,6 @@ import pytest
 from repro.core import trace
 from repro.core.pipeline import SecureCompressor
 from repro.core.schemes import SCHEMES
-from repro.sz import huffman
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "data" / "traces"
 KEY = bytes(range(16))
@@ -46,13 +45,6 @@ VARIANTS = (
 )
 
 
-def _clear_codec_cache() -> None:
-    # The codec cache is process-global; a warm cache flips
-    # codec_cache_misses to codec_cache_hits and the counter-key
-    # comparison with it. Golden runs always start cold.
-    huffman.codec_cache_clear()
-
-
 def _run_archive(scheme: str) -> dict:
     """Archive life cycle (add + dedup + extract + gc), traced.
 
@@ -65,7 +57,6 @@ def _run_archive(scheme: str) -> dict:
 
     from repro.archive import ArchiveStore
 
-    _clear_codec_cache()
     rng = np.random.default_rng(42)
     field = np.cumsum(
         rng.standard_normal((24, 24)), axis=1
@@ -102,7 +93,6 @@ def _run_scheme(variant: str) -> dict:
     """Deterministic tiny compress + decompress, traced."""
     if variant.startswith("archive@"):
         return _run_archive(variant.partition("@")[2])
-    _clear_codec_cache()
     scheme, _, mode = variant.partition("@")
     mode = mode or "cbc"
     rng = np.random.default_rng(42)

@@ -96,7 +96,7 @@ def test_huffman_decode_garbage_bits_above_threshold(seed, extra_bytes,
     4-bit code decodes any bits (and never resynchronizes off its
     lattice); the incomplete one also meets a Kraft hole."""
     if holes:
-        code = huffman.codec_from_table(
+        code = huffman.HuffmanCode(
             np.arange(6, dtype=np.int64),
             np.array([1, 2, 3, 5, 5, 5], dtype=np.uint8),
         )

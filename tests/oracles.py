@@ -14,6 +14,9 @@ None of it runs on a production path.
 * :func:`decode_ranks_ref` — a table-free, bit-serial canonical
   decoder (``huffman.decode_ranks``'s scalar loop and the
   ``fastdecode`` lane kernel both walk the packed two-level table);
+* :func:`decode_table_ref` — that table filled one code length at a
+  time, root and sub-tables alike (``HuffmanCode.decode_table`` fills
+  the root with one ``np.repeat``);
 * :func:`residuals_from_codes`, :func:`lorenzo_reconstruct`,
   :func:`mean_reconstruct`, :func:`pwrel_inverse_ref` and
   :func:`decompress_ref` — the whole-array SZ reader
@@ -32,6 +35,9 @@ None of it runs on a production path.
   (``blocks.block_matrix`` fills the fit's matrix from the unpadded
   grid, ``predictors.regression_predict_planes`` evaluates slabs);
 * :func:`unpack_bits` — a packed stream as one byte per bit;
+* :func:`gear_candidates_ref` — the archive chunker's cut candidates
+  from the 32-byte ``uint64`` gear sum (``chunker._candidates`` sums
+  only the ``chunk_bits`` terms the cut test reads, in ``uint32``);
 * :func:`encrypt_block` and :func:`decrypt_block` — one AES-128 block
   each way: the CBC chain kernel on a zero chain, and the plain
   state-matrix inverse cipher of FIPS-197 5.3 (CBC decryption and CTR
@@ -58,6 +64,7 @@ __all__ = [
     "huffman_lengths_ref",
     "pack_codes_ref",
     "decode_ranks_ref",
+    "decode_table_ref",
     "residuals_from_codes",
     "lorenzo_reconstruct",
     "mean_reconstruct",
@@ -76,6 +83,7 @@ __all__ = [
     "select_predictor_ref",
     "compress_ref",
     "unpack_bits",
+    "gear_candidates_ref",
     "SHIFT_ROWS",
     "INV_SHIFT_ROWS",
     "encrypt_block",
@@ -188,6 +196,56 @@ def decode_ranks_ref(packed: PackedBits, code: huffman.HuffmanCode,
     if pos != len(bits):
         raise ValueError("huffman bitstream does not end at n_bits")
     return np.array(ranks, dtype=np.int32)
+
+
+def decode_table_ref(code: huffman.HuffmanCode) -> tuple[np.ndarray, int, int]:
+    """``code``'s two-level decode table ``(tab, root_bits, max_len)``
+    (layout in ``HuffmanCode.decode_table``), one code length at a time.
+
+    Codes of one length are consecutive canonical codewords, so each
+    length is one broadcast into a contiguous slice, placed by that
+    length's first canonical codeword.
+    """
+    lengths = code.lengths
+    if not lengths.size:
+        raise ValueError("cannot decode with an empty code")
+    max_len = int(lengths.max())
+    root_bits = min(max_len, huffman.DEPTH_LIMIT_BITS)
+    sub_bits = max_len - root_bits
+    counts = np.bincount(lengths, minlength=max_len + 1)
+    # Ranks in canonical (length, symbol) order.
+    ranks = np.argsort(lengths, kind="stable").astype(np.int32)
+    first = [0] * (max_len + 1)  # first canonical codeword per length
+    for ln in range(1, max_len + 1):
+        first[ln] = (first[ln - 1] + int(counts[ln - 1])) << 1
+    # Full-table span [lo, hi) of the codes longer than root_bits,
+    # and the count of root prefixes it touches (ceil division).
+    lo = (first[root_bits] + int(counts[root_bits])) << sub_bits
+    hi = first[max_len] + int(counts[max_len])
+    n_links = -((lo - hi) >> sub_bits)
+    root_size = 1 << root_bits
+    tab = np.zeros(root_size + (n_links << sub_bits), dtype=np.int32)
+    if n_links:
+        tab[lo >> sub_bits : (lo >> sub_bits) + n_links] = -(
+            root_size + (np.arange(n_links, dtype=np.int32) << sub_bits)
+        )
+    pos = 0
+    for ln in range(1, max_len + 1):
+        n = int(counts[ln])
+        if not n:
+            continue
+        entries = (ranks[pos : pos + n] << 5) | np.int32(ln)
+        pos += n
+        if ln <= root_bits:
+            span = root_bits - ln
+            start = first[ln] << span
+        else:
+            span = max_len - ln
+            start = root_size + (first[ln] << span) - lo
+        tab[start : start + (n << span)].reshape(n, 1 << span)[:] = (
+            entries[:, None]
+        )
+    return tab, root_bits, max_len
 
 
 def residuals_from_codes(codes: np.ndarray, radius: int,
@@ -503,6 +561,23 @@ def unpack_bits(packed: PackedBits) -> np.ndarray:
         return np.empty(0, dtype=np.uint8)
     bits = np.unpackbits(np.frombuffer(packed.data, dtype=np.uint8))
     return bits[: packed.n_bits]
+
+
+def gear_candidates_ref(data: bytes, chunk_bits: int) -> np.ndarray:
+    """The chunker's cut candidates from the full gear hash: each
+    position sums the previous 32 bytes as ``sum_{k<32} GEAR[b] << k``
+    in ``uint64``, and a position whose low ``chunk_bits`` bits are
+    zero is a candidate (the cut falls after it)."""
+    n = len(data)
+    gear = np.random.default_rng(0x5EC2).integers(
+        0, 1 << 64, size=256, dtype=np.uint64
+    )
+    g = gear[np.frombuffer(data, dtype=np.uint8)]
+    h = np.zeros(n, dtype=np.uint64)
+    for k in range(32):
+        h[k:] += g[: n - k] << np.uint64(k)
+    mask = np.uint64((1 << chunk_bits) - 1)
+    return np.flatnonzero((h & mask) == 0) + 1
 
 
 #: ShiftRows as a flat-index permutation: ``out[i] = state[SHIFT_ROWS[i]]``

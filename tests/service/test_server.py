@@ -184,13 +184,14 @@ class TestQueueSemantics:
         assert stat["counters"]["service.jobs_failed"] == 1
 
     def test_timed_out_job_does_not_fail_the_next(self, endpoint):
-        # The medium nyx field takes about 0.3 s to compress, the tiny
+        # A 192^3 nyx field takes about 0.3 s to compress, the tiny
         # q2 field about 5 ms.  The first job times out while its
         # compress still holds the one executor thread; the second
         # job's clock must not start until that thread is free.
         from repro.datasets import generate
 
-        slow = np.asarray(generate("nyx", size="medium"), dtype=np.float32)
+        slow = np.asarray(generate("nyx", dims=(192, 192, 192)),
+                          dtype=np.float32)
         quick = np.asarray(generate("q2", size="tiny"), dtype=np.float32)
         config = ServiceConfig(key=KEY, workers=1, job_timeout=0.1)
         with serve(config, endpoint):

@@ -3,6 +3,7 @@
 import gc
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -287,138 +288,156 @@ class TestCompressorIntegration:
 
 
 class TestCodecCache:
-    def test_decoder_reused_for_same_code(self, skewed_values):
-        values = skewed_values[:5000]
-        symbols, counts = np.unique(values, return_counts=True)
-        tree = huffman.serialize_tree(huffman.build_code(symbols, counts))
-        # Two parses of one tree return one cached code, and therefore
-        # one decode table process-wide.
-        code_a = huffman.deserialize_tree(tree)
-        code_b = huffman.deserialize_tree(tree)
-        assert code_a is code_b
-        assert code_a.decode_table() is code_b.decode_table()
+    """What a code caches: its own tables, built on first use and kept
+    for as long as the one compress or decompress that holds it.
+    Nothing is cached process-wide."""
 
-    def test_distinct_codes_get_distinct_decoders(self):
-        lengths = np.array([1, 1], dtype=np.uint8)
-        code_a = huffman.codec_from_table(np.array([1, 2]), lengths)
-        code_b = huffman.codec_from_table(np.array([1, 3]), lengths)
-        assert code_a.decode_table() is not code_b.decode_table()
-
-    def test_deserialized_tree_hits_cache(self, skewed_values):
+    def test_decoder_reused_for_same_code(self, skewed_values, monkeypatch):
         values = skewed_values[:5000]
         symbols, counts = np.unique(values, return_counts=True)
         code = huffman.build_code(symbols, counts)
-        huffman.codec_cache_clear()
-        huffman.encode(values, code)
-        tree = huffman.serialize_tree(code)
-        # Encoding caches nothing: the first parse builds the code,
-        # and a repeat parse gets that code back from the cache.
-        first = huffman.deserialize_tree(tree)
-        assert first is not code
-        assert huffman.deserialize_tree(tree) is first
+        packed = huffman.encode(values, code)
+        built = []
+        real_build = huffman.HuffmanCode._build_decode_table
 
-    def test_cache_bounded(self):
-        lengths = np.array([1, 1], dtype=np.uint8)
-        for i in range(3 * huffman._CODEC_CACHE_SIZE):
-            huffman.codec_from_table(np.array([i, i + 1]), lengths).decode_table()
-        assert len(huffman._codec_cache) == huffman._CODEC_CACHE_SIZE
+        def build(built_code):
+            built.append(built_code)
+            return real_build(built_code)
 
-    def test_cache_clear(self):
-        huffman.codec_from_table(np.array([1, 2]), np.array([1, 1], np.uint8))
-        huffman.codec_cache_clear()
-        assert len(huffman._codec_cache) == 0
+        monkeypatch.setattr(huffman.HuffmanCode, "_build_decode_table", build)
+        # Two decodes with one code walk one decode table.
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                huffman.decode(packed, code, values.size), values
+            )
+        assert built == [code]
+
+    def test_distinct_codes_get_distinct_decoders(self, skewed_values):
+        values = skewed_values[:5000]
+        symbols, counts = np.unique(values, return_counts=True)
+        tree = huffman.serialize_tree(huffman.build_code(symbols, counts))
+        # Every parse of one tree is a code of its own, with its own
+        # decode table.
+        code_a = huffman.deserialize_tree(tree)
+        code_b = huffman.deserialize_tree(tree)
+        assert code_a is not code_b
+        tab_a, tab_b = code_a.decode_table()[0], code_b.decode_table()[0]
+        assert tab_a is not tab_b
+        np.testing.assert_array_equal(tab_a, tab_b)
 
     @pytest.mark.parametrize("name, size, version",
                              [("q2", "tiny", 2), ("nyx", "small", 3)])
-    def test_secure_round_trip_hashes_each_tree_once(self, monkeypatch,
-                                                     name, size, version):
-        """A compress hashes no table; a decompress hashes its tree
-        once, and a repeat decompress rebuilds no decode table."""
+    def test_secure_round_trip_builds_one_table_per_tree(self, monkeypatch,
+                                                         name, size, version):
+        """A compress builds no decode table; a decompress builds one
+        for the tree it parses and computes no canonical codewords."""
         from repro.core import trace
         from repro.core.pipeline import SecureCompressor
         from repro.datasets import generate
 
-        hashed, built = [], []
-        real_digest = huffman._table_digest
+        built, derived = [], []
+        real_build = huffman.HuffmanCode._build_decode_table
+        real_codewords = huffman._canonical_codewords
 
-        def digest(symbols, lengths):
-            hashed.append(symbols.size)
-            return real_digest(symbols, lengths)
+        def build(code):
+            built.append(code)
+            return real_build(code)
 
-        monkeypatch.setattr(huffman, "_table_digest", digest)
+        def codewords(lengths):
+            derived.append(lengths.size)
+            return real_codewords(lengths)
+
+        monkeypatch.setattr(huffman.HuffmanCode, "_build_decode_table", build)
+        monkeypatch.setattr(huffman, "_canonical_codewords", codewords)
         field = np.asarray(generate(name, size=size), dtype=np.float32)
         sc = SecureCompressor(scheme="encr_huffman", error_bound=1e-4,
                               key=bytes(16))
-        huffman.codec_cache_clear()
         tr = trace.Tracer()
         container = sc.compress(field, tracer=tr).container
         assert {span.attrs["frame_version"] for root in tr.roots
                 for span in root.walk()
                 if "frame_version" in span.attrs} == {version}
-        assert hashed == []
-        sc.decompress(container)
-        assert len(hashed) == 1
-        real_build = huffman.HuffmanCode._build_decode_table
-
-        def build(code):
-            built.append(code.n_symbols)
-            return real_build(code)
-
-        monkeypatch.setattr(huffman.HuffmanCode, "_build_decode_table", build)
-        restored = sc.decompress(container)
-        assert len(hashed) == 2 and built == []
-        assert np.abs(restored - field).max() <= 1e-4
+        assert built == [] and len(derived) == 1
+        derived.clear()
+        for _ in range(2):
+            restored = sc.decompress(container)
+            assert np.abs(restored - field).max() <= 1e-4
+        assert derived == []
+        assert len(built) == 2 and built[0] is not built[1]
 
     @staticmethod
-    def _deep_code(offset: int) -> huffman.HuffmanCode:
+    def _deep_tree(offset: int) -> bytes:
         """A 1-bit code, then 2^15 root prefixes of lengths 17..21,21:
-        every one links to a 32-entry sub-table, a 4.5 MB lane table."""
+        every one links to a 32-entry sub-table, a 4.5 MB decode table
+        from a 590 KB tree."""
         lengths = np.concatenate([
             [1], np.tile(np.r_[np.arange(17, 22), 21], 1 << 15)
         ]).astype(np.uint8)
-        symbols = np.arange(lengths.size, dtype=np.int64) + offset
-        return huffman.codec_from_table(symbols, lengths)
+        deltas = np.ones(lengths.size, dtype=np.int64)
+        deltas[0] = offset
+        return (struct.pack("<IB", lengths.size, 21)
+                + intcodec.varint_encode(deltas) + lengths.tobytes())
+
+    def test_cache_bounded(self):
+        """Decoding many distinct codes keeps none of their decode
+        tables: each goes with the code that built it."""
+        lengths = np.array([1, 1], dtype=np.uint8)
+        tables = []
+        for i in range(192):
+            code = huffman.HuffmanCode(np.array([i, i + 1]), lengths)
+            values = np.array([i, i + 1, i + 1, i])
+            packed = huffman.encode(values, code)
+            np.testing.assert_array_equal(
+                huffman.decode(packed, code, values.size), values
+            )
+            tables.append(weakref.ref(code.decode_table()[0]))
+            del code
+        gc.collect()
+        assert sum(ref() is not None for ref in tables) == 0
 
     @pytest.mark.parametrize("budget_mb", [16, 4])
-    def test_deep_codes_retain_at_most_the_byte_budget(self, monkeypatch,
-                                                       budget_mb):
-        """Tables built for hostile deep trees stay within the cache's
-        byte budget, and a codec larger than the budget is not kept."""
+    def test_deep_codes_retain_at_most_the_byte_budget(self, budget_mb):
+        """Decoding five hostile deep trees, whose decode tables come to
+        21 MB, leaves at most ``budget_mb`` alive; 4 MB is less than one
+        of their tables.  A parsed code and its tables go when its
+        decode does."""
         budget = budget_mb << 20
-        monkeypatch.setattr(huffman, "_CODEC_CACHE_MAX_BYTES", budget,
-                            raising=False)
-        huffman.codec_cache_clear()
         rng = np.random.default_rng(4)
         gc.collect()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             for i in range(5):
-                code = self._deep_code(offset=1000 * i)
+                code = huffman.deserialize_tree(self._deep_tree(1000 * i))
                 values = rng.choice(code.symbols, size=20_000)
                 packed = huffman.encode(values, code)
-                # Long enough for the lane kernel, so the lane table is built.
+                # Long enough for the lane kernel.
                 assert values.size >= huffman.SELF_SYNC_MIN_VALUES
                 np.testing.assert_array_equal(
                     huffman.decode(packed, code, values.size), values
                 )
+                table_bytes = code.decode_table()[0].nbytes
                 del code, values, packed
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-            huffman.codec_cache_clear()
+        assert table_bytes == 4_456_448
         assert retained <= budget, retained / budget
 
-    def test_real_frame_tables_stay_cached(self):
+    def test_real_frame_tables_stay_cached(self, monkeypatch):
+        """The code a real frame's decode parsed keeps the decode table
+        it built."""
         from repro.datasets import generate
+        from repro.sz.compressor import decode_codes
 
         comp = SZCompressor(1e-4)
         frame = comp.compress(np.asarray(generate("nyx", size="small")))
-        huffman.codec_cache_clear()
-        comp.decompress(frame)
-        (code,) = huffman._codec_cache.values()
+        info = comp.parse_meta(frame.sections["meta"])
+        code, _, _ = decode_codes(frame.sections, info)
         tab = code.decode_table()[0]
+        monkeypatch.setattr(huffman.HuffmanCode, "_build_decode_table", None)
+        assert code.decode_table()[0] is tab
         assert tab.nbytes > 1 << 18
 
 

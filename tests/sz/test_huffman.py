@@ -72,7 +72,8 @@ class TestBuildCode:
         code = huffman.build_code(np.arange(128), freqs.astype(np.int64))
         p = freqs / freqs.sum()
         entropy = -(p * np.log2(p)).sum()
-        assert entropy <= code.mean_length(freqs) <= entropy + 1.0
+        mean_length = (p * code.lengths).sum()
+        assert entropy <= mean_length <= entropy + 1.0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="align"):

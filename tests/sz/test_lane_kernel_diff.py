@@ -18,7 +18,10 @@ at the depths where the table's shape changes (one level up to 16
 bits; root plus 1- to 8-bit sub-tables above) and at shallow depths
 that pack up to 9 symbols per gather, in uniform and ragged segment
 layouts; incomplete codes check that both table levels keep their
-Kraft holes fail-closed.
+Kraft holes fail-closed.  The table itself must equal the per-length
+builder it replaced, ``decode_table_ref``, on drawn and built codes,
+codes with Kraft holes, the stand-in fields' trees and hostile deep
+trees.
 """
 
 import gc
@@ -29,10 +32,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import dataset_names, generate
 from repro.sz import fastdecode, huffman
 from repro.sz.bitstream import PackedBits, concat_streams
+from repro.sz.compressor import SZCompressor
 from repro.sz.huffman import DEPTH_LIMIT_BITS, LaneTable
-from tests.oracles import decode_ranks_ref
+from tests.oracles import decode_ranks_ref, decode_table_ref
 
 DEPTHS = (6, 12, 16, 17, 19, 20, 21, 24)
 THRESHOLD = huffman.SELF_SYNC_MIN_VALUES
@@ -43,7 +48,7 @@ def _code_from_lengths(lengths, seed: int = 0) -> huffman.HuffmanCode:
     lengths = np.asarray(lengths, dtype=np.uint8)
     rng = np.random.default_rng(seed)
     symbols = np.cumsum(rng.integers(1, 5, lengths.size)) - 40
-    return huffman.codec_from_table(
+    return huffman.HuffmanCode(
         symbols.astype(np.int64), rng.permutation(lengths)
     )
 
@@ -268,6 +273,15 @@ class TestSingleStreamFailClosed:
         _assert_rejected(code, packed, n)
 
 
+def _hostile_lengths(max_len: int) -> np.ndarray:
+    """One 1-bit code, then 2^15 root prefixes' worth of lengths
+    17..max_len, max_len: every prefix of the lower half links to a
+    full sub-table."""
+    return np.concatenate([
+        [1], np.tile(np.r_[np.arange(17, max_len + 1), max_len], 1 << 15)
+    ]).astype(np.uint8)
+
+
 class TestTableShape:
     @pytest.mark.parametrize("max_len", DEPTHS)
     def test_root_width_and_size_bound(self, max_len):
@@ -282,16 +296,12 @@ class TestTableShape:
         assert (tab[1 << root_bits :] >= 0).all()
 
     def test_hostile_tree_build_is_bounded(self):
-        # One 1-bit symbol, then 2^15 root prefixes' worth of lengths
-        # 17..24,24: every prefix of the lower half links to a full
-        # 256-entry sub-table, a 34 MB table from a 590 KB tree.
-        lengths = np.concatenate([
-            [1], np.tile(np.r_[np.arange(17, 25), 24], 1 << 15)
-        ]).astype(np.uint8)
+        # Every prefix of the root's lower half links to a full
+        # 256-entry sub-table: a 34 MB table from a 590 KB tree.
+        lengths = _hostile_lengths(24)
         code = huffman.HuffmanCode(
             symbols=np.arange(lengths.size, dtype=np.int64),
             lengths=lengths,
-            codewords=huffman._canonical_codewords(lengths),
         )
         assert code.n_symbols == 294_913
         tracemalloc.start()
@@ -306,11 +316,7 @@ class TestTableShape:
         # And the table decodes: a lane stream over every length.
         rng = np.random.default_rng(0)
         values = rng.choice(code.symbols, size=3000)
-        try:
-            outputs = _kernel_scalar_oracle(code, values, 3, 64)
-        finally:
-            huffman.codec_cache_clear()  # drop the cached 34 MB table
-        _assert_all_equal(outputs, values)
+        _assert_all_equal(_kernel_scalar_oracle(code, values, 3, 64), values)
 
     def test_hostile_tree_scalar_route_memory_is_one_table(self):
         # One 1-bit code, 2 * (2^15 - 1) 17-bit codes, then 17..24, 24:
@@ -324,7 +330,7 @@ class TestTableShape:
         )
         assert lengths.size == 65_544
         assert (2.0 ** -lengths.astype(np.float64)).sum() == 1.0
-        code = huffman.codec_from_table(
+        code = huffman.HuffmanCode(
             np.arange(lengths.size, dtype=np.int64), lengths
         )
         assert len(huffman.serialize_tree(code)) > 130_000
@@ -339,12 +345,65 @@ class TestTableShape:
             tab = code.decode_table()[0]
         finally:
             tracemalloc.stop()
-            huffman.codec_cache_clear()  # drop the cached 34 MB table
         assert tab.size == (1 << 16) + (1 << 15) * (1 << 8) == 8_454_144
         assert peak <= 1.2 * tab.nbytes, peak / tab.nbytes
         np.testing.assert_array_equal(out, values)
         np.testing.assert_array_equal(
             out, code.symbols[decode_ranks_ref(packed, code, values.size)]
+        )
+
+
+def _assert_table_matches_ref(code: huffman.HuffmanCode) -> None:
+    tab, root_bits, max_len = code.decode_table()
+    ref, ref_root_bits, ref_max_len = decode_table_ref(code)
+    assert (root_bits, max_len) == (ref_root_bits, ref_max_len)
+    assert tab.dtype == ref.dtype
+    np.testing.assert_array_equal(tab, ref)
+
+
+class TestBuilderMatchesRef:
+    """``HuffmanCode.decode_table`` (one ``np.repeat`` for the root)
+    builds the per-length reference's table byte for byte."""
+
+    @pytest.mark.parametrize("max_len", DEPTHS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_codes(self, max_len, data):
+        # The drawn codes include Kraft holes at either level.
+        _assert_table_matches_ref(data.draw(codes_of_depth(max_len)))
+
+    @given(freqs=st.lists(st.integers(1, 1 << 20), min_size=1, max_size=400))
+    @settings(max_examples=60, deadline=None)
+    def test_built_codes(self, freqs):
+        freqs = np.asarray(freqs, dtype=np.int64)
+        _assert_table_matches_ref(
+            huffman.build_code(np.arange(freqs.size), freqs)
+        )
+
+    def test_kraft_hole_codes(self):
+        for lengths in ([1], [2, 2, 2], TestKraftHoles.LENGTHS,
+                        list(range(1, 25))):
+            _assert_table_matches_ref(_code_from_lengths(lengths, seed=3))
+
+    @pytest.mark.parametrize("name", dataset_names())
+    def test_stand_in_trees(self, name):
+        field = np.asarray(generate(name, size="tiny"), dtype=np.float32)
+        for error_bound in (1e-2, 1e-4, 1e-6):
+            comp = SZCompressor(error_bound)
+            frame = comp.compress(field)
+            tree = frame.sections["tree"]
+            if comp.parse_meta(frame.sections["meta"])["version"] >= 3:
+                code, _ = huffman.deserialize_lane_tree(tree, field.size)
+            else:
+                code = huffman.deserialize_tree(tree)
+            _assert_table_matches_ref(code)
+
+    @pytest.mark.parametrize("max_len", [21, 24])
+    def test_hostile_trees(self, max_len):
+        lengths = _hostile_lengths(max_len)
+        _assert_table_matches_ref(
+            huffman.HuffmanCode(np.arange(lengths.size, dtype=np.int64),
+                                lengths)
         )
 
 
